@@ -22,14 +22,7 @@ from .groups import (
     multiplicative_group,
     _precision_cushion,
 )
-from .padic import RingDescriptor
-
-
-def _floor_log(n: int, base: int) -> int:
-    k = 0
-    while base ** (k + 1) <= max(n, 1):
-        k += 1
-    return k
+from .padic import RingDescriptor, floor_log
 
 
 def canonical_lt_coeffs(p: int, d: int):
@@ -66,7 +59,7 @@ def construction_precision(p: int, h, N: int, nmax: int, q_base=None) -> int:
     e_max = (q - 1) * q ** (nmax - 1) if nmax >= 1 else 1
     D_endo = max(4 * q, 24)
     D_max = max(N * e_max, D_endo, 2)
-    extra = _precision_cushion(D_max, q) + 2 * _floor_log(D_endo, p)
+    extra = _precision_cushion(D_max, q) + 2 * floor_log(D_endo, p)
     return N + extra
 
 

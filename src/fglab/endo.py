@@ -19,16 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import INF, UnramifiedRingElem, teichmuller_digits
-from .series import TruncSeries1, TruncSeries2, substitute2_into2
-
-
-def _floor_log(n: int, base: int) -> int:
-    k, t = 0, n
-    while t >= base:
-        t //= base
-        k += 1
-    return k
+from .padic import INF, UnramifiedRingElem, floor_log, teichmuller_digits
+from .series import TruncSeries1, TruncSeries2, inject_x, inject_y, substitute2_into2
 
 
 def c_map(g: TruncSeries1) -> UnramifiedRingElem:
@@ -52,20 +44,6 @@ def _coerce_multiplier(desc, a):
     return Fraction(int(a)), desc.from_int(int(a))
 
 
-def _embed_x(g: TruncSeries1, D: int) -> TruncSeries2:
-    s = TruncSeries2.zero(g.desc, D, g.domain)
-    for i in range(min(g.D, D)):
-        s.data[i, 0] = g.data[i]
-    return s
-
-
-def _embed_y(g: TruncSeries1, D: int) -> TruncSeries2:
-    s = TruncSeries2.zero(g.desc, D, g.domain)
-    for j in range(min(g.D, D)):
-        s.data[0, j] = g.data[j]
-    return s
-
-
 def try_endomorphism(group, a, D: int | None = None) -> dict:
     """Test one multiplier; returns a certificate record.
 
@@ -79,14 +57,14 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
         q = group.q
         D = max(4 * q, 24) if q is not None else 24
     scalar, a_elem = _coerce_multiplier(desc, a)
-    # Integer multipliers with an exact logarithm make the whole pipeline
-    # exact.  A ring-element multiplier is a mod-p^N lift, and its error is
-    # amplified by the derivative of the integral polynomial family
+    # Every logarithm is exact, so integer multipliers keep the whole
+    # pipeline exact.  A ring-element multiplier is a mod-p^N lift, and its
+    # error is amplified by the derivative of the integral polynomial family
     # a -> [a]_k, worth floor(log_p D) digits each for the verdict transfer
-    # and for downstream composites; an inexact logarithm costs the same.
-    loss = 0 if (group.exact_log and isinstance(scalar, Fraction)) else 2 * _floor_log(D, p)
+    # and for downstream composites.
+    loss = 0 if isinstance(scalar, Fraction) else 2 * floor_log(D, p)
     N_eff = min(desc.N - loss, group.max_law_precision(D))
-    if min(N_eff, desc.N - _floor_log(D, p)) < 3:
+    if min(N_eff, desc.N - floor_log(D, p)) < 3:
         raise ValueError("construct the group at higher precision first")
     log = group.logarithm(D)
     g = log.reversion().compose(log.scalar_mul(scalar))
@@ -112,9 +90,8 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     record["series"] = g_int
     record["linear_coefficient_matches"] = (c_map(g_int) - a_elem.reduce_to(desc_eff)).is_zero()
     F2 = group.group_law2(D, N_eff)
-    lhs = substitute2_into2(_embed_x(g_int, D), F2,
-                            TruncSeries2.zero(desc_eff, D))
-    rhs = substitute2_into2(F2, _embed_x(g_int, D), _embed_y(g_int, D))
+    lhs = substitute2_into2(inject_x(g_int), F2, TruncSeries2.zero(desc_eff, D))
+    rhs = substitute2_into2(F2, inject_x(g_int), inject_y(g_int))
     record["commutes"] = lhs == rhs
     record["success"] = bool(record["commutes"] and record["linear_coefficient_matches"])
     return record

@@ -1,15 +1,17 @@
 """Formal group laws over unramified p-adic coefficient rings.
 
-Three construction routes:
+Three kinds of group, each with its multiplication-by-p series [p]:
 
 * multiplicative_group: F = X + Y + XY with everything in closed form;
-* lubin_tate_group: F solved degree by degree from the equivariance
-  F(f(X), f(Y)) = f(F(X, Y)) for a distinguished polynomial f = pX + ...
+* lubin_tate_group: [p] is a distinguished polynomial f = pX + ...
   congruent to X^q mod p;
 * honda_group: logarithm built from the functional equation
-  lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with the
-  multiplication-by-p series recovered from lam([p]) = p lam by a Newton
-  iteration carried out mod a high power of p.
+  lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
+  lam([p]) = p lam by a Newton iteration carried out mod a high power of p.
+
+Both non-closed kinds get their two-variable law from one solver: F is the
+unique series X + Y + ... commuting with [p], F(f(X), f(Y)) = f(F(X, Y))
+(Lubin-Tate 1965), solved degree by degree.
 
 Module structure ([a]-series for ring scalars a) is computed by the
 commutation recursion: g with linear term a and g(f(X)) = f(g(X)) is solved
@@ -30,13 +32,16 @@ from .padic import (
     Embedding,
     RingDescriptor,
     UnramifiedRingElem,
+    _frac_val,
     _vec_mulmod,
+    floor_log,
+    ring_mul,
+    ring_scale,
 )
 from .series import (
     TruncSeries1,
     TruncSeries2,
     _mul_data,
-    _scalar_mul_data,
     embed_series,
     embed_series2,
     inject_x,
@@ -54,7 +59,7 @@ class ObstructionError(ValueError):
 
 def _precision_cushion(D: int, q: int) -> int:
     """Digits lost by the cascade of divisions by p^k - p up to degree D."""
-    return 2 + int(math.log(max(D, 2)) / math.log(q))
+    return 2 + floor_log(max(D, 2), q)
 
 
 class FrobeniusSeries:
@@ -85,10 +90,8 @@ class FrobeniusSeries:
 
     def at(self, D: int, N: int | None = None) -> TruncSeries1:
         desc = self.desc if N is None else self.desc.at_precision(N)
-        if D <= self.degree:
-            raise ValueError("window too small for the polynomial")
         s = TruncSeries1.zero(desc, D)
-        for k, row in enumerate(self.coeff_rows):
+        for k, row in enumerate(self.coeff_rows[:D]):
             for j, v in enumerate(row):
                 s.data[k, j] = v % desc.pN
         return s
@@ -96,39 +99,11 @@ class FrobeniusSeries:
 
 def _line_outer(xs: TruncSeries1, ys: TruncSeries1) -> TruncSeries2:
     """Product of a series in X alone and a series in Y alone."""
-    desc, D, domain = xs.desc, xs.D, xs.domain
-    f = desc.f
-    m = desc.pN if domain == "integral" else None
-    dtype = xs.data.dtype
-    cross = [np.zeros((D, D), dtype=dtype) for _ in range(2 * f - 1)]
-    for c1 in range(f):
-        xv = xs.data[:, c1]
-        if not xv.any():
-            continue
-        for c2 in range(f):
-            yv = ys.data[:, c2]
-            if not yv.any():
-                continue
-            cross[c1 + c2] += np.outer(xv, yv)
-            if m is not None:
-                np.mod(cross[c1 + c2], m, out=cross[c1 + c2])
-    rows = desc.reduction_rows()
-    out = np.zeros((D, D, f), dtype=dtype)
-    for j in range(f):
-        out[:, :, j] = cross[j]
-    for t in range(f - 1):
-        c = cross[f + t]
-        if not c.any():
-            continue
-        for j in range(f):
-            r = rows[t][j] % m if m is not None else rows[t][j]
-            if r:
-                out[:, :, j] += c * r
-    if m is not None:
-        out = out % m
-    mask = np.add.outer(np.arange(D), np.arange(D)) >= D
-    out[mask] = 0
-    return TruncSeries2(desc, D, domain, out)
+    desc, D = xs.desc, xs.D
+    m = desc.pN if xs.domain == "integral" else None
+    out = ring_mul(xs.data, ys.data, desc, m, np.multiply.outer)
+    out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
+    return TruncSeries2(desc, D, xs.domain, out)
 
 
 def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
@@ -181,7 +156,8 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
     B = f_of(F)
     keep = max(1, desc.N - _precision_cushion(D2, p ** _q_of_f(f2)))
     guard = p**keep
-    assert ((A.data - B.data) % guard == 0).all(), "equivariance failed"
+    if ((A.data - B.data) % guard).any():
+        raise ArithmeticError("equivariance failed")
     return F
 
 
@@ -224,30 +200,17 @@ def honda_log_coeffs(p: int, u, D: int):
     return lam
 
 
-def _frac_p_val(x: Fraction, p: int) -> int:
-    if x == 0:
-        return 10**9
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _data_exact_div_p(data, p: int, k: int):
     m = p**k
-    assert (data % m == 0).all(), "expected divisibility failed"
+    if (data % m).any():
+        raise ArithmeticError("expected divisibility failed")
     return data // m
 
 
 def _honda_pi_series(p: int, u, D: int, N_out: int) -> TruncSeries1:
     """[p]-series of the honda group: Newton solve of lam(g) = p lam."""
     lam = honda_log_coeffs(p, u, D)
-    jmax = max((-_frac_p_val(c, p) for c in lam if c), default=0)
+    jmax = max((-_frac_val(c, p) for c in lam if c), default=0)
     scale = p**jmax
     levels = max(1, math.ceil(math.log2(max(D, 2))))
     K = N_out + 2 * jmax * levels + jmax + 2
@@ -256,9 +219,8 @@ def _honda_pi_series(p: int, u, D: int, N_out: int) -> TruncSeries1:
     L = TruncSeries1.zero(desc, D)
     for k, c in enumerate(lam):
         if c:
-            val = c * scale
-            assert val.denominator == 1
-            L.data[k, 0] = int(val) % m
+            # lam has p-power denominators only, so c * scale is an integer
+            L.data[k, 0] = int(c * scale) % m
     target = L.scalar_mul(p)
     Lp = L.derivative()
     g = TruncSeries1.zero(desc, D)
@@ -305,19 +267,6 @@ def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSe
             if any(v != 0 for v in out.data[n]):
                 comp = comp + fpow.scalar_mul(tuple(out.data[n]))
     return out
-
-
-def _exp_log_group_law(log_ser: TruncSeries1, D2: int) -> TruncSeries2:
-    """F = exp(log X + log Y) from an exact scaled logarithm."""
-    lam = log_ser.truncate(D2) if log_ser.D >= D2 else log_ser.lift(D2)
-    exp = lam.reversion()
-    L = inject_x(lam) + inject_y(lam)
-    acc = TruncSeries2.zero(lam.desc, D2, "scaled")
-    for k in range(D2 - 1, 0, -1):
-        acc = acc * L
-        acc.data[0, 0] = acc.data[0, 0] + exp.data[k]
-    acc = acc * L
-    return acc
 
 
 # --------------------------------------------------------------- the group
@@ -419,22 +368,22 @@ class FormalGroupLaw:
         if self.kind == "gm":
             desc = self.desc.at_precision(N)
             out = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
-        elif self.kind == "lubin_tate":
-            cushion = _precision_cushion(D2, self.q_eff)
-            if N + cushion > self.desc.N:
+        elif self.kind == "honda_ext":
+            base_F = self.base.group_law2(D2, N)
+            out = embed_series2(base_F, self.embedding, self.desc.at_precision(N))
+        else:
+            N_work = N + _precision_cushion(D2, self.q_eff)
+            if self.kind == "honda":
+                # the honda [p]-series is exact data at any precision
+                f_work = _honda_pi_series(self.desc.p, self.u, D2, N_work)
+            elif N_work > self.desc.N:
                 raise ValueError("construct the group at higher precision first")
-            f_work = self.pi_series(D2, N + cushion)
+            else:
+                f_work = self.pi_series(D2, N_work)
             F = solve_equivariant_group_law(f_work, D2)
             desc_out = self.desc.at_precision(N)
             out = TruncSeries2.zero(desc_out, D2)
             out.data[...] = F.data % desc_out.pN
-        elif self.kind == "honda":
-            lam = self.logarithm(D2)
-            exact = _exp_log_group_law(lam, D2)
-            out = _scaled2_to_integral(exact, self.desc.at_precision(N))
-        else:
-            base_F = self.base.group_law2(D2, N)
-            out = embed_series2(base_F, self.embedding, self.desc.at_precision(N))
         self._f2_cache[key] = out
         return out
 
@@ -456,23 +405,14 @@ class FormalGroupLaw:
             for k, c in enumerate(lam):
                 s.data[k, 0] = c
             out = s
-        elif self.kind == "honda_ext":
+        else:
             base_log = self.base.logarithm(D)
             out = embed_series(base_log, None, self.desc)
-        else:
-            F = self.group_law2(D)
-            dy = F.partial_y_at_zero().to_scaled()
-            out = dy.invert_unit().integrate().truncate(D)
         self._log_cache[D] = out
         return out
 
     def exponential(self, D: int) -> TruncSeries1:
         return self.logarithm(D).reversion()
-
-    @property
-    def exact_log(self) -> bool:
-        """True when the logarithm is exact rational data (no mod-p^N loss)."""
-        return self.kind in ("gm", "lubin_tate", "honda", "honda_ext")
 
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":
@@ -487,12 +427,6 @@ class FormalGroupLaw:
 
     def negation_series(self, D: int, N: int | None = None) -> TruncSeries1:
         return self.multiplication_by(-1, D, N)
-
-    def formal_sum(self, xs: TruncSeries1, ys: TruncSeries1, N: int | None = None) -> TruncSeries1:
-        from .series import substitute2
-
-        F = self.group_law2(xs.D, N)
-        return substitute2(F, xs, ys)
 
     # --------------------------------------------------------- base change
     def base_change(self, f_new: int) -> "FormalGroupLaw":
@@ -514,16 +448,6 @@ class FormalGroupLaw:
         base = self.base if self.kind == "honda_ext" else self
         emb = Embedding(base.desc, dst)
         return FormalGroupLaw(dst, "honda_ext", label, base=base, embedding=emb)
-
-
-def _scaled2_to_integral(F: TruncSeries2, desc: RingDescriptor) -> TruncSeries2:
-    out = TruncSeries2.zero(desc, F.D, "integral")
-    for i in range(F.D):
-        for j in range(F.D - i):
-            if any(v != 0 for v in F.data[i, j]):
-                e = desc.element_from_rationals(list(F.data[i, j]))
-                out.data[i, j] = np.array(e.coeffs, dtype=out.data.dtype)
-    return out
 
 
 def multiplicative_group(desc: RingDescriptor, label: str | None = None) -> FormalGroupLaw:
@@ -600,7 +524,7 @@ class ModuleStructure:
                 nxt = np.zeros_like(cur)
                 for d, vec in terms:
                     if d < D:
-                        seg = _scalar_mul_data(cur[: D - d], vec, self.desc_w, m)
+                        seg = ring_scale(cur[: D - d], vec, self.desc_w, m)
                         nxt[d:] = (nxt[d:] + seg) % m
             else:
                 nxt = _mul_data(cur, self.f_data, self.desc_w, D, m)
@@ -658,13 +582,13 @@ class ModuleStructure:
             acc = _vec_mulmod(acc, a_vec, desc_w, m)
             if i < D:
                 Gpow[i][i] = acc
-        GF = _scalar_mul_data(self.f_data, a_vec, desc_w, m)
+        GF = ring_scale(self.f_data, a_vec, desc_w, m)
         f_terms = [(i, tuple(self.f_data[i])) for i in self.f_nz]
 
         def rebuild_FG():
             out = np.zeros((D, fdim), dtype=dtype)
             for i, c in f_terms:
-                out = (out + _scalar_mul_data(Gpow[i], c, desc_w, m)) % m
+                out = (out + ring_scale(Gpow[i], c, desc_w, m)) % m
             return out
 
         FG = rebuild_FG()
@@ -678,7 +602,7 @@ class ModuleStructure:
             inv = pow((w - 1) % m, -1, m)
             gk = tuple((int(v) // p * inv) % m for v in defect)
             g[k] = gk
-            GF = (GF + _scalar_mul_data(fpow[k], gk, desc_w, m)) % m
+            GF = (GF + ring_scale(fpow[k], gk, desc_w, m)) % m
             self._update_powers(Gpow, k, gk)
             FG = rebuild_FG()
         ser = TruncSeries1(desc_w, D, "integral", g)
@@ -700,7 +624,7 @@ class ModuleStructure:
                     break
                 comb = math.comb(i, s) % m
                 cvec = tuple(v * comb % m for v in tpow[s])
-                seg = _scalar_mul_data(Gpow[i - s][: D - shift], cvec, desc_w, m)
+                seg = ring_scale(Gpow[i - s][: D - shift], cvec, desc_w, m)
                 acc[shift:] = (acc[shift:] + seg) % m
             Gpow[i] = acc
 

@@ -3,6 +3,13 @@
 Elements of W(F_{p^f}) mod p^N are stored as coefficient vectors of length f
 over Z/p^N with respect to a fixed monic modulus polynomial, chosen
 deterministically so that independently created descriptors agree.
+
+Every product of ring elements goes through one kernel built on the
+descriptor's structure table T[a][b] = X^a * X^b mod the modulus: ring_mul
+for arrays of elements under any bilinear product of component slices
+(truncated convolution, outer product, contraction), and ring_scale, its
+one-matrix form, for multiplying by a single element.  Reduction is mod an
+explicit m, or none at all for exact Fractions.
 """
 
 from __future__ import annotations
@@ -10,7 +17,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 INF = math.inf
+
+# int64 arrays keep every sum of reduced products below this bound, leaving
+# room for one more addition before the next reduction.
+_INT64_BUDGET = 2**62
 
 
 def is_prime(n: int) -> bool:
@@ -39,6 +52,15 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def floor_log(n: int, base: int) -> int:
+    """Largest k with base^k <= n (0 when n < base), exact in integers."""
+    k = 0
+    while n >= base:
+        n //= base
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +135,7 @@ def minimal_modulus(p: int, f: int) -> tuple[int, ...]:
 class RingDescriptor:
     """Parameters (p, f, N) plus the fixed modulus of W(F_{p^f}) mod p^N."""
 
-    __slots__ = ("p", "f", "N", "modulus", "_red_rows")
+    __slots__ = ("p", "f", "N", "modulus", "_table")
 
     def __init__(self, p: int, f: int, N: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p) or p == 2:
@@ -131,7 +153,7 @@ class RingDescriptor:
         self.f = f
         self.N = N
         self.modulus = modulus
-        self._red_rows = None
+        self._table = None
 
     @property
     def pN(self) -> int:
@@ -141,21 +163,16 @@ class RingDescriptor:
     def q(self) -> int:
         return self.p**self.f
 
-    def reduction_rows(self) -> list[list[int]]:
-        """Integer rows expressing X^{f+t} mod modulus, t = 0 .. f-2."""
-        if self._red_rows is None:
+    def structure_table(self) -> tuple:
+        """T[a][b]: the f integer components of X^a * X^b mod the modulus."""
+        if self._table is None:
             f = self.f
-            rows = []
-            cur = [-c for c in self.modulus[:f]]
-            for _ in range(max(f - 1, 0)):
-                rows.append(list(cur))
-                top = cur[f - 1]
-                cur = [0] + cur[: f - 1]
-                if top:
-                    for j in range(f):
-                        cur[j] += top * rows[0][j]
-            self._red_rows = rows
-        return self._red_rows
+            powers = [tuple(int(j == k) for j in range(f)) for k in range(f)]
+            for _ in range(f - 1):
+                top, rest = powers[-1][f - 1], powers[-1][: f - 1]
+                powers.append(tuple(c - top * r for c, r in zip((0,) + rest, self.modulus)))
+            self._table = tuple(tuple(powers[a:a + f]) for a in range(f))
+        return self._table
 
     def at_precision(self, M: int) -> "RingDescriptor":
         return RingDescriptor(self.p, self.f, M, self.modulus)
@@ -208,25 +225,79 @@ class RingDescriptor:
         return UnramifiedRingElem(self, tuple(out))
 
 
+# ---------------------------------------------------------------------------
+# the coefficient-ring multiply kernel
+
+def scalar_matrix(c, desc: RingDescriptor, m):
+    """Rows S[a] = components of X^a * c mod (modulus, m), so that
+    multiplying component vectors by the ring element c is v -> v @ S; that
+    is, S = sum_b c_b T[:, b, :].  m = None keeps the entries exact."""
+    if m is not None:
+        c = [int(v) % m for v in c]
+    if desc.f == 1:
+        return [[c[0]]]
+    S = []
+    for Ta in desc.structure_table():
+        row = [0] * desc.f
+        for cb, Tab in zip(c, Ta):
+            if cb:
+                for j, t in enumerate(Tab):
+                    if t:
+                        row[j] += cb * t
+        S.append(row if m is None else [v % m for v in row])
+    return S
+
+
+def ring_scale(A, c, desc: RingDescriptor, m):
+    """A times the ring element c, A holding the f components on its last
+    axis: one f x f matrix product (a plain scalar product when f = 1)."""
+    S = scalar_matrix(c, desc, m)
+    out = A * S[0][0] if desc.f == 1 else A @ np.array(S, dtype=A.dtype)
+    return out if m is None else out % m
+
+
+def ring_mul(A, B, desc: RingDescriptor, m, prod):
+    """Coefficient-ring product of arrays holding the f components on their
+    last axis.
+
+    prod(x, y) multiplies one component slice of A by one of B: a truncated
+    convolution, an outer product, a contraction, ...; on int64 data the
+    sums prod forms must stay under _INT64_BUDGET.  The partial products are
+    gathered by the power X^(a+b) they carry, reduced mod m, and folded back
+    with the structure table.  m = None keeps exact Fractions.
+    """
+    f = desc.f
+    cross = [None] * (2 * f - 1)
+    for a in range(f):
+        x = A[..., a]
+        if not x.any():
+            continue
+        for b in range(f):
+            y = B[..., b]
+            if not y.any():
+                continue
+            c = prod(x, y)
+            if cross[a + b] is not None:
+                c = c + cross[a + b]
+            cross[a + b] = c if m is None else c % m
+    if all(c is None for c in cross):
+        cross[0] = prod(A[..., 0], B[..., 0])  # a factor is zero
+    if f == 1:
+        return cross[0][..., None]
+    zero = np.zeros_like(next(c for c in cross if c is not None))
+    C = np.stack([zero if c is None else c for c in cross], axis=-1)
+    T = desc.structure_table()
+    R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
+    if m is not None:
+        R = [[v % m for v in row] for row in R]
+    out = C @ np.array(R, dtype=C.dtype)
+    return out if m is None else out % m
+
+
 def _vec_mulmod(a, b, desc, m):
     """Multiply coefficient vectors mod (modulus, m)."""
-    f = desc.f
-    if f == 1:
-        return ((a[0] * b[0]) % m,)
-    prod = [0] * (2 * f - 1)
-    for i in range(f):
-        if a[i]:
-            for j in range(f):
-                prod[i + j] += a[i] * b[j]
-    rows = desc.reduction_rows()
-    out = prod[:f]
-    for t in range(f - 1):
-        c = prod[f + t]
-        if c:
-            row = rows[t]
-            for j in range(f):
-                out[j] += c * row[j]
-    return tuple(x % m for x in out)
+    S = scalar_matrix(b, desc, m)
+    return tuple(sum(x * s for x, s in zip(a, col)) % m for col in zip(*S))
 
 
 class ResidueElem:

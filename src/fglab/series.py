@@ -1,11 +1,14 @@
 """Truncated power series over unramified p-adic coefficient rings.
 
 A series is a coefficient array of shape (D, f): D tracked degrees, f ring
-components per coefficient.  Two domains are supported:
+components per coefficient.  Products of series, of two-variable series and
+by ring scalars all go through the coefficient-ring kernel of padic
+(ring_mul with a truncated convolution, ring_scale).  Two domains are
+supported:
 
 * "integral": entries are ints reduced mod p^N (int64 arrays when the
-  convolution bound D * p^{2N} fits in a machine word, object arrays
-  otherwise);
+  bound max(D, 2f) * p^{2N} on the kernel's sums fits in a machine word,
+  object arrays otherwise);
 * "scaled": entries are exact Fractions, no modular reduction.  This is the
   domain for logarithms and anything with p in denominators; coefficients
   are viewed as ScaledFieldElem on request.
@@ -18,18 +21,20 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import (
+    _INT64_BUDGET,
     INF,
     RingDescriptor,
     ScaledFieldElem,
     UnramifiedRingElem,
     rational_vec_valuation,
+    ring_mul,
+    ring_scale,
+    scalar_matrix,
 )
-
-_INT64_BUDGET = 2**62
 
 
 def fits_int64(desc: RingDescriptor, D: int) -> bool:
-    return D * (desc.pN - 1) ** 2 < _INT64_BUDGET
+    return max(D, 2 * desc.f) * (desc.pN - 1) ** 2 < _INT64_BUDGET
 
 
 def _dtype_for(desc: RingDescriptor, D: int, domain: str):
@@ -42,89 +47,9 @@ def _zeros(desc, D, domain):
     return np.zeros((D, desc.f), dtype=_dtype_for(desc, D, domain))
 
 
-def _conv(a, b, cap: int):
-    c = np.convolve(a, b)
-    return c[:cap]
-
-
 def _mul_data(A, B, desc: RingDescriptor, D: int, modulo):
-    """Coefficientwise product of series data with modulus reduction."""
-    f = desc.f
-    dtype = A.dtype
-    if f == 1:
-        c = _conv(A[:, 0], B[:, 0], D)
-        if modulo is not None:
-            c = c % modulo
-        out = np.zeros((D, 1), dtype=dtype)
-        out[: len(c), 0] = c
-        return out
-    cross = [np.zeros(D, dtype=dtype) for _ in range(2 * f - 1)]
-    for i in range(f):
-        if not A[:, i].any():
-            continue
-        for j in range(f):
-            if not B[:, j].any():
-                continue
-            c = _conv(A[:, i], B[:, j], D)
-            tgt = cross[i + j]
-            tgt[: len(c)] += c
-            if modulo is not None:
-                np.mod(tgt, modulo, out=tgt)
-    rows = desc.reduction_rows()
-    out = np.zeros((D, f), dtype=dtype)
-    for j in range(f):
-        out[:, j] = cross[j]
-    for t in range(f - 1):
-        c = cross[f + t]
-        if not c.any():
-            continue
-        row = rows[t]
-        for j in range(f):
-            r = row[j] % modulo if modulo is not None else row[j]
-            if r:
-                out[:, j] += c * r
-                if modulo is not None:
-                    np.mod(out[:, j], modulo, out=out[:, j])
-    if modulo is not None:
-        out = out % modulo
-    return out
-
-
-def _scalar_mul_data(A, vec, desc: RingDescriptor, modulo):
-    """Multiply series data by one ring element (vector of length f)."""
-    f = desc.f
-    dtype = A.dtype
-    D = A.shape[0]
-    if f == 1:
-        out = A[:, 0] * vec[0]
-        if modulo is not None:
-            out = out % modulo
-        return out.reshape(D, 1)
-    cross = [np.zeros(D, dtype=dtype) for _ in range(2 * f - 1)]
-    for i in range(f):
-        if not A[:, i].any():
-            continue
-        for j in range(f):
-            if vec[j]:
-                cross[i + j] += A[:, i] * vec[j]
-                if modulo is not None:
-                    np.mod(cross[i + j], modulo, out=cross[i + j])
-    rows = desc.reduction_rows()
-    out = np.zeros((D, f), dtype=dtype)
-    for j in range(f):
-        out[:, j] = cross[j]
-    for t in range(f - 1):
-        c = cross[f + t]
-        if not c.any():
-            continue
-        row = rows[t]
-        for j in range(f):
-            r = row[j] % modulo if modulo is not None else row[j]
-            if r:
-                out[:, j] += c * r
-    if modulo is not None:
-        out = out % modulo
-    return out
+    """Product of series data, truncated at degree D."""
+    return ring_mul(A, B, desc, modulo, lambda x, y: np.convolve(x, y)[:D])
 
 
 class TruncSeries1:
@@ -253,7 +178,7 @@ class TruncSeries1:
             raise TypeError("unsupported scalar")
         if self.domain == "scaled":
             vec = tuple(Fraction(v) for v in vec)
-        data = _scalar_mul_data(self.data, vec, self.desc, self._modulo())
+        data = ring_scale(self.data, vec, self.desc, self._modulo())
         return TruncSeries1(self.desc, self.D, self.domain, data)
 
     def shift(self, k: int):
@@ -479,32 +404,14 @@ class TruncSeries1:
 
 def _exact_vec_invert(vec, desc: RingDescriptor):
     """Inverse of a coefficient vector with unit residue, exactly over Q."""
-    # Solve v * w = 1 via linear algebra over Q in the modulus basis.
     f = desc.f
     vec = [Fraction(v) for v in vec]
     if f == 1:
         return [1 / vec[0]]
-    # matrix of multiplication by vec
-    cols = []
-    rows = desc.reduction_rows()
-    for j in range(f):
-        basis = [Fraction(0)] * f
-        basis[j] = Fraction(1)
-        prod = [Fraction(0)] * (2 * f - 1)
-        for a in range(f):
-            if vec[a]:
-                for b in range(f):
-                    if basis[b]:
-                        prod[a + b] += vec[a] * basis[b]
-        red = prod[:f]
-        for t in range(f - 1):
-            c = prod[f + t]
-            if c:
-                for jj in range(f):
-                    red[jj] += c * rows[t][jj]
-        cols.append(red)
+    # the matrix of multiplication by vec, acting on columns
+    S = scalar_matrix(vec, desc, None)
+    M = [[S[j][i] for j in range(f)] for i in range(f)]
     # Gaussian elimination solving M w = e_0
-    M = [[cols[j][i] for j in range(f)] for i in range(f)]
     rhs = [Fraction(1)] + [Fraction(0)] * (f - 1)
     for col in range(f):
         piv = next(r for r in range(col, f) if M[r][col] != 0)
@@ -584,54 +491,35 @@ class TruncSeries2:
 
     def __mul__(self, other):
         self._compat(other)
-        D, f = self.D, self.desc.f
-        m = self._modulo()
-        dtype = self.data.dtype
-        rows_red = self.desc.reduction_rows()
-        cross = [np.zeros((D, D), dtype=dtype) for _ in range(2 * f - 1)]
-        arows = [i for i in range(D) if self.data[i].any()]
-        brows = [i for i in range(D) if other.data[i].any()]
-        for c1 in range(f):
-            for c2 in range(f):
-                k = c1 + c2
-                tgt = cross[k]
-                for i1 in arows:
-                    a = self.data[i1, : D - i1, c1]
-                    if not a.any():
-                        continue
-                    for i2 in brows:
-                        i = i1 + i2
-                        if i >= D:
-                            break
-                        b = other.data[i2, : D - i2, c2]
-                        if not b.any():
-                            continue
-                        seg = np.convolve(a, b)[: D - i]
-                        tgt[i, : len(seg)] += seg
-                        if m is not None:
-                            np.mod(tgt[i], m, out=tgt[i])
-        out = np.zeros((D, D, f), dtype=dtype)
-        for j in range(f):
-            out[:, :, j] = cross[j]
-        for t in range(f - 1):
-            c = cross[f + t]
-            if not c.any():
-                continue
-            for j in range(f):
-                r = rows_red[t][j] % m if m is not None else rows_red[t][j]
-                if r:
-                    out[:, :, j] += c * r
-        if m is not None:
-            out = out % m
-        return TruncSeries2(self.desc, self.D, self.domain, out)
+        D, m = self.D, self._modulo()
+
+        def conv2(x, y):
+            """Product of two (D, D) component slices, total degree < D."""
+            out = np.zeros_like(x)
+            ys = [(i2, y[i2, : D - i2]) for i2 in range(D) if y[i2].any()]
+            for i1 in range(D):
+                a = x[i1, : D - i1]
+                if not a.any():
+                    continue
+                for i2, b in ys:
+                    i = i1 + i2
+                    if i >= D:
+                        break
+                    seg = np.convolve(a, b)[: D - i]
+                    out[i, : len(seg)] += seg
+                    if m is not None:
+                        np.mod(out[i], m, out=out[i])
+            return out
+
+        return TruncSeries2(self.desc, D, self.domain,
+                            ring_mul(self.data, other.data, self.desc, m, conv2))
 
     def scalar_mul(self, c):
         vec = c.coeffs if isinstance(c, UnramifiedRingElem) else c
         if not isinstance(vec, (list, tuple)):
             vec = (vec,) + (0,) * (self.desc.f - 1)
-        flat = self.data.reshape(self.D * self.D, self.desc.f)
-        out = _scalar_mul_data(flat, vec, self.desc, self._modulo())
-        return TruncSeries2(self.desc, self.D, self.domain, out.reshape(self.D, self.D, self.desc.f))
+        return TruncSeries2(self.desc, self.D, self.domain,
+                            ring_scale(self.data, vec, self.desc, self._modulo()))
 
     def swap(self):
         return TruncSeries2(self.desc, self.D, self.domain, np.swapaxes(self.data, 0, 1).copy())

@@ -20,17 +20,18 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import (
+    _INT64_BUDGET,
     INF,
     ResidueElem,
     UnramifiedRingElem,
     residue_power_test,
+    ring_mul,
+    ring_scale,
     teichmuller_digits,
     teichmuller_lift,
 )
-from .series import TruncSeries1, _mul_data, _scalar_mul_data
+from .series import TruncSeries1, _mul_data
 from .weier import division_polynomial
-
-_INT64_BUDGET = 2**62
 
 
 # ------------------------------------------------------------ Newton polygons
@@ -146,7 +147,8 @@ class TorsionFieldModel:
             dp = division_polynomial(group, level, N=N)
         self.dp = dp
         raw = np.array([[int(v) % m for v in row] for row in dp.P.data], dtype=object)
-        assert raw.shape[0] == e + 1
+        if raw.shape[0] != e + 1:
+            raise ValueError("distinguished factor does not have degree e")
         if int(raw[e, 0]) != 1 or any(int(v) for v in raw[e, 1:]):
             raise ValueError("distinguished factor is not monic")
         poly = TruncSeries1(self.desc, e + 1, "integral", raw.astype(object))
@@ -165,19 +167,9 @@ class TorsionFieldModel:
             shifted[1:] = red[k - 1][: e - 1]
             top = red[k - 1][e - 1]
             if any(int(v) for v in top):
-                shifted = (shifted + _scalar_mul_data(red[0], top, self.desc, m)) % m
+                shifted = (shifted + ring_scale(red[0], top, self.desc, m)) % m
             red[k] = shifted % m
         self.red = red
-        # multiplication tensor for the residue-basis components
-        M = np.zeros((f, f, f), dtype=np.int64)
-        rows = self.desc.reduction_rows()
-        for a in range(f):
-            for b in range(f):
-                if a + b < f:
-                    M[a, b, a + b] = 1
-                else:
-                    M[a, b] = rows[a + b - f]
-        self.M = M
 
     # ------------------------------------------------------------ elements
     def zero(self):
@@ -222,12 +214,8 @@ class TorsionFieldModel:
         low = full[:e]
         high = full[e:]
         if high.any():
-            if self.dtype is object:
-                for k in range(e - 1):
-                    if any(int(v) for v in high[k]):
-                        low = (low + _scalar_mul_data(self.red[k], high[k], self.desc, m)) % m
-            else:
-                low = (low + np.einsum("ka,ktb,abc->tc", high, self.red, self.M)) % m
+            # sum_k high[k] * (X^(e+k) mod P), a ring product contracted over k
+            low = (low + ring_mul(high, self.red, self.desc, m, np.dot)) % m
         return low % m
 
     def scal(self, a, c):
@@ -238,7 +226,7 @@ class TorsionFieldModel:
             return (a * (c % self.desc.pN)) % self.desc.pN
         else:
             vec = np.asarray(c, dtype=self.dtype)
-        return _scalar_mul_data(a, vec, self.desc, self.desc.pN)
+        return ring_scale(a, vec, self.desc, self.desc.pN)
 
     def pow_int(self, a, k: int):
         out = self.one()
@@ -291,7 +279,8 @@ class TorsionFieldModel:
         two = self.from_ok(2)
         for _ in range(steps):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
-        assert self.equal(self.mul(a, x), self.one())
+        if not self.equal(self.mul(a, x), self.one()):
+            raise ArithmeticError("Newton inversion did not converge")
         return x
 
     # ------------------------------------------------------------ evaluation
@@ -312,7 +301,7 @@ class TorsionFieldModel:
             acc[1:] = acc[: e - 1]
             acc[0] = 0
             if any(int(v) for v in top):
-                acc = (acc + _scalar_mul_data(self.red[0], top, self.desc, m)) % m
+                acc = (acc + ring_scale(self.red[0], top, self.desc, m)) % m
             acc[0] = (acc[0] + data[k]) % m
         return acc % m
 
@@ -582,7 +571,6 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
     q = group.q
     p = group.desc.p
     e = q - 1
-    assert e % (p - 1) == 0
     if d_max is None:
         d_max = h
     attempts = []

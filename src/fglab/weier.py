@@ -98,7 +98,8 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
         pm = p**step
         if not err.data.any():
             break
-        assert (err.data % pm == 0).all(), "digit induction out of sync"
+        if (err.data % pm).any():
+            raise ArithmeticError("digit induction out of sync")
         Ebar = TruncSeries1(desc1, D, "integral", (err.data // pm % p).astype(err.data.dtype))
         t = Ebar * ubar_inv
         rho = t.data[:d] % p
@@ -109,7 +110,8 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
                          (P.data + pm * np.vstack([rho, np.zeros((1, desc.f), dtype=P.data.dtype)])) % m)
         U = TruncSeries1(desc, D, "integral", (U.data + pm * mu) % m)
     out = WeierstrassData(desc, d, P, U)
-    assert out.product() == f, "preparation failed to converge"
+    if out.product() != f:
+        raise ArithmeticError("preparation failed to converge")
     return out
 
 
@@ -133,7 +135,8 @@ def weierstrass_divide(f: TruncSeries1, prep: WeierstrassData):
         R.data[:] = (R.data + cur.data[:d]) % desc.pN
         Q = Q + S
         cur = M * S
-    assert cur.is_zero(), "division did not terminate"
+    if not cur.is_zero():
+        raise ArithmeticError("division did not terminate")
     return Q, R
 
 
@@ -170,7 +173,8 @@ def digit_split_step(f: TruncSeries1, pi_ser: TruncSeries1, q: int | None = None
         rem.data[i] = (rem.data[i] - np.array(ai.coeffs, dtype=rem.data.dtype)) % desc.pN
     Q, R = weierstrass_divide(rem, prep)
     g = Q * prep.u_inverse()
-    assert (R.data % p == 0).all(), "low-order remainder not divisible by p"
+    if (R.data % p).any():
+        raise ArithmeticError("low-order remainder not divisible by p")
     f1 = TruncSeries1(desc, q, "integral", R.data // p)
     return DigitSplit(a, g, f1)
 

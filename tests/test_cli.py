@@ -132,6 +132,17 @@ class TestSuites:
         assert code == 0
         assert read_json(out)["summary"]["all_pass"]
 
+    def test_group_file_polynomial_longer_than_window(self, tmp_path):
+        # degree 9 > q = 3: windows at or below the degree see a truncation
+        path = tmp_path / "series.txt"
+        path.write_text("0 3 30 13 36 60 3 6 78 51\n")
+        out = tmp_path / "rep.json"
+        code = main(["torsion", "--group-file", str(path), "--p", "3", "--nmax", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert read_json(out)["summary"]["total"] == 11
+        assert read_json(out)["summary"]["all_pass"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("p = 5\ngroup = lubin-tate\nnmax = 2\nN = 4\n")

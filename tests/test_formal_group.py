@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fglab.padic import INF, RingDescriptor, teichmuller_lift
-from fglab.series import TruncSeries1, substitute2
+import fglab
+from fglab.padic import INF, RingDescriptor, floor_log, teichmuller_lift
+from fglab.series import TruncSeries1, TruncSeries2, inject_x, inject_y, substitute2
 from fglab.groups import (
     FrobeniusSeries,
     ObstructionError,
+    _precision_cushion,
     check_group_axioms,
     height_from_pi_series,
     honda_group,
@@ -350,3 +355,50 @@ def test_gm_base_change_identical():
     F = g.group_law2(5, 6)
     assert sorted(F.coeff_triples()) == [
         (0, 1, (1, 0)), (1, 0, (1, 0)), (1, 1, (1, 0))]
+
+
+# ---------------------------------------------- honda law against exp-log
+
+def _exp_log_group_law(log_ser, D2):
+    """Oracle: F = exp(log X + log Y) from an exact scaled logarithm."""
+    lam = log_ser.truncate(D2) if log_ser.D >= D2 else log_ser.lift(D2)
+    exp = lam.reversion()
+    L = inject_x(lam) + inject_y(lam)
+    acc = TruncSeries2.zero(lam.desc, D2, "scaled")
+    for k in range(D2 - 1, 0, -1):
+        acc = acc * L
+        acc.data[0, 0] = acc.data[0, 0] + exp.data[k]
+    return acc * L
+
+
+@pytest.mark.parametrize("u", [(0, 1), (1,)])
+@pytest.mark.parametrize("D2", [12, 24])
+def test_honda_law_equals_exp_log(u, D2):
+    g = honda_group(RingDescriptor(3, 1, 10), u)
+    F = g.group_law2(D2, g.max_law_precision(D2))
+    assert F.desc.N == 10
+    exact = _exp_log_group_law(g.logarithm(D2), D2)
+    for i in range(D2):
+        for j in range(D2 - i):
+            assert F.coefficient(i, j) == F.desc.element_from_rationals(list(exact.data[i, j]))
+
+
+def test_precision_cushion_at_exact_powers():
+    assert floor_log(242, 3) == 4 and floor_log(243, 3) == 5
+    assert floor_log(59049, 9) == 5 and floor_log(2, 3) == 0
+    assert _precision_cushion(243, 3) == 7
+    assert _precision_cushion(59049, 9) == 7
+
+
+def test_certificate_guard_survives_optimize_flag():
+    """Certificate checks are explicit raises, so python -O keeps them."""
+    code = ("import numpy as np\n"
+            "from fglab.groups import _data_exact_div_p\n"
+            "try:\n"
+            "    _data_exact_div_p(np.array([3, 4]), 3, 1)\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

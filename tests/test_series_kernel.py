@@ -236,3 +236,83 @@ def test_scalar_mul_vector():
     t = s.scalar_mul((0, 1))  # multiply by x, x^2 = -1
     assert tuple(t.coeff_vec(0)) == (d.pN - 1, 0)
     assert tuple(t.coeff_vec(1)) == (0, 1)
+
+
+# ------------------------------------------------- kernel against schoolbook
+
+def schoolbook_mul(a, b, modulus, m):
+    """Multiply two component vectors as polynomials, then fold X^(f+t)
+    back by long division with the monic modulus (top degree first)."""
+    f = len(modulus) - 1
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * f - 2, f - 1, -1):
+        c, prod[k] = prod[k], 0
+        for j in range(f):
+            prod[k - f + j] -= c * modulus[j]
+    return [x % m for x in prod[:f]] if m is not None else prod[:f]
+
+
+def _random_entry(d, domain, rng):
+    if domain == "scaled":
+        return Fraction(rng.randrange(-50, 50), rng.choice([1, 2, 3, 7, 9]))
+    return rng.randrange(d.pN)
+
+
+KERNEL_CASES = [
+    (3, 18, "integral"),   # int64, sums close to the budget
+    (5, 40, "integral"),   # object: p^N far past a machine word
+    (3, 4, "scaled"),      # exact Fractions
+]
+
+
+@pytest.mark.parametrize("p,N,domain", KERNEL_CASES)
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_kernel_matches_schoolbook(p, N, domain, f):
+    rng = random.Random(1000 * p + 10 * f + N)
+    d = RingDescriptor(p, f, N)
+    m = d.pN if domain == "integral" else None
+    D = 5
+    A = TruncSeries1.zero(d, D, domain)
+    B = TruncSeries1.zero(d, D, domain)
+    c = [_random_entry(d, domain, rng) for _ in range(f)]
+    for s in (A, B):
+        for k in range(D):
+            for j in range(f):
+                s.data[k, j] = _random_entry(d, domain, rng)
+    assert A.data.dtype == (np.int64 if N == 18 else object)
+
+    def coeff(s, k):
+        return [s.data[k, j] for j in range(f)]
+
+    prod, scaled = A * B, A.scalar_mul(tuple(c))
+    for k in range(D):
+        acc = [0] * f
+        for i in range(k + 1):
+            acc = [x + y for x, y in zip(acc, schoolbook_mul(coeff(A, i), coeff(B, k - i),
+                                                            d.modulus, m))]
+        assert coeff(prod, k) == ([x % m for x in acc] if m else acc)
+        assert coeff(scaled, k) == schoolbook_mul(coeff(A, k), c, d.modulus, m)
+
+    A2 = TruncSeries2.zero(d, D, domain)
+    B2 = TruncSeries2.zero(d, D, domain)
+    for s in (A2, B2):
+        for i in range(D):
+            for j in range(D - i):
+                s.data[i, j] = [_random_entry(d, domain, rng) for _ in range(f)]
+    prod2 = A2 * B2
+    for i in range(D):
+        for j in range(D - i):
+            acc = [0] * f
+            for i1 in range(i + 1):
+                for j1 in range(j + 1):
+                    term = schoolbook_mul(list(A2.data[i1, j1]), list(B2.data[i - i1, j - j1]),
+                                          d.modulus, m)
+                    acc = [x + y for x, y in zip(acc, term)]
+            assert list(prod2.data[i, j]) == ([x % m for x in acc] if m else acc)
+
+    if domain == "integral":
+        a, b = (d.from_coeffs(coeff(A, 1)), d.from_coeffs(coeff(B, 1)))
+        assert list((a * b).coeffs) == schoolbook_mul(a.coeffs, b.coeffs, d.modulus, m)
