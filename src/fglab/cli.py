@@ -107,8 +107,8 @@ class RunConfig:
             toks = fh.read().split()
         return [int(t) for t in toks]
 
-    def validate(self, need_suites: bool) -> list:
-        """Returns a list of problems; empty means the config is runnable."""
+    def validate(self, command: str) -> list:
+        """Returns a list of problems; empty means the config can run command."""
         problems = []
         v = self.values
         if v["p"] < 3 or not is_prime(v["p"]):
@@ -138,7 +138,7 @@ class RunConfig:
                     coeffs = self.load_coeffs()
                 except (OSError, ValueError) as exc:
                     problems.append(f"group_file: {exc}")
-        if problems or not need_suites:
+        if problems or command == "construct":
             return problems
         # feasibility: the torsion model at level n works in a window of
         # N*e(n) ring elements; refuse windows past the cap
@@ -155,6 +155,11 @@ class RunConfig:
                     f"level {n}: window N*e = {v['N']}*{e_n} = {window} exceeds the cap "
                     f"{v['dcap']}; lower N or nmax, or raise dcap"
                 )
+        # the multiplier certificates work in the window max(4q, 24)
+        D_endo = max(4 * q, 24)
+        if command in ("endo", "matrices", "verify") and D_endo > v["dcap"]:
+            problems.append(f"endo window max(4q, 24) = {D_endo} exceeds the cap {v['dcap']}; "
+                            "raise dcap")
         return problems
 
 
@@ -597,7 +602,7 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    problems = cfg.validate(need_suites=args.command != "construct")
+    problems = cfg.validate(args.command)
     if problems:
         for problem in problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -5,7 +5,9 @@ rational arithmetic; a is a multiplier of the group exactly when every
 coefficient of g is p-integral, and the first non-integral degree is the
 obstruction.  A success is a certificate at the stated window (D, N_eff),
 not a proof to all orders; the commutation identity
-g(F(X,Y)) = F(g(X), g(Y)) is re-verified on the integral side.
+g(F(X,Y)) = F(g(X), g(Y)) is re-verified on the integral side.  Each
+certificate is computed once per (multiplier, window) and shared by every
+caller on the group.
 
 The succeeding multipliers form a closed subring of O_K whose residue
 degree f_F is found by testing Teichmuller generators of each candidate
@@ -50,6 +52,11 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     Success means integral coefficients through degree D and the commutation
     identity holding mod (p^N_eff, degree D).  Failure records the first
     non-integral degree.
+
+    Records are cached on the group per (D, multiplier as given) and each
+    call returns a fresh copy, so callers may annotate theirs.  Two threads
+    may both miss and build the same record; the records are equal and the
+    dict store is atomic, so the race costs time only.
     """
     desc = group.desc
     p = desc.p
@@ -62,12 +69,19 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     # error is amplified by the derivative of the integral polynomial family
     # a -> [a]_k, worth floor(log_p D) digits each for the verdict transfer
     # and for downstream composites.
-    loss = 0 if isinstance(scalar, Fraction) else 2 * floor_log(D, p)
+    exact = isinstance(scalar, Fraction)
+    loss = 0 if exact else 2 * floor_log(D, p)
     N_eff = min(desc.N - loss, group.max_law_precision(D))
     if min(N_eff, desc.N - floor_log(D, p)) < 3:
         raise ValueError("construct the group at higher precision first")
+    # keyed by the multiplier as given: 3 and 3 + p^N are different exact
+    # rationals, and 3 and from_int(3) lose different precision
+    key = (D, int(a)) if exact else (D, "elem", a.desc.N, a.coeffs)
+    cached = group._endo_cache.get(key)
+    if cached is not None:
+        return dict(cached)
     log = group.logarithm(D)
-    g = log.reversion().compose(log.scalar_mul(scalar))
+    g = group.exponential(D).compose(log.scalar_mul(scalar))
     first_bad = None
     for k in range(1, D):
         if any(v.denominator % p == 0 for v in g.data[k]):
@@ -83,18 +97,18 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
         "commutes": None,
         "linear_coefficient_matches": None,
     }
-    if first_bad is not None:
-        return record
-    desc_eff = desc.at_precision(N_eff)
-    g_int = g.to_integral(desc_eff)
-    record["series"] = g_int
-    record["linear_coefficient_matches"] = (c_map(g_int) - a_elem.reduce_to(desc_eff)).is_zero()
-    F2 = group.group_law2(D, N_eff)
-    lhs = substitute2_into2(inject_x(g_int), F2, TruncSeries2.zero(desc_eff, D))
-    rhs = substitute2_into2(F2, inject_x(g_int), inject_y(g_int))
-    record["commutes"] = lhs == rhs
-    record["success"] = bool(record["commutes"] and record["linear_coefficient_matches"])
-    return record
+    if first_bad is None:
+        desc_eff = desc.at_precision(N_eff)
+        g_int = g.to_integral(desc_eff)
+        record["series"] = g_int
+        record["linear_coefficient_matches"] = (c_map(g_int) - a_elem.reduce_to(desc_eff)).is_zero()
+        F2 = group.group_law2(D, N_eff)
+        lhs = substitute2_into2(inject_x(g_int), F2, TruncSeries2.zero(desc_eff, D))
+        rhs = substitute2_into2(F2, inject_x(g_int), inject_y(g_int))
+        record["commutes"] = lhs == rhs
+        record["success"] = bool(record["commutes"] and record["linear_coefficient_matches"])
+    group._endo_cache[key] = record
+    return dict(record)
 
 
 def _divisors_desc(n: int):

@@ -298,6 +298,8 @@ class FormalGroupLaw:
         self._pi_cache = {}
         self._f2_cache = {}
         self._log_cache = {}
+        self._exp_cache = {}
+        self._endo_cache = {}   # endo.try_endomorphism records
         self._module_cache = {}
 
     # ------------------------------------------------------------- basics
@@ -412,7 +414,9 @@ class FormalGroupLaw:
         return out
 
     def exponential(self, D: int) -> TruncSeries1:
-        return self.logarithm(D).reversion()
+        if D not in self._exp_cache:
+            self._exp_cache[D] = self.logarithm(D).reversion()
+        return self._exp_cache[D]
 
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":

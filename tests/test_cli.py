@@ -24,19 +24,19 @@ class TestConfig:
         assert cfg.p == 5 and cfg.f == 1 and cfg.dcap == 800
 
     def test_validation_catches_bad_values(self):
-        assert RunConfig({"p": 4}).validate(True)
-        assert RunConfig({"N": 3}).validate(True)
-        assert RunConfig({"group": "honda"}).validate(True)
-        assert not RunConfig({}).validate(True)
+        assert RunConfig({"p": 4}).validate("verify")
+        assert RunConfig({"N": 3}).validate("verify")
+        assert RunConfig({"group": "honda"}).validate("verify")
+        assert not RunConfig({}).validate("verify")
 
     def test_feasibility_cap(self):
         cfg = RunConfig({"f": 2, "group": "lubin-tate", "d": 2, "N": 12})
-        problems = cfg.validate(True)
+        problems = cfg.validate("verify")
         assert any("exceeds the cap" in s for s in problems)
-        assert RunConfig({"f": 2, "group": "lubin-tate", "d": 2, "N": 8}).validate(True) == []
+        assert RunConfig({"f": 2, "group": "lubin-tate", "d": 2, "N": 8}).validate("verify") == []
 
     def test_infinite_height_refused(self):
-        problems = RunConfig({"group": "honda", "u": "0,0"}).validate(True)
+        problems = RunConfig({"group": "honda", "u": "0,0"}).validate("verify")
         assert any("finite height" in s for s in problems)
 
     def test_config_file(self, tmp_path):
@@ -69,6 +69,13 @@ class TestExitCodes:
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["torsion", "--config", "/nonexistent/run.cfg"]) == 2
+
+    def test_endo_window_past_cap_exit_two(self, capsys):
+        # torsion needs only N*e = 12 here, the certificates need 24
+        assert RunConfig({"N": 6, "nmax": 1, "dcap": 20}).validate("torsion") == []
+        for command in ("endo", "matrices", "verify"):
+            assert main([command, "--p", "3", "--N", "6", "--nmax", "1", "--dcap", "20"]) == 2
+            assert "endo window max(4q, 24) = 24 exceeds the cap 20" in capsys.readouterr().err
 
 
 class TestConstruct:
@@ -170,6 +177,14 @@ class TestDeterminism:
     def test_worker_pool_keeps_order(self, tmp_path):
         out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
         base = ["torsion", "--p", "3", "--group", "lubin-tate", "--nmax", "1", "--N", "4"]
+        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
+        assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
+        a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))
+        assert a["checks"] == b["checks"]
+
+    def test_worker_pool_shares_certificates(self, tmp_path):
+        out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
+        base = ["endo", "--p", "3", "--N", "6", "--nmax", "1"]
         assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
         assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
         a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))

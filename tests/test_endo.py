@@ -1,7 +1,9 @@
 import pytest
 
+from fglab.cli import RunConfig, build_group, endo_checks, matrix_checks
 from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
+from fglab.reports import run_checks
 from fglab.endo import (
     c_map,
     compute_endo_subfield,
@@ -127,3 +129,46 @@ class TestClosure:
                  (digits[4], digits[5])]
         rep = multiplier_closure_sample(g, pairs)
         assert rep["all_ok"]
+
+
+class TestCertificateCache:
+    def multipliers(self, desc):
+        three = desc.from_int(3)
+        zeta = teichmuller_digits(desc, 2)[2]
+        return [3, three, -1, desc.p**desc.N - 1, zeta, three + zeta,
+                three * desc.from_int(-1)]
+
+    def test_shared_records_equal_fresh_ones(self):
+        g = gm(f=2)
+        ms = self.multipliers(g.desc)
+        for a in ms:
+            try_endomorphism(g, a)
+        for a in ms:
+            shared, fresh = try_endomorphism(g, a), try_endomorphism(gm(f=2), a)
+            assert shared.keys() == fresh.keys()
+            for field in fresh:
+                assert shared[field] == fresh[field], (a, field)
+        # equal residues, different certificates: each keeps its own entry
+        assert try_endomorphism(g, 3)["precision"] != try_endomorphism(g, ms[1])["precision"]
+        assert try_endomorphism(g, -1)["series"] != try_endomorphism(g, ms[3])["series"]
+
+    def test_caller_annotations_stay_out_of_the_cache(self):
+        g = gm()
+        compute_endo_subfield(g)
+        assert "candidate" not in try_endomorphism(g, g.desc.p)
+
+    def test_precision_guard_raises_on_every_call(self):
+        g = gm(N=4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="higher precision"):
+                try_endomorphism(g, 2)
+        assert not g._endo_cache
+
+    def test_suites_build_each_certificate_once(self):
+        cfg = RunConfig({"group": "multiplicative", "p": 3, "N": 6, "nmax": 1})
+        g = build_group(cfg)
+        records = run_checks(endo_checks(g, cfg) + matrix_checks(g, cfg))
+        assert all(r["pass"] for r in records)
+        # p, -1, the mu_2 generator, and the closure's sum p - 1 and product -p
+        assert len(g._endo_cache) == 5
+        assert list(g._exp_cache) == [24]
