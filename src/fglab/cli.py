@@ -14,6 +14,7 @@ check never aborts the run.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -22,7 +23,8 @@ import time
 from fractions import Fraction
 
 from .corpus import make_group, source_height
-from .endo import compute_endo_subfield, multiplier_closure_sample, tau_infinity_check, try_endomorphism
+from .endo import (compute_endo_subfield, endo_window, multiplier_closure_sample,
+                   tau_infinity_check, try_endomorphism)
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
 from .reports import Check, build_report, exit_code, render_summary, run_checks
@@ -155,8 +157,7 @@ class RunConfig:
                     f"level {n}: window N*e = {v['N']}*{e_n} = {window} exceeds the cap "
                     f"{v['dcap']}; lower N or nmax, or raise dcap"
                 )
-        # the multiplier certificates work in the window max(4q, 24)
-        D_endo = max(4 * q, 24)
+        D_endo = endo_window(q)
         if command in ("endo", "matrices", "verify") and D_endo > v["dcap"]:
             problems.append(f"endo window max(4q, 24) = {D_endo} exceeds the cap {v['dcap']}; "
                             "raise dcap")
@@ -266,17 +267,16 @@ def torsion_checks(group, cfg: RunConfig):
     return checks
 
 
-def endo_checks(group, cfg: RunConfig):
+def _subfield_once(group):
+    """A getter that builds compute_endo_subfield(group) on its first call;
+    a race under jobs > 1 repeats deterministic work only."""
+    return functools.cache(lambda: compute_endo_subfield(group))
+
+
+def endo_checks(group, cfg: RunConfig, subfield_report=None):
     p = group.desc.p
     checks = []
-    rep_cache = {}
-
-    def subfield_report():
-        # shared by three checks; recomputation is deterministic, so a
-        # benign race under jobs > 1 costs time only
-        if "rep" not in rep_cache:
-            rep_cache["rep"] = compute_endo_subfield(group)
-        return rep_cache["rep"]
+    subfield_report = subfield_report or _subfield_once(group)
 
     def negation_thunk():
         rec = try_endomorphism(group, -1)
@@ -368,8 +368,9 @@ def endo_checks(group, cfg: RunConfig):
     return checks
 
 
-def matrix_checks(group, cfg: RunConfig):
+def matrix_checks(group, cfg: RunConfig, subfield_report=None):
     p = group.desc.p
+    subfield_report = subfield_report or _subfield_once(group)
     q = group.q
     checks = []
 
@@ -426,7 +427,7 @@ def matrix_checks(group, cfg: RunConfig):
             order_thunk))
 
     def shape_thunk():
-        rep = compute_endo_subfield(group)
+        rep = subfield_report()
         m = rep["f_F"]
         n = group.height // m
         dim = commutant_dimension(build_phi_zeta(m, n), p=p)
@@ -542,12 +543,13 @@ def serialize_group(group, cfg: RunConfig) -> dict:
 
 def collect_checks(command: str, group, cfg: RunConfig):
     checks = []
+    subfield_report = _subfield_once(group)  # one report for both suites
     if command in ("torsion", "verify"):
         checks += torsion_checks(group, cfg)
     if command in ("endo", "verify"):
-        checks += endo_checks(group, cfg)
+        checks += endo_checks(group, cfg, subfield_report)
     if command in ("matrices", "verify"):
-        checks += matrix_checks(group, cfg)
+        checks += matrix_checks(group, cfg, subfield_report)
     if command == "verify":
         checks += roundtrip_checks(group, cfg.seed)
     return checks

@@ -22,6 +22,7 @@ from .groups import (
     multiplicative_group,
     _precision_cushion,
 )
+from .endo import endo_window
 from .padic import RingDescriptor, floor_log
 
 
@@ -57,7 +58,7 @@ def construction_precision(p: int, h, N: int, nmax: int, q_base=None) -> int:
         return N
     q = p**h if q_base is None else q_base
     e_max = (q - 1) * q ** (nmax - 1) if nmax >= 1 else 1
-    D_endo = max(4 * q, 24)
+    D_endo = endo_window(q)
     D_max = max(N * e_max, D_endo, 2)
     extra = _precision_cushion(D_max, q) + 2 * floor_log(D_endo, p)
     return N + extra

@@ -32,6 +32,12 @@ def c_map(g: TruncSeries1) -> UnramifiedRingElem:
     return g.coefficient(1)
 
 
+def endo_window(q) -> int:
+    """Default degree window of the multiplier certificates: max(4q, 24),
+    and 24 at infinite height (q None)."""
+    return 24 if q is None else max(4 * q, 24)
+
+
 def _coerce_multiplier(desc, a):
     """Returns (scalar for exact series arithmetic, ring element echo).
 
@@ -61,8 +67,7 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     desc = group.desc
     p = desc.p
     if D is None:
-        q = group.q
-        D = max(4 * q, 24) if q is not None else 24
+        D = endo_window(group.q)
     scalar, a_elem = _coerce_multiplier(desc, a)
     # Every logarithm is exact, so integer multipliers keep the whole
     # pipeline exact.  A ring-element multiplier is a mod-p^N lift, and its

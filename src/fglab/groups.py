@@ -22,6 +22,7 @@ where that happens is reported as the obstruction.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .padic import (
     UnramifiedRingElem,
     _frac_val,
     _vec_mulmod,
+    contraction_dtype,
     floor_log,
     ring_mul,
     ring_scale,
@@ -493,10 +495,36 @@ def measured_height(group: FormalGroupLaw, h_max: int = 4):
 
 # -------------------------------------------------------- module structure
 
+# The power table of one solver chunk stays under this many bytes.
+_BATCH_BYTES = 1 << 20
+
+
+def _power_table(f_data, desc: RingDescriptor, nz) -> np.ndarray:
+    """table[j] = f^j truncated at the window D = len(f_data), for j < D."""
+    D, m = len(f_data), desc.pN
+    table = np.zeros((D, D, desc.f), dtype=f_data.dtype)
+    table[0, 0, 0] = 1
+    table[1] = f_data
+    terms = [(k, tuple(f_data[k])) for k in nz]
+    for j in range(2, D):
+        cur = table[j - 1]
+        if len(terms) > 6:
+            table[j] = _mul_data(cur, f_data, desc, D, m)
+            continue
+        for d, vec in terms:
+            table[j, d:] = (table[j, d:] + ring_scale(cur[: D - d], vec, desc, m)) % m
+    return table
+
+
+# (x, y) -> sum_j x[b, j] * y[i, b, j] for every (i, b)
+_sum_bj = functools.partial(np.einsum, "bj,ibj->ib")
+
+
 class ModuleStructure:
     """[a]-series solver for one group at a fixed degree window and output
-    precision.  Internally works with a digit cushion over N_out and keeps
-    the powers f^j cached for the whole window."""
+    precision, working with a digit cushion over N_out.  Every scalar obeys
+    the same degree-k recurrence, so solve_batch runs many scalars through
+    one pass over a table of the powers f^j built once for the window."""
 
     def __init__(self, group: FormalGroupLaw, D: int, N_out: int):
         self.group = group
@@ -509,33 +537,12 @@ class ModuleStructure:
         self.desc_w = group.desc.at_precision(N_work)
         self.m = self.desc_w.pN
         fs = group.pi_series(D, N_work)
-        self.f_data = fs.data
+        # every contraction of the solver sums at most D products
+        self.dtype = contraction_dtype(D, self.desc_w)
         self.f_nz = fs.nonzero_degrees()
         self.mdeg = self.f_nz[-1]
-        self._fpow = None
+        self.fpow = _power_table(fs.data.astype(self.dtype), self.desc_w, self.f_nz)
         self._cache = {}
-
-    def _fpow_list(self):
-        if self._fpow is not None:
-            return self._fpow
-        D, m = self.D, self.m
-        terms = [(k, tuple(self.f_data[k])) for k in self.f_nz]
-        sparse = len(terms) <= 6
-        fpow = [None, self.f_data]
-        cur = self.f_data
-        for _ in range(2, D):
-            if sparse:
-                nxt = np.zeros_like(cur)
-                for d, vec in terms:
-                    if d < D:
-                        seg = ring_scale(cur[: D - d], vec, self.desc_w, m)
-                        nxt[d:] = (nxt[d:] + seg) % m
-            else:
-                nxt = _mul_data(cur, self.f_data, self.desc_w, D, m)
-            fpow.append(nxt)
-            cur = nxt
-        self._fpow = fpow
-        return fpow
 
     def _coerce_scalar(self, a):
         f = self.desc_w.f
@@ -553,12 +560,7 @@ class ModuleStructure:
 
     def try_multiplication(self, a):
         """Returns (series, None) or (None, obstruction_degree)."""
-        a_vec = self._coerce_scalar(a)
-        if a_vec in self._cache:
-            return self._cache[a_vec]
-        res = self._solve(a_vec)
-        self._cache[a_vec] = res
-        return res
+        return self.solve_batch([a])[0]
 
     def multiplication_by(self, a) -> TruncSeries1:
         ser, obs = self.try_multiplication(a)
@@ -566,71 +568,56 @@ class ModuleStructure:
             raise ObstructionError(obs)
         return ser
 
-    def first_obstruction(self, a):
-        return self.try_multiplication(a)[1]
+    def solve_batch(self, scalars):
+        """Solve every scalar not yet in the cache, together; returns the
+        (series, None) or (None, obstruction_degree) record of each scalar.
 
-    def _solve(self, a_vec):
+        Scalars equal at the working precision share one record.  Chunks
+        keep the power table under _BATCH_BYTES.  Under --jobs > 1 two
+        threads may solve the same scalar; the records are equal and the
+        dict store is atomic, so the race costs time only.
+        """
+        vecs = [self._coerce_scalar(a) for a in scalars]
+        todo = list(dict.fromkeys(v for v in vecs if v not in self._cache))
+        entry = 8 if self.dtype is np.int64 else 40  # object: pointer and int
+        chunk = max(1, _BATCH_BYTES // (self.mdeg * self.D * self.desc_w.f * entry))
+        for i in range(0, len(todo), chunk):
+            part = todo[i:i + chunk]
+            for v, rec in zip(part, self._solve_chunk(part)):
+                self._cache[v] = rec
+        return [self._cache[v] for v in vecs]
+
+    def _solve_chunk(self, vecs):
         D, m, p = self.D, self.m, self.desc_w.p
-        fdim = self.desc_w.f
-        desc_w = self.desc_w
-        fpow = self._fpow_list()
-        dtype = self.f_data.dtype
-        g = np.zeros((D, fdim), dtype=dtype)
-        g[1] = a_vec
-        one = (1,) + (0,) * (fdim - 1)
-        # powers of g, index 0..mdeg; g starts as a*X
-        Gpow = [np.zeros((D, fdim), dtype=dtype) for _ in range(self.mdeg + 1)]
-        Gpow[0][0] = one
-        acc = one
-        for i in range(1, self.mdeg + 1):
-            acc = _vec_mulmod(acc, a_vec, desc_w, m)
-            if i < D:
-                Gpow[i][i] = acc
-        GF = ring_scale(self.f_data, a_vec, desc_w, m)
-        f_terms = [(i, tuple(self.f_data[i])) for i in self.f_nz]
-
-        def rebuild_FG():
-            out = np.zeros((D, fdim), dtype=dtype)
-            for i, c in f_terms:
-                out = (out + ring_scale(Gpow[i], c, desc_w, m)) % m
-            return out
-
-        FG = rebuild_FG()
+        desc, fpow, mdeg = self.desc_w, self.fpow, self.mdeg
+        # P[i] = g^(i+1) for every scalar, so P[0] holds the series g
+        P = np.zeros((mdeg, len(vecs), D, desc.f), dtype=self.dtype)
+        P[0, :, 1] = vecs
+        obstruction = [None] * len(vecs)
         for k in range(2, D):
-            defect = (FG[k] - GF[k]) % m
+            top = min(mdeg, k)
+            g_low = P[0, :, 1:k]
+            if top > 1:
+                # g^(i+1)[k] = sum_{0<j<k} g_j g^i[k-j]; g_k is not needed
+                P[1:top, :, k] = ring_mul(g_low, P[: top - 1, :, k - 1:0:-1], desc, m, _sum_bj)
+            fg = ring_mul(fpow[1, 2:top + 1], P[1:top, :, k], desc, m, np.matmul)
+            gf = ring_mul(g_low, fpow[1:k, k], desc, m, np.matmul)
+            defect = (fg - gf) % m
             if not defect.any():
                 continue
-            if any(int(v) % p for v in defect):
-                return (None, k)
-            w = pow(p, k - 1, m)
-            inv = pow((w - 1) % m, -1, m)
-            gk = tuple((int(v) // p * inv) % m for v in defect)
-            g[k] = gk
-            GF = (GF + ring_scale(fpow[k], gk, desc_w, m)) % m
-            self._update_powers(Gpow, k, gk)
-            FG = rebuild_FG()
-        ser = TruncSeries1(desc_w, D, "integral", g)
-        return (ser.reduce_precision(self.N_out), None)
-
-    def _update_powers(self, Gpow, k, gk):
-        D, m = self.D, self.m
-        desc_w = self.desc_w
-        smax_global = (D - 1) // k
-        tpow = [(1,) + (0,) * (desc_w.f - 1), gk]
-        for i in range(self.mdeg, 0, -1):
-            smax = min(i, smax_global)
-            acc = Gpow[i].copy()
-            for s in range(1, smax + 1):
-                while len(tpow) <= s:
-                    tpow.append(_vec_mulmod(tpow[-1], gk, desc_w, m))
-                shift = k * s
-                if shift >= D:
-                    break
-                comb = math.comb(i, s) % m
-                cvec = tuple(v * comb % m for v in tpow[s])
-                seg = ring_scale(Gpow[i - s][: D - shift], cvec, desc_w, m)
-                acc[shift:] = (acc[shift:] + seg) % m
-            Gpow[i] = acc
+            bad = (defect % p != 0).any(axis=1)
+            for b in np.flatnonzero(bad):
+                if obstruction[b] is None:
+                    obstruction[b] = k
+            inv = pow((pow(p, k - 1, m) - 1) % m, -1, m)
+            gk = defect // p * inv % m
+            gk[bad] = 0
+            P[0, :, k] = gk
+        return [
+            (None, obs) if obs is not None else
+            (TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(self.N_out), None)
+            for b, obs in enumerate(obstruction)
+        ]
 
 
 # -------------------------------------------------- axiom and sanity checks

@@ -294,6 +294,14 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     return out if m is None else out % m
 
 
+def contraction_dtype(terms: int, desc: RingDescriptor):
+    """int64 when ring_mul on residues mod p^N stays under _INT64_BUDGET
+    with prod summing `terms` products (the fold sums 2f - 1 more),
+    object otherwise."""
+    fits = max(terms, 2 * desc.f) * (desc.pN - 1) ** 2 < _INT64_BUDGET
+    return np.int64 if fits else object
+
+
 def _vec_mulmod(a, b, desc, m):
     """Multiply coefficient vectors mod (modulus, m)."""
     S = scalar_matrix(b, desc, m)

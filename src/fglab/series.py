@@ -21,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import (
-    _INT64_BUDGET,
     INF,
     RingDescriptor,
     ScaledFieldElem,
     UnramifiedRingElem,
+    contraction_dtype,
     rational_vec_valuation,
     ring_mul,
     ring_scale,
@@ -34,13 +34,11 @@ from .padic import (
 
 
 def fits_int64(desc: RingDescriptor, D: int) -> bool:
-    return max(D, 2 * desc.f) * (desc.pN - 1) ** 2 < _INT64_BUDGET
+    return contraction_dtype(D, desc) is np.int64
 
 
 def _dtype_for(desc: RingDescriptor, D: int, domain: str):
-    if domain == "scaled":
-        return object
-    return np.int64 if fits_int64(desc, D) else object
+    return object if domain == "scaled" else contraction_dtype(D, desc)
 
 
 def _zeros(desc, D, domain):
@@ -126,7 +124,7 @@ class TruncSeries1:
         return None
 
     def nonzero_degrees(self):
-        return [k for k in range(self.D) if any(v != 0 for v in self.data[k])]
+        return np.flatnonzero((self.data != 0).any(axis=-1)).tolist()
 
     # ------------------------------------------------------------ arithmetic
     def _modulo(self):

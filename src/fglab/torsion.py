@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import (
-    _INT64_BUDGET,
     INF,
     ResidueElem,
     UnramifiedRingElem,
+    contraction_dtype,
     residue_power_test,
     ring_mul,
     ring_scale,
@@ -156,8 +156,7 @@ class TorsionFieldModel:
         seg = self.polygon.segments
         if not (len(seg) == 1 and seg[0]["root_valuation"] == Fraction(1, e)):
             raise ValueError("distinguished factor is not pure of slope 1/e")
-        budget_ok = 2 * e * f * f * self.desc.p * (m - 1) ** 2 < _INT64_BUDGET
-        self.dtype = np.int64 if budget_ok else object
+        self.dtype = contraction_dtype(2 * e * f * f * self.desc.p, self.desc)
         self.P_low = raw[:e].astype(self.dtype)
         # reduction table: red[k] = X^(e+k) mod P, k = 0 .. e-2
         red = np.zeros((max(e - 1, 1), e, f), dtype=self.dtype)
@@ -170,6 +169,7 @@ class TorsionFieldModel:
                 shifted = (shifted + ring_scale(red[0], top, self.desc, m)) % m
             red[k] = shifted % m
         self.red = red
+        self._zpow = None
 
     # ------------------------------------------------------------ elements
     def zero(self):
@@ -289,21 +289,28 @@ class TorsionFieldModel:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
 
+    def _z_powers(self):
+        """z^k for k < N*e by shift-and-fold; z^e is p times a unit (pure
+        slope 1/e), so z^(N*e) and every higher power vanish mod p^N."""
+        if self._zpow is None:
+            K, m = self.N * self.e, self.desc.pN
+            dtype = contraction_dtype(K, self.desc)  # eval_at_z sums K products
+            red0 = self.red[0].astype(dtype)
+            Z = np.zeros((K, self.e, self.desc.f), dtype=dtype)
+            Z[0, 0, 0] = 1
+            for k in range(1, K):
+                Z[k, 1:] = Z[k - 1, :-1]
+                Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
+            self._zpow = Z
+        return self._zpow
+
     def eval_at_z(self, s: TruncSeries1):
-        """Horner walk specialised to x = z: one shift-and-fold per degree."""
+        """s(z): one contraction of the coefficients with the z^k table."""
         self._require_window(s.D)
-        e, f, m = self.e, self.desc.f, self.desc.pN
-        data = s.data
-        acc = self.zero()
-        for k in range(s.D - 1, -1, -1):
-            # acc = acc * z
-            top = acc[e - 1].copy()
-            acc[1:] = acc[: e - 1]
-            acc[0] = 0
-            if any(int(v) for v in top):
-                acc = (acc + ring_scale(self.red[0], top, self.desc, m)) % m
-            acc[0] = (acc[0] + data[k]) % m
-        return acc % m
+        Z = self._z_powers()
+        m = self.desc.pN
+        data = (s.data[: len(Z)] % m).astype(Z.dtype)
+        return ring_mul(data, Z, self.desc, m, np.matmul).astype(self.dtype)
 
     def eval_series(self, s: TruncSeries1, x, min_val: int = 1):
         """Evaluate at an element of valuation >= min_val; the discarded tail
@@ -442,10 +449,12 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
     model = TorsionFieldModel(group, n, N)
     D = N * model.e
     module = group.module(D, N)
+    scalars = [a for _tup, a in _scalar_tuples(group, n)]
+    module.solve_batch([a for a in scalars if not a.is_zero()])
     seen = set()
     annihilated = True
     histogram = {}
-    for _tup, a in _scalar_tuples(group, n):
+    for a in scalars:
         if a.is_zero():
             t = model.zero()
         else:
@@ -489,6 +498,8 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
     digits = teichmuller_digits(desc, h)
     nonzero = [w for w in digits if not w.is_zero()]
     one = desc.one()
+    shifted = [w - one for w in nonzero if not (w - one).is_zero()]
+    module.solve_batch(shifted + (nonzero if n > 1 else []))
     table = []
     all_match = True
     zbar = model.z()
@@ -536,14 +547,14 @@ def _direct_break_check(group, N: int) -> list:
     module = group.module(D, N)
     D2 = N * e + 2
     F2 = group.group_law2(D2, N)
-    neg = group.negation_series(D, N)
-    iz = model.eval_at_z(neg)
     digits = teichmuller_digits(group.desc, group.height)
     one = group.desc.one()
+    units = [w for w in digits if not (w.is_zero() or (w - one).is_zero())]
+    module.solve_batch([-1] + units + [w - one for w in units])
+    neg = group.negation_series(D, N)
+    iz = model.eval_at_z(neg)
     out = []
-    for w in digits:
-        if w.is_zero() or (w - one).is_zero():
-            continue
+    for w in units:
         ux = model.eval_at_z(module.multiplication_by(w))
         delta = model.eval2(F2, ux, iz)
         direct = model.valuation(delta)

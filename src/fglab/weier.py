@@ -18,8 +18,6 @@ valuation at least (qj-t)/(q-1) at degree t.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .padic import INF, UnramifiedRingElem, teichmuller_lift
@@ -62,13 +60,6 @@ class WeierstrassData:
 
     def __repr__(self):
         return f"WeierstrassData(d={self.d}, D={self.U.D})"
-
-
-def _lift_residue_series(res_data, desc, D):
-    """Plain lift of a mod-p coefficient array into precision-N zeros/ones."""
-    s = TruncSeries1.zero(desc, D)
-    s.data[: len(res_data)] = res_data % desc.p
-    return s
 
 
 def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> WeierstrassData:
@@ -191,11 +182,6 @@ class PhiDecomposition:
         self.D_prime = D_prime
         self.N = N
         self.D = D
-
-    def component_precision(self, i: int, j: int) -> int:
-        """Digits of alpha_{ij} that are stable against tail terms of f
-        beyond X^D (series semantics; polynomial inputs are exact)."""
-        return max(0, min(self.N, math.ceil((self.D - self.q * j - i) / (self.q - 1))))
 
 
 def phi_basis_decompose(f: TruncSeries1, pi_ser: TruncSeries1, q: int | None = None,

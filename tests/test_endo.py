@@ -1,12 +1,14 @@
 import pytest
 
-from fglab.cli import RunConfig, build_group, endo_checks, matrix_checks
+from fglab import cli
+from fglab.cli import RunConfig, build_group, collect_checks, endo_checks, matrix_checks
 from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.reports import run_checks
 from fglab.endo import (
     c_map,
     compute_endo_subfield,
+    endo_window,
     multiplier_closure_sample,
     tau_infinity_check,
     try_endomorphism,
@@ -172,3 +174,29 @@ class TestCertificateCache:
         # p, -1, the mu_2 generator, and the closure's sum p - 1 and product -p
         assert len(g._endo_cache) == 5
         assert list(g._exp_cache) == [24]
+
+    def test_verify_builds_one_subfield_report(self, monkeypatch):
+        cfg = RunConfig({"group": "multiplicative", "p": 3, "N": 6, "nmax": 1})
+        g = build_group(cfg)
+        built = []
+
+        def counted(group):
+            built.append(group)
+            return compute_endo_subfield(group)
+
+        monkeypatch.setattr(cli, "compute_endo_subfield", counted)
+        checks = [c for c in collect_checks("verify", g, cfg)
+                  if c.check_id.startswith(("endo.", "matrices."))]
+        assert any(c.check_id == "matrices.block-shape" for c in checks)
+        assert all(r["pass"] for r in run_checks(checks))
+        assert built == [g]
+
+
+def test_endo_window_is_shared():
+    assert [endo_window(q) for q in (None, 3, 5, 9, 27)] == [24, 24, 24, 36, 108]
+    g = gm()
+    assert try_endomorphism(g, -1)["window"] == endo_window(g.q)
+    # the dcap guard reads the same window
+    cfg = RunConfig({"group": "honda", "u": "0,0,1", "p": 3, "N": 4, "nmax": 1, "dcap": 107})
+    assert any("= 108 exceeds" in msg for msg in cfg.validate("endo"))
+    assert not RunConfig(dict(cfg.values, dcap=108, u="0,0,1")).validate("endo")

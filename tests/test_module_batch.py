@@ -1,0 +1,336 @@
+"""The batched [a]-series solver and the z^k contraction of eval_at_z
+against the per-scalar routes they replaced, kept here as oracles."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fglab import groups
+from fglab.groups import (
+    ModuleStructure,
+    _precision_cushion,
+    honda_group,
+    lubin_tate_group,
+    multiplicative_group,
+)
+from fglab.padic import (
+    RingDescriptor,
+    _vec_mulmod,
+    contraction_dtype,
+    multiplicative_generator,
+    ring_scale,
+    teichmuller_lift,
+)
+from fglab.series import TruncSeries1, _mul_data
+from fglab.torsion import TorsionFieldModel
+
+
+# ------------------------------------------------------------------ oracles
+
+def oracle_fpow_list(module):
+    """f^j for j < D: shift-and-scale for a sparse f, products otherwise."""
+    D, m, desc_w = module.D, module.m, module.desc_w
+    f_data = module.group.pi_series(D, desc_w.N).data
+    terms = [(k, tuple(f_data[k])) for k in module.f_nz]
+    sparse = len(terms) <= 6
+    fpow = [None, f_data]
+    cur = f_data
+    for _ in range(2, D):
+        if sparse:
+            nxt = np.zeros_like(cur)
+            for d, vec in terms:
+                if d < D:
+                    seg = ring_scale(cur[: D - d], vec, desc_w, m)
+                    nxt[d:] = (nxt[d:] + seg) % m
+        else:
+            nxt = _mul_data(cur, f_data, desc_w, D, m)
+        fpow.append(nxt)
+        cur = nxt
+    return fpow
+
+
+def oracle_update_powers(module, Gpow, k, gk):
+    """Binomial update of the powers of g after its degree-k term gk."""
+    D, m, desc_w = module.D, module.m, module.desc_w
+    smax_global = (D - 1) // k
+    tpow = [(1,) + (0,) * (desc_w.f - 1), gk]
+    for i in range(module.mdeg, 0, -1):
+        smax = min(i, smax_global)
+        acc = Gpow[i].copy()
+        for s in range(1, smax + 1):
+            while len(tpow) <= s:
+                tpow.append(_vec_mulmod(tpow[-1], gk, desc_w, m))
+            shift = k * s
+            if shift >= D:
+                break
+            comb = math.comb(i, s) % m
+            cvec = tuple(v * comb % m for v in tpow[s])
+            seg = ring_scale(Gpow[i - s][: D - shift], cvec, desc_w, m)
+            acc[shift:] = (acc[shift:] + seg) % m
+        Gpow[i] = acc
+
+
+def oracle_solve(module, a_vec):
+    """One scalar at a time: (series, None) or (None, obstruction degree)."""
+    D, m, p = module.D, module.m, module.desc_w.p
+    desc_w = module.desc_w
+    fdim = desc_w.f
+    fpow = oracle_fpow_list(module)
+    f_data = fpow[1]
+    dtype = f_data.dtype
+    g = np.zeros((D, fdim), dtype=dtype)
+    g[1] = a_vec
+    one = (1,) + (0,) * (fdim - 1)
+    Gpow = [np.zeros((D, fdim), dtype=dtype) for _ in range(module.mdeg + 1)]
+    Gpow[0][0] = one
+    acc = one
+    for i in range(1, module.mdeg + 1):
+        acc = _vec_mulmod(acc, a_vec, desc_w, m)
+        if i < D:
+            Gpow[i][i] = acc
+    GF = ring_scale(f_data, a_vec, desc_w, m)
+    f_terms = [(i, tuple(f_data[i])) for i in module.f_nz]
+
+    def rebuild_FG():
+        out = np.zeros((D, fdim), dtype=dtype)
+        for i, c in f_terms:
+            out = (out + ring_scale(Gpow[i], c, desc_w, m)) % m
+        return out
+
+    FG = rebuild_FG()
+    for k in range(2, D):
+        defect = (FG[k] - GF[k]) % m
+        if not defect.any():
+            continue
+        if any(int(v) % p for v in defect):
+            return (None, k)
+        w = pow(p, k - 1, m)
+        inv = pow((w - 1) % m, -1, m)
+        gk = tuple((int(v) // p * inv) % m for v in defect)
+        g[k] = gk
+        GF = (GF + ring_scale(fpow[k], gk, desc_w, m)) % m
+        oracle_update_powers(module, Gpow, k, gk)
+        FG = rebuild_FG()
+    ser = TruncSeries1(desc_w, D, "integral", g)
+    return (ser.reduce_precision(module.N_out), None)
+
+
+def oracle_eval_at_z(model, s):
+    """Horner walk specialised to x = z: one shift-and-fold per degree."""
+    e, m = model.e, model.desc.pN
+    data = s.data
+    acc = model.zero()
+    for k in range(s.D - 1, -1, -1):
+        top = acc[e - 1].copy()
+        acc[1:] = acc[: e - 1]
+        acc[0] = 0
+        if any(int(v) for v in top):
+            acc = (acc + ring_scale(model.red[0], top, model.desc, m)) % m
+        acc[0] = (acc[0] + data[k]) % m
+    return acc % m
+
+
+# ------------------------------------------------------------------ helpers
+
+def gm(p=3, f=1, N=12):
+    return multiplicative_group(RingDescriptor(p, f, N))
+
+
+def lt_h1(p=3, N=12):
+    return lubin_tate_group(RingDescriptor(p, 1, N), [0, p] + [0] * (p - 2) + [1])
+
+
+def lt_h2(N=14):
+    # 3X + X^9 over W(F_9)
+    return lubin_tate_group(RingDescriptor(3, 2, N), [0, 3, 0, 0, 0, 0, 0, 0, 0, 1])
+
+
+def honda(u=(0, 1), N=14):
+    return honda_group(RingDescriptor(3, 1, N), u)
+
+
+def assert_same_record(got, want):
+    ser, obs = got
+    ser0, obs0 = want
+    assert obs == obs0
+    if obs0 is None:
+        assert ser.desc == ser0.desc and ser.D == ser0.D
+        assert ser.data.dtype == ser0.data.dtype
+        assert np.array_equal(ser.data, ser0.data)
+    else:
+        assert ser is None
+
+
+def scalars_for(module, count, seed):
+    rng = random.Random(seed)
+    f, m = module.desc_w.f, module.m
+    out = [1, -1, module.desc_w.p, 2]
+    while len(out) < count:
+        out.append(tuple(rng.randrange(m) for _ in range(f)))
+    return out
+
+
+def check_against_oracle(module, scalars):
+    records = module.solve_batch(scalars)
+    assert len(records) == len(scalars)
+    for a, rec in zip(scalars, records):
+        assert_same_record(rec, oracle_solve(module, module._coerce_scalar(a)))
+
+
+# -------------------------------------------------------------------- solver
+
+@pytest.mark.parametrize("make, D, N_out", [
+    (lambda: gm(3), 14, 6),
+    (lambda: gm(5), 12, 5),
+    (lambda: lt_h1(3), 14, 6),
+    (lambda: lt_h1(5), 12, 5),
+    (lambda: lt_h2(), 16, 6),
+    (lambda: honda(), 16, 6),
+    (lambda: honda((1,)), 16, 6),
+])
+def test_batch_matches_per_scalar_solver(make, D, N_out):
+    module = make().module(D, N_out)
+    check_against_oracle(module, scalars_for(module, 8, seed=D + N_out))
+
+
+def test_honda_series_is_dense():
+    # the dense [p]-series takes the product route of the power table
+    module = honda((1,)).module(16, 6)
+    assert len(module.f_nz) > 6
+    assert module.mdeg == max(module.f_nz)
+
+
+def test_batch_dtype_switches_with_precision():
+    # N_work = N_out + 4 at D = 12, q = 3: the contraction budget
+    # 12 * (3^N_work - 1)^2 < 2^62 holds at N_work = 18 and fails at 19
+    g = gm(3, N=24)
+    cushion = _precision_cushion(12, g.q_eff)
+    small, large = g.module(12, 18 - cushion), g.module(12, 19 - cushion)
+    assert small.dtype is np.int64 and small.fpow.dtype == np.int64
+    assert large.dtype is object and large.fpow.dtype == object
+    assert contraction_dtype(12, large.desc_w) is object
+    for module in (small, large):
+        check_against_oracle(module, scalars_for(module, 5, seed=module.m % 97))
+
+
+def test_batch_longer_than_one_chunk(monkeypatch):
+    module = lt_h2().module(14, 6)
+    per_scalar = module.mdeg * module.D * module.desc_w.f * 8
+    monkeypatch.setattr(groups, "_BATCH_BYTES", 3 * per_scalar)
+    calls = []
+    solve_chunk = ModuleStructure._solve_chunk
+
+    def counted(self, vecs):
+        calls.append(len(vecs))
+        return solve_chunk(self, vecs)
+
+    monkeypatch.setattr(ModuleStructure, "_solve_chunk", counted)
+    scalars = scalars_for(module, 8, seed=5)
+    check_against_oracle(module, scalars)
+    assert calls == [3, 3, 2]
+
+
+def test_duplicate_scalars_share_one_record():
+    module = lt_h1(3).module(14, 6)
+    p, N = module.desc_w.p, module.desc_w.N
+    a, b = 3, 3 + p**N
+    recs = module.solve_batch([a, b, a])
+    assert len(module._cache) == 1
+    assert recs[0] is recs[1] is recs[2]
+    assert_same_record(recs[0], oracle_solve(module, module._coerce_scalar(a)))
+    # a cached scalar is not solved again
+    assert module.try_multiplication(b) is recs[0]
+
+
+def test_mixed_batch_obstruction():
+    # only Z_3 acts on gm over W(F_9): the mu_8 generator obstructs and the
+    # integers around it solve
+    g = gm(3, f=2, N=12)
+    module = g.module(12, 5)
+    zeta = teichmuller_lift(module.desc_w, multiplicative_generator(module.desc_w))
+    scalars = [2, zeta, -1, 4]
+    recs = module.solve_batch(scalars)
+    assert [obs is None for _, obs in recs] == [True, False, True, True]
+    assert recs[1][1] == 3
+    for a, rec in zip(scalars, recs):
+        assert_same_record(rec, oracle_solve(module, module._coerce_scalar(a)))
+
+
+# ---------------------------------------------------------------- eval_at_z
+
+def random_series(desc, D, seed):
+    rng = random.Random(seed)
+    s = TruncSeries1.zero(desc, D)
+    for k in range(D):
+        for j in range(desc.f):
+            s.data[k, j] = rng.randrange(desc.pN)
+    return s
+
+
+@pytest.mark.parametrize("make, level, N, extra", [
+    (lambda: gm(3), 1, 6, 0),
+    (lambda: gm(3), 2, 5, 3),
+    (lambda: lt_h1(5), 1, 5, 0),
+    (lambda: lt_h2(), 1, 5, 2),
+    (lambda: honda((1,)), 2, 4, 1),
+])
+def test_eval_at_z_matches_horner(make, level, N, extra):
+    model = TorsionFieldModel(make(), level, N)
+    D = N * model.e + extra
+    for seed in range(3):
+        s = random_series(model.desc, D, seed)
+        got, want = model.eval_at_z(s), oracle_eval_at_z(model, s)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_eval_at_z_on_module_series_matches_horner():
+    g = lt_h1(3, N=16)
+    model = TorsionFieldModel(g, 2, 4)
+    module = g.module(4 * model.e, 4)
+    for a in (2, -1, 4, 7):
+        ser = module.multiplication_by(a)
+        assert np.array_equal(model.eval_at_z(ser), oracle_eval_at_z(model, ser))
+
+
+def test_eval_at_z_contraction_switches_to_object():
+    # the model's own budget 2 e f^2 p (m - 1)^2 holds at N = 18, but the
+    # z^k contraction sums N e = 36 products, so it runs on object data
+    model = TorsionFieldModel(gm(3, N=20), 1, 18)
+    assert model.dtype is np.int64
+    assert model._z_powers().dtype == object
+    assert TorsionFieldModel(gm(3, N=20), 1, 17)._z_powers().dtype == np.int64
+    s = random_series(model.desc, model.N * model.e, seed=1)
+    got, want = model.eval_at_z(s), oracle_eval_at_z(model, s)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    # one digit more and the model itself runs on object data
+    model = TorsionFieldModel(gm(3, N=20), 1, 19)
+    assert model.dtype is object and model._z_powers().dtype == object
+    s = random_series(model.desc, model.N * model.e + 1, seed=2)
+    got, want = model.eval_at_z(s), oracle_eval_at_z(model, s)
+    assert got.dtype == want.dtype == object
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------- nonzero_degrees
+
+@pytest.mark.parametrize("kind", ["int64", "object", "fraction"])
+def test_nonzero_degrees_exact(kind):
+    desc = RingDescriptor(3, 2, 40 if kind == "object" else 6)
+    domain = "scaled" if kind == "fraction" else "integral"
+    s = TruncSeries1.zero(desc, 9, domain)
+    big = 3**39
+    vals = {1: (big if kind == "object" else 5, 0), 4: (0, 1), 7: (2, 2)}
+    for k, vec in vals.items():
+        for j, v in enumerate(vec):
+            s.data[k, j] = Fraction(v, 7) if kind == "fraction" else v
+    if kind == "fraction":
+        s.data[2, 0] = Fraction(0, 5)
+    assert s.data.dtype == (np.int64 if kind == "int64" else object)
+    scan = [k for k in range(s.D) if any(v != 0 for v in s.data[k])]
+    assert s.nonzero_degrees() == scan == [1, 4, 7]
+    assert all(type(k) is int for k in s.nonzero_degrees())
