@@ -22,6 +22,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .corpus import make_group, source_height
 from .endo import (compute_endo_subfield, endo_window, multiplier_closure_sample,
                    tau_infinity_check, try_endomorphism)
@@ -394,16 +396,16 @@ def matrix_checks(group, cfg: RunConfig, subfield_report=None):
         tested = 0
         for m in (1, 2, 3):
             A = build_phi_zeta(m, 1).block
-            for entries in it.product(range(3), repeat=m * m):
-                Y = [list(entries[r * m:(r + 1) * m]) for r in range(m)]
-                brute = all(
-                    sum(A[i][k] * Y[k][j] for k in range(m)) % 3
-                    == sum(Y[i][k] * A[k][j] for k in range(m)) % 3
-                    for i in range(m) for j in range(m)
-                )
-                if check_relations(Y) != brute:
-                    return False, {"counterexample": Y}
-                tested += 1
+            rest = np.array(list(it.product(range(3), repeat=m * (m - 1))),
+                            dtype=np.int64).reshape(3 ** (m * m - m), m - 1, m)
+            # one stack per first row, at most 729 matrices, keeps peak memory low
+            for first in it.product(range(3), repeat=m):
+                Y = np.concatenate([np.broadcast_to(first, (len(rest), 1, m)), rest], axis=1)
+                brute = ((A @ Y) % 3 == (Y @ A) % 3).all(axis=(-2, -1))
+                bad = np.flatnonzero(check_relations(Y) != brute)
+                if bad.size:
+                    return False, {"counterexample": Y[bad[0]].tolist()}
+                tested += len(Y)
         return True, {"matrices_tested": tested}
 
     checks.append(Check(

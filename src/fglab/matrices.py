@@ -46,28 +46,26 @@ def build_phi_zeta(m: int, n: int) -> BlockMatrixSpec:
     return BlockMatrixSpec(m, n)
 
 
-def check_relations(Y) -> bool:
+def check_relations(Y):
     """Does the m x m block Y commute with the cyclic shift?
 
-    Two independent tests: the matrix identity AY = YA, and the circulant
-    pattern y[r][r+i] constant in r for each wrapped offset i.  They are
-    equivalent for any coefficient ring; disagreement is a bug, not a
-    verdict.
+    Y is one matrix, with a bool verdict, or a stack (..., m, m), with a
+    bool array of verdicts of shape (...).  Two independent tests: the
+    matrix identity AY = YA, and the circulant pattern y[r][r+i] = y[0][i]
+    for each wrapped offset i.  They are equivalent for any coefficient
+    ring; disagreement is a bug, not a verdict.
     """
-    Y = np.asarray(Y, dtype=object)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
-        raise ValueError("expected a square matrix")
-    m = Y.shape[0]
-    A = _cyclic_shift(m).astype(object)
-    commutes = bool(np.array_equal(A @ Y, Y @ A))
-    circulant = all(
-        Y[r][(r + i) % m] == Y[0][i % m]
-        for i in range(m)
-        for r in range(1, m)
-    )
-    if commutes != circulant:
+    Y = np.asarray(Y)
+    if Y.ndim < 2 or Y.shape[-1] != Y.shape[-2]:
+        raise ValueError("expected square matrices")
+    m = Y.shape[-1]
+    A = _cyclic_shift(m)
+    commutes = (A @ Y == Y @ A).all(axis=(-2, -1))
+    wrap = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    circulant = (Y == Y[..., 0, :][..., wrap]).all(axis=(-2, -1))
+    if (commutes != circulant).any():
         raise AssertionError("circulant test disagrees with commutation")
-    return commutes
+    return commutes if commutes.ndim else bool(commutes)
 
 
 def _rank_unit_pivots(M, mod: int) -> int:

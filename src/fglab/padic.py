@@ -256,6 +256,15 @@ def ring_scale(A, c, desc: RingDescriptor, m):
     return out if m is None else out % m
 
 
+def _over_common_denominator(X):
+    """Integer numerators of the exact array X over L, the lcm of its
+    denominators, and L."""
+    flat = X.ravel().tolist()
+    L = math.lcm(*(x.denominator for x in flat))
+    nums = [x.numerator * (L // x.denominator) for x in flat]
+    return np.array(nums, dtype=object).reshape(X.shape), L
+
+
 def ring_mul(A, B, desc: RingDescriptor, m, prod):
     """Coefficient-ring product of arrays holding the f components on their
     last axis.
@@ -264,34 +273,40 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     convolution, an outer product, a contraction, ...; on int64 data the
     sums prod forms must stay under _INT64_BUDGET.  The partial products are
     gathered by the power X^(a+b) they carry, reduced mod m, and folded back
-    with the structure table.  m = None keeps exact Fractions.
+    with the structure table.  m = None is the exact product of Fractions:
+    each operand is put over one common denominator, the integer numerators
+    are multiplied and folded without reduction, and each entry of the
+    result becomes one Fraction over the product of the two denominators.
     """
     f = desc.f
+    if m is None:
+        A, LA = _over_common_denominator(A)
+        B, LB = _over_common_denominator(B)
+    xs = [(a, A[..., a]) for a in range(f) if A[..., a].any()]
+    ys = [(b, B[..., b]) for b in range(f) if B[..., b].any()]
     cross = [None] * (2 * f - 1)
-    for a in range(f):
-        x = A[..., a]
-        if not x.any():
-            continue
-        for b in range(f):
-            y = B[..., b]
-            if not y.any():
-                continue
+    for a, x in xs:
+        for b, y in ys:
             c = prod(x, y)
             if cross[a + b] is not None:
                 c = c + cross[a + b]
             cross[a + b] = c if m is None else c % m
-    if all(c is None for c in cross):
+    if not (xs and ys):
         cross[0] = prod(A[..., 0], B[..., 0])  # a factor is zero
     if f == 1:
-        return cross[0][..., None]
-    zero = np.zeros_like(next(c for c in cross if c is not None))
-    C = np.stack([zero if c is None else c for c in cross], axis=-1)
-    T = desc.structure_table()
-    R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
+        out = cross[0][..., None]
+    else:
+        zero = np.zeros_like(next(c for c in cross if c is not None))
+        C = np.stack([zero if c is None else c for c in cross], axis=-1)
+        T = desc.structure_table()
+        R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
+        if m is not None:
+            R = [[v % m for v in row] for row in R]
+        out = C @ np.array(R, dtype=C.dtype)
     if m is not None:
-        R = [[v % m for v in row] for row in R]
-    out = C @ np.array(R, dtype=C.dtype)
-    return out if m is None else out % m
+        return out if f == 1 else out % m
+    L = LA * LB
+    return np.frompyfunc(lambda n: Fraction(n, L), 1, 1)(out)
 
 
 def contraction_dtype(terms: int, desc: RingDescriptor):

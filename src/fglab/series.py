@@ -11,7 +11,9 @@ supported:
   object arrays otherwise);
 * "scaled": entries are exact Fractions, no modular reduction.  This is the
   domain for logarithms and anything with p in denominators; coefficients
-  are viewed as ScaledFieldElem on request.
+  are viewed as ScaledFieldElem on request.  The kernel multiplies two
+  scaled arrays as integer numerators, each over one common denominator,
+  and forms one Fraction per entry of the product.
 """
 
 from __future__ import annotations

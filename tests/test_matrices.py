@@ -62,16 +62,27 @@ class TestRelations:
         # every m x m matrix over F_3: the circulant pattern and commutation
         # must agree entry by entry
         A = build_phi_zeta(m, 1).block
+        single = []
         for entries in itertools.product(range(3), repeat=m * m):
             Y = np.array(entries, dtype=np.int64).reshape(m, m)
             commutes = np.array_equal((A @ Y) % 3, (Y @ A) % 3)
             # verdict over Z differs from F_3 only through entry reduction,
             # so feed the reduced matrix
-            assert check_relations(Y % 3) == commutes
+            single.append(check_relations(Y % 3))
+            assert single[-1] == commutes
+        # the whole stack at once: one verdict per matrix, the same ones
+        stack = np.array(list(itertools.product(range(3), repeat=m * m))).reshape(-1, m, m)
+        verdicts = check_relations(stack)
+        assert verdicts.shape == (3 ** (m * m),)
+        assert verdicts.tolist() == single
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             check_relations([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            check_relations(np.zeros((4, 2, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            check_relations([1, 2, 3])
 
 
 class TestCommutant:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fglab.padic import RingDescriptor
+from fglab.padic import RingDescriptor, ring_mul
 from fglab.series import (
     TruncSeries1,
     TruncSeries2,
@@ -316,3 +316,99 @@ def test_kernel_matches_schoolbook(p, N, domain, f):
     if domain == "integral":
         a, b = (d.from_coeffs(coeff(A, 1)), d.from_coeffs(coeff(B, 1)))
         assert list((a * b).coeffs) == schoolbook_mul(a.coeffs, b.coeffs, d.modulus, m)
+
+
+# ------------------------------------- exact kernel against Fraction products
+
+def fraction_ring_mul(A, B, desc, prod):
+    """The exact ring_mul on Fractions entry by entry: the partial products
+    of component slices gathered by the power X^(a+b) they carry, then
+    folded with the structure table, every sum and product a Fraction."""
+    f = desc.f
+    cross = [None] * (2 * f - 1)
+    for a in range(f):
+        x = A[..., a]
+        if not x.any():
+            continue
+        for b in range(f):
+            y = B[..., b]
+            if not y.any():
+                continue
+            c = prod(x, y)
+            cross[a + b] = c if cross[a + b] is None else c + cross[a + b]
+    if all(c is None for c in cross):
+        cross[0] = prod(A[..., 0], B[..., 0])  # a factor is zero
+    if f == 1:
+        return cross[0][..., None]
+    zero = np.zeros_like(next(c for c in cross if c is not None))
+    C = np.stack([zero if c is None else c for c in cross], axis=-1)
+    T = desc.structure_table()
+    R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
+    return C @ np.array(R, dtype=C.dtype)
+
+
+def conv2_oracle(x, y):
+    """Two-variable product of (D, D) slices, total degree < D."""
+    D = x.shape[0]
+    out = np.zeros_like(x)
+    for i1, j1 in zip(*np.nonzero(x)):
+        for i2, j2 in zip(*np.nonzero(y)):
+            if i1 + i2 + j1 + j2 < D:
+                out[i1 + i2, j1 + j2] += x[i1, j1] * y[i2, j2]
+    return out
+
+
+EXACT_DENOMINATORS = {
+    "p-power": [1, 3, 9, 27, 81],
+    "coprime": [1, 2, 5, 7, 11],
+    "mixed": [1, 3, 2, 6, 45, 189, 7 * 81],
+    "integer": None,
+    "zero": None,
+}
+
+
+def _exact_operand(shape, kind, rng):
+    data = np.zeros(shape, dtype=object)
+    if kind == "zero":
+        return data
+    for idx in np.ndindex(*shape):
+        if rng.random() < 0.3:
+            continue  # leave sparse entries, sometimes whole slices, as int 0
+        n = rng.randrange(-60, 61)
+        dens = EXACT_DENOMINATORS[kind]
+        data[idx] = n if dens is None else Fraction(n, rng.choice(dens))
+    return data
+
+
+def _assert_exactly_equal(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == object
+    assert (got == want).all()
+    assert all(isinstance(v, (int, Fraction)) for v in got.flat)
+
+
+@pytest.mark.parametrize("kind", list(EXACT_DENOMINATORS))
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_exact_kernel_matches_fraction_products(f, kind):
+    rng = random.Random(f"{f}-{kind}")
+    d = RingDescriptor(3, f, 4)
+    D = 6
+    other = "mixed" if kind == "zero" else kind
+    for trial in range(3):
+        A = _exact_operand((D, f), other, rng)
+        B = _exact_operand((D, f), kind, rng)
+        if kind == "zero" and trial == 2:
+            A = _exact_operand((D, f), "zero", rng)  # both factors zero
+        for prod in (lambda x, y: np.convolve(x, y)[:D], np.multiply.outer):
+            _assert_exactly_equal(ring_mul(A, B, d, None, prod), fraction_ring_mul(A, B, d, prod))
+        # the same kernel through the scaled series product
+        S, T = TruncSeries1(d, D, "scaled", A), TruncSeries1(d, D, "scaled", B)
+        _assert_exactly_equal((S * T).data, fraction_ring_mul(A, B, d, lambda x, y: np.convolve(x, y)[:D]))
+
+        A2 = _exact_operand((D, D, f), other, rng)
+        B2 = _exact_operand((D, D, f), kind, rng)
+        upper = np.add.outer(np.arange(D), np.arange(D)) >= D
+        A2[upper] = 0
+        B2[upper] = 0
+        got = (TruncSeries2(d, D, "scaled", A2) * TruncSeries2(d, D, "scaled", B2)).data
+        _assert_exactly_equal(got, fraction_ring_mul(A2, B2, d, conv2_oracle))
