@@ -159,6 +159,12 @@ class RunConfig:
                     f"level {n}: window N*e = {v['N']}*{e_n} = {window} exceeds the cap "
                     f"{v['dcap']}; lower N or nmax, or raise dcap"
                 )
+        # the level-1 ramification cross-check solves the law at N*e + 2,
+        # N = min(N, 4), wherever the base ring carries the full scalar action
+        D_law = min(v["N"], 4) * (q - 1) + 2
+        if command in ("torsion", "verify") and v["f"] % h == 0 and D_law > v["dcap"]:
+            problems.append(f"law window min(N, 4)*(q-1) + 2 = {D_law} exceeds the cap "
+                            f"{v['dcap']}; raise dcap")
         D_endo = endo_window(q)
         if command in ("endo", "matrices", "verify") and D_endo > v["dcap"]:
             problems.append(f"endo window max(4q, 24) = {D_endo} exceeds the cap {v['dcap']}; "

@@ -5,9 +5,12 @@ rational arithmetic; a is a multiplier of the group exactly when every
 coefficient of g is p-integral, and the first non-integral degree is the
 obstruction.  A success is a certificate at the stated window (D, N_eff),
 not a proof to all orders; the commutation identity
-g(F(X,Y)) = F(g(X), g(Y)) is re-verified on the integral side.  Each
-certificate is computed once per (multiplier, window) and shared by every
-caller on the group.
+g(F(X,Y)) = F(g(X), g(Y)) is re-verified on the integral side.  Its left
+side is g_int.compose(F), the one composition route (addition-chain powers
+of F for at most 10 nonzero terms of g, baby-step/giant-step otherwise:
+about 2 sqrt(D) bivariate products); its right side is P^T F P with row i
+of P holding g^i (substitute2_into2).  Each certificate is computed once
+per (multiplier, window) and shared by every caller on the group.
 
 The succeeding multipliers form a closed subring of O_K whose residue
 degree f_F is found by testing Teichmuller generators of each candidate
@@ -22,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .padic import INF, UnramifiedRingElem, floor_log, teichmuller_digits
-from .series import TruncSeries1, TruncSeries2, inject_x, inject_y, substitute2_into2
+from .series import TruncSeries1, substitute2_into2
 
 
 def c_map(g: TruncSeries1) -> UnramifiedRingElem:
@@ -108,9 +111,7 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
         record["series"] = g_int
         record["linear_coefficient_matches"] = (c_map(g_int) - a_elem.reduce_to(desc_eff)).is_zero()
         F2 = group.group_law2(D, N_eff)
-        lhs = substitute2_into2(inject_x(g_int), F2, TruncSeries2.zero(desc_eff, D))
-        rhs = substitute2_into2(F2, inject_x(g_int), inject_y(g_int))
-        record["commutes"] = lhs == rhs
+        record["commutes"] = g_int.compose(F2) == substitute2_into2(F2, g_int, g_int)
         record["success"] = bool(record["commutes"] and record["linear_coefficient_matches"])
     group._endo_cache[key] = record
     return dict(record)

@@ -121,23 +121,13 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
     fpow[0].data[0, 0] = 1
     for i in range(2, D2):
         fpow.append(fpow[-1] * f2)
-    nz = f2.nonzero_degrees()
     F = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1)], D2)
     A = inject_x(f2) + inject_y(f2)
-
-    def f_of(F_):
-        out = None
-        for i in nz:
-            term = F_.scalar_mul(tuple(f2.data[i])) if i == 1 else \
-                _pow2(F_, i).scalar_mul(tuple(f2.data[i]))
-            out = term if out is None else out + term
-        return out
-
-    B = f_of(F)
+    B = f2.compose(F)
     dirty = False
     for k in range(2, D2):
         if dirty:
-            B = f_of(F)
+            B = f2.compose(F)
             dirty = False
         w1 = pow(p, k - 1, m)
         inv = pow((w1 - 1) % m, -1, m)
@@ -155,7 +145,7 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
         for i, j, h in changed:
             A = A + _line_outer(fpow[i].scalar_mul(h), fpow[j])
             dirty = True
-    B = f_of(F)
+    B = f2.compose(F)
     keep = max(1, desc.N - _precision_cushion(D2, p ** _q_of_f(f2)))
     guard = p**keep
     if ((A.data - B.data) % guard).any():
@@ -169,19 +159,6 @@ def _q_of_f(f2: TruncSeries1) -> int:
         if k > 1 and any(int(v) % p for v in f2.data[k]):
             return round(math.log(k) / math.log(p))
     return 1
-
-
-def _pow2(F: TruncSeries2, e: int) -> TruncSeries2:
-    out = TruncSeries2.zero(F.desc, F.D, F.domain)
-    out.data[0, 0, 0] = 1 if F.domain == "integral" else Fraction(1)
-    base = F
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
 
 
 # ----------------------------------------------------------------- honda

@@ -196,10 +196,6 @@ class RingDescriptor:
     def to_dict(self) -> dict:
         return {"p": self.p, "f": self.f, "N": self.N, "modulus": list(self.modulus)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RingDescriptor":
-        return cls(d["p"], d["f"], d["N"], tuple(d["modulus"]))
-
     # element constructors
     def zero(self) -> "UnramifiedRingElem":
         return UnramifiedRingElem(self, (0,) * self.f)

@@ -14,10 +14,18 @@ supported:
   are viewed as ScaledFieldElem on request.  The kernel multiplies two
   scaled arrays as integer numerators, each over one common denominator,
   and forms one Fraction per entry of the product.
+
+Composition has one route, TruncSeries1.compose, for an inner series of
+either kind: an outer series with at most 10 nonzero terms sums scaled
+addition-chain powers, any other goes baby-step/giant-step with its block
+sums in one contraction.  substitute2_into2 forms F(g(X), h(Y)) as P^T F Q
+from the power tables of g and h.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -213,43 +221,46 @@ class TruncSeries1:
                 base = base * base
         return result
 
-    def compose(self, g: "TruncSeries1") -> "TruncSeries1":
-        """self(g(X)); requires g(0) = 0."""
+    def compose(self, g):
+        """self(g): the one composition route.
+
+        g is a TruncSeries1 or a TruncSeries2 on the same ring, domain and
+        window, with zero constant term; the result is of g's kind.  An
+        outer series with at most 10 nonzero terms sums scaled powers of g
+        from a memoised addition chain.  Any other takes baby steps g^r for
+        r < s = ceil(sqrt(n)), n the number of terms up to the last nonzero
+        one, forms every block sum sum_r c_{bs+r} g^r in one ring_mul
+        contraction, and runs Horner in g^s over the blocks
+        (Paterson-Stockmeyer): about 2 sqrt(n) products of g's kind.
+        """
         self._compat(g)
-        if any(v != 0 for v in g.data[0]):
+        if g.data[(0,) * (g.data.ndim - 1)].any():
             raise ValueError("inner series must have zero constant term")
+        kind, desc, D, domain = type(g), self.desc, self.D, self.domain
         nz = self.nonzero_degrees()
         if len(nz) <= 10:
-            # sparse outer series: sum of scaled powers
-            out = TruncSeries1.zero(self.desc, self.D, self.domain)
-            powers: dict[int, TruncSeries1] = {}
+            powers = dict(enumerate(_powers(g, 2)))
 
             def gpow(e):
-                if e in powers:
-                    return powers[e]
-                if e == 0:
-                    r = TruncSeries1.zero(self.desc, self.D, self.domain)
-                    r.data[0, 0] = 1 if self.domain == "integral" else Fraction(1)
-                elif e == 1:
-                    r = g
-                elif e % 2 == 0:
-                    h = gpow(e // 2)
-                    r = h * h
-                else:
-                    r = gpow(e - 1) * g
-                powers[e] = r
-                return r
+                if e not in powers:
+                    powers[e] = gpow(e - 1) * g if e % 2 else gpow(e // 2) * gpow(e // 2)
+                return powers[e]
 
+            out = kind.zero(desc, D, domain)
             for k in nz:
                 out = out + gpow(k).scalar_mul(self.coeff_vec(k))
             return out
-        acc = TruncSeries1.zero(self.desc, self.D, self.domain)
-        for k in range(self.D - 1, -1, -1):
-            acc = acc * g
-            acc.data[0] = acc.data[0] + self.data[k]
-            m = self._modulo()
-            if m is not None:
-                acc.data[0] = acc.data[0] % m
+        n = nz[-1] + 1
+        s = math.isqrt(n - 1) + 1
+        blocks = -(-n // s)
+        baby = _powers(g, s + 1)
+        coeffs = np.zeros((blocks * s, desc.f), dtype=self.data.dtype)
+        coeffs[:n] = self.data[:n]
+        sums = ring_mul(coeffs.reshape(blocks, s, desc.f), np.stack([b.data for b in baby[:s]]),
+                        desc, self._modulo(), functools.partial(np.tensordot, axes=1))
+        acc = kind(desc, D, domain, sums[-1])
+        for part in sums[-2::-1]:
+            acc = acc * baby[s] + kind(desc, D, domain, part)
         return acc
 
     def derivative(self):
@@ -570,6 +581,16 @@ class TruncSeries2:
         return f"TruncSeries2(D={self.D}, {self.domain}, {len(self.coeff_triples())} terms)"
 
 
+def _powers(g, count):
+    """[g^0, g^1, ..., g^(count-1)] for a series of either kind."""
+    one = type(g).zero(g.desc, g.D, g.domain)
+    one.data[(0,) * one.data.ndim] = 1 if g.domain == "integral" else Fraction(1)
+    out = [one, g]
+    while len(out) < count:
+        out.append(out[-1] * g)
+    return out[:count]
+
+
 def inject_x(s: TruncSeries1) -> TruncSeries2:
     out = TruncSeries2.zero(s.desc, s.D, s.domain)
     out.data[:, 0, :] = s.data
@@ -583,43 +604,33 @@ def inject_y(s: TruncSeries1) -> TruncSeries2:
 
 
 def substitute2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries1:
-    """F(g(X), h(X)) for one-variable g, h with zero constant terms."""
-    if any(v != 0 for v in g.data[0]) or any(v != 0 for v in h.data[0]):
-        raise ValueError("substituted series must have zero constant term")
-    if g.desc != F.desc or g.domain != F.domain:
-        raise ValueError("series rings differ")
-    D = g.D
-    gpow = [TruncSeries1.zero(F.desc, D, F.domain)]
-    gpow[0].data[0, 0] = 1 if F.domain == "integral" else Fraction(1)
-    for i in range(1, min(F.D, D)):
-        gpow.append(gpow[-1] * g)
-    acc = TruncSeries1.zero(F.desc, D, F.domain)
-    for j in range(min(F.D, D) - 1, -1, -1):
-        inner = TruncSeries1.zero(F.desc, D, F.domain)
-        for i in range(min(F.D - j, D)):
-            if F.data[i, j].any():
-                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
-        acc = acc * h + inner
-    return acc
+    """F(g(X), h(X)): the anti-diagonal sums of substitute2_into2(F, g, h)."""
+    R = substitute2_into2(F, g, h).data
+    out = TruncSeries1.zero(F.desc, F.D, F.domain)
+    for i in range(F.D):
+        out.data[i:] += R[i, : F.D - i]
+    m = F._modulo()
+    if m is not None:
+        out.data %= m
+    return out
 
 
-def substitute2_into2(F: TruncSeries2, G: TruncSeries2, H: TruncSeries2) -> TruncSeries2:
-    """F(G(X,Y), H(X,Y)) for two-variable arguments without constant terms."""
-    if G.data[0, 0].any() or H.data[0, 0].any():
-        raise ValueError("substituted series must have zero constant term")
-    D = F.D
-    gpow = [TruncSeries2.zero(F.desc, D, F.domain)]
-    gpow[0].data[0, 0, 0] = 1 if F.domain == "integral" else Fraction(1)
-    for i in range(1, D):
-        gpow.append(gpow[-1] * G)
-    acc = TruncSeries2.zero(F.desc, D, F.domain)
-    for j in range(D - 1, -1, -1):
-        inner = TruncSeries2.zero(F.desc, D, F.domain)
-        for i in range(D - j):
-            if F.data[i, j].any():
-                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
-        acc = acc * H + inner
-    return acc
+def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries2:
+    """F(g(X), h(Y)) for one-variable g, h with zero constant terms, on F's
+    ring, domain and window.  With row i of P holding g^i and row j of Q
+    holding h^j, this is P^T F Q: two ring_mul contractions, then the
+    terms of total degree >= D are dropped."""
+    for s in (g, h):
+        F._compat(s)
+        if s.data[0].any():
+            raise ValueError("substituted series must have zero constant term")
+    D, m = F.D, F._modulo()
+    P = np.stack([s.data for s in _powers(g, D)])
+    Q = P if h is g else np.stack([s.data for s in _powers(h, D)])
+    FQ = ring_mul(F.data, Q, F.desc, m, np.matmul)
+    out = ring_mul(P, FQ, F.desc, m, lambda x, y: x.T @ y)
+    out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
+    return TruncSeries2(F.desc, D, F.domain, out)
 
 
 def embed_series(s: TruncSeries1, emb, dst_desc: RingDescriptor) -> TruncSeries1:

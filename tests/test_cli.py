@@ -77,6 +77,19 @@ class TestExitCodes:
             assert main([command, "--p", "3", "--N", "6", "--nmax", "1", "--dcap", "20"]) == 2
             assert "endo window max(4q, 24) = 24 exceeds the cap 20" in capsys.readouterr().err
 
+    def test_law_window_past_cap_exit_two(self, capsys):
+        # the torsion window N*e = 8 fits, the level-1 law window 4*2 + 2 = 10 does not
+        argv = ["--group", "multiplicative", "--p", "3", "--N", "4", "--nmax", "1"]
+        for command in ("torsion", "verify"):
+            assert main([command] + argv + ["--dcap", "8"]) == 2
+            err = capsys.readouterr().err
+            assert "law window min(N, 4)*(q-1) + 2 = 10 exceeds the cap 8" in err
+        assert RunConfig({"group": "multiplicative", "N": 4, "nmax": 1,
+                          "dcap": 10}).validate("torsion") == []
+        # h = 2 does not divide f = 1: no ramification suite, no law window
+        assert RunConfig({"group": "lubin-tate", "d": 2, "N": 4, "nmax": 1,
+                          "dcap": 32}).validate("torsion") == []
+
 
 class TestConstruct:
     def test_multiplicative_law_echo(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fglab import cli
@@ -5,6 +7,7 @@ from fglab.cli import RunConfig, build_group, collect_checks, endo_checks, matri
 from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.reports import run_checks
+from fglab.series import TruncSeries2
 from fglab.endo import (
     c_map,
     compute_endo_subfield,
@@ -190,6 +193,27 @@ class TestCertificateCache:
         assert any(c.check_id == "matrices.block-shape" for c in checks)
         assert all(r["pass"] for r in run_checks(checks))
         assert built == [g]
+
+
+@pytest.mark.parametrize("D", [24, 36])
+def test_certificate_takes_sqrt_many_bivariate_products(D, monkeypatch):
+    # [-1](X) = -X/(1 + X) on gm is dense, so the left side g(F(X, Y)) takes
+    # the baby-step/giant-step route; the right side makes no bivariate
+    # product, and the gm law is closed form
+    g = gm()
+    calls = []
+    mul = TruncSeries2.__mul__
+
+    def counted(self, other):
+        calls.append(self.D)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries2, "__mul__", counted)
+    rec = try_endomorphism(g, -1, D)
+    assert rec["success"] and rec["commutes"]
+    assert len(rec["series"].nonzero_degrees()) == D - 1
+    ceil_sqrt = math.isqrt(D - 1) + 1
+    assert 0 < len(calls) <= 3 * ceil_sqrt + 2
 
 
 def test_endo_window_is_shared():

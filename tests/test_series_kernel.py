@@ -4,6 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fglab.groups import (
+    _precision_cushion,
+    honda_group,
+    lubin_tate_group,
+    multiplicative_group,
+    solve_equivariant_group_law,
+)
 from fglab.padic import RingDescriptor, ring_mul
 from fglab.series import (
     TruncSeries1,
@@ -177,11 +184,18 @@ def test_substitute2_into2_matches_direct():
     d = desc(N=5)
     F = TruncSeries2.from_triples(d, [(1, 0, 1), (0, 1, 1), (1, 1, 2)], D=6)
     G = TruncSeries2.from_triples(d, [(1, 0, 1), (0, 1, 1)], D=6)
-    out = substitute2_into2(F, G, G)
+    out = horner_substitute2_into2(F, G, G)
     # F(X+Y, X+Y) = 2(X+Y) + 2(X+Y)^2
     assert out.coefficient(1, 0).coeffs[0] == 2
     assert out.coefficient(1, 1).coeffs[0] == 4
     assert out.coefficient(2, 0).coeffs[0] == 2
+    # one-variable arguments: F(X + X^2, Y) = X + X^2 + Y + 2XY + 2X^2 Y
+    g = TruncSeries1.from_coeffs(d, [0, 1, 1], D=6)
+    y = TruncSeries1.x(d, 6)
+    out = substitute2_into2(F, g, y)
+    assert out == horner_substitute2_into2(F, inject_x(g), inject_y(y))
+    assert sorted((i, j, int(c[0])) for i, j, c in out.coeff_triples()) == [
+        (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 0, 1), (2, 1, 2)]
 
 
 def test_inject_swap_partial():
@@ -412,3 +426,192 @@ def test_exact_kernel_matches_fraction_products(f, kind):
         B2[upper] = 0
         got = (TruncSeries2(d, D, "scaled", A2) * TruncSeries2(d, D, "scaled", B2)).data
         _assert_exactly_equal(got, fraction_ring_mul(A2, B2, d, conv2_oracle))
+
+
+# ------------------------------------- composition routes against Horner oracles
+
+def _one_like(s):
+    one = type(s).zero(s.desc, s.D, s.domain)
+    one.data[(0,) * one.data.ndim] = 1 if s.domain == "integral" else Fraction(1)
+    return one
+
+
+def horner_compose(outer, g):
+    """outer(g) by Horner: D products of g's kind."""
+    acc = type(g).zero(g.desc, g.D, g.domain)
+    for k in range(outer.D - 1, -1, -1):
+        acc = acc * g
+        acc = acc + _one_like(g).scalar_mul(outer.coeff_vec(k))
+    return acc
+
+
+def horner_substitute2_into2(F, G, H):
+    """F(G(X,Y), H(X,Y)) for two-variable arguments: the powers of G, then
+    Horner in H."""
+    D = F.D
+    gpow = [_one_like(F)]
+    for _ in range(1, D):
+        gpow.append(gpow[-1] * G)
+    acc = TruncSeries2.zero(F.desc, D, F.domain)
+    for j in range(D - 1, -1, -1):
+        inner = TruncSeries2.zero(F.desc, D, F.domain)
+        for i in range(D - j):
+            if F.data[i, j].any():
+                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
+        acc = acc * H + inner
+    return acc
+
+
+def horner_substitute2(F, g, h):
+    """F(g(X), h(X)): the powers of g, then Horner in h."""
+    D = g.D
+    gpow = [_one_like(g)]
+    for _ in range(1, D):
+        gpow.append(gpow[-1] * g)
+    acc = TruncSeries1.zero(F.desc, D, F.domain)
+    for j in range(D - 1, -1, -1):
+        inner = TruncSeries1.zero(F.desc, D, F.domain)
+        for i in range(D - j):
+            if F.data[i, j].any():
+                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
+        acc = acc * h + inner
+    return acc
+
+
+def pow2(F, e):
+    """F^e by binary powering."""
+    out, base = _one_like(F), F
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def _entry(d, domain, rng):
+    if domain == "scaled":
+        return Fraction(rng.randrange(-40, 41), rng.choice([1, 2, 3, 9, 5, 27]))
+    return rng.randrange(d.pN)
+
+
+def random_pointed(kind, d, D, domain, rng, degrees=None):
+    """A random series of the given kind with zero constant term; an outer
+    TruncSeries1 may carry a constant term and sparse support `degrees`."""
+    s = kind.zero(d, D, domain)
+    for idx in np.ndindex(*s.data.shape[:-1]):
+        if sum(idx) < D and (degrees is None or idx[0] in degrees):
+            s.data[idx] = [_entry(d, domain, rng) for _ in range(d.f)]
+    if degrees is None:
+        s.data[(0,) * (s.data.ndim - 1)] = 0
+    return s
+
+
+# (p, N, domain, dtype at D = 12): N = 18/19 is the int64/object switch of
+# contraction_dtype at D = 12 for p = 3
+COMPOSE_DOMAINS = [
+    (3, 18, "integral", np.int64),
+    (3, 19, "integral", object),
+    (5, 30, "integral", object),
+    (3, 4, "scaled", object),
+]
+
+
+@pytest.mark.parametrize("p,N,domain,dtype", COMPOSE_DOMAINS)
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("kind", [TruncSeries1, TruncSeries2])
+@pytest.mark.parametrize("support", ["sparse", "dense"])
+def test_compose_matches_horner(p, N, domain, dtype, f, kind, support):
+    rng = random.Random(f"{p}-{N}-{domain}-{f}-{kind.__name__}-{support}")
+    d, D = RingDescriptor(p, f, N), 12
+    degrees = {0, 1, 4, 7, 11} if support == "sparse" else None
+    outer = random_pointed(TruncSeries1, d, D, domain, rng, degrees=degrees or set(range(D)))
+    assert (len(outer.nonzero_degrees()) <= 10) == (support == "sparse")
+    g = random_pointed(kind, d, D, domain, rng)
+    assert g.data.dtype == dtype
+    got = outer.compose(g)
+    assert type(got) is kind and got.data.dtype == dtype
+    assert got == horner_compose(outer, g)
+    if kind is TruncSeries2:
+        zero = TruncSeries2.zero(d, D, domain)
+        assert got == horner_substitute2_into2(inject_x(outer), g, zero)
+
+
+@pytest.mark.parametrize("p,N,domain,dtype", COMPOSE_DOMAINS)
+@pytest.mark.parametrize("f", [1, 2])
+def test_substitutions_match_horner(p, N, domain, dtype, f):
+    rng = random.Random(f"subst-{p}-{N}-{domain}-{f}")
+    d, D = RingDescriptor(p, f, N), 12
+    F = random_pointed(TruncSeries2, d, D, domain, rng)
+    F.data[0, 0] = [_entry(d, domain, rng) for _ in range(f)]  # F may have a constant term
+    g = random_pointed(TruncSeries1, d, D, domain, rng)
+    h = random_pointed(TruncSeries1, d, D, domain, rng)
+    for a, b in ((g, h), (g, g)):
+        got = substitute2_into2(F, a, b)
+        assert got.data.dtype == dtype
+        assert got == horner_substitute2_into2(F, inject_x(a), inject_y(b))
+        assert substitute2(F, a, b) == horner_substitute2(F, a, b)
+
+
+def pow2_f_of(f, F):
+    """f(F) for a two-variable F as sum_i f_i F^i, each power by binary
+    powering: the group-law solver's old route."""
+    out = TruncSeries2.zero(F.desc, F.D, F.domain)
+    for i in f.nonzero_degrees():
+        out = out + pow2(F, i).scalar_mul(f.coeff_vec(i))
+    return out
+
+
+def with_pow2_f_of(monkeypatch, build):
+    """build() with every composition into a two-variable series on pow2_f_of."""
+    compose = TruncSeries1.compose
+    with monkeypatch.context() as mp:
+        mp.setattr(TruncSeries1, "compose",
+                   lambda self, g: pow2_f_of(self, g) if isinstance(g, TruncSeries2) else compose(self, g))
+        return build()
+
+
+LAW_GROUPS = {
+    "lt-h1": lambda: lubin_tate_group(RingDescriptor(3, 1, 14), [0, 3, 0, 1]),
+    "lt-h2": lambda: lubin_tate_group(RingDescriptor(3, 2, 14), [0, 3, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "honda-01": lambda: honda_group(RingDescriptor(3, 1, 14), (0, 1)),
+    "honda-1": lambda: honda_group(RingDescriptor(3, 1, 14), (1,)),
+}
+
+
+def test_gm_law_solve_matches_pow2_solver(monkeypatch):
+    D2, N = 14, 5
+    g = multiplicative_group(RingDescriptor(3, 1, 12))
+    f_work = g.pi_series(D2, N + _precision_cushion(D2, 3))
+    got = solve_equivariant_group_law(f_work, D2)
+    assert got == with_pow2_f_of(monkeypatch, lambda: solve_equivariant_group_law(f_work, D2))
+    assert got == g.group_law2(D2, f_work.desc.N)  # the closed form X + Y + XY
+
+
+@pytest.mark.parametrize("name", list(LAW_GROUPS))
+def test_group_law2_matches_pow2_solver(name, monkeypatch):
+    make, N = LAW_GROUPS[name], 5
+    D2 = 22 if name == "honda-1" else 14
+    if name == "honda-1":
+        # 11 odd degrees below 22: the baby-step/giant-step route
+        assert len(make().pi_series(D2, N).nonzero_degrees()) > 10
+    assert make().group_law2(D2, N) == with_pow2_f_of(monkeypatch, lambda: make().group_law2(D2, N))
+
+
+@pytest.mark.parametrize("kind", [TruncSeries1, TruncSeries2])
+def test_compose_refuses_bad_inner_series(kind):
+    rng = random.Random(kind.__name__)
+    d = desc(N=6)
+    outer = random_pointed(TruncSeries1, d, 12, "integral", rng)
+    g = random_pointed(kind, d, 12, "integral", rng)
+    with_constant = kind(d, 12, "integral", g.data.copy())
+    with_constant.data[(0,) * (g.data.ndim - 1)] = 1
+    with pytest.raises(ValueError, match="constant term"):
+        outer.compose(with_constant)
+    for other in (random_pointed(kind, desc(N=5), 12, "integral", rng),
+                  random_pointed(kind, RingDescriptor(3, 2, 6), 12, "integral", rng),
+                  random_pointed(kind, d, 10, "integral", rng),
+                  random_pointed(kind, d, 12, "scaled", rng)):
+        with pytest.raises(ValueError):
+            outer.compose(other)
