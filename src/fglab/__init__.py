@@ -20,7 +20,6 @@ from .groups import (
     FrobeniusSeries,
     ModuleStructure,
     ObstructionError,
-    check_group_axioms,
     height_from_pi_series,
     honda_group,
     lubin_tate_group,

@@ -9,6 +9,11 @@ residues mod e.
 
 Series are evaluated at points of positive valuation; a window D >= N*e
 makes the discarded tail vanish at the working precision.
+
+Model arithmetic takes stacks: arrays shaped (..., e, f) whose leading axes
+broadcast, so one product, power or series evaluation serves many points.
+The scalar-action check builds all q^n points in one contraction and
+applies [p^n] once per valuation class of points.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .padic import (
     INF,
@@ -30,7 +36,7 @@ from .padic import (
     teichmuller_digits,
     teichmuller_lift,
 )
-from .series import TruncSeries1, _mul_data
+from .series import TruncSeries1
 from .weier import division_polynomial
 
 
@@ -122,8 +128,9 @@ def newton_polygon(poly: TruncSeries1, degree: int) -> NewtonPolygon:
 class TorsionFieldModel:
     """O_K[X]/(P_n): arithmetic for the level-n torsion field.
 
-    Elements are coefficient arrays of shape (e, f) mod p^N.  The class of X
-    is a root z of P_n, a point of exact order p^n with v_L(z) = 1.
+    Elements are coefficient arrays of shape (e, f) mod p^N, and stacks of
+    them arrays of shape (..., e, f).  The class of X is a root z of P_n, a
+    point of exact order p^n with v_L(z) = 1.
     """
 
     def __init__(self, group, level: int, N: int, dp=None):
@@ -169,15 +176,16 @@ class TorsionFieldModel:
                 shifted = (shifted + ring_scale(red[0], top, self.desc, m)) % m
             red[k] = shifted % m
         self.red = red
-        self._zpow = None
 
     # ------------------------------------------------------------ elements
-    def zero(self):
-        return np.zeros((self.e, self.desc.f), dtype=self.dtype)
+    # Every operation takes stacks: arrays shaped (..., e, f) whose leading
+    # axes broadcast, so one element combines with a stack elementwise.
+    def zero(self, lead=()):
+        return np.zeros(tuple(lead) + (self.e, self.desc.f), dtype=self.dtype)
 
-    def one(self):
-        x = self.zero()
-        x[0, 0] = 1
+    def one(self, lead=()):
+        x = self.zero(lead)
+        x[..., 0, 0] = 1
         return x
 
     def z(self):
@@ -204,19 +212,13 @@ class TorsionFieldModel:
         return (-a) % self.desc.pN
 
     def mul(self, a, b):
-        e, f, m = self.e, self.desc.f, self.desc.pN
-        W = 2 * e - 1
-        pa = np.zeros((W, f), dtype=self.dtype)
-        pa[:e] = a
-        pb = np.zeros((W, f), dtype=self.dtype)
-        pb[:e] = b
-        full = _mul_data(pa, pb, self.desc, W, m)
-        low = full[:e]
-        high = full[e:]
+        e, m = self.e, self.desc.pN
+        full = ring_mul(a, b, self.desc, m, _conv)
+        low, high = full[..., :e, :], full[..., e:, :]
         if high.any():
             # sum_k high[k] * (X^(e+k) mod P), a ring product contracted over k
             low = (low + ring_mul(high, self.red, self.desc, m, np.dot)) % m
-        return low % m
+        return low
 
     def scal(self, a, c):
         """Multiply by an O_K scalar (vector of length f or ring element)."""
@@ -229,37 +231,42 @@ class TorsionFieldModel:
         return ring_scale(a, vec, self.desc, self.desc.pN)
 
     def pow_int(self, a, k: int):
-        out = self.one()
-        base = a
+        out = None
         while k:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = a if out is None else self.mul(out, a)
             k >>= 1
-        return out
+            if k:
+                a = self.mul(a, a)
+        return self.one(a.shape[:-2]) if out is None else out % self.desc.pN
+
+    def powers(self, x, count: int):
+        """x^0 .. x^(count-1) of an element, stacked on a new first axis:
+        each doubling step is one product by x and one stacked product."""
+        P = self.one()[None]
+        while len(P) < count:
+            P = np.concatenate([P, self.mul(P, self.mul(P[-1], x))])
+        return P[:count]
 
     def equal(self, a, b) -> bool:
         return bool(((a - b) % self.desc.pN == 0).all())
 
+    def valuations(self, A):
+        """v_L of every element of a stack, INF for 0, as an object array
+        shaped like the leading axes; exact because coefficient valuations
+        are distinct mod e."""
+        p, N, e = self.desc.p, self.N, self.e
+        A = np.asarray(A) % self.desc.pN
+        # v_p of each coefficient, N for a zero one (A < p^N after reduction)
+        vp = sum((A % p**k == 0).astype(np.int64) for k in range(1, N + 1))
+        v = np.asarray((e * vp.min(axis=-1) + np.arange(e)).min(axis=-1))
+        out = v.astype(object)
+        out[v == N * e] = INF
+        return out
+
     def valuation(self, a):
-        """v_L, exact because coefficient valuations are distinct mod e."""
-        best = INF
-        p, N = self.desc.p, self.N
-        for j in range(self.e):
-            row = a[j]
-            v = None
-            for c in row:
-                c = int(c) % self.desc.pN
-                if c == 0:
-                    continue
-                w = 0
-                while c % p == 0:
-                    c //= p
-                    w += 1
-                v = w if v is None else min(v, w)
-            if v is not None:
-                best = min(best, self.e * v + j)
-        return best
+        """v_L of one element."""
+        return self.valuations(a)[()]
 
     def residue(self, a) -> ResidueElem:
         return ResidueElem(self.desc, [int(v) for v in a[0]])
@@ -291,75 +298,99 @@ class TorsionFieldModel:
 
     def _z_powers(self):
         """z^k for k < N*e by shift-and-fold; z^e is p times a unit (pure
-        slope 1/e), so z^(N*e) and every higher power vanish mod p^N."""
-        if self._zpow is None:
-            K, m = self.N * self.e, self.desc.pN
-            dtype = contraction_dtype(K, self.desc)  # eval_at_z sums K products
-            red0 = self.red[0].astype(dtype)
-            Z = np.zeros((K, self.e, self.desc.f), dtype=dtype)
-            Z[0, 0, 0] = 1
-            for k in range(1, K):
-                Z[k, 1:] = Z[k - 1, :-1]
-                Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
-            self._zpow = Z
-        return self._zpow
+        slope 1/e), so z^(N*e) and every higher power vanish mod p^N.  Not
+        kept: each caller evaluates all its series in one eval_at_z."""
+        K, m = self.N * self.e, self.desc.pN
+        dtype = contraction_dtype(K, self.desc)  # eval_at_z sums K products
+        red0 = self.red[0].astype(dtype)
+        Z = np.zeros((K, self.e, self.desc.f), dtype=dtype)
+        Z[0, 0, 0] = 1
+        for k in range(1, K):
+            Z[k, 1:] = Z[k - 1, :-1]
+            Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
+        return Z
 
-    def eval_at_z(self, s: TruncSeries1):
-        """s(z): one contraction of the coefficients with the z^k table."""
-        self._require_window(s.D)
+    def eval_at_z(self, s):
+        """s(z) for one series, or the stack of s_i(z) for a sequence of
+        series: one contraction of the coefficients with the z^k table."""
+        series = [s] if isinstance(s, TruncSeries1) else list(s)
+        for t in series:
+            self._require_window(t.D)
         Z = self._z_powers()
         m = self.desc.pN
-        data = (s.data[: len(Z)] % m).astype(Z.dtype)
-        return ring_mul(data, Z, self.desc, m, np.matmul).astype(self.dtype)
+        data = (np.stack([t.data[: len(Z)] for t in series]) % m).astype(Z.dtype)
+        out = ring_mul(data, Z, self.desc, m, np.matmul).astype(self.dtype)
+        return out[0] if isinstance(s, TruncSeries1) else out
 
     def eval_series(self, s: TruncSeries1, x, min_val: int = 1):
-        """Evaluate at an element of valuation >= min_val; the discarded tail
-        needs D * min_val >= N * e."""
+        """Evaluate at a stack of elements of valuation >= min_val; the
+        discarded tail needs D * min_val >= N * e."""
         if s.D * min_val < self.N * self.e:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
         nz = s.nonzero_degrees()
+        out = self.zero(x.shape[:-2])
         if not nz:
-            return self.zero()
-        if len(nz) <= 8:
-            out = self.zero()
-            for k in nz:
-                out = self.add(out, self.scal(self.pow_int(x, k), s.data[k]))
             return out
-        acc = self.zero()
-        for k in range(s.D - 1, -1, -1):
-            acc = self.mul(acc, x)
-            acc[0] = (acc[0] + s.data[k]) % self.desc.pN
-        return acc % self.desc.pN
+        m = self.desc.pN
+        if len(nz) <= 8:
+            # x^k for the nonzero degrees in turn, each from the one before
+            power, deg = None, 0
+            for k in nz:
+                step = self.pow_int(x, k - deg)
+                power = step if power is None else self.mul(power, step)
+                deg = k
+                out = self.add(out, self.scal(power, s.data[k]))
+            return out
+        out[..., 0, :] = s.data[nz[-1]] % m
+        for k in range(nz[-1] - 1, -1, -1):
+            out = self.mul(out, x)
+            out[..., 0, :] = (out[..., 0, :] + s.data[k]) % m
+        return out
 
     def eval2(self, F2, x, y):
-        """Evaluate a two-variable series; total-degree window D2 needs
-        D2 >= N * e for the tail to vanish."""
+        """Evaluate a two-variable series at two elements; total-degree
+        window D2 needs D2 >= N * e for the tail to vanish.  inner[i] =
+        sum_j F2[i, j] y^j is one contraction, then sum_i inner[i] x^i is
+        one stacked product."""
         if F2.D < self.N * self.e:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
-        xp = [self.one()]
-        yp = [self.one()]
-        for _ in range(F2.D - 1):
-            xp.append(self.mul(xp[-1], x))
-            yp.append(self.mul(yp[-1], y))
-        out = self.zero()
-        for i, j, vec in F2.coeff_triples():
-            term = self.scal(self.mul(xp[i], yp[j]), np.asarray(vec, dtype=self.dtype))
-            out = self.add(out, term)
-        return out
+        D2, m = F2.D, self.desc.pN
+        dtype = contraction_dtype(D2, self.desc)  # the contraction sums D2 products
+        F = (F2.data % m).astype(dtype)
+        Y = self.powers(y, D2).astype(dtype)
+        inner = ring_mul(F, Y, self.desc, m, np.matmul).astype(self.dtype)
+        return self.mul(inner, self.powers(x, D2)).sum(axis=0) % m
 
-    def apply_pi(self, x, times: int = 1):
-        """Apply the [p]-series repeatedly; window shrinks as valuation grows."""
-        q = self.q
+    def apply_pi(self, x, times: int = 1, val=None):
+        """Apply the [p]-series `times` times to a stack of elements of
+        valuation >= val (default: the least valuation in the stack); the
+        window shrinks as the valuation grows."""
+        q, K = self.q, self.N * self.e
+        if val is None:
+            val = min((v for v in np.ravel(self.valuations(x)) if v != INF), default=INF)
+        v = 1 if val == INF else max(1, int(val))
         cur = x
-        v = max(1, self.valuation(x)) if self.valuation(x) is not INF else 1
         for _ in range(times):
-            w = min(-(-self.N * self.e // v) + 1, self.N * self.e)
+            w = min(-(-K // v) + 1, K)
             pi = self.group.pi_series(max(w, q + 1), self.N)
             cur = self.eval_series(pi, cur, min_val=v)
-            v = min(v * q, self.N * self.e)
+            v = min(v * q, K)
         return cur
+
+
+def _conv(x, y):
+    """Full convolution along the last axis, the leading axes broadcast:
+    np.convolve for two vectors, else one contraction of x reversed with
+    the windows of y padded by len(x) - 1 zeros on each side."""
+    if x.ndim == 1 and y.ndim == 1:
+        return np.convolve(x, y)
+    n, k = x.shape[-1], y.shape[-1]
+    padded = np.zeros(y.shape[:-1] + (2 * n + k - 2,), dtype=y.dtype)
+    padded[..., n - 1:n - 1 + k] = y
+    win = sliding_window_view(padded, n + k - 1, axis=-1)
+    return np.einsum("...i,...it->...t", x[..., ::-1], win)
 
 
 # ------------------------------------------------------------ measurements
@@ -447,25 +478,24 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
             "expected": group.q**n,
         }
     model = TorsionFieldModel(group, n, N)
-    D = N * model.e
-    module = group.module(D, N)
+    module = group.module(N * model.e, N)
     scalars = [a for _tup, a in _scalar_tuples(group, n)]
-    module.solve_batch([a for a in scalars if not a.is_zero()])
-    seen = set()
-    annihilated = True
+    nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
+    module.solve_batch([scalars[i] for i in nonzero])
+    points = model.zero((len(scalars),))
+    points[nonzero] = model.eval_at_z([module.multiplication_by(scalars[i]) for i in nonzero])
+    seen = set(map(tuple, points.reshape(len(points), -1).tolist()))
     histogram = {}
-    for a in scalars:
-        if a.is_zero():
-            t = model.zero()
-        else:
-            ser = module.multiplication_by(a)
-            t = model.eval_at_z(ser)
-        seen.add(tuple(int(v) for v in t.ravel()))
-        val = model.valuation(t)
+    classes = {}
+    for i, val in enumerate(model.valuations(points)):
         histogram[str(val)] = histogram.get(str(val), 0) + 1
-        if not model.equal(t, model.zero()):
-            if not model.equal(model.apply_pi(t, times=n), model.zero()):
-                annihilated = False
+        if val != INF:
+            classes.setdefault(val, []).append(i)
+    # [p^n] once per valuation class, the largest window first; each
+    # nonzero point must go to 0
+    annihilated = all(
+        not model.apply_pi(points[classes[v]], times=n, val=v).any()
+        for v in sorted(classes))
     distinct = len(seen) == group.q**n
     return {
         "level": n,
@@ -498,26 +528,24 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
     digits = teichmuller_digits(desc, h)
     nonzero = [w for w in digits if not w.is_zero()]
     one = desc.one()
-    shifted = [w - one for w in nonzero if not (w - one).is_zero()]
-    module.solve_batch(shifted + (nonzero if n > 1 else []))
+    units = [w for w in nonzero if not (w - one).is_zero()]  # u = 1: break is infinite
+    module.solve_batch([w - one for w in units] + (nonzero if n > 1 else []))
     table = []
     all_match = True
-    zbar = model.z()
     for k in range(n):
         expected = q**k
-        wk = zbar if k == 0 else model.apply_pi(zbar, times=k)
-        window = -(-N * e // q**k) + 1
-        for w in nonzero:
-            if k == 0:
-                um1 = w - one
-                if um1.is_zero():
-                    continue  # u = 1 is the identity: break is infinite
-                ser = module.multiplication_by(um1)
-                val = model.valuation(model.eval_at_z(ser))
-            else:
-                # u - 1 = p^k * w: apply [p] k times, then the unit digit
-                ser = module.multiplication_by(w).truncate(max(window, q + 1))
-                val = model.valuation(model.eval_series(ser, wk, min_val=q**k))
+        if k == 0:
+            row = units
+            vals = model.valuations(model.eval_at_z(
+                [module.multiplication_by(w - one) for w in units]))
+        else:
+            # u - 1 = p^k * w: apply [p] k times, then the unit digit
+            row = nonzero
+            wk = model.apply_pi(model.z(), times=k)
+            window = max(-(-N * e // q**k) + 1, q + 1)
+            vals = [model.valuation(model.eval_series(
+                module.multiplication_by(w).truncate(window), wk, min_val=q**k)) for w in row]
+        for w, val in zip(row, vals):
             ok = val == expected
             all_match = all_match and ok
             table.append({
@@ -551,14 +579,13 @@ def _direct_break_check(group, N: int) -> list:
     one = group.desc.one()
     units = [w for w in digits if not (w.is_zero() or (w - one).is_zero())]
     module.solve_batch([-1] + units + [w - one for w in units])
-    neg = group.negation_series(D, N)
-    iz = model.eval_at_z(neg)
+    pts = model.eval_at_z([group.negation_series(D, N)]
+                          + [module.multiplication_by(w) for w in units]
+                          + [module.multiplication_by(w - one) for w in units])
+    iz, ux, um1 = pts[0], pts[1:len(units) + 1], pts[len(units) + 1:]
     out = []
-    for w in units:
-        ux = model.eval_at_z(module.multiplication_by(w))
-        delta = model.eval2(F2, ux, iz)
-        direct = model.valuation(delta)
-        linear = model.valuation(model.eval_at_z(module.multiplication_by(w - one)))
+    for w, x, linear in zip(units, ux, model.valuations(um1)):
+        direct = model.valuation(model.eval2(F2, x, iz))
         out.append({
             "digit": w.residue().code(),
             "direct": str(direct),

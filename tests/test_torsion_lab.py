@@ -1,12 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from fglab.padic import INF, RingDescriptor
+from fglab.corpus import corpus, make_group
+from fglab.padic import INF, RingDescriptor, ring_mul
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
-from fglab.series import TruncSeries1
+from fglab.series import TruncSeries1, _mul_data
 from fglab.torsion import (
     TorsionFieldModel,
+    _scalar_tuples,
     assumption_check,
     certify_torsion_degree,
     mu_p_membership,
@@ -243,3 +247,311 @@ class TestMuP:
     def test_additive_rejected(self):
         with pytest.raises(ValueError, match="finite height"):
             mu_p_membership(honda_group(RingDescriptor(3, 1, 6), ()))
+
+
+# ----------------------------------------- per-element routes, as oracles
+# The model once took one element at a time: products through the padded
+# series product, valuations by a loop over entries, [p^n] point by point.
+
+def oracle_mul(model, a, b):
+    e, f, m = model.e, model.desc.f, model.desc.pN
+    W = 2 * e - 1
+    pa = np.zeros((W, f), dtype=model.dtype)
+    pa[:e] = a
+    pb = np.zeros((W, f), dtype=model.dtype)
+    pb[:e] = b
+    full = _mul_data(pa, pb, model.desc, W, m)
+    low, high = full[:e], full[e:]
+    if high.any():
+        low = (low + ring_mul(high, model.red, model.desc, m, np.dot)) % m
+    return low % m
+
+
+def oracle_pow(model, a, k):
+    out, base = model.one(), a
+    while k:
+        if k & 1:
+            out = oracle_mul(model, out, base)
+        base = oracle_mul(model, base, base)
+        k >>= 1
+    return out
+
+
+def oracle_valuation(model, a):
+    best = INF
+    p = model.desc.p
+    for j in range(model.e):
+        v = None
+        for c in a[j]:
+            c = int(c) % model.desc.pN
+            if c == 0:
+                continue
+            w = 0
+            while c % p == 0:
+                c //= p
+                w += 1
+            v = w if v is None else min(v, w)
+        if v is not None:
+            best = min(best, model.e * v + j)
+    return best
+
+
+def oracle_eval_series(model, s, x):
+    m = model.desc.pN
+    nz = s.nonzero_degrees()
+    if not nz:
+        return model.zero()
+    if len(nz) <= 8:
+        out = model.zero()
+        for k in nz:
+            out = (out + model.scal(oracle_pow(model, x, k), s.data[k])) % m
+        return out
+    acc = model.zero()
+    for k in range(s.D - 1, -1, -1):
+        acc = oracle_mul(model, acc, x)
+        acc[0] = (acc[0] + s.data[k]) % m
+    return acc % m
+
+
+def oracle_apply_pi(model, x, times=1):
+    q, K = model.q, model.N * model.e
+    val = oracle_valuation(model, x)
+    v = max(1, val) if val is not INF else 1
+    cur = x
+    for _ in range(times):
+        w = min(-(-K // v) + 1, K)
+        cur = oracle_eval_series(model, model.group.pi_series(max(w, q + 1), model.N), cur)
+        v = min(v * q, K)
+    return cur
+
+
+def oracle_eval2(model, F2, x, y):
+    xp, yp = [model.one()], [model.one()]
+    for _ in range(F2.D - 1):
+        xp.append(oracle_mul(model, xp[-1], x))
+        yp.append(oracle_mul(model, yp[-1], y))
+    out = model.zero()
+    for i, j, vec in F2.coeff_triples():
+        term = model.scal(oracle_mul(model, xp[i], yp[j]), np.asarray(vec, dtype=model.dtype))
+        out = model.add(out, term)
+    return out
+
+
+def oracle_assumption_check(group, n, N=4):
+    if group.desc.f % group.height != 0:
+        return {
+            "level": n,
+            "holds": False,
+            "mode": "no-module-structure",
+            "reason": "coefficient ring lacks mu_{q-1}: no O_F-scalars over this base",
+            "count": None,
+            "expected": group.q**n,
+        }
+    model = TorsionFieldModel(group, n, N)
+    module = group.module(N * model.e, N)
+    seen, annihilated, histogram = set(), True, {}
+    for _tup, a in _scalar_tuples(group, n):
+        t = model.zero() if a.is_zero() else model.eval_at_z(module.multiplication_by(a))
+        seen.add(tuple(int(v) for v in t.ravel()))
+        val = oracle_valuation(model, t)
+        histogram[str(val)] = histogram.get(str(val), 0) + 1
+        if t.any() and oracle_apply_pi(model, t, times=n).any():
+            annihilated = False
+    distinct = len(seen) == group.q**n
+    return {
+        "level": n,
+        "holds": bool(distinct and annihilated),
+        "mode": "measured",
+        "count": len(seen),
+        "expected": group.q**n,
+        "all_torsion": bool(annihilated),
+        "valuations": histogram,
+    }
+
+
+def lt5_deep():
+    """Object-dtype model: p^N with N = 19 is past the int64 budget."""
+    return TorsionFieldModel(lubin_tate_group(RingDescriptor(5, 1, 19), [0, 5, 0, 0, 0, 1]), 1, 19)
+
+
+def random_stack(model, count, seed):
+    """count random elements, some with high valuation and one zero."""
+    rng = random.Random(seed)
+    p, m = model.desc.p, model.desc.pN
+    shape = (count, model.e, model.desc.f)
+    S = np.array([rng.randrange(m) for _ in range(np.prod(shape))], dtype=object).reshape(shape)
+    for i in range(1, count, 3):
+        S[i] = S[i] * p ** rng.randrange(1, model.N) % m
+    S[0] = 0
+    return S.astype(model.dtype)
+
+
+# (model, description): int64 with f = 1 and 2, and object dtype
+MODELS = {
+    "gm-n2": lambda: TorsionFieldModel(gm(), 2, 4),
+    "lt5-n2": lambda: TorsionFieldModel(lt5(), 2, 4),
+    "h2lt-n1": lambda: TorsionFieldModel(h2lt(), 1, 4),
+    "honda-u1": lambda: TorsionFieldModel(honda_group(RingDescriptor(3, 1, 10), (1,)), 2, 4),
+    "lt5-N19-object": lt5_deep,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MODELS))
+def model(request):
+    return MODELS[request.param]()
+
+
+class TestStackedModel:
+    def test_dtypes_covered(self):
+        assert TorsionFieldModel(gm(), 2, 4).dtype is np.int64
+        assert lt5_deep().dtype is object
+
+    def test_mul_matches_per_element(self, model):
+        A, B = random_stack(model, 7, 1), random_stack(model, 7, 2)
+        got = model.mul(A, B)
+        assert got.shape == A.shape
+        for i in range(len(A)):
+            assert np.array_equal(got[i], oracle_mul(model, A[i], B[i]))
+            assert np.array_equal(model.mul(A[i], B[i]), got[i])
+
+    def test_element_times_stack(self, model):
+        S = random_stack(model, 5, 3)
+        a = random_stack(model, 2, 4)[1]
+        left, right = model.mul(a, S), model.mul(S, a)
+        for i in range(len(S)):
+            assert np.array_equal(left[i], oracle_mul(model, a, S[i]))
+            assert np.array_equal(right[i], left[i])
+
+    def test_all_zero_stack(self, model):
+        Z = model.zero((4,))
+        S = random_stack(model, 4, 5)
+        assert not model.mul(Z, S).any() and model.mul(Z, S).shape == S.shape
+        assert all(v is INF for v in model.valuations(Z))
+        assert np.array_equal(model.pow_int(Z, 0), model.one((4,)))
+        pi = model.group.pi_series(model.N * model.e + 1, model.N)
+        assert not model.eval_series(pi, Z).any()
+
+    def test_pow_int_matches_per_element(self, model):
+        S = random_stack(model, 4, 6)
+        for k in (0, 1, 2, 5, 9):
+            got = model.pow_int(S, k)
+            for i in range(len(S)):
+                assert np.array_equal(got[i], oracle_pow(model, S[i], k))
+
+    def test_valuations_match_loop(self, model):
+        S = random_stack(model, 9, 7)
+        vals = model.valuations(S)
+        assert vals.shape == (9,)
+        assert vals[0] is INF
+        assert list(vals) == [oracle_valuation(model, x) for x in S]
+        assert model.valuation(S[2]) == oracle_valuation(model, S[2])
+
+    def test_eval_series_and_apply_pi_match_per_element(self, model):
+        # points of positive valuation: z times random elements
+        X = model.mul(model.z(), random_stack(model, 5, 8))
+        pi = model.group.pi_series(model.N * model.e + 1, model.N)
+        got = model.eval_series(pi, X)
+        once = model.apply_pi(X)
+        twice = model.apply_pi(X, times=2)
+        for i in range(len(X)):
+            assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
+            assert np.array_equal(once[i], oracle_apply_pi(model, X[i]))
+            assert np.array_equal(twice[i], oracle_apply_pi(model, X[i], times=2))
+
+    def test_both_eval_series_branches(self):
+        sparse = lubin_tate_group(RingDescriptor(5, 1, 8), [0, 5, 0, 0, 0, 1])
+        dense = honda_group(RingDescriptor(3, 1, 10), (1,))
+        for g, is_sparse in ((sparse, True), (dense, False)):
+            model = TorsionFieldModel(g, 2, 4)
+            pi = g.pi_series(model.N * model.e + 1, model.N)
+            assert (len(pi.nonzero_degrees()) <= 8) == is_sparse
+            X = model.mul(model.z(), random_stack(model, 3, 9))
+            got = model.eval_series(pi, X)
+            for i in range(len(X)):
+                assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
+
+    def test_eval_at_z_stack_matches_single(self):
+        g = h2lt()
+        model = TorsionFieldModel(g, 1, 4)
+        module = g.module(model.N * model.e, model.N)
+        series = [module.multiplication_by(a) for _t, a in _scalar_tuples(g, 1)[1:4]]
+        got = model.eval_at_z(series)
+        assert got.shape == (3, model.e, model.desc.f)
+        for t, s in zip(got, series):
+            assert np.array_equal(t, model.eval_at_z(s))
+
+    @pytest.mark.parametrize("mk", [gm, lt5, h2lt, honda1])
+    def test_eval2_matches_product_route(self, mk):
+        g = mk()
+        model = TorsionFieldModel(g, 1, 4)
+        F2 = g.group_law2(model.N * model.e + 2, model.N)
+        rng = np.random.default_rng(3)
+        x, y = (model.mul(model.z(), rng.integers(0, model.desc.pN, size=(model.e, model.desc.f))
+                          .astype(model.dtype)) for _ in range(2))
+        assert np.array_equal(model.eval2(F2, x, y), oracle_eval2(model, F2, x, y))
+
+
+class TestStackedAssumption:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_records_match_per_point_loop(self, n):
+        groups = corpus(N=4, nmax=2)
+        assert any(g.desc.f % g.height for _name, g in groups)  # no-module-structure branch
+        for _name, g in groups:
+            assert assumption_check(g, n) == oracle_assumption_check(g, n)
+
+    @pytest.mark.parametrize("spec,n", [
+        (dict(p=5, f=1, source="lubin-tate", d=1), 3),
+        (dict(p=3, f=2, source="lubin-tate", d=2), 2),
+        (dict(p=3, f=1, source="multiplicative"), 4),
+    ])
+    def test_model_products_bounded_per_valuation_class(self, monkeypatch, spec, n):
+        # [p^n] runs once per valuation class, not once per point
+        calls = []
+        mul = TorsionFieldModel.mul
+
+        def counted(self, a, b):
+            calls.append(1)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(TorsionFieldModel, "mul", counted)
+        rec = assumption_check(make_group(N=4, nmax=n, **spec), n, N=4)
+        classes = sum(1 for k in rec["valuations"] if k != "inf")
+        assert rec["holds"]
+        assert len(calls) <= 12 * n * classes
+
+
+# -------------------------------------------- [p]-series window reuse
+
+PI_GROUPS = {
+    "gm": lambda: multiplicative_group(RingDescriptor(3, 1, 10)),
+    "lt-h1": lambda: lubin_tate_group(RingDescriptor(3, 1, 10), [0, 3, 0, 1]),
+    "lt-h2": lambda: h2lt(N=10),
+    "honda-u1": lambda: honda_group(RingDescriptor(3, 1, 10), (1,)),
+    "honda-u01": lambda: honda_group(RingDescriptor(3, 1, 10), (0, 1)),
+    "honda-ext": lambda: honda_group(RingDescriptor(3, 1, 10), (0, 1)).base_change(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PI_GROUPS))
+def test_pi_series_truncation_equals_fresh_solve(name):
+    wide = PI_GROUPS[name]()
+    wide.pi_series(60, 10)
+    served = wide.pi_series(25, 7)
+    assert served == PI_GROUPS[name]().pi_series(25, 7)
+    assert wide.pi_series(60, 10).truncate(25).reduce_precision(7) == served
+
+
+def test_shrinking_windows_reuse_one_honda_solve(monkeypatch):
+    from fglab import groups
+    solves = []
+    solve = groups._honda_pi_series
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(groups, "_honda_pi_series", counted)
+    g = honda_group(RingDescriptor(3, 1, 10), (1,))
+    for D, N in ((60, 10), (25, 7), (40, 10), (4, 4)):
+        g.pi_series(D, N)
+    assert len(solves) == 1
