@@ -48,6 +48,7 @@ from .series import (
     inject_x,
     inject_y,
 )
+from .weier import division_polynomial
 
 
 class ObstructionError(ValueError):
@@ -279,6 +280,7 @@ class FormalGroupLaw:
         self._exp_cache = {}
         self._endo_cache = {}   # endo.try_endomorphism records
         self._module_cache = {}
+        self._division_cache = {}
 
     # ------------------------------------------------------------- basics
     @property
@@ -397,6 +399,22 @@ class FormalGroupLaw:
             self._exp_cache[D] = self.logarithm(D).reversion()
         return self._exp_cache[D]
 
+    # ----------------------------------------------------- division factor
+    def division_factor(self, n: int, N: int) -> TruncSeries1:
+        """P_n of weier.division_polynomial at precision N.  Preparation is
+        unique and every digit is stable at its window N*e, so a factor
+        cached at any N0 >= N serves by reduction."""
+        key = (n, N)
+        if key not in self._division_cache:
+            # list() copies the keys at once: another --jobs thread may store
+            above = [N0 for n0, N0 in list(self._division_cache) if n0 == n and N0 > N]
+            if above:
+                P = self._division_cache[(n, min(above))].reduce_precision(N)
+            else:
+                P = division_polynomial(self, n, N=N).P
+            self._division_cache[key] = P
+        return self._division_cache[key]
+
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":
         key = (D, N_out)
@@ -501,7 +519,11 @@ class ModuleStructure:
     """[a]-series solver for one group at a fixed degree window and output
     precision, working with a digit cushion over N_out.  Every scalar obeys
     the same degree-k recurrence, so solve_batch runs many scalars through
-    one pass over a table of the powers f^j built once for the window."""
+    one pass over a table of the powers f^j built once for the window.
+
+    With d = gcd{j - 1 : f_j != 0}, f = X u(X^d), so f^j lives on degrees
+    = j mod d; by induction on k so does g^j, and g_k = 0 unless k = 1 mod d
+    (both sides of g(f) = f(g) vanish at every other degree)."""
 
     def __init__(self, group: FormalGroupLaw, D: int, N_out: int):
         self.group = group
@@ -518,6 +540,7 @@ class ModuleStructure:
         self.dtype = contraction_dtype(D, self.desc_w)
         self.f_nz = fs.nonzero_degrees()
         self.mdeg = self.f_nz[-1]
+        self.step = math.gcd(*(j - 1 for j in self.f_nz))  # d; 0 when f = pX
         self.fpow = _power_table(fs.data.astype(self.dtype), self.desc_w, self.f_nz)
         self._cache = {}
 
@@ -565,20 +588,31 @@ class ModuleStructure:
         return [self._cache[v] for v in vecs]
 
     def _solve_chunk(self, vecs):
-        D, m, p = self.D, self.m, self.desc_w.p
+        D, m, p, d = self.D, self.m, self.desc_w.p, self.step
         desc, fpow, mdeg = self.desc_w, self.fpow, self.mdeg
         # P[i] = g^(i+1) for every scalar, so P[0] holds the series g
         P = np.zeros((mdeg, len(vecs), D, desc.f), dtype=self.dtype)
         P[0, :, 1] = vecs
         obstruction = [None] * len(vecs)
-        for k in range(2, D):
+        sup = [1]  # degrees j where some g_j of the chunk may be nonzero
+        for k in range(2, D if d else 2):  # d = 0: f = pX, so g = aX
             top = min(mdeg, k)
-            g_low = P[0, :, 1:k]
-            if top > 1:
+            # only the rows g^(i+1) with i + 1 = k mod d are nonzero at k
+            lo = (k - 2) % d + 1
+            # sums over j run on the support only; a dense one is sliced
+            if len(sup) == k - 1:
+                js, back = slice(1, k), slice(k - 1, 0, -1)
+            else:
+                js = np.array(sup)
+                back = k - js
+            g_low = P[0][:, js]
+            if lo < top:
                 # g^(i+1)[k] = sum_{0<j<k} g_j g^i[k-j]; g_k is not needed
-                P[1:top, :, k] = ring_mul(g_low, P[: top - 1, :, k - 1:0:-1], desc, m, _sum_bj)
-            fg = ring_mul(fpow[1, 2:top + 1], P[1:top, :, k], desc, m, np.matmul)
-            gf = ring_mul(g_low, fpow[1:k, k], desc, m, np.matmul)
+                P[lo:top:d, :, k] = ring_mul(g_low, P[lo - 1:top - 1:d, :, back], desc, m, _sum_bj)
+            if (k - 1) % d:
+                continue
+            fg = ring_mul(fpow[1, lo + 1:top + 1:d], P[lo:top:d, :, k], desc, m, np.matmul)
+            gf = ring_mul(g_low, fpow[js, k], desc, m, np.matmul)
             defect = (fg - gf) % m
             if not defect.any():
                 continue
@@ -590,6 +624,8 @@ class ModuleStructure:
             gk = defect // p * inv % m
             gk[bad] = 0
             P[0, :, k] = gk
+            if gk.any():
+                sup.append(k)
         return [
             (None, obs) if obs is not None else
             (TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(self.N_out), None)

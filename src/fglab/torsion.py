@@ -37,7 +37,6 @@ from .padic import (
     teichmuller_lift,
 )
 from .series import TruncSeries1
-from .weier import division_polynomial
 
 
 # ------------------------------------------------------------ Newton polygons
@@ -133,7 +132,7 @@ class TorsionFieldModel:
     point of exact order p^n with v_L(z) = 1.
     """
 
-    def __init__(self, group, level: int, N: int, dp=None):
+    def __init__(self, group, level: int, N: int):
         q = group.q
         if q is None:
             raise ValueError("no finite height: torsion of this group is not a ring model")
@@ -150,10 +149,8 @@ class TorsionFieldModel:
         self.N = N
         self.desc = group.desc.at_precision(N)
         e, f, m = self.e, self.desc.f, self.desc.pN
-        if dp is None:
-            dp = division_polynomial(group, level, N=N)
-        self.dp = dp
-        raw = np.array([[int(v) % m for v in row] for row in dp.P.data], dtype=object)
+        P = group.division_factor(level, N)
+        raw = np.array([[int(v) % m for v in row] for row in P.data], dtype=object)
         if raw.shape[0] != e + 1:
             raise ValueError("distinguished factor does not have degree e")
         if int(raw[e, 0]) != 1 or any(int(v) for v in raw[e, 1:]):
@@ -398,10 +395,10 @@ def _conv(x, y):
 def certify_torsion_degree(group, n: int, N: int = 4) -> dict:
     """Pure slope 1/e with denominator equal to the degree certifies that the
     level-n relative factor is irreducible and L_n/K totally ramified."""
-    dp = division_polynomial(group, n, N=N)
-    e = dp.e
+    P = group.division_factor(n, N)
+    e = P.D - 1
     desc = group.desc.at_precision(N)
-    raw = np.array([[int(v) % desc.pN for v in row] for row in dp.P.data], dtype=object)
+    raw = np.array([[int(v) % desc.pN for v in row] for row in P.data], dtype=object)
     poly = TruncSeries1(desc, e + 1, "integral", raw)
     ng = newton_polygon(poly, e)
     pure = ng.is_pure() and ng.segments[0]["root_valuation"] == Fraction(1, e)

@@ -231,15 +231,24 @@ def phi_reconstruct(decomp: PhiDecomposition, pi_ser: TruncSeries1,
 
 
 class DivisionPolyData:
-    __slots__ = ("level", "e", "P", "U", "phi", "wdeg_total")
+    __slots__ = ("level", "e", "P", "U", "phi", "_pi", "_pin1", "_wdeg_total")
 
-    def __init__(self, level, e, P, U, phi, wdeg_total):
+    def __init__(self, level, e, P, U, phi, pi, pin1):
         self.level = level
         self.e = e
         self.P = P
         self.U = U
         self.phi = phi
-        self.wdeg_total = wdeg_total
+        self._pi = pi
+        self._pin1 = pin1
+        self._wdeg_total = None
+
+    @property
+    def wdeg_total(self):
+        """Weierstrass degree of [p^n] = [p]([p^(n-1)]), composed on first use."""
+        if self._wdeg_total is None:
+            self._wdeg_total = self._pi.compose(self._pin1).first_unit_index()
+        return self._wdeg_total
 
 
 def division_polynomial(group, n: int, N: int | None = None,
@@ -267,6 +276,4 @@ def division_polynomial(group, n: int, N: int | None = None,
     if phi.first_unit_index() != e:
         raise ValueError("unexpected Weierstrass degree for the relative level")
     prep = weierstrass_prep(phi)
-    pin = pi.compose(pin1)
-    wdeg_total = pin.first_unit_index()
-    return DivisionPolyData(n, e, prep.P, prep.U, phi, wdeg_total)
+    return DivisionPolyData(n, e, prep.P, prep.U, phi, pi, pin1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fglab import groups
+from fglab.corpus import CORPUS_SPECS, corpus
 from fglab.groups import (
     ModuleStructure,
     _precision_cushion,
@@ -21,6 +22,7 @@ from fglab.padic import (
     _vec_mulmod,
     contraction_dtype,
     multiplicative_generator,
+    ring_mul,
     ring_scale,
     teichmuller_lift,
 )
@@ -116,6 +118,44 @@ def oracle_solve(module, a_vec):
         FG = rebuild_FG()
     ser = TruncSeries1(desc_w, D, "integral", g)
     return (ser.reduce_precision(module.N_out), None)
+
+
+def oracle_dense_chunk(module, vecs):
+    """The degree-k recurrence on every degree and every power row: three
+    ring products per degree, each summing over all j < k."""
+    D, m, p = module.D, module.m, module.desc_w.p
+    desc, fpow, mdeg = module.desc_w, module.fpow, module.mdeg
+    # P[i] = g^(i+1) for every scalar, so P[0] holds the series g
+    P = np.zeros((mdeg, len(vecs), D, desc.f), dtype=module.dtype)
+    P[0, :, 1] = vecs
+    obstruction = [None] * len(vecs)
+    for k in range(2, D):
+        top = min(mdeg, k)
+        g_low = P[0, :, 1:k]
+        if top > 1:
+            P[1:top, :, k] = ring_mul(g_low, P[: top - 1, :, k - 1:0:-1], desc, m, groups._sum_bj)
+        fg = ring_mul(fpow[1, 2:top + 1], P[1:top, :, k], desc, m, np.matmul)
+        gf = ring_mul(g_low, fpow[1:k, k], desc, m, np.matmul)
+        defect = (fg - gf) % m
+        if not defect.any():
+            continue
+        bad = (defect % p != 0).any(axis=1)
+        for b in np.flatnonzero(bad):
+            if obstruction[b] is None:
+                obstruction[b] = k
+        inv = pow((pow(p, k - 1, m) - 1) % m, -1, m)
+        gk = defect // p * inv % m
+        gk[bad] = 0
+        P[0, :, k] = gk
+    return [
+        (None, obs) if obs is not None else
+        (TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(module.N_out), None)
+        for b, obs in enumerate(obstruction)
+    ]
+
+
+def oracle_dense_records(module, scalars):
+    return oracle_dense_chunk(module, [module._coerce_scalar(a) for a in scalars])
 
 
 def oracle_eval_at_z(model, s):
@@ -257,6 +297,75 @@ def test_mixed_batch_obstruction():
     assert recs[1][1] == 3
     for a, rec in zip(scalars, recs):
         assert_same_record(rec, oracle_solve(module, module._coerce_scalar(a)))
+
+
+# ------------------------------------------- residue classes and support
+
+@pytest.mark.parametrize("window", ["small", "level-2"])
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_solver_matches_dense_oracle_on_corpus(name, window):
+    g = dict(corpus(N=4, nmax=2))[name]
+    q = g.q
+    # the level-2 window is the one assumption_check opens at N = 4
+    D = q + 3 if window == "small" else 4 * q * (q - 1)
+    module = g.module(D, 4)
+    scalars = scalars_for(module, 6, seed=D)
+    assert module.solve_batch(scalars) == oracle_dense_records(module, scalars)
+
+
+@pytest.mark.parametrize("make, step", [
+    (lambda: gm(3, f=2, N=12), 1),
+    (lambda: lubin_tate_group(RingDescriptor(3, 2, 12), [0, 3, 0, 1]), 2),
+])
+def test_solver_matches_dense_oracle_on_mixed_batch(make, step):
+    # only Z_3 acts on these height-1 groups over W(F_9): the mu_8 digits
+    # obstruct and the integers and other residues around them solve
+    module = make().module(14, 5)
+    assert module.step == step
+    zeta = teichmuller_lift(module.desc_w, multiplicative_generator(module.desc_w))
+    scalars = [2, zeta, -1, (1, 1), 4, zeta * zeta, 3]
+    recs = module.solve_batch(scalars)
+    assert [obs is None for _, obs in recs] == [True, False, True, False, True, False, True]
+    assert recs == oracle_dense_records(module, scalars)
+
+
+def test_solver_matches_dense_oracle_on_one_term_pi_series():
+    # f = pX alone: the gcd is 0 and every [a]-series is aX
+    module = honda_group(RingDescriptor(3, 1, 10), ()).module(12, 5)
+    assert module.f_nz == [1] and module.step == 0
+    scalars = [5, -1, 3, 0, 7]
+    recs = module.solve_batch(scalars)
+    assert recs == oracle_dense_records(module, scalars)
+    assert all(ser.nonzero_degrees() == ([1] if a else []) for a, (ser, _) in zip(scalars, recs))
+
+
+def test_lt_h2_series_vanish_off_one_mod_eight():
+    # 3X + X^9: f_j != 0 only for j = 1, 9, so d = gcd(0, 8) = 8
+    module = lt_h2().module(80, 6)
+    assert module.step == 8
+    recs = oracle_dense_records(module, scalars_for(module, 6, seed=8))
+    degrees = {k for ser, _ in recs for k in ser.nonzero_degrees()}
+    assert {1, 9, 17} <= degrees
+    assert all(k % 8 == 1 for k in degrees)
+
+
+def test_solver_ring_products_bounded_by_residue_classes(monkeypatch):
+    # lt-h2-p3 at its level-2 window for N = 4: at most one power-row product
+    # per degree, and the two defect products on degrees 1 mod 8 only
+    module = lt_h2(N=8).module(288, 4)
+    D, d = module.D, module.step
+    scalars = scalars_for(module, 20, seed=3)
+    calls = []
+    mul = groups.ring_mul
+
+    def counted(*args):
+        calls.append(1)
+        return mul(*args)
+
+    monkeypatch.setattr(groups, "ring_mul", counted)
+    module.solve_batch(scalars)
+    assert d == 8
+    assert len(calls) <= (D - 2) + 2 * -(-D // d)
 
 
 # ---------------------------------------------------------------- eval_at_z

@@ -555,3 +555,56 @@ def test_shrinking_windows_reuse_one_honda_solve(monkeypatch):
     for D, N in ((60, 10), (25, 7), (40, 10), (4, 4)):
         g.pi_series(D, N)
     assert len(solves) == 1
+
+
+# -------------------------------------------- division factor reuse
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_division_factor_reduced_equals_fresh(monkeypatch, n):
+    from fglab import groups
+    from fglab.weier import division_polynomial
+    calls = []
+    prepare = groups.division_polynomial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "division_polynomial", counted)
+    for _name, g in corpus(N=6, nmax=2):
+        for N in (6, 5, 4):
+            assert g.division_factor(n, N) == division_polynomial(g, n, N=N).P
+    # one preparation per group: N = 5 and N = 4 reduce the N = 6 factor
+    assert len(calls) == 6
+
+
+def test_division_factor_shared_across_threads():
+    # --jobs threads share the cache: every thread must read the factor a
+    # fresh preparation gives, whichever precision was stored first
+    import sys
+    import threading
+    from fglab.weier import division_polynomial
+    g = lt3(N=12)
+    want = {N: division_polynomial(g, 2, N=N).P for N in (4, 5, 6)}
+    got, errors = [], []
+
+    def work(order):
+        try:
+            got.extend((N, g.division_factor(2, N)) for N in order)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in [(4, 5, 6), (6, 5, 4), (5, 4, 6), (6, 4, 5)] * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 24 and all(P == want[N] for N, P in got)
