@@ -6,7 +6,6 @@ from .padic import (
     Embedding,
     ResidueElem,
     RingDescriptor,
-    ScaledFieldElem,
     UnramifiedRingElem,
     minimal_modulus,
     multiplicative_generator,
@@ -14,16 +13,14 @@ from .padic import (
     teichmuller_digits,
     teichmuller_lift,
 )
-from .series import TruncSeries1, TruncSeries2, substitute2
+from .series import TruncSeries1, TruncSeries2
 from .groups import (
     FormalGroupLaw,
     FrobeniusSeries,
     ModuleStructure,
     ObstructionError,
-    height_from_pi_series,
     honda_group,
     lubin_tate_group,
-    measured_height,
     multiplicative_group,
 )
 from .weier import (

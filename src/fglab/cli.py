@@ -25,10 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import make_group, source_height
-from .endo import (compute_endo_subfield, endo_window, multiplier_closure_sample,
-                   tau_infinity_check, try_endomorphism)
+from .endo import (compute_endo_subfield, multiplier_closure_sample, tau_infinity_check,
+                   try_endomorphism)
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
+from .precision import (count_window, crosscheck_window, endo_window, law_precision,
+                        level_degree, model_window)
 from .reports import Check, build_report, exit_code, render_summary, run_checks
 from .series import TruncSeries1
 from .torsion import (
@@ -152,16 +154,15 @@ class RunConfig:
             return problems
         q = v["p"] ** h
         for n in range(1, v["nmax"] + 1):
-            e_n = (q - 1) * q ** (n - 1)
-            window = v["N"] * e_n
+            e_n = level_degree(q, n)
+            window = model_window(q, n, v["N"])
             if window > v["dcap"]:
                 problems.append(
                     f"level {n}: window N*e = {v['N']}*{e_n} = {window} exceeds the cap "
                     f"{v['dcap']}; lower N or nmax, or raise dcap"
                 )
-        # the level-1 ramification cross-check solves the law at N*e + 2,
-        # N = min(N, 4), wherever the base ring carries the full scalar action
-        D_law = min(v["N"], 4) * (q - 1) + 2
+        # the level-1 ramification cross-check solves the law where h divides f
+        D_law = crosscheck_window(q, v["N"])
         if command in ("torsion", "verify") and v["f"] % h == 0 and D_law > v["dcap"]:
             problems.append(f"law window min(N, 4)*(q-1) + 2 = {D_law} exceeds the cap "
                             f"{v['dcap']}; raise dcap")
@@ -189,7 +190,7 @@ def torsion_checks(group, cfg: RunConfig):
     q = group.q
     checks = []
     for n in range(1, cfg.nmax + 1):
-        e_n = (q - 1) * q ** (n - 1)
+        e_n = level_degree(q, n)
 
         def degree_thunk(n=n, e_n=e_n):
             cert = certify_torsion_degree(group, n, N=4)
@@ -203,7 +204,7 @@ def torsion_checks(group, cfg: RunConfig):
             f"torsion.division-degree.n{n}",
             {"group": group.label, "level": n},
             f"relative division polynomial is pure of slope 1/{e_n} and degree {e_n}",
-            degree_thunk, {"D": q**n + q, "N": 4}))
+            degree_thunk, {"D": count_window(q, n), "N": 4}))
 
         def count_thunk(n=n):
             rec = torsion_count(group, n)
@@ -214,7 +215,7 @@ def torsion_checks(group, cfg: RunConfig):
             f"torsion.count.n{n}",
             {"group": group.label, "level": n},
             f"[p^{n}] has Weierstrass degree q^{n} = {q**n}",
-            count_thunk, {"D": q**n + q, "N": 3}))
+            count_thunk, {"D": count_window(q, n), "N": 3}))
 
         def annihilation_thunk(n=n):
             model = TorsionFieldModel(group, n, cfg.N)
@@ -226,7 +227,7 @@ def torsion_checks(group, cfg: RunConfig):
             f"torsion.annihilation.n{n}",
             {"group": group.label, "level": n},
             f"[p^{n}](z) = 0 in the level-{n} field model",
-            annihilation_thunk, {"D": cfg.N * e_n, "N": cfg.N}))
+            annihilation_thunk, {"D": model_window(q, n, cfg.N), "N": cfg.N}))
 
         def scalars_thunk(n=n):
             rec = assumption_check(group, n, N=4)
@@ -243,7 +244,7 @@ def torsion_checks(group, cfg: RunConfig):
             f"torsion.scalar-action.n{n}",
             {"group": group.label, "level": n, "full_scalars": _capable(group)},
             "digit sums hit the torsion bijectively, or the obstruction is reported",
-            scalars_thunk, {"D": 4 * e_n, "N": 4}))
+            scalars_thunk, {"D": model_window(q, n, 4), "N": 4}))
 
     if _capable(group):
         for n in range(1, min(cfg.nmax, 2) + 1):
@@ -261,7 +262,7 @@ def torsion_checks(group, cfg: RunConfig):
                 f"torsion.ramification.n{n}",
                 {"group": group.label, "level": n},
                 "unit scalars break at i(sigma) = q^k exactly",
-                breaks_thunk, {"D": N_r * (q - 1) * q ** (n - 1), "N": N_r}))
+                breaks_thunk, {"D": model_window(q, n, N_r), "N": N_r}))
 
     def mu_thunk():
         rec = mu_p_membership(group, N=min(cfg.N, 6))
@@ -464,9 +465,10 @@ def _random_series(desc, D, rng, unit_linear=False, zero_const=True):
     return s
 
 
-def roundtrip_checks(group, seed: int, cases: int = 10, D: int = 12, N: int = 6):
-    """Seeded property suites: reversion round-trip, functional inverses of
-    the logarithm pair, and composition associativity."""
+def roundtrip_checks(group, seed: int):
+    """Seeded property suites on 10 random series at window 12, precision 6:
+    reversion round-trip, the logarithm pair as inverses, associativity."""
+    cases, D, N = 10, 12, 6
     desc = RingDescriptor(group.desc.p, group.desc.f, N)
     x = TruncSeries1.x(desc, D)
     checks = []
@@ -524,7 +526,7 @@ def roundtrip_checks(group, seed: int, cases: int = 10, D: int = 12, N: int = 6)
 
 def serialize_group(group, cfg: RunConfig) -> dict:
     D_law = 4
-    N_echo = min(cfg.N, group.max_law_precision(D_law))
+    N_echo = min(cfg.N, law_precision(group.kind, group.desc.N, D_law, group.q_eff))
     F2 = group.group_law2(D_law, N_echo)
     law = {}
     for i in range(D_law):

@@ -9,21 +9,16 @@ out after base change.
 Construction precision is chosen above the working precision: the solver
 for module structures divides by p^k - p once per degree block, and scalar
 certificates for ring-element multipliers lose digits to the derivative of
-the integral family a -> [a].  construction_precision adds those cushions
-so that every downstream window the suites will open stays computable.
+the integral family a -> [a].  precision.construction_precision adds those
+cushions so that every downstream window the suites will open stays
+computable.
 """
 
 import math
 
-from .groups import (
-    FormalGroupLaw,
-    honda_group,
-    lubin_tate_group,
-    multiplicative_group,
-    _precision_cushion,
-)
-from .endo import endo_window
-from .padic import RingDescriptor, floor_log
+from .groups import FormalGroupLaw, honda_group, lubin_tate_group, multiplicative_group
+from .padic import RingDescriptor
+from .precision import construction_precision
 
 
 def canonical_lt_coeffs(p: int, d: int):
@@ -47,21 +42,6 @@ def source_height(p: int, source: str, d: int = 1, u=(), coeffs=None):
     if source == "honda":
         return next((i for i, ui in enumerate(u, start=1) if ui % p), math.inf)
     raise ValueError(f"unknown group source: {source}")
-
-
-def construction_precision(p: int, h, N: int, nmax: int, q_base=None) -> int:
-    """Descriptor precision needed so the suites can work at precision N
-    through torsion level nmax: the widest window is the level-nmax
-    evaluation window N*e, and the module solver plus element-multiplier
-    certificates need their cushions on top of N."""
-    if h == math.inf:
-        return N
-    q = p**h if q_base is None else q_base
-    e_max = (q - 1) * q ** (nmax - 1) if nmax >= 1 else 1
-    D_endo = endo_window(q)
-    D_max = max(N * e_max, D_endo, 2)
-    extra = _precision_cushion(D_max, q) + 2 * floor_log(D_endo, p)
-    return N + extra
 
 
 def make_group(p: int, f: int, N: int, source: str, d: int = 1, u=(),

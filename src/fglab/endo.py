@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import INF, UnramifiedRingElem, floor_log, teichmuller_digits
+from .padic import INF, UnramifiedRingElem, teichmuller_digits
+from .precision import endo_window, multiplier_precision
 from .series import TruncSeries1, substitute2_into2
 
 
@@ -33,12 +34,6 @@ def c_map(g: TruncSeries1) -> UnramifiedRingElem:
     if any(v != 0 for v in g.data[0]):
         raise ValueError("series has a constant term")
     return g.coefficient(1)
-
-
-def endo_window(q) -> int:
-    """Default degree window of the multiplier certificates: max(4q, 24),
-    and 24 at infinite height (q None)."""
-    return 24 if q is None else max(4 * q, 24)
 
 
 def _coerce_multiplier(desc, a):
@@ -72,16 +67,9 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     if D is None:
         D = endo_window(group.q)
     scalar, a_elem = _coerce_multiplier(desc, a)
-    # Every logarithm is exact, so integer multipliers keep the whole
-    # pipeline exact.  A ring-element multiplier is a mod-p^N lift, and its
-    # error is amplified by the derivative of the integral polynomial family
-    # a -> [a]_k, worth floor(log_p D) digits each for the verdict transfer
-    # and for downstream composites.
+    # every logarithm is exact, so an integer multiplier keeps the pipeline exact
     exact = isinstance(scalar, Fraction)
-    loss = 0 if exact else 2 * floor_log(D, p)
-    N_eff = min(desc.N - loss, group.max_law_precision(D))
-    if min(N_eff, desc.N - floor_log(D, p)) < 3:
-        raise ValueError("construct the group at higher precision first")
+    N_eff = multiplier_precision(exact, group.kind, desc.N, D, p, group.q_eff)
     # keyed by the multiplier as given: 3 and 3 + p^N are different exact
     # rationals, and 3 and from_int(3) lose different precision
     key = (D, int(a)) if exact else (D, "elem", a.desc.N, a.coeffs)

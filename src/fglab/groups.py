@@ -35,13 +35,14 @@ from .padic import (
     UnramifiedRingElem,
     _frac_val,
     contraction_dtype,
-    floor_log,
     ring_mul,
     ring_scale,
 )
+from .precision import cushion, default_precision, honda_precision, level_degree
 from .series import (
     TruncSeries1,
     TruncSeries2,
+    _dtype_for,
     _mul_data,
     embed_series,
     embed_series2,
@@ -57,11 +58,6 @@ class ObstructionError(ValueError):
     def __init__(self, degree, message=None):
         self.degree = degree
         super().__init__(message or f"no commuting series; obstruction at degree {degree}")
-
-
-def _precision_cushion(D: int, q: int) -> int:
-    """Digits lost by the cascade of divisions by p^k - p up to degree D."""
-    return 2 + floor_log(max(D, 2), q)
 
 
 class FrobeniusSeries:
@@ -108,11 +104,11 @@ def _line_outer(xs: TruncSeries1, ys: TruncSeries1) -> TruncSeries2:
     return TruncSeries2(desc, D, xs.domain, out)
 
 
-def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
+def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
     """The unique F = X + Y + ... with F(f(X), f(Y)) = f(F(X, Y)).
 
-    Works mod the precision of f_ser; the caller keeps a cushion of
-    _precision_cushion(D2, q) digits for the divisions by p^k - p.
+    Works mod the precision of f_ser, which carries a cushion of digits
+    above N for the divisions by p^k - p; equivariance is checked mod p^N.
     """
     desc = f_ser.desc
     p, m = desc.p, desc.pN
@@ -146,19 +142,31 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int) -> TruncSeries2:
             A = A + _line_outer(fpow[i].scalar_mul(h), fpow[j])
             dirty = True
     B = f2.compose(F)
-    keep = max(1, desc.N - _precision_cushion(D2, p ** _q_of_f(f2)))
-    guard = p**keep
-    if ((A.data - B.data) % guard).any():
+    if ((A.data - B.data) % p**N).any():
         raise ArithmeticError("equivariance failed")
     return F
 
 
-def _q_of_f(f2: TruncSeries1) -> int:
-    p = f2.desc.p
-    for k in f2.nonzero_degrees():
-        if k > 1 and any(int(v) % p for v in f2.data[k]):
-            return round(math.log(k) / math.log(p))
-    return 1
+def _narrow(s, D: int, N: int):
+    """A one- or two-variable integral series on the window D at precision
+    N, with the dtype a fresh build there has."""
+    desc = s.desc.at_precision(N)
+    data = s.data[(slice(D),) * (s.data.ndim - 1)] % desc.pN
+    if s.data.ndim == 3:
+        data[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
+    return type(s)(desc, D, "integral", data.astype(_dtype_for(desc, D, "integral")))
+
+
+def _serve(cache: dict, D: int, N: int, build):
+    """cache[(D, N)]: built on a miss, unless some cached (D0 >= D, N0 >= N)
+    serves it by truncation and reduction.  list() copies the keys at once,
+    so another --jobs thread may store while the wider ones are sought."""
+    out = cache.get((D, N))
+    if out is None:
+        wider = [k for k in list(cache) if k[0] >= D and k[1] >= N]
+        out = _narrow(cache[min(wider)], D, N) if wider else build()
+        cache[(D, N)] = out
+    return out
 
 
 # ----------------------------------------------------------------- honda
@@ -191,9 +199,7 @@ def _honda_pi_series(p: int, u, D: int, N_out: int) -> TruncSeries1:
     lam = honda_log_coeffs(p, u, D)
     jmax = max((-_frac_val(c, p) for c in lam if c), default=0)
     scale = p**jmax
-    levels = max(1, math.ceil(math.log2(max(D, 2))))
-    K = N_out + 2 * jmax * levels + jmax + 2
-    desc = RingDescriptor(p, 1, K)
+    desc = RingDescriptor(p, 1, honda_precision(D, N_out, jmax))
     m = desc.pN
     L = TruncSeries1.zero(desc, D)
     for k, c in enumerate(lam):
@@ -308,22 +314,15 @@ class FormalGroupLaw:
             raise ValueError("requested precision above construction precision")
         if self.q is not None and D <= self.q:
             raise ValueError("window must exceed the height index")
-        key = (D, N)
-        if key in self._pi_cache:
-            return self._pi_cache[key]
-        # a cached series at least as wide and as precise serves by truncation
-        for (D0, N0), s in self._pi_cache.items():
-            if D0 >= D and N0 >= N:
-                out = s.truncate(D).reduce_precision(N)
-                self._pi_cache[key] = out
-                return out
+        return _serve(self._pi_cache, D, N, lambda: self._build_pi_series(D, N))
+
+    def _build_pi_series(self, D: int, N: int) -> TruncSeries1:
         p = self.desc.p
         if self.kind == "gm":
             desc = self.desc.at_precision(N)
-            s = TruncSeries1.zero(desc, D)
+            out = TruncSeries1.zero(desc, D)
             for k in range(1, min(p, D - 1) + 1):
-                s.data[k, 0] = math.comb(p, k) % desc.pN
-            out = s
+                out.data[k, 0] = math.comb(p, k) % desc.pN
         elif self.kind == "lubin_tate":
             out = self.frobenius.at(D, N)
         elif self.kind == "honda":
@@ -333,42 +332,31 @@ class FormalGroupLaw:
             out = embed_series(base_pi, self.embedding, self.desc.at_precision(N))
         if out.first_unit_index() != (self.q if self.q else None):
             raise AssertionError("multiplication-by-p series has wrong unit index")
-        self._pi_cache[key] = out
         return out
-
-    def max_law_precision(self, D2: int) -> int:
-        """Highest N at which group_law2(D2, N) is computable."""
-        if self.kind == "lubin_tate":
-            return self.desc.N - _precision_cushion(D2, self.q_eff)
-        return self.desc.N
 
     # ----------------------------------------------------- two-variable law
     def group_law2(self, D2: int, N: int | None = None) -> TruncSeries2:
-        N = N if N is not None else max(1, self.desc.N - _precision_cushion(D2, self.q_eff))
-        key = (D2, N)
-        if key in self._f2_cache:
-            return self._f2_cache[key]
+        """The law on the window D2 mod p^N, solved once per window: a law
+        cached at (D0 >= D2, N0 >= N) serves by truncation and reduction."""
+        N = default_precision(self.desc.N, D2, self.q_eff) if N is None else N
+        return _serve(self._f2_cache, D2, N, lambda: self._build_group_law2(D2, N))
+
+    def _build_group_law2(self, D2: int, N: int) -> TruncSeries2:
         if self.kind == "gm":
             desc = self.desc.at_precision(N)
-            out = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
-        elif self.kind == "honda_ext":
+            return TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
+        if self.kind == "honda_ext":
             base_F = self.base.group_law2(D2, N)
-            out = embed_series2(base_F, self.embedding, self.desc.at_precision(N))
+            return embed_series2(base_F, self.embedding, self.desc.at_precision(N))
+        N_work = N + cushion(D2, self.q_eff)
+        if self.kind == "honda":
+            # the honda [p]-series is exact data at any precision
+            f_work = _honda_pi_series(self.desc.p, self.u, D2, N_work)
+        elif N_work > self.desc.N:
+            raise ValueError("construct the group at higher precision first")
         else:
-            N_work = N + _precision_cushion(D2, self.q_eff)
-            if self.kind == "honda":
-                # the honda [p]-series is exact data at any precision
-                f_work = _honda_pi_series(self.desc.p, self.u, D2, N_work)
-            elif N_work > self.desc.N:
-                raise ValueError("construct the group at higher precision first")
-            else:
-                f_work = self.pi_series(D2, N_work)
-            F = solve_equivariant_group_law(f_work, D2)
-            desc_out = self.desc.at_precision(N)
-            out = TruncSeries2.zero(desc_out, D2)
-            out.data[...] = F.data % desc_out.pN
-        self._f2_cache[key] = out
-        return out
+            f_work = self.pi_series(D2, N_work)
+        return _narrow(solve_equivariant_group_law(f_work, D2, N), D2, N)
 
     # ------------------------------------------------------------ logarithm
     def logarithm(self, D: int) -> TruncSeries1:
@@ -404,16 +392,11 @@ class FormalGroupLaw:
         """P_n of weier.division_polynomial at precision N.  Preparation is
         unique and every digit is stable at its window N*e, so a factor
         cached at any N0 >= N serves by reduction."""
-        key = (n, N)
-        if key not in self._division_cache:
-            # list() copies the keys at once: another --jobs thread may store
-            above = [N0 for n0, N0 in list(self._division_cache) if n0 == n and N0 > N]
-            if above:
-                P = self._division_cache[(n, min(above))].reduce_precision(N)
-            else:
-                P = division_polynomial(self, n, N=N).P
-            self._division_cache[key] = P
-        return self._division_cache[key]
+        if self.q is None:
+            raise ValueError("group has no finite height; no division polynomial")
+        level = self._division_cache.setdefault(n, {})  # P_n of this level only
+        return _serve(level, level_degree(self.q, n) + 1, N,
+                      lambda: division_polynomial(self, n, N=N).P)
 
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":
@@ -423,7 +406,7 @@ class FormalGroupLaw:
         return self._module_cache[key]
 
     def multiplication_by(self, a, D: int, N: int | None = None) -> TruncSeries1:
-        N = N if N is not None else max(1, self.desc.N - _precision_cushion(D, self.q_eff))
+        N = default_precision(self.desc.N, D, self.q_eff) if N is None else N
         return self.module(D, N).multiplication_by(a)
 
     def negation_series(self, D: int, N: int | None = None) -> TruncSeries1:
@@ -469,25 +452,6 @@ def honda_group(desc: RingDescriptor, u, label: str | None = None) -> FormalGrou
     return FormalGroupLaw(desc, "honda", label or f"honda(p={desc.p},u={u})", u=u)
 
 
-def height_from_pi_series(s: TruncSeries1):
-    """Height read off the first unit coefficient index of a [p]-series;
-    INF when no unit coefficient is visible in the window."""
-    k = s.first_unit_index()
-    if k is None:
-        return INF
-    p = s.desc.p
-    h = round(math.log(k) / math.log(p))
-    if p**h != k:
-        raise ValueError(f"first unit index {k} is not a power of p")
-    return h
-
-
-def measured_height(group: FormalGroupLaw, h_max: int = 4):
-    """Probe the height from the [p]-series up to index p^h_max."""
-    D = group.desc.p**h_max + 2
-    return height_from_pi_series(group.pi_series(D, min(group.desc.N, 4)))
-
-
 # -------------------------------------------------------- module structure
 
 # The power table of one solver chunk stays under this many bytes.
@@ -529,7 +493,7 @@ class ModuleStructure:
         self.group = group
         self.D = D
         self.N_out = N_out
-        self.cushion = _precision_cushion(D, group.q_eff)
+        self.cushion = cushion(D, group.q_eff)
         N_work = N_out + self.cushion
         if N_work > group.desc.N:
             raise ValueError("construct the group at higher precision first")

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .precision import newton_steps
+
 INF = math.inf
 
 # int64 arrays keep every sum of reduced products below this bound, leaving
@@ -52,15 +54,6 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def floor_log(n: int, base: int) -> int:
-    """Largest k with base^k <= n (0 when n < base), exact in integers."""
-    k = 0
-    while n >= base:
-        n //= base
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +490,7 @@ class UnramifiedRingElem:
         inv_res = self.residue().inverse()
         x = UnramifiedRingElem(self.desc, inv_res.coeffs)
         two = self.desc.from_int(2)
-        steps = max(1, math.ceil(math.log2(self.desc.N)) + 1)
-        for _ in range(steps):
+        for _ in range(newton_steps(self.desc.N)):
             x = x * (two - self * x)
         return x
 
@@ -578,91 +570,6 @@ def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> list[Unram
     return out
 
 
-class ScaledFieldElem:
-    """p^exponent * unit, with the unit carried mod p^N.
-
-    Additions can cancel; the renormalized unit then keeps N stored digits of
-    which only the original overlap is meaningful.  Exact analytic work in
-    this package uses Fractions instead; this type is the fixed-precision
-    view used in serialized coefficients.
-    """
-
-    __slots__ = ("desc", "unit", "exponent")
-
-    def __init__(self, desc: RingDescriptor, unit: UnramifiedRingElem | None, exponent: int = 0):
-        self.desc = desc
-        if unit is not None and unit.is_zero():
-            unit = None
-        if unit is not None:
-            v = unit.valuation()
-            if v > 0:
-                unit = unit.exact_div_p(v)
-                exponent += v
-        self.unit = unit
-        self.exponent = exponent if unit is not None else 0
-
-    @classmethod
-    def from_ring_elem(cls, a: UnramifiedRingElem) -> "ScaledFieldElem":
-        return cls(a.desc, a, 0)
-
-    @classmethod
-    def from_rational_vec(cls, desc: RingDescriptor, vec) -> "ScaledFieldElem":
-        vec = [Fraction(r) for r in vec]
-        if all(r == 0 for r in vec):
-            return cls(desc, None, 0)
-        v = min(_frac_val(r, desc.p) for r in vec if r != 0)
-        scaled = [r / Fraction(desc.p) ** v for r in vec]
-        return cls(desc, desc.element_from_rationals(scaled), v)
-
-    def is_zero(self) -> bool:
-        return self.unit is None
-
-    def valuation(self):
-        return INF if self.unit is None else self.exponent
-
-    def __add__(self, other):
-        self._check(other)
-        if self.unit is None:
-            return other
-        if other.unit is None:
-            return self
-        e = min(self.exponent, other.exponent)
-        a = self.unit * self.desc.from_int(self.desc.p ** (self.exponent - e))
-        b = other.unit * self.desc.from_int(self.desc.p ** (other.exponent - e))
-        return ScaledFieldElem(self.desc, a + b, e)
-
-    def __neg__(self):
-        if self.unit is None:
-            return self
-        return ScaledFieldElem(self.desc, -self.unit, self.exponent)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.unit is None or other.unit is None:
-            return ScaledFieldElem(self.desc, None, 0)
-        return ScaledFieldElem(self.desc, self.unit * other.unit, self.exponent + other.exponent)
-
-    def _check(self, other):
-        if self.desc != other.desc:
-            raise ValueError("descriptor mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScaledFieldElem)
-            and self.desc == other.desc
-            and self.unit == other.unit
-            and self.exponent == other.exponent
-        )
-
-    def __repr__(self):
-        if self.unit is None:
-            return "ScaledFieldElem(0)"
-        return f"ScaledFieldElem(p^{self.exponent} * {self.unit.coeffs})"
-
-
 def _frac_val(r: Fraction, p: int):
     if r == 0:
         return INF
@@ -721,7 +628,7 @@ class Embedding:
             raise AssertionError("no root of modulus in target residue field")
         x = UnramifiedRingElem(dst, root_res.coeffs)
         # Newton: x <- x - M(x)/M'(x); derivative is a unit (separable mod p)
-        for _ in range(max(1, math.ceil(math.log2(dst.N)) + 1)):
+        for _ in range(newton_steps(dst.N)):
             val = dst.zero()
             for c in reversed(src.modulus):
                 val = val * x + dst.from_int(c)

@@ -10,10 +10,9 @@ supported:
   bound max(D, 2f) * p^{2N} on the kernel's sums fits in a machine word,
   object arrays otherwise);
 * "scaled": entries are exact Fractions, no modular reduction.  This is the
-  domain for logarithms and anything with p in denominators; coefficients
-  are viewed as ScaledFieldElem on request.  The kernel multiplies two
-  scaled arrays as integer numerators, each over one common denominator,
-  and forms one Fraction per entry of the product.
+  domain for logarithms and anything with p in denominators.  The kernel
+  multiplies two scaled arrays as integer numerators, each over one common
+  denominator, and forms one Fraction per entry of the product.
 
 Composition has one route, TruncSeries1.compose, for an inner series of
 either kind: an outer series with at most 10 nonzero terms sums scaled
@@ -31,9 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import (
-    INF,
     RingDescriptor,
-    ScaledFieldElem,
     UnramifiedRingElem,
     contraction_dtype,
     rational_vec_valuation,
@@ -41,10 +38,6 @@ from .padic import (
     ring_scale,
     scalar_matrix,
 )
-
-
-def fits_int64(desc: RingDescriptor, D: int) -> bool:
-    return contraction_dtype(D, desc) is np.int64
 
 
 def _dtype_for(desc: RingDescriptor, D: int, domain: str):
@@ -106,18 +99,16 @@ class TruncSeries1:
         return s
 
     # ------------------------------------------------------------ accessors
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> UnramifiedRingElem:
+        """The coefficient of X^k of an integral series, as a ring element."""
         if k >= self.D:
             raise IndexError("degree outside truncation window")
-        if self.domain == "integral":
-            return UnramifiedRingElem(self.desc, [int(v) for v in self.data[k]])
-        return ScaledFieldElem.from_rational_vec(self.desc, list(self.data[k]))
+        if self.domain != "integral":
+            raise ValueError("scaled coefficients are Fractions; read coeff_vec")
+        return UnramifiedRingElem(self.desc, [int(v) for v in self.data[k]])
 
     def coeff_vec(self, k: int):
         return tuple(self.data[k])
-
-    def coeff_list(self):
-        return [self.coeff_vec(k) for k in range(self.D)]
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -272,22 +263,10 @@ class TruncSeries1:
             s.data = s.data % m
         return s
 
-    def integrate(self):
-        """Antiderivative with zero constant term, exact scaled output."""
-        s = TruncSeries1.zero(self.desc, self.D, "scaled")
-        for k in range(self.D - 1):
-            s.data[k + 1] = np.array(
-                [Fraction(int(v) if self.domain == "integral" else v, k + 1) for v in self.data[k]],
-                dtype=object,
-            )
-        return s
-
     def invert_unit(self):
         """Multiplicative inverse; constant coefficient must be a unit."""
-        c0 = self.coefficient(0)
         if self.domain == "integral":
-            inv0 = c0.invert()
-            seed = inv0.coeffs
+            seed = self.coefficient(0).invert().coeffs
         else:
             vec = list(self.data[0])
             if rational_vec_valuation(vec, self.desc.p) != 0:
@@ -312,10 +291,9 @@ class TruncSeries1:
         coefficient.  Newton iteration with degree doubling."""
         if any(v != 0 for v in self.data[0]):
             raise ValueError("series must have zero constant term")
-        c1 = self.coefficient(1)
         r = TruncSeries1.zero(self.desc, self.D, self.domain)
         if self.domain == "integral":
-            r.data[1] = np.array(c1.invert().coeffs, dtype=r.data.dtype)
+            r.data[1] = np.array(self.coefficient(1).invert().coeffs, dtype=r.data.dtype)
         else:
             r.data[1] = np.array(_exact_vec_invert(list(self.data[1]), self.desc), dtype=object)
         d = 2
@@ -367,27 +345,6 @@ class TruncSeries1:
         return self.to_integral(self.desc.at_precision(M))
 
     # --------------------------------------------------------------- misc
-    def equal_mod(self, other, M: int | None = None) -> bool:
-        """Equality of integral series mod p^M (default: full precision)."""
-        self._compat(other)
-        if self.domain == "scaled":
-            return bool(np.array_equal(self.data, other.data))
-        m = self.desc.p ** (M if M is not None else self.desc.N)
-        return bool(((self.data - other.data) % m == 0).all())
-
-    def min_valuation(self):
-        """min over coefficients of the p-adic valuation."""
-        v = INF
-        for k in range(self.D):
-            if self.domain == "integral":
-                e = self.coefficient(k)
-                v = min(v, e.valuation())
-            else:
-                v = min(v, rational_vec_valuation(list(self.data[k]), self.desc.p))
-            if v == 0:
-                break
-        return v
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries1)
@@ -532,33 +489,11 @@ class TruncSeries2:
         return TruncSeries2(self.desc, self.D, self.domain,
                             ring_scale(self.data, vec, self.desc, self._modulo()))
 
-    def swap(self):
-        return TruncSeries2(self.desc, self.D, self.domain, np.swapaxes(self.data, 0, 1).copy())
-
-    def x_part(self) -> TruncSeries1:
-        """Restriction to Y = 0."""
-        return TruncSeries1(self.desc, self.D, self.domain, self.data[:, 0, :].copy())
-
-    def y_part(self) -> TruncSeries1:
-        return TruncSeries1(self.desc, self.D, self.domain, self.data[0, :, :].copy())
-
-    def partial_y_at_zero(self) -> TruncSeries1:
-        """d/dY at Y = 0, a series in X."""
-        out = TruncSeries1.zero(self.desc, self.D, self.domain)
-        out.data[:, :] = self.data[:, 1, :]
-        return out
-
-    def coefficient(self, i, j):
-        if self.domain == "integral":
-            return UnramifiedRingElem(self.desc, [int(v) for v in self.data[i, j]])
-        return ScaledFieldElem.from_rational_vec(self.desc, list(self.data[i, j]))
-
-    def equal_mod(self, other, M=None):
-        self._compat(other)
-        if self.domain == "scaled":
-            return bool(np.array_equal(self.data, other.data))
-        m = self.desc.p ** (M if M is not None else self.desc.N)
-        return bool(((self.data - other.data) % m == 0).all())
+    def coefficient(self, i, j) -> UnramifiedRingElem:
+        """The coefficient of X^i Y^j of an integral series, as a ring element."""
+        if self.domain != "integral":
+            raise ValueError("scaled coefficients are Fractions; read data")
+        return UnramifiedRingElem(self.desc, [int(v) for v in self.data[i, j]])
 
     def coeff_triples(self):
         out = []
@@ -600,18 +535,6 @@ def inject_x(s: TruncSeries1) -> TruncSeries2:
 def inject_y(s: TruncSeries1) -> TruncSeries2:
     out = TruncSeries2.zero(s.desc, s.D, s.domain)
     out.data[0, :, :] = s.data
-    return out
-
-
-def substitute2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries1:
-    """F(g(X), h(X)): the anti-diagonal sums of substitute2_into2(F, g, h)."""
-    R = substitute2_into2(F, g, h).data
-    out = TruncSeries1.zero(F.desc, F.D, F.domain)
-    for i in range(F.D):
-        out.data[i:] += R[i, : F.D - i]
-    m = F._modulo()
-    if m is not None:
-        out.data %= m
     return out
 
 

@@ -19,7 +19,6 @@ applies [p^n] once per valuation class of points.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +35,8 @@ from .padic import (
     teichmuller_digits,
     teichmuller_lift,
 )
+from .precision import (count_window, crosscheck_precision, crosscheck_window, eval_window,
+                        level_degree, model_window, newton_steps)
 from .series import TruncSeries1
 
 
@@ -145,18 +146,16 @@ class TorsionFieldModel:
         self.group = group
         self.level = level
         self.q = q
-        self.e = q ** (level - 1) * (q - 1)
+        self.e = level_degree(q, level)
         self.N = N
+        self.window = model_window(q, level, N)
         self.desc = group.desc.at_precision(N)
         e, f, m = self.e, self.desc.f, self.desc.pN
-        P = group.division_factor(level, N)
-        raw = np.array([[int(v) % m for v in row] for row in P.data], dtype=object)
+        raw, self.polygon = _factor_polygon(group, level, N)
         if raw.shape[0] != e + 1:
             raise ValueError("distinguished factor does not have degree e")
         if int(raw[e, 0]) != 1 or any(int(v) for v in raw[e, 1:]):
             raise ValueError("distinguished factor is not monic")
-        poly = TruncSeries1(self.desc, e + 1, "integral", raw.astype(object))
-        self.polygon = newton_polygon(poly, e)
         seg = self.polygon.segments
         if not (len(seg) == 1 and seg[0]["root_valuation"] == Fraction(1, e)):
             raise ValueError("distinguished factor is not pure of slope 1/e")
@@ -258,7 +257,7 @@ class TorsionFieldModel:
         vp = sum((A % p**k == 0).astype(np.int64) for k in range(1, N + 1))
         v = np.asarray((e * vp.min(axis=-1) + np.arange(e)).min(axis=-1))
         out = v.astype(object)
-        out[v == N * e] = INF
+        out[v == self.window] = INF
         return out
 
     def valuation(self, a):
@@ -279,17 +278,17 @@ class TorsionFieldModel:
             raise ZeroDivisionError("not a unit in the model")
         c0 = UnramifiedRingElem(self.desc, [int(v) for v in a[0]])
         x = self.from_ok(c0.invert())
-        steps = max(1, math.ceil(math.log2(self.N * self.e)) + 1)
         two = self.from_ok(2)
-        for _ in range(steps):
+        for _ in range(newton_steps(self.window)):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
         if not self.equal(self.mul(a, x), self.one()):
             raise ArithmeticError("Newton inversion did not converge")
         return x
 
     # ------------------------------------------------------------ evaluation
-    def _require_window(self, D: int):
-        if D < self.N * self.e:
+    def _require_window(self, D: int, min_val: int = 1):
+        """The discarded tail at valuation >= min_val needs D * min_val >= N * e."""
+        if D * min_val < self.window:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
 
@@ -297,7 +296,7 @@ class TorsionFieldModel:
         """z^k for k < N*e by shift-and-fold; z^e is p times a unit (pure
         slope 1/e), so z^(N*e) and every higher power vanish mod p^N.  Not
         kept: each caller evaluates all its series in one eval_at_z."""
-        K, m = self.N * self.e, self.desc.pN
+        K, m = self.window, self.desc.pN
         dtype = contraction_dtype(K, self.desc)  # eval_at_z sums K products
         red0 = self.red[0].astype(dtype)
         Z = np.zeros((K, self.e, self.desc.f), dtype=dtype)
@@ -320,11 +319,8 @@ class TorsionFieldModel:
         return out[0] if isinstance(s, TruncSeries1) else out
 
     def eval_series(self, s: TruncSeries1, x, min_val: int = 1):
-        """Evaluate at a stack of elements of valuation >= min_val; the
-        discarded tail needs D * min_val >= N * e."""
-        if s.D * min_val < self.N * self.e:
-            raise ValueError(
-                "insufficient truncation for this level: lower N or raise D")
+        """Evaluate at a stack of elements of valuation >= min_val."""
+        self._require_window(s.D, min_val)
         nz = s.nonzero_degrees()
         out = self.zero(x.shape[:-2])
         if not nz:
@@ -350,9 +346,7 @@ class TorsionFieldModel:
         window D2 needs D2 >= N * e for the tail to vanish.  inner[i] =
         sum_j F2[i, j] y^j is one contraction, then sum_i inner[i] x^i is
         one stacked product."""
-        if F2.D < self.N * self.e:
-            raise ValueError(
-                "insufficient truncation for this level: lower N or raise D")
+        self._require_window(F2.D)
         D2, m = F2.D, self.desc.pN
         dtype = contraction_dtype(D2, self.desc)  # the contraction sums D2 products
         F = (F2.data % m).astype(dtype)
@@ -364,14 +358,13 @@ class TorsionFieldModel:
         """Apply the [p]-series `times` times to a stack of elements of
         valuation >= val (default: the least valuation in the stack); the
         window shrinks as the valuation grows."""
-        q, K = self.q, self.N * self.e
+        q, K = self.q, self.window
         if val is None:
             val = min((v for v in np.ravel(self.valuations(x)) if v != INF), default=INF)
         v = 1 if val == INF else max(1, int(val))
         cur = x
         for _ in range(times):
-            w = min(-(-K // v) + 1, K)
-            pi = self.group.pi_series(max(w, q + 1), self.N)
+            pi = self.group.pi_series(eval_window(K, v, q), self.N)
             cur = self.eval_series(pi, cur, min_val=v)
             v = min(v * q, K)
         return cur
@@ -392,15 +385,18 @@ def _conv(x, y):
 
 # ------------------------------------------------------------ measurements
 
+def _factor_polygon(group, n: int, N: int):
+    """P_n at precision N as an (e + 1, f) object array, and its Newton polygon."""
+    P = group.division_factor(n, N)
+    raw = P.data.astype(object)
+    return raw, newton_polygon(TruncSeries1(P.desc, P.D, "integral", raw), P.D - 1)
+
+
 def certify_torsion_degree(group, n: int, N: int = 4) -> dict:
     """Pure slope 1/e with denominator equal to the degree certifies that the
     level-n relative factor is irreducible and L_n/K totally ramified."""
-    P = group.division_factor(n, N)
-    e = P.D - 1
-    desc = group.desc.at_precision(N)
-    raw = np.array([[int(v) % desc.pN for v in row] for row in P.data], dtype=object)
-    poly = TruncSeries1(desc, e + 1, "integral", raw)
-    ng = newton_polygon(poly, e)
+    raw, ng = _factor_polygon(group, n, N)
+    e = len(raw) - 1
     pure = ng.is_pure() and ng.segments[0]["root_valuation"] == Fraction(1, e)
     return {
         "level": n,
@@ -424,8 +420,7 @@ def torsion_count(group, n: int, N: int | None = None) -> dict:
     N = N if N is not None else min(group.desc.N, 3)
     if n == 0:
         return {"level": 0, "weierstrass_degree": 1, "expected": 1, "match": True}
-    D = q**n + q
-    pi = group.pi_series(D, N)
+    pi = group.pi_series(count_window(q, n), N)
     cur = pi
     for _ in range(n - 1):
         cur = pi.compose(cur)
@@ -475,7 +470,7 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
             "expected": group.q**n,
         }
     model = TorsionFieldModel(group, n, N)
-    module = group.module(N * model.e, N)
+    module = group.module(model.window, N)
     scalars = [a for _tup, a in _scalar_tuples(group, n)]
     nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
     module.solve_batch([scalars[i] for i in nonzero])
@@ -519,9 +514,7 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
         raise ValueError("full-height module structure required: h must divide f")
     q = group.q
     model = TorsionFieldModel(group, n, N)
-    e = model.e
-    D = N * e
-    module = group.module(D, N)
+    module = group.module(model.window, N)
     digits = teichmuller_digits(desc, h)
     nonzero = [w for w in digits if not w.is_zero()]
     one = desc.one()
@@ -539,7 +532,7 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
             # u - 1 = p^k * w: apply [p] k times, then the unit digit
             row = nonzero
             wk = model.apply_pi(model.z(), times=k)
-            window = max(-(-N * e // q**k) + 1, q + 1)
+            window = eval_window(model.window, q**k, q)
             vals = [model.valuation(model.eval_series(
                 module.multiplication_by(w).truncate(window), wk, min_val=q**k)) for w in row]
         for w, val in zip(row, vals):
@@ -559,7 +552,7 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
         "all_match": bool(all_match),
     }
     if cross_check:
-        record["direct_level_one"] = _direct_break_check(group, min(N, 4))
+        record["direct_level_one"] = _direct_break_check(group, crosscheck_precision(N))
     return record
 
 
@@ -567,11 +560,9 @@ def _direct_break_check(group, N: int) -> list:
     """Level-1 cross-check against the definition: evaluate the two-variable
     group law at ([u](z), iota(z)) and compare with the [u-1](z) route."""
     model = TorsionFieldModel(group, 1, N)
-    e = model.e
-    D = N * e
+    D = model.window
     module = group.module(D, N)
-    D2 = N * e + 2
-    F2 = group.group_law2(D2, N)
+    F2 = group.group_law2(crosscheck_window(group.q, N), N)
     digits = teichmuller_digits(group.desc, group.height)
     one = group.desc.one()
     units = [w for w in digits if not (w.is_zero() or (w - one).is_zero())]

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .padic import INF, UnramifiedRingElem, teichmuller_lift
+from .padic import UnramifiedRingElem, teichmuller_lift
+from .precision import count_window, level_degree, model_window
 from .series import TruncSeries1
 
 
@@ -231,41 +232,28 @@ def phi_reconstruct(decomp: PhiDecomposition, pi_ser: TruncSeries1,
 
 
 class DivisionPolyData:
-    __slots__ = ("level", "e", "P", "U", "phi", "_pi", "_pin1", "_wdeg_total")
+    __slots__ = ("level", "e", "P", "U", "phi")
 
-    def __init__(self, level, e, P, U, phi, pi, pin1):
+    def __init__(self, level, e, P, U, phi):
         self.level = level
         self.e = e
         self.P = P
         self.U = U
         self.phi = phi
-        self._pi = pi
-        self._pin1 = pin1
-        self._wdeg_total = None
-
-    @property
-    def wdeg_total(self):
-        """Weierstrass degree of [p^n] = [p]([p^(n-1)]), composed on first use."""
-        if self._wdeg_total is None:
-            self._wdeg_total = self._pi.compose(self._pin1).first_unit_index()
-        return self._wdeg_total
 
 
-def division_polynomial(group, n: int, N: int | None = None,
-                        window: int | None = None) -> DivisionPolyData:
+def division_polynomial(group, n: int, N: int | None = None) -> DivisionPolyData:
     """Distinguished factor P_n of [p^n]/[p^{n-1}], degree q^{n-1}(q-1);
-    its roots are the points of exact order p^n.  The default window N*e
-    makes every digit of P stable (see WeierstrassData)."""
+    its roots are the points of exact order p^n.  The window N*e makes
+    every digit of P stable (see WeierstrassData)."""
     if n < 1:
         raise ValueError("level must be >= 1")
     q = group.q
     if q is None:
         raise ValueError("group has no finite height; no division polynomial")
     N = N if N is not None else group.desc.N
-    e = q ** (n - 1) * (q - 1)
-    D = window if window is not None else max(q**n + q, N * e)
-    if D <= q**n:
-        raise ValueError("truncation too small for this level")
+    e = level_degree(q, n)
+    D = max(count_window(q, n), model_window(q, n, N))
     pi = group.pi_series(D, N)
     psi = TruncSeries1.zero(pi.desc, D)
     psi.data[: D - 1] = pi.data[1:]
@@ -276,4 +264,4 @@ def division_polynomial(group, n: int, N: int | None = None,
     if phi.first_unit_index() != e:
         raise ValueError("unexpected Weierstrass degree for the relative level")
     prep = weierstrass_prep(phi)
-    return DivisionPolyData(n, e, prep.P, prep.U, phi, pi, pin1)
+    return DivisionPolyData(n, e, prep.P, prep.U, phi)

@@ -31,7 +31,7 @@ def honda1(N=12):
 
 
 def flat(s):
-    return [int(v[0]) for v in s.coeff_list()]
+    return [int(v[0]) for v in s.data]
 
 
 class TestTryEndomorphism:

@@ -8,11 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fglab import groups
+from fglab import groups, precision
 from fglab.corpus import CORPUS_SPECS, corpus
 from fglab.groups import (
     ModuleStructure,
-    _precision_cushion,
     honda_group,
     lubin_tate_group,
     multiplicative_group,
@@ -247,7 +246,7 @@ def test_batch_dtype_switches_with_precision():
     # N_work = N_out + 4 at D = 12, q = 3: the contraction budget
     # 12 * (3^N_work - 1)^2 < 2^62 holds at N_work = 18 and fails at 19
     g = gm(3, N=24)
-    cushion = _precision_cushion(12, g.q_eff)
+    cushion = precision.cushion(12, g.q_eff)
     small, large = g.module(12, 18 - cushion), g.module(12, 19 - cushion)
     assert small.dtype is np.int64 and small.fpow.dtype == np.int64
     assert large.dtype is object and large.fpow.dtype == object

@@ -8,7 +8,6 @@ from fglab.padic import (
     Embedding,
     ResidueElem,
     RingDescriptor,
-    ScaledFieldElem,
     UnramifiedRingElem,
     minimal_modulus,
     multiplicative_generator,
@@ -144,30 +143,6 @@ def test_teichmuller_digits_structure():
     assert len(sub) == 3
     for t in sub:
         assert t**3 == t
-
-
-def test_scaled_field_elem():
-    d = RingDescriptor(3, 1, 4)
-    a = ScaledFieldElem.from_ring_elem(d.from_int(18))  # 2 * 3^2
-    assert a.exponent == 2
-    assert a.unit == d.from_int(2)
-    b = ScaledFieldElem(d, d.from_int(1), -1)  # 1/3
-    assert (a * b).exponent == 1
-    s = a + (-a)
-    assert s.is_zero()
-    assert s.valuation() == INF
-    c = ScaledFieldElem.from_rational_vec(d, [__import__("fractions").Fraction(5, 9)])
-    assert c.exponent == -2
-    assert c.unit == d.from_int(5)
-
-
-def test_scaled_addition_alignment():
-    d = RingDescriptor(3, 1, 4)
-    one_third = ScaledFieldElem(d, d.one(), -1)
-    two = ScaledFieldElem.from_ring_elem(d.from_int(2))
-    s = one_third + two  # (1 + 6)/3
-    assert s.exponent == -1
-    assert s.unit == d.from_int(7)
 
 
 def test_embedding_roundtrip():

@@ -1,0 +1,101 @@
+"""The window and precision rules, pinned on the corpus, and kept in one
+module."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import fglab
+from fglab.cli import RunConfig
+from fglab.corpus import CORPUS_SPECS, make_group
+from fglab.endo import endo_window, try_endomorphism
+from fglab.padic import teichmuller_digits
+from fglab.torsion import ramification_breaks
+
+# (spec, N, nmax): (construction precision, default law precision at the
+# endo window, certificate precision of -1 and of the Teichmuller
+# generator, (window, precision) of the law in the level-1 ramification
+# cross-check or None where it does not run, and for each window W that
+# validate checks: (W, problems at dcap W - 1, problems at dcap W)).
+# Computed before the rules moved into fglab.precision.
+PINNED = {
+    ("mult-p3", 6, 1): (14, 10, 14, 10, (10, 4), ((10, 3, 2), (12, 2, 1), (24, 1, 0))),
+    ("mult-p3", 6, 2): (15, 11, 15, 11, (10, 4), ((10, 4, 3), (12, 3, 2), (24, 2, 1), (36, 1, 0))),
+    ("mult-p3", 8, 1): (16, 12, 16, 12, (10, 4), ((10, 3, 2), (16, 2, 1), (24, 1, 0))),
+    ("mult-p3", 8, 2): (17, 13, 17, 13, (10, 4), ((10, 4, 3), (16, 3, 2), (24, 2, 1), (48, 1, 0))),
+    ("mult-p5", 6, 1): (11, 8, 11, 9, (18, 4), ((18, 3, 2), (24, 2, 0))),
+    ("mult-p5", 6, 2): (12, 9, 12, 10, (18, 4), ((18, 4, 3), (24, 3, 1), (120, 1, 0))),
+    ("mult-p5", 8, 1): (14, 11, 14, 12, (18, 4), ((18, 3, 2), (24, 2, 1), (32, 1, 0))),
+    ("mult-p5", 8, 2): (15, 12, 15, 13, (18, 4), ((18, 4, 3), (24, 3, 2), (32, 2, 1), (160, 1, 0))),
+    ("lt-p3", 6, 1): (14, 10, 10, 10, (10, 4), ((10, 3, 2), (12, 2, 1), (24, 1, 0))),
+    ("lt-p3", 6, 2): (15, 11, 11, 11, (10, 4), ((10, 4, 3), (12, 3, 2), (24, 2, 1), (36, 1, 0))),
+    ("lt-p3", 8, 1): (16, 12, 12, 12, (10, 4), ((10, 3, 2), (16, 2, 1), (24, 1, 0))),
+    ("lt-p3", 8, 2): (17, 13, 13, 13, (10, 4), ((10, 4, 3), (16, 3, 2), (24, 2, 1), (48, 1, 0))),
+    ("lt-p5", 6, 1): (11, 8, 8, 8, (18, 4), ((18, 3, 2), (24, 2, 0))),
+    ("lt-p5", 6, 2): (12, 9, 9, 9, (18, 4), ((18, 4, 3), (24, 3, 1), (120, 1, 0))),
+    ("lt-p5", 8, 1): (14, 11, 11, 11, (18, 4), ((18, 3, 2), (24, 2, 1), (32, 1, 0))),
+    ("lt-p5", 8, 2): (15, 12, 12, 12, (18, 4), ((18, 4, 3), (24, 3, 2), (32, 2, 1), (160, 1, 0))),
+    ("lt-h2-p3", 6, 1): (15, 12, 12, 9, (34, 4), ((34, 3, 2), (36, 2, 1), (48, 1, 0))),
+    ("lt-h2-p3", 6, 2): (16, 13, 13, 10, (34, 4), ((34, 4, 3), (36, 3, 2), (48, 2, 1), (432, 1, 0))),
+    ("lt-h2-p3", 8, 1): (17, 14, 14, 11, (34, 4), ((34, 3, 2), (36, 2, 1), (64, 1, 0))),
+    ("lt-h2-p3", 8, 2): (18, 15, 15, 12, (34, 4), ((34, 4, 3), (36, 3, 2), (64, 2, 1), (576, 1, 0))),
+    ("honda-h2-p3", 6, 1): (15, 12, 15, 9, None, ((36, 2, 1), (48, 1, 0))),
+    ("honda-h2-p3", 6, 2): (16, 13, 16, 10, None, ((36, 3, 2), (48, 2, 1), (432, 1, 0))),
+    ("honda-h2-p3", 8, 1): (17, 14, 17, 11, None, ((36, 2, 1), (64, 1, 0))),
+    ("honda-h2-p3", 8, 2): (18, 15, 18, 12, None, ((36, 3, 2), (64, 2, 1), (576, 1, 0))),
+}
+
+
+def measured(name, N, nmax):
+    spec = dict(CORPUS_SPECS)[name]
+    g = make_group(N=N, nmax=nmax, label=name, **spec)
+    D = endo_window(g.q)
+    digits = teichmuller_digits(g.desc, math.gcd(g.desc.f, g.height))
+    gen = digits[2] if len(digits) > 2 else digits[1]
+    # the certificates first: the law at the endo window is then a cache hit
+    neg = try_endomorphism(g, -1)["precision"]
+    teich = try_endomorphism(g, gen)["precision"]
+    law_N = g.group_law2(D).desc.N
+    asked = []
+    law = g.group_law2
+    g.group_law2 = lambda D2, N2=None: asked.append((D2, N2)) or law(D2, N2)
+    cross = None
+    if g.desc.f % g.height == 0:
+        ramification_breaks(g, 1, N=min(N, 5))
+        cross = asked[-1]
+    cfg = dict(p=spec["p"], f=spec["f"], group=spec["source"], d=spec.get("d", 1),
+               u=",".join(map(str, spec.get("u", ()))), N=N, nmax=nmax)
+    q = g.q
+    windows = sorted({N * (q - 1) * q ** (n - 1) for n in range(1, nmax + 1)}
+                     | {D} | ({cross[0]} if cross else set()))
+    verdicts = tuple((W, len(RunConfig(dict(cfg, dcap=W - 1)).validate("verify")),
+                      len(RunConfig(dict(cfg, dcap=W)).validate("verify"))) for W in windows)
+    return g.desc.N, law_N, neg, teich, cross, verdicts
+
+
+@pytest.mark.parametrize("name,N,nmax", sorted(PINNED))
+def test_precisions_pinned_on_the_corpus(name, N, nmax):
+    assert measured(name, N, nmax) == PINNED[name, N, nmax]
+
+
+# Rules that belong to fglab.precision alone; the unit-quotient order of
+# matrices is kept apart on purpose, as an independent count that the
+# certified torsion degree is checked against.
+RULES = ("floor_log(", "math.log2(", "q ** (n - 1)", "q ** (level - 1)",
+         "(q - 1) * q **", "max(4 * q")
+
+
+def test_window_and_precision_rules_live_in_one_module():
+    src = Path(fglab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "precision.py":
+            continue
+        text = path.read_text()
+        if path.name == "matrices.py":
+            text = re.sub(r"def unit_quotient_order\(.*?(?=\ndef |\Z)", "", text, flags=re.S)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            found += [f"{path.name}:{lineno}: {rule}" for rule in RULES if rule in line]
+    assert found == []

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from fglab.groups import (
-    _precision_cushion,
     honda_group,
     lubin_tate_group,
     multiplicative_group,
     solve_equivariant_group_law,
 )
-from fglab.padic import RingDescriptor, ring_mul
+from fglab.padic import RingDescriptor, contraction_dtype, ring_mul
+from fglab.precision import cushion
 from fglab.series import (
     TruncSeries1,
     TruncSeries2,
-    fits_int64,
     inject_x,
     inject_y,
-    substitute2,
     substitute2_into2,
 )
 
@@ -129,10 +127,18 @@ def test_invert_unit_quadratic_component():
     assert (exact * einv).coeff_vec(3) == (Fraction(0), Fraction(0))
 
 
+def integrate(s):
+    """Antiderivative with zero constant term, exact scaled output."""
+    out = TruncSeries1.zero(s.desc, s.D, "scaled")
+    for k in range(s.D - 1):
+        out.data[k + 1] = [Fraction(v, k + 1) for v in s.data[k]]
+    return out
+
+
 def test_derivative_integrate_round_trip():
     d = desc(p=5, N=5)
     s = TruncSeries1.from_coeffs(d, [0, 3, 7, 2, 11, 6], D=6, domain="scaled")
-    back = s.derivative().integrate()
+    back = integrate(s.derivative())
     # derivative loses the top coefficient, so compare below it
     for k in range(5):
         assert back.coeff_vec(k) == s.coeff_vec(k)
@@ -141,7 +147,7 @@ def test_derivative_integrate_round_trip():
 def test_log_one_plus_x_coefficients():
     d = desc(p=5, N=6)
     one_plus = TruncSeries1.from_coeffs(d, [1, 1], D=9, domain="scaled")
-    log = one_plus.invert_unit().integrate().truncate(9)
+    log = integrate(one_plus.invert_unit()).truncate(9)
     assert log.coeff_vec(0)[0] == 0
     for k in range(1, 9):
         assert log.coeff_vec(k)[0] == Fraction((-1) ** (k + 1), k)
@@ -171,15 +177,6 @@ def test_two_variable_component_mixing():
     assert tuple(prod.coefficient(0, 2).coeffs) == (0, d.pN - 1)
 
 
-def test_substitute_two_variable():
-    d = desc(N=5)
-    F = TruncSeries2.from_triples(d, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D=6)
-    g = TruncSeries1.x(d, 6)
-    h = TruncSeries1.from_coeffs(d, [0, 0, 1], D=6)
-    out = substitute2(F, g, h)
-    assert [out.coeff_vec(k)[0] for k in range(6)] == [0, 1, 1, 1, 0, 0]
-
-
 def test_substitute2_into2_matches_direct():
     d = desc(N=5)
     F = TruncSeries2.from_triples(d, [(1, 0, 1), (0, 1, 1), (1, 1, 2)], D=6)
@@ -198,20 +195,9 @@ def test_substitute2_into2_matches_direct():
         (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 0, 1), (2, 1, 2)]
 
 
-def test_inject_swap_partial():
-    d = desc(N=5)
-    s = TruncSeries1.from_coeffs(d, [0, 1, 4], D=5)
-    assert inject_x(s).x_part() == s
-    assert inject_y(s).y_part() == s
-    assert inject_x(s).swap() == inject_y(s)
-    F = TruncSeries2.from_triples(d, [(0, 1, 1), (1, 1, 3), (2, 1, 7), (1, 0, 9)], D=5)
-    dy = F.partial_y_at_zero()
-    assert [dy.coeff_vec(k)[0] for k in range(3)] == [1, 3, 7]
-
-
 def test_object_dtype_fallback():
     d = RingDescriptor(3, 1, 24)
-    assert not fits_int64(d, 64)
+    assert contraction_dtype(64, d) is object
     a = TruncSeries1.from_coeffs(d, [1, 1], D=8)
     assert a.data.dtype == object
     b = TruncSeries1.from_coeffs(d, [1, -1], D=8)
@@ -229,11 +215,10 @@ def test_shift_first_unit_equal_mod():
     assert s.first_unit_index() == 9
     assert s.shift(2).nonzero_degrees() == [3, 11]
     t = TruncSeries1.from_coeffs(d, [0, 3 + 27, 0, 0, 0, 0, 0, 0, 0, 1], D=12)
-    assert s.equal_mod(t, 3)
-    assert not s.equal_mod(t, 4)
-    assert s.min_valuation() == 0
+    assert s.reduce_precision(3) == t.reduce_precision(3)
+    assert s.reduce_precision(4) != t.reduce_precision(4)
     u = TruncSeries1.from_coeffs(d, [0, 3, 9], D=4)
-    assert u.min_valuation() == 1
+    assert u.first_unit_index() is None and not u.reduce_precision(1).data.any()
 
 
 def test_pow_trunc():
@@ -462,22 +447,6 @@ def horner_substitute2_into2(F, G, H):
     return acc
 
 
-def horner_substitute2(F, g, h):
-    """F(g(X), h(X)): the powers of g, then Horner in h."""
-    D = g.D
-    gpow = [_one_like(g)]
-    for _ in range(1, D):
-        gpow.append(gpow[-1] * g)
-    acc = TruncSeries1.zero(F.desc, D, F.domain)
-    for j in range(D - 1, -1, -1):
-        inner = TruncSeries1.zero(F.desc, D, F.domain)
-        for i in range(D - j):
-            if F.data[i, j].any():
-                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
-        acc = acc * h + inner
-    return acc
-
-
 def pow2(F, e):
     """F^e by binary powering."""
     out, base = _one_like(F), F
@@ -551,7 +520,6 @@ def test_substitutions_match_horner(p, N, domain, dtype, f):
         got = substitute2_into2(F, a, b)
         assert got.data.dtype == dtype
         assert got == horner_substitute2_into2(F, inject_x(a), inject_y(b))
-        assert substitute2(F, a, b) == horner_substitute2(F, a, b)
 
 
 def pow2_f_of(f, F):
@@ -583,9 +551,9 @@ LAW_GROUPS = {
 def test_gm_law_solve_matches_pow2_solver(monkeypatch):
     D2, N = 14, 5
     g = multiplicative_group(RingDescriptor(3, 1, 12))
-    f_work = g.pi_series(D2, N + _precision_cushion(D2, 3))
-    got = solve_equivariant_group_law(f_work, D2)
-    assert got == with_pow2_f_of(monkeypatch, lambda: solve_equivariant_group_law(f_work, D2))
+    f_work = g.pi_series(D2, N + cushion(D2, 3))
+    got = solve_equivariant_group_law(f_work, D2, N)
+    assert got == with_pow2_f_of(monkeypatch, lambda: solve_equivariant_group_law(f_work, D2, N))
     assert got == g.group_law2(D2, f_work.desc.N)  # the closed form X + Y + XY
 
 
