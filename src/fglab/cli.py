@@ -148,7 +148,10 @@ class RunConfig:
             return problems
         # feasibility: the torsion model at level n works in a window of
         # N*e(n) ring elements; refuse windows past the cap
-        h = source_height(v["p"], v["group"], v["d"], v["u"], coeffs)
+        try:
+            h = source_height(v["p"], v["group"], v["d"], v["u"], coeffs)
+        except ValueError as exc:
+            return [f"the group could not be constructed: {exc}"]
         if h == math.inf:
             problems.append("group has no finite height; the suites need finite torsion")
             return problems
@@ -193,6 +196,8 @@ def torsion_checks(group, cfg: RunConfig):
         e_n = level_degree(q, n)
 
         def degree_thunk(n=n, e_n=e_n):
+            # prepare P_n once, at the models' precision; N = 4 is its reduction
+            group.division_factor(n, max(cfg.N, 4))
             cert = certify_torsion_degree(group, n, N=4)
             ok = (cert["pure"] and cert["certified_degree"] == e_n
                   and cert["root_valuation"] == str(Fraction(1, e_n)))

@@ -18,7 +18,7 @@ import math
 
 from .groups import FormalGroupLaw, honda_group, lubin_tate_group, multiplicative_group
 from .padic import RingDescriptor
-from .precision import construction_precision
+from .precision import construction_precision, height_index
 
 
 def canonical_lt_coeffs(p: int, d: int):
@@ -37,7 +37,7 @@ def source_height(p: int, source: str, d: int = 1, u=(), coeffs=None):
     if source == "lubin-tate":
         if coeffs is not None:
             unit = [k for k, c in enumerate(coeffs) if k >= 2 and c % p]
-            return round(math.log(unit[0], p)) if unit else math.inf
+            return height_index(unit[0], p) if unit else math.inf
         return d
     if source == "honda":
         return next((i for i, ui in enumerate(u, start=1) if ui % p), math.inf)

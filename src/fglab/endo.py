@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .padic import INF, UnramifiedRingElem, teichmuller_digits
 from .precision import endo_window, multiplier_precision
-from .series import TruncSeries1, substitute2_into2
+from .series import TruncSeries1, _p_part, substitute2_into2
 
 
 def c_map(g: TruncSeries1) -> UnramifiedRingElem:
@@ -78,11 +78,9 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
         return dict(cached)
     log = group.logarithm(D)
     g = group.exponential(D).compose(log.scalar_mul(scalar))
-    first_bad = None
-    for k in range(1, D):
-        if any(v.denominator % p == 0 for v in g.data[k]):
-            first_bad = k
-            break
+    # the first degree whose numerators carry fewer factors p than g.den
+    pv = _p_part(g.den, p)
+    first_bad = next((k for k in range(1, D) if any(v % pv for v in g.data[k])), None)
     record = {
         "multiplier": tuple(int(v) for v in a_elem.coeffs),
         "window": D,

@@ -38,7 +38,14 @@ from .padic import (
     ring_mul,
     ring_scale,
 )
-from .precision import cushion, default_precision, honda_precision, level_degree
+from .precision import (
+    cushion,
+    default_precision,
+    height_index,
+    honda_precision,
+    law_window,
+    level_degree,
+)
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -75,9 +82,7 @@ class FrobeniusSeries:
         if len(units) != 1:
             raise ValueError("reduction mod p must be a single power of X")
         q = units[0]
-        h = round(math.log(q) / math.log(p))
-        if p**h != q:
-            raise ValueError("unit term degree must be a power of p")
+        h = height_index(q, p)
         res = [int(v) % p for v in poly.data[q]]
         if res != [1] + [0] * (desc.f - 1):
             raise ValueError("reduction mod p must equal X^q")
@@ -235,23 +240,18 @@ def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSe
     log(f(X)) = p log(X) determines the coefficients by an exact rational
     recursion: b_n = [X^n](sum_{k<n} b_k f^k) / (p - p^n)."""
     p = desc.p
-    fx = TruncSeries1.zero(desc, D, "scaled")
-    for k, row in enumerate(fs.coeff_rows):
-        if k < D:
-            for j, v in enumerate(row):
-                fx.data[k, j] = Fraction(v)
-    out = TruncSeries1.zero(desc, D, "scaled")
-    out.data[1, 0] = Fraction(1)
+    fx = TruncSeries1.from_coeffs(desc, fs.coeff_rows, D, "scaled")
+    b = [0, 1]
     comp = fx  # running sum_{k<n} b_k f^k, here b_1 f
     fpow = fx
     for n in range(2, D):
         div = p - p**n
-        out.data[n] = np.array([c / div for c in comp.data[n]], dtype=object)
+        b.append(tuple(c / div for c in comp.coeff_vec(n)))
         if n < D - 1:
             fpow = fpow * fx
-            if any(v != 0 for v in out.data[n]):
-                comp = comp + fpow.scalar_mul(tuple(out.data[n]))
-    return out
+            if any(b[n]):
+                comp = comp + fpow.scalar_mul(b[n])
+    return TruncSeries1.from_coeffs(desc, b[:D], D, "scaled")
 
 
 # --------------------------------------------------------------- the group
@@ -348,34 +348,29 @@ class FormalGroupLaw:
         if self.kind == "honda_ext":
             base_F = self.base.group_law2(D2, N)
             return embed_series2(base_F, self.embedding, self.desc.at_precision(N))
-        N_work = N + cushion(D2, self.q_eff)
+        W = law_window(D2, self.q)
+        N_work = N + cushion(W, self.q_eff)
         if self.kind == "honda":
             # the honda [p]-series is exact data at any precision
-            f_work = _honda_pi_series(self.desc.p, self.u, D2, N_work)
+            f_work = _honda_pi_series(self.desc.p, self.u, W, N_work)
         elif N_work > self.desc.N:
             raise ValueError("construct the group at higher precision first")
         else:
-            f_work = self.pi_series(D2, N_work)
-        return _narrow(solve_equivariant_group_law(f_work, D2, N), D2, N)
+            f_work = self.pi_series(W, N_work)
+        return _narrow(solve_equivariant_group_law(f_work, W, N), D2, N)
 
     # ------------------------------------------------------------ logarithm
     def logarithm(self, D: int) -> TruncSeries1:
         if D in self._log_cache:
             return self._log_cache[D]
         if self.kind == "gm":
-            desc = self.desc
-            s = TruncSeries1.zero(desc, D, "scaled")
-            for k in range(1, D):
-                s.data[k, 0] = Fraction((-1) ** (k + 1), k)
-            out = s
+            coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
+            out = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
         elif self.kind == "lubin_tate":
             out = _frobenius_log(self.frobenius, self.desc, D)
         elif self.kind == "honda":
             lam = honda_log_coeffs(self.desc.p, self.u, D)
-            s = TruncSeries1.zero(self.desc, D, "scaled")
-            for k, c in enumerate(lam):
-                s.data[k, 0] = c
-            out = s
+            out = TruncSeries1.from_coeffs(self.desc, lam, D, "scaled")
         else:
             base_log = self.base.logarithm(D)
             out = embed_series(base_log, None, self.desc)

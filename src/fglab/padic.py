@@ -9,7 +9,7 @@ descriptor's structure table T[a][b] = X^a * X^b mod the modulus: ring_mul
 for arrays of elements under any bilinear product of component slices
 (truncated convolution, outer product, contraction), and ring_scale, its
 one-matrix form, for multiplying by a single element.  Reduction is mod an
-explicit m, or none at all for exact Fractions.
+explicit m, or none at all for the integer numerators of exact series.
 """
 
 from __future__ import annotations
@@ -245,15 +245,6 @@ def ring_scale(A, c, desc: RingDescriptor, m):
     return out if m is None else out % m
 
 
-def _over_common_denominator(X):
-    """Integer numerators of the exact array X over L, the lcm of its
-    denominators, and L."""
-    flat = X.ravel().tolist()
-    L = math.lcm(*(x.denominator for x in flat))
-    nums = [x.numerator * (L // x.denominator) for x in flat]
-    return np.array(nums, dtype=object).reshape(X.shape), L
-
-
 def ring_mul(A, B, desc: RingDescriptor, m, prod):
     """Coefficient-ring product of arrays holding the f components on their
     last axis.
@@ -262,15 +253,11 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     convolution, an outer product, a contraction, ...; on int64 data the
     sums prod forms must stay under _INT64_BUDGET.  The partial products are
     gathered by the power X^(a+b) they carry, reduced mod m, and folded back
-    with the structure table.  m = None is the exact product of Fractions:
-    each operand is put over one common denominator, the integer numerators
-    are multiplied and folded without reduction, and each entry of the
-    result becomes one Fraction over the product of the two denominators.
+    with the structure table.  m = None is the exact product of integer
+    numerators (the scaled series domain keeps their one denominator
+    beside them): the partial products are folded without reduction.
     """
     f = desc.f
-    if m is None:
-        A, LA = _over_common_denominator(A)
-        B, LB = _over_common_denominator(B)
     xs = [(a, A[..., a]) for a in range(f) if A[..., a].any()]
     ys = [(b, B[..., b]) for b in range(f) if B[..., b].any()]
     cross = [None] * (2 * f - 1)
@@ -292,10 +279,7 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
         if m is not None:
             R = [[v % m for v in row] for row in R]
         out = C @ np.array(R, dtype=C.dtype)
-    if m is not None:
-        return out if f == 1 else out % m
-    L = LA * LB
-    return np.frompyfunc(lambda n: Fraction(n, L), 1, 1)(out)
+    return out if m is None or f == 1 else out % m
 
 
 def contraction_dtype(terms: int, desc: RingDescriptor):
@@ -582,14 +566,6 @@ def _frac_val(r: Fraction, p: int):
     while d % p == 0:
         d //= p
         v -= 1
-    return v
-
-
-def rational_vec_valuation(vec, p: int):
-    """min p-adic valuation over a vector of Fractions."""
-    v = INF
-    for r in vec:
-        v = min(v, _frac_val(Fraction(r), p))
     return v
 
 

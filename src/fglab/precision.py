@@ -18,6 +18,15 @@ def floor_log(n: int, base: int) -> int:
     return k
 
 
+def height_index(q: int, p: int) -> int:
+    """h with p^h = q, the height read off the unit degree q of a
+    [p]-series; raises when q is not a power of p."""
+    h = floor_log(q, p)
+    if p**h != q:
+        raise ValueError("unit term degree must be a power of p")
+    return h
+
+
 def newton_steps(n: int) -> int:
     """Newton steps that take an inverse or root good to one digit to n
     digits: ceil(log2 n) doublings and one more."""
@@ -74,11 +83,18 @@ def default_precision(N_c: int, D: int, q: int) -> int:
     return max(1, N_c - cushion(D, q))
 
 
+def law_window(D: int, q) -> int:
+    """Window a law on window D is solved on: past the height index q, so
+    that the [p]-series it is solved from holds its unit term X^q."""
+    return D if q is None else max(D, q + 1)
+
+
 def law_precision(kind: str, N_c: int, D: int, q: int) -> int:
     """Highest precision of a law on window D.  A lubin_tate law is solved
-    from the stored [p]-series, so it pays the cushion; the closed form,
-    the honda [p]-series and their base changes are exact at any N."""
-    return N_c - cushion(D, q) if kind == "lubin_tate" else N_c
+    from the stored [p]-series on law_window(D, q), so it pays the cushion
+    there; the closed form, the honda [p]-series and their base changes are
+    exact at any N."""
+    return N_c - cushion(law_window(D, q), q) if kind == "lubin_tate" else N_c
 
 
 def honda_precision(D: int, N_out: int, jmax: int) -> int:

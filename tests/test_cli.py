@@ -100,6 +100,29 @@ class TestConstruct:
         assert doc["group"]["group_law"] == {"0,1": [1], "1,0": [1], "1,1": [1]}
         assert doc["group"]["height"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--p", "5", "--d", "1"),            # the corpus lt-p5, q = 5
+        ("--p", "3", "--d", "2"),            # q = 9
+        ("--p", "3", "--f", "2", "--d", "2"),
+        ("--p", "7", "--d", "1"),
+    ])
+    def test_lubin_tate_past_q_three_constructs(self, argv, tmp_path, capsys):
+        # the law on window 4 is solved on a window past the height index q;
+        # below degree q it is X + Y
+        from fglab.cli import build_group
+
+        out = tmp_path / "group.json"
+        assert main(["construct", "--group", "lubin-tate", *argv, "--out", str(out)]) == 0
+        doc = read_json(out)
+        cfg = RunConfig(doc["config"])
+        group = build_group(cfg)
+        wide = group.group_law2(group.q + 8, cfg.N)
+        law = {f"{i},{j}": [int(v) for v in wide.data[i, j]]
+               for i in range(4) for j in range(4 - i) if wide.data[i, j].any()}
+        assert doc["group"]["group_law"] == law == {"0,1": [1] + [0] * (cfg.f - 1),
+                                                   "1,0": [1] + [0] * (cfg.f - 1)}
+        assert len(doc["group"]["pi_series"]) == group.q + 2
+
     def test_additive_constructs(self, capsys):
         # infinite height is fine for construct, only the suites refuse it
         assert main(["construct", "--group", "honda", "--u", "0,0", "--p", "3"]) == 0

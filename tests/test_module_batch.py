@@ -430,14 +430,13 @@ def test_eval_at_z_contraction_switches_to_object():
 def test_nonzero_degrees_exact(kind):
     desc = RingDescriptor(3, 2, 40 if kind == "object" else 6)
     domain = "scaled" if kind == "fraction" else "integral"
-    s = TruncSeries1.zero(desc, 9, domain)
     big = 3**39
     vals = {1: (big if kind == "object" else 5, 0), 4: (0, 1), 7: (2, 2)}
-    for k, vec in vals.items():
-        for j, v in enumerate(vec):
-            s.data[k, j] = Fraction(v, 7) if kind == "fraction" else v
+    coeffs = [[Fraction(v, 7) if kind == "fraction" else v for v in vals.get(k, (0, 0))]
+              for k in range(9)]
     if kind == "fraction":
-        s.data[2, 0] = Fraction(0, 5)
+        coeffs[2][0] = Fraction(0, 5)
+    s = TruncSeries1.from_coeffs(desc, coeffs, 9, domain)
     assert s.data.dtype == (np.int64 if kind == "int64" else object)
     scan = [k for k in range(s.D) if any(v != 0 for v in s.data[k])]
     assert s.nonzero_degrees() == scan == [1, 4, 7]

@@ -83,7 +83,7 @@ def test_precisions_pinned_on_the_corpus(name, N, nmax):
 # Rules that belong to fglab.precision alone; the unit-quotient order of
 # matrices is kept apart on purpose, as an independent count that the
 # certified torsion degree is checked against.
-RULES = ("floor_log(", "math.log2(", "q ** (n - 1)", "q ** (level - 1)",
+RULES = ("floor_log(", "math.log(", "math.log2(", "q ** (n - 1)", "q ** (level - 1)",
          "(q - 1) * q **", "max(4 * q")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -129,10 +130,24 @@ def test_invert_unit_quadratic_component():
 
 def integrate(s):
     """Antiderivative with zero constant term, exact scaled output."""
-    out = TruncSeries1.zero(s.desc, s.D, "scaled")
-    for k in range(s.D - 1):
-        out.data[k + 1] = [Fraction(v, k + 1) for v in s.data[k]]
-    return out
+    coeffs = [0] + [[Fraction(v) / (k + 1) for v in s.coeff_vec(k)] for k in range(s.D - 1)]
+    return TruncSeries1.from_coeffs(s.desc, coeffs, s.D, "scaled")
+
+
+def series_from(kind, d, D, domain, values):
+    """The series of `kind` whose coefficient vectors are the rows of the
+    object array `values` (ints or Fractions), through the public builders."""
+    if kind is TruncSeries1:
+        return TruncSeries1.from_coeffs(d, [list(row) for row in values], D, domain)
+    return TruncSeries2.from_triples(d, [(i, j, list(values[i, j]))
+                                         for i in range(D) for j in range(D - i)], D, domain)
+
+
+def fractions(s):
+    """The coefficients of s as an object array: Fractions when scaled."""
+    if s.domain == "integral":
+        return s.data
+    return np.frompyfunc(lambda n: Fraction(n, s.den), 1, 1)(s.data)
 
 
 def test_derivative_integrate_round_trip():
@@ -274,17 +289,20 @@ def test_kernel_matches_schoolbook(p, N, domain, f):
     d = RingDescriptor(p, f, N)
     m = d.pN if domain == "integral" else None
     D = 5
-    A = TruncSeries1.zero(d, D, domain)
-    B = TruncSeries1.zero(d, D, domain)
     c = [_random_entry(d, domain, rng) for _ in range(f)]
-    for s in (A, B):
-        for k in range(D):
-            for j in range(f):
-                s.data[k, j] = _random_entry(d, domain, rng)
+
+    def draw(shape):
+        values = np.zeros(shape + (f,), dtype=object)
+        for idx in np.ndindex(*shape):
+            if sum(idx) < D:
+                values[idx] = [_random_entry(d, domain, rng) for _ in range(f)]
+        return values
+
+    A, B = (series_from(TruncSeries1, d, D, domain, draw((D,))) for _ in range(2))
     assert A.data.dtype == (np.int64 if N == 18 else object)
 
     def coeff(s, k):
-        return [s.data[k, j] for j in range(f)]
+        return list(fractions(s)[k])
 
     prod, scaled = A * B, A.scalar_mul(tuple(c))
     for k in range(D):
@@ -295,22 +313,17 @@ def test_kernel_matches_schoolbook(p, N, domain, f):
         assert coeff(prod, k) == ([x % m for x in acc] if m else acc)
         assert coeff(scaled, k) == schoolbook_mul(coeff(A, k), c, d.modulus, m)
 
-    A2 = TruncSeries2.zero(d, D, domain)
-    B2 = TruncSeries2.zero(d, D, domain)
-    for s in (A2, B2):
-        for i in range(D):
-            for j in range(D - i):
-                s.data[i, j] = [_random_entry(d, domain, rng) for _ in range(f)]
+    A2, B2 = (series_from(TruncSeries2, d, D, domain, draw((D, D))) for _ in range(2))
     prod2 = A2 * B2
     for i in range(D):
         for j in range(D - i):
             acc = [0] * f
             for i1 in range(i + 1):
                 for j1 in range(j + 1):
-                    term = schoolbook_mul(list(A2.data[i1, j1]), list(B2.data[i - i1, j - j1]),
-                                          d.modulus, m)
+                    term = schoolbook_mul(list(fractions(A2)[i1, j1]),
+                                          list(fractions(B2)[i - i1, j - j1]), d.modulus, m)
                     acc = [x + y for x, y in zip(acc, term)]
-            assert list(prod2.data[i, j]) == ([x % m for x in acc] if m else acc)
+            assert list(fractions(prod2)[i, j]) == ([x % m for x in acc] if m else acc)
 
     if domain == "integral":
         a, b = (d.from_coeffs(coeff(A, 1)), d.from_coeffs(coeff(B, 1)))
@@ -318,6 +331,14 @@ def test_kernel_matches_schoolbook(p, N, domain, f):
 
 
 # ------------------------------------- exact kernel against Fraction products
+
+def over_denominator(X):
+    """Integer numerators of the exact array X over the lcm of its
+    denominators, and that lcm."""
+    L = math.lcm(*(Fraction(x).denominator for x in X.flat))
+    nums = [Fraction(x).numerator * (L // Fraction(x).denominator) for x in X.flat]
+    return np.array(nums, dtype=object).reshape(X.shape), L
+
 
 def fraction_ring_mul(A, B, desc, prod):
     """The exact ring_mul on Fractions entry by entry: the partial products
@@ -398,26 +419,32 @@ def test_exact_kernel_matches_fraction_products(f, kind):
         B = _exact_operand((D, f), kind, rng)
         if kind == "zero" and trial == 2:
             A = _exact_operand((D, f), "zero", rng)  # both factors zero
+        (nA, LA), (nB, LB) = over_denominator(A), over_denominator(B)
         for prod in (lambda x, y: np.convolve(x, y)[:D], np.multiply.outer):
-            _assert_exactly_equal(ring_mul(A, B, d, None, prod), fraction_ring_mul(A, B, d, prod))
+            got = ring_mul(nA, nB, d, None, prod)  # integer numerators, no reduction
+            assert all(type(v) is int for v in got.flat)
+            _assert_exactly_equal(np.frompyfunc(lambda n: Fraction(n, LA * LB), 1, 1)(got),
+                                  fraction_ring_mul(A, B, d, prod))
         # the same kernel through the scaled series product
-        S, T = TruncSeries1(d, D, "scaled", A), TruncSeries1(d, D, "scaled", B)
-        _assert_exactly_equal((S * T).data, fraction_ring_mul(A, B, d, lambda x, y: np.convolve(x, y)[:D]))
+        S, T = (series_from(TruncSeries1, d, D, "scaled", X) for X in (A, B))
+        _assert_exactly_equal(fractions(S * T),
+                              fraction_ring_mul(A, B, d, lambda x, y: np.convolve(x, y)[:D]))
 
         A2 = _exact_operand((D, D, f), other, rng)
         B2 = _exact_operand((D, D, f), kind, rng)
         upper = np.add.outer(np.arange(D), np.arange(D)) >= D
         A2[upper] = 0
         B2[upper] = 0
-        got = (TruncSeries2(d, D, "scaled", A2) * TruncSeries2(d, D, "scaled", B2)).data
-        _assert_exactly_equal(got, fraction_ring_mul(A2, B2, d, conv2_oracle))
+        S2, T2 = (series_from(TruncSeries2, d, D, "scaled", X) for X in (A2, B2))
+        got = S2 * T2
+        _assert_exactly_equal(fractions(got), fraction_ring_mul(A2, B2, d, conv2_oracle))
 
 
 # ------------------------------------- composition routes against Horner oracles
 
 def _one_like(s):
     one = type(s).zero(s.desc, s.D, s.domain)
-    one.data[(0,) * one.data.ndim] = 1 if s.domain == "integral" else Fraction(1)
+    one.data[(0,) * one.data.ndim] = 1
     return one
 
 
@@ -438,11 +465,12 @@ def horner_substitute2_into2(F, G, H):
     for _ in range(1, D):
         gpow.append(gpow[-1] * G)
     acc = TruncSeries2.zero(F.desc, D, F.domain)
+    coeffs = fractions(F)
     for j in range(D - 1, -1, -1):
         inner = TruncSeries2.zero(F.desc, D, F.domain)
         for i in range(D - j):
             if F.data[i, j].any():
-                inner = inner + gpow[i].scalar_mul(tuple(F.data[i, j]))
+                inner = inner + gpow[i].scalar_mul(tuple(coeffs[i, j]))
         acc = acc * H + inner
     return acc
 
@@ -468,13 +496,13 @@ def _entry(d, domain, rng):
 def random_pointed(kind, d, D, domain, rng, degrees=None):
     """A random series of the given kind with zero constant term; an outer
     TruncSeries1 may carry a constant term and sparse support `degrees`."""
-    s = kind.zero(d, D, domain)
-    for idx in np.ndindex(*s.data.shape[:-1]):
+    values = np.zeros(kind.zero(d, D, domain).data.shape, dtype=object)
+    for idx in np.ndindex(*values.shape[:-1]):
         if sum(idx) < D and (degrees is None or idx[0] in degrees):
-            s.data[idx] = [_entry(d, domain, rng) for _ in range(d.f)]
+            values[idx] = [_entry(d, domain, rng) for _ in range(d.f)]
     if degrees is None:
-        s.data[(0,) * (s.data.ndim - 1)] = 0
-    return s
+        values[(0,) * (values.ndim - 1)] = 0
+    return series_from(kind, d, D, domain, values)
 
 
 # (p, N, domain, dtype at D = 12): N = 18/19 is the int64/object switch of
@@ -513,7 +541,8 @@ def test_substitutions_match_horner(p, N, domain, dtype, f):
     rng = random.Random(f"subst-{p}-{N}-{domain}-{f}")
     d, D = RingDescriptor(p, f, N), 12
     F = random_pointed(TruncSeries2, d, D, domain, rng)
-    F.data[0, 0] = [_entry(d, domain, rng) for _ in range(f)]  # F may have a constant term
+    # F may have a constant term
+    F = F + TruncSeries2.from_triples(d, [(0, 0, [_entry(d, domain, rng) for _ in range(f)])], D, domain)
     g = random_pointed(TruncSeries1, d, D, domain, rng)
     h = random_pointed(TruncSeries1, d, D, domain, rng)
     for a, b in ((g, h), (g, g)):

@@ -578,6 +578,24 @@ def test_division_factor_reduced_equals_fresh(monkeypatch, n):
     assert len(calls) == 6
 
 
+def test_torsion_run_prepares_each_level_once(monkeypatch, tmp_path):
+    # the division-degree check fetches P_n at the models' precision and
+    # certifies its reduction at N = 4, so no level is prepared twice
+    from fglab import groups
+    from fglab.cli import main
+    calls = []
+    prepare = groups.division_polynomial
+
+    def counted(group, n, N):
+        calls.append((n, N))
+        return prepare(group, n, N=N)
+
+    monkeypatch.setattr(groups, "division_polynomial", counted)
+    assert main(["torsion", "--group", "lubin-tate", "--p", "3", "--f", "2", "--d", "2",
+                 "--N", "8", "--nmax", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [(1, 8), (2, 8)]
+
+
 def test_division_factor_shared_across_threads():
     # --jobs threads share the cache: every thread must read the factor a
     # fresh preparation gives, whichever precision was stored first
