@@ -11,7 +11,10 @@ Three kinds of group, each with its multiplication-by-p series [p]:
 
 Both non-closed kinds get their two-variable law from one solver: F is the
 unique series X + Y + ... commuting with [p], F(f(X), f(Y)) = f(F(X, Y))
-(Lubin-Tate 1965), solved degree by degree.
+(Lubin-Tate 1965).  It follows the grading of f = X u(X^d): only total
+degrees k = 1 mod d are solved, each from the degree-k part of the defect
+f(F) - F(f(X), f(Y)), formed by compose and substitute2_into2, divided by
+p^k - p.
 
 Module structure ([a]-series for ring scalars a) is computed by the
 commutation recursion: g with linear term a and g(f(X)) = f(g(X)) is solved
@@ -53,8 +56,7 @@ from .series import (
     _mul_data,
     embed_series,
     embed_series2,
-    inject_x,
-    inject_y,
+    substitute2_into2,
 )
 from .weier import division_polynomial
 
@@ -100,54 +102,32 @@ class FrobeniusSeries:
         return s
 
 
-def _line_outer(xs: TruncSeries1, ys: TruncSeries1) -> TruncSeries2:
-    """Product of a series in X alone and a series in Y alone."""
-    desc, D = xs.desc, xs.D
-    m = desc.pN if xs.domain == "integral" else None
-    out = ring_mul(xs.data, ys.data, desc, m, np.multiply.outer)
-    out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
-    return TruncSeries2(desc, D, xs.domain, out)
-
-
 def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
     """The unique F = X + Y + ... with F(f(X), f(Y)) = f(F(X, Y)).
 
-    Works mod the precision of f_ser, which carries a cushion of digits
-    above N for the divisions by p^k - p; equivariance is checked mod p^N.
+    With F known below degree k, the degree-k part of the defect
+    f(F) - F(f(X), f(Y)) is (p^k - p) F_k.  With d = gcd{j - 1 : f_j != 0}
+    the defect lives on total degrees = 1 mod d, so only those degrees are
+    solved; d = 0 (f = pX) leaves F = X + Y.  Works mod the precision of
+    f_ser, which carries a cushion of digits above N for the divisions by
+    p^k - p; equivariance is checked mod p^N.
     """
     desc = f_ser.desc
     p, m = desc.p, desc.pN
     f2 = f_ser.lift(D2) if f_ser.D < D2 else f_ser.truncate(D2)
-    fpow = [TruncSeries1.zero(desc, D2), f2]
-    fpow[0].data[0, 0] = 1
-    for i in range(2, D2):
-        fpow.append(fpow[-1] * f2)
+    d = math.gcd(*(j - 1 for j in f2.nonzero_degrees()))
     F = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1)], D2)
-    A = inject_x(f2) + inject_y(f2)
-    B = f2.compose(F)
-    dirty = False
-    for k in range(2, D2):
-        if dirty:
-            B = f2.compose(F)
-            dirty = False
-        w1 = pow(p, k - 1, m)
-        inv = pow((w1 - 1) % m, -1, m)
-        changed = []
-        for i in range(k + 1):
-            j = k - i
-            d = (B.data[i, j] - A.data[i, j]) % m
-            if not d.any():
-                continue
-            if any(int(v) % p for v in d):
-                raise ObstructionError(k, f"group law solve obstructed at degree {k}")
-            h = tuple(int(v) // p * inv % m for v in d)
-            F.data[i, j] = h
-            changed.append((i, j, h))
-        for i, j, h in changed:
-            A = A + _line_outer(fpow[i].scalar_mul(h), fpow[j])
-            dirty = True
-    B = f2.compose(F)
-    if ((A.data - B.data) % p**N).any():
+
+    def defect():
+        return (f2.compose(F) - substitute2_into2(F, f2, f2)).data
+
+    for k in range(1 + d, D2, d) if d else ():
+        i = np.arange(k + 1)
+        part = defect()[i, k - i]  # the coefficients of X^i Y^(k-i)
+        if (part % p).any():
+            raise ObstructionError(k, f"group law solve obstructed at degree {k}")
+        F.data[i, k - i] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
+    if (defect() % p**N).any():
         raise ArithmeticError("equivariance failed")
     return F
 

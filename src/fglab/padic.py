@@ -7,7 +7,7 @@ deterministically so that independently created descriptors agree.
 Every product of ring elements goes through one kernel built on the
 descriptor's structure table T[a][b] = X^a * X^b mod the modulus: ring_mul
 for arrays of elements under any bilinear product of component slices
-(truncated convolution, outer product, contraction), and ring_scale, its
+(truncated convolution, contraction), and ring_scale, its
 one-matrix form, for multiplying by a single element.  Reduction is mod an
 explicit m, or none at all for the integer numerators of exact series.
 """
@@ -250,7 +250,7 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     last axis.
 
     prod(x, y) multiplies one component slice of A by one of B: a truncated
-    convolution, an outer product, a contraction, ...; on int64 data the
+    convolution, a contraction, ...; on int64 data the
     sums prod forms must stay under _INT64_BUDGET.  The partial products are
     gathered by the power X^(a+b) they carry, reduced mod m, and folded back
     with the structure table.  m = None is the exact product of integer

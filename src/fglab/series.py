@@ -19,7 +19,11 @@ supported:
   edges: as input to from_coeffs, from_triples and scalar_mul, and as the
   output of coeff_vec, coeff_triples and repr.
 
-An integral series keeps den = 1.  Composition has one route,
+An integral series keeps den = 1.  A two-variable product goes by
+homogeneous parts: the part of total degree t is the anti-diagonal
+c[i, t - i], the zero parts are skipped, and each pair of nonzero parts
+t1 + t2 < D is one convolution into part t1 + t2, reduced after every
+addition.  Composition has one route,
 TruncSeries1.compose, for an inner series of either kind: an outer series
 with at most 10 nonzero terms sums addition-chain powers in one
 contraction, any other goes baby-step/giant-step with its block sums in
@@ -458,23 +462,26 @@ class TruncSeries2(_Series):
     def __mul__(self, other):
         self._compat(other)
         D, m = self.D, self._modulo()
+        # the homogeneous part of total degree t: the anti-diagonal x[i, t - i]
+        diag = [(np.arange(t + 1), t - np.arange(t + 1)) for t in range(D)]
 
         def conv2(x, y):
-            """Product of two (D, D) component slices, total degree < D."""
-            out = np.zeros_like(x)
-            ys = [(i2, y[i2, : D - i2]) for i2 in range(D) if y[i2].any()]
-            for i1 in range(D):
-                a = x[i1, : D - i1]
-                if not a.any():
-                    continue
-                for i2, b in ys:
-                    i = i1 + i2
-                    if i >= D:
+            """Product of two (D, D) component slices, total degree < D: the
+            parts of degrees t1 and t2 convolve into the part of t1 + t2."""
+            xs = [(t, x[ij]) for t, ij in enumerate(diag) if x[ij].any()]
+            ys = [(t, y[ij]) for t, ij in enumerate(diag) if y[ij].any()]
+            parts = {}
+            for t1, a in xs:
+                for t2, b in ys:
+                    if t1 + t2 >= D:
                         break
-                    seg = np.convolve(a, b)[: D - i]
-                    out[i, : len(seg)] += seg
-                    if m is not None:
-                        np.mod(out[i], m, out=out[i])
+                    c = np.convolve(a, b)
+                    if t1 + t2 in parts:
+                        c = c + parts[t1 + t2]
+                    parts[t1 + t2] = c if m is None else c % m
+            out = np.zeros_like(x)
+            for t, c in parts.items():
+                out[diag[t]] = c
             return out
 
         return self._new(ring_mul(self.data, other.data, self.desc, m, conv2), self.den * other.den)
@@ -505,18 +512,6 @@ def _powers(g, count):
     while len(out) < count:
         out.append(out[-1] * g)
     return out[:count]
-
-
-def inject_x(s: TruncSeries1) -> TruncSeries2:
-    data = TruncSeries2.zero(s.desc, s.D, s.domain).data
-    data[:, 0, :] = s.data
-    return TruncSeries2(s.desc, s.D, s.domain, data, s.den)
-
-
-def inject_y(s: TruncSeries1) -> TruncSeries2:
-    data = TruncSeries2.zero(s.desc, s.D, s.domain).data
-    data[0, :, :] = s.data
-    return TruncSeries2(s.desc, s.D, s.domain, data, s.den)
 
 
 def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries2:

@@ -154,6 +154,17 @@ class TestSuites:
         prefixes = {r["id"].split(".")[0] for r in rep["checks"]}
         assert prefixes == {"torsion", "endo", "matrices", "series"}
 
+    @pytest.mark.parametrize("argv", [
+        ("--group", "honda", "--p", "3", "--u", "0,0,1"),                # height 3
+        ("--group", "lubin-tate", "--p", "5", "--f", "2", "--d", "2"),  # p = 5, height 2
+    ])
+    def test_verify_graded_laws_all_pass(self, argv, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", *argv, "--N", "6", "--nmax", "1", "--out", str(out)]) == 0
+        rep = read_json(out)
+        assert rep["summary"]["all_pass"]
+        assert all(r["pass"] for r in rep["checks"])
+
     def test_obstructed_group_reports_and_passes(self, tmp_path):
         out = tmp_path / "rep.json"
         code = main(["endo", "--p", "3", "--group", "honda", "--u", "0,1",

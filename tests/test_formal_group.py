@@ -11,7 +11,7 @@ import fglab
 from fglab.corpus import CORPUS_SPECS, make_group
 from fglab.padic import INF, RingDescriptor, _vec_mulmod, teichmuller_lift
 from fglab.precision import cushion, floor_log, law_precision
-from fglab.series import TruncSeries1, TruncSeries2, inject_x, inject_y, substitute2_into2
+from fglab.series import TruncSeries1, TruncSeries2, substitute2_into2
 from fglab.groups import (
     FrobeniusSeries,
     ObstructionError,
@@ -19,6 +19,7 @@ from fglab.groups import (
     lubin_tate_group,
     multiplicative_group,
 )
+from test_law_solve import inject_x, inject_y
 
 
 def gm(p=3, N=10):

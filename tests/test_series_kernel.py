@@ -5,21 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fglab.groups import (
-    honda_group,
-    lubin_tate_group,
-    multiplicative_group,
-    solve_equivariant_group_law,
-)
+from fglab.groups import multiplicative_group, solve_equivariant_group_law
 from fglab.padic import RingDescriptor, contraction_dtype, ring_mul
 from fglab.precision import cushion
-from fglab.series import (
-    TruncSeries1,
-    TruncSeries2,
-    inject_x,
-    inject_y,
-    substitute2_into2,
-)
+from fglab.series import TruncSeries1, TruncSeries2, substitute2_into2
+from test_law_solve import LAW_GROUPS, inject_x, inject_y
 
 
 def desc(p=3, f=1, N=8):
@@ -567,14 +557,6 @@ def with_pow2_f_of(monkeypatch, build):
         mp.setattr(TruncSeries1, "compose",
                    lambda self, g: pow2_f_of(self, g) if isinstance(g, TruncSeries2) else compose(self, g))
         return build()
-
-
-LAW_GROUPS = {
-    "lt-h1": lambda: lubin_tate_group(RingDescriptor(3, 1, 14), [0, 3, 0, 1]),
-    "lt-h2": lambda: lubin_tate_group(RingDescriptor(3, 2, 14), [0, 3, 0, 0, 0, 0, 0, 0, 0, 1]),
-    "honda-01": lambda: honda_group(RingDescriptor(3, 1, 14), (0, 1)),
-    "honda-1": lambda: honda_group(RingDescriptor(3, 1, 14), (1,)),
-}
 
 
 def test_gm_law_solve_matches_pow2_solver(monkeypatch):
