@@ -4,11 +4,11 @@ over unramified p-adic coefficient rings."""
 from .padic import (
     INF,
     Embedding,
-    ResidueElem,
     RingDescriptor,
     UnramifiedRingElem,
     minimal_modulus,
     multiplicative_generator,
+    multiplicative_order,
     residue_power_test,
     teichmuller_digits,
     teichmuller_lift,

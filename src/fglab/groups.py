@@ -8,6 +8,9 @@ Three kinds of group, each with its multiplication-by-p series [p]:
 * honda_group: logarithm built from the functional equation
   lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
   lam([p]) = p lam by a Newton iteration carried out mod a high power of p.
+  lam and [p] have Z_p coefficients (Hazewinkel's functional-equation
+  lemma), so a honda group over any W(F_{p^f}) keeps them in component 0,
+  and its base change is the honda group over the larger ring.
 
 Both non-closed kinds get their two-variable law from one solver: F is the
 unique series X + Y + ... commuting with [p], F(f(X), f(Y)) = f(F(X, Y))
@@ -54,8 +57,6 @@ from .series import (
     TruncSeries2,
     _dtype_for,
     _mul_data,
-    embed_series,
-    embed_series2,
     substitute2_into2,
 )
 from .weier import division_polynomial
@@ -179,12 +180,14 @@ def _data_exact_div_p(data, p: int, k: int):
     return data // m
 
 
-def _honda_pi_series(p: int, u, D: int, N_out: int) -> TruncSeries1:
-    """[p]-series of the honda group: Newton solve of lam(g) = p lam."""
+def _honda_pi_series(out_desc: RingDescriptor, u, D: int) -> TruncSeries1:
+    """[p]-series of the honda group over out_desc: Newton solve of
+    lam(g) = p lam over Z_p, written into component 0."""
+    p = out_desc.p
     lam = honda_log_coeffs(p, u, D)
     jmax = max((-_frac_val(c, p) for c in lam if c), default=0)
     scale = p**jmax
-    desc = RingDescriptor(p, 1, honda_precision(D, N_out, jmax))
+    desc = RingDescriptor(p, 1, honda_precision(D, out_desc.N, jmax))
     m = desc.pN
     L = TruncSeries1.zero(desc, D)
     for k, c in enumerate(lam):
@@ -207,7 +210,6 @@ def _honda_pi_series(p: int, u, D: int, N_out: int) -> TruncSeries1:
             corr.data = _data_exact_div_p(corr.data, p, jmax)
             gt = gt - corr
         g = gt.lift(D)
-    out_desc = RingDescriptor(p, 1, N_out)
     out = TruncSeries1.zero(out_desc, D)
     out.data[:, 0] = g.data[:, 0] % out_desc.pN
     return out
@@ -239,25 +241,22 @@ def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSe
 class FormalGroupLaw:
     """A one-dimensional formal group law with its coefficient-ring action.
 
-    kind is one of "gm", "lubin_tate", "honda", "honda_ext" (an unramified
-    base change of a honda group).  Heavy artifacts (the [p]-series at a
-    degree window, the two-variable law, module structures) are built on
-    demand and cached per window/precision.
+    kind is one of "gm", "lubin_tate", "honda"; each kind is one object over
+    any W(F_{p^f}), and base_change returns the same kind over the larger
+    ring.  Heavy artifacts (the [p]-series at a degree window, the
+    two-variable law, module structures) are built on demand and cached per
+    window/precision.
     """
 
-    def __init__(self, desc, kind, label, frobenius=None, u=None, base=None, embedding=None):
+    def __init__(self, desc, kind, label, frobenius=None, u=None):
         self.desc = desc
         self.kind = kind
         self.label = label
         self.frobenius = frobenius
         self.u = u
-        self.base = base
-        self.embedding = embedding
         self._height = frobenius.h if frobenius is not None else None
-        if kind in ("honda", "honda_ext"):
-            uu = u if u is not None else base.u
-            self._height = next((i for i, ui in enumerate(uu, start=1) if ui % desc.p), INF)
-            self.u = uu
+        if kind == "honda":
+            self._height = next((i for i, ui in enumerate(u, start=1) if ui % desc.p), INF)
         if kind == "gm":
             self._height = 1
         self._pi_cache = {}
@@ -305,11 +304,8 @@ class FormalGroupLaw:
                 out.data[k, 0] = math.comb(p, k) % desc.pN
         elif self.kind == "lubin_tate":
             out = self.frobenius.at(D, N)
-        elif self.kind == "honda":
-            out = _honda_pi_series(p, self.u, D, N)
         else:
-            base_pi = self.base.pi_series(D, N)
-            out = embed_series(base_pi, self.embedding, self.desc.at_precision(N))
+            out = _honda_pi_series(self.desc.at_precision(N), self.u, D)
         if out.first_unit_index() != (self.q if self.q else None):
             raise AssertionError("multiplication-by-p series has wrong unit index")
         return out
@@ -325,14 +321,11 @@ class FormalGroupLaw:
         if self.kind == "gm":
             desc = self.desc.at_precision(N)
             return TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
-        if self.kind == "honda_ext":
-            base_F = self.base.group_law2(D2, N)
-            return embed_series2(base_F, self.embedding, self.desc.at_precision(N))
         W = law_window(D2, self.q)
         N_work = N + cushion(W, self.q_eff)
         if self.kind == "honda":
             # the honda [p]-series is exact data at any precision
-            f_work = _honda_pi_series(self.desc.p, self.u, W, N_work)
+            f_work = _honda_pi_series(self.desc.at_precision(N_work), self.u, W)
         elif N_work > self.desc.N:
             raise ValueError("construct the group at higher precision first")
         else:
@@ -348,12 +341,9 @@ class FormalGroupLaw:
             out = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
         elif self.kind == "lubin_tate":
             out = _frobenius_log(self.frobenius, self.desc, D)
-        elif self.kind == "honda":
+        else:
             lam = honda_log_coeffs(self.desc.p, self.u, D)
             out = TruncSeries1.from_coeffs(self.desc, lam, D, "scaled")
-        else:
-            base_log = self.base.logarithm(D)
-            out = embed_series(base_log, None, self.desc)
         self._log_cache[D] = out
         return out
 
@@ -404,9 +394,7 @@ class FormalGroupLaw:
             coeffs = [emb(UnramifiedRingElem(self.desc, list(row))).coeffs
                       for row in self.frobenius.coeff_rows]
             return lubin_tate_group(dst, coeffs, label=label)
-        base = self.base if self.kind == "honda_ext" else self
-        emb = Embedding(base.desc, dst)
-        return FormalGroupLaw(dst, "honda_ext", label, base=base, embedding=emb)
+        return honda_group(dst, self.u, label)
 
 
 def multiplicative_group(desc: RingDescriptor, label: str | None = None) -> FormalGroupLaw:
@@ -421,8 +409,6 @@ def lubin_tate_group(desc: RingDescriptor, coeffs, label: str | None = None) -> 
 
 
 def honda_group(desc: RingDescriptor, u, label: str | None = None) -> FormalGroupLaw:
-    if desc.f != 1:
-        raise ValueError("honda construction given over Z_p; base change afterwards")
     u = tuple(int(x) for x in u)
     return FormalGroupLaw(desc, "honda", label or f"honda(p={desc.p},u={u})", u=u)
 

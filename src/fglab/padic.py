@@ -2,7 +2,9 @@
 
 Elements of W(F_{p^f}) mod p^N are stored as coefficient vectors of length f
 over Z/p^N with respect to a fixed monic modulus polynomial, chosen
-deterministically so that independently created descriptors agree.
+deterministically so that independently created descriptors agree.  The
+residue field F_{p^f} is the same ring at N = 1: a residue is an
+UnramifiedRingElem of desc.at_precision(1), so it needs no class of its own.
 
 Every product of ring elements goes through one kernel built on the
 descriptor's structure table T[a][b] = X^a * X^b mod the modulus: ring_mul
@@ -168,7 +170,14 @@ class RingDescriptor:
         return self._table
 
     def at_precision(self, M: int) -> "RingDescriptor":
-        return RingDescriptor(self.p, self.f, M, self.modulus)
+        """The same ring mod p^M.  The modulus is already validated and the
+        structure table does not depend on N, so both are shared."""
+        if M < 1:
+            raise ValueError("need N >= 1")
+        out = object.__new__(RingDescriptor)
+        out.p, out.f, out.N, out.modulus = self.p, self.f, M, self.modulus
+        out._table = self.structure_table()
+        return out
 
     def same_field(self, other: "RingDescriptor") -> bool:
         return (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus)
@@ -296,108 +305,38 @@ def _vec_mulmod(a, b, desc, m):
     return tuple(sum(x * s for x, s in zip(a, col)) % m for col in zip(*S))
 
 
-class ResidueElem:
-    """Element of the residue field F_{p^f}."""
-
-    __slots__ = ("desc", "coeffs")
-
-    def __init__(self, desc: RingDescriptor, coeffs):
-        self.desc = desc
-        self.coeffs = tuple(int(c) % desc.p for c in coeffs)
-        if len(self.coeffs) != desc.f:
-            raise ValueError("coefficient vector has wrong length")
-
-    @classmethod
-    def from_code(cls, desc: RingDescriptor, code: int) -> "ResidueElem":
-        digits = []
-        for _ in range(desc.f):
-            digits.append(code % desc.p)
-            code //= desc.p
-        return cls(desc, digits)
-
-    def code(self) -> int:
-        c = 0
-        for d in reversed(self.coeffs):
-            c = c * self.desc.p + d
-        return c
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return ResidueElem(self.desc, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return ResidueElem(self.desc, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return ResidueElem(self.desc, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        self._check(other)
-        return ResidueElem(self.desc, _vec_mulmod(self.coeffs, other.coeffs, self.desc, self.desc.p))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = ResidueElem(self.desc, (1,) + (0,) * (self.desc.f - 1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self) -> "ResidueElem":
-        if self.is_zero():
-            raise ZeroDivisionError("residue is zero")
-        return self ** (self.desc.q - 2)
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ZeroDivisionError("residue is zero")
-        n = self.desc.q - 1
-        order = n
-        for ell in _factor(n):
-            while order % ell == 0 and (self ** (order // ell)).code() == 1:
-                order //= ell
-        return order
-
-    def _check(self, other):
-        if not self.desc.same_field(other.desc):
-            raise ValueError("descriptor mismatch")
-
-    def __eq__(self, other):
-        return isinstance(other, ResidueElem) and self.desc.same_field(other.desc) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("res", self.coeffs))
-
-    def __repr__(self):
-        return f"ResidueElem{self.coeffs}"
+def multiplicative_order(r: "UnramifiedRingElem") -> int:
+    """Order of a nonzero residue r (an element at N = 1) in F_{p^f}^*."""
+    if r.is_zero():
+        raise ZeroDivisionError("residue is zero")
+    one = r.desc.one()
+    order = r.desc.q - 1
+    for ell in _factor(order):
+        while order % ell == 0 and r ** (order // ell) == one:
+            order //= ell
+    return order
 
 
-def multiplicative_generator(desc: RingDescriptor) -> ResidueElem:
-    """Deterministic generator of F_{p^f}^*: smallest element code that works."""
-    n = desc.q - 1
+def multiplicative_generator(desc: RingDescriptor) -> "UnramifiedRingElem":
+    """Deterministic generator of F_{p^f}^*, as an element at N = 1: the
+    smallest element code that works."""
+    res = desc.at_precision(1)
     for code in range(1, desc.q):
-        r = ResidueElem.from_code(desc, code)
-        if r.multiplicative_order() == n:
+        r = UnramifiedRingElem.from_code(res, code)
+        if multiplicative_order(r) == desc.q - 1:
             return r
     raise AssertionError("no generator found")
 
 
-def residue_power_test(r: ResidueElem, d: int) -> bool:
-    """True iff r is a d-th power in F_{p^f}^* (r nonzero, d | p^f - 1)."""
+def residue_power_test(r: "UnramifiedRingElem", d: int) -> bool:
+    """True iff the residue r (an element at N = 1, nonzero, d | p^f - 1) is
+    a d-th power in F_{p^f}^*."""
     if r.is_zero():
         raise ValueError("zero is not a unit")
     n = r.desc.q - 1
     if n % d != 0:
         raise ValueError("d must divide p^f - 1")
-    return (r ** (n // d)).code() == 1
+    return r ** (n // d) == r.desc.one()
 
 
 class UnramifiedRingElem:
@@ -414,11 +353,21 @@ class UnramifiedRingElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def residue(self) -> ResidueElem:
-        return ResidueElem(self.desc, self.coeffs)
+    @classmethod
+    def from_code(cls, desc: RingDescriptor, code: int) -> "UnramifiedRingElem":
+        """The element whose components are the base-p^N digits of code."""
+        return cls(desc, [code // desc.pN**i for i in range(desc.f)])
+
+    def code(self) -> int:
+        """The components read as base-p^N digits, lowest first."""
+        return sum(c * self.desc.pN**i for i, c in enumerate(self.coeffs))
+
+    def residue(self) -> "UnramifiedRingElem":
+        """The image in the residue field F_{p^f}: this element at N = 1."""
+        return UnramifiedRingElem(self.desc.at_precision(1), self.coeffs)
 
     def is_unit(self) -> bool:
-        return not self.residue().is_zero()
+        return any(c % self.desc.p for c in self.coeffs)
 
     def valuation(self):
         """Largest v <= N with p^v | a, or INF when a = 0 mod p^N."""
@@ -468,11 +417,13 @@ class UnramifiedRingElem:
         return result
 
     def invert(self) -> "UnramifiedRingElem":
-        """Inverse of a unit, residue-field inverse refined by Newton steps."""
+        """Inverse of a unit: in the residue field (N = 1) the (q-2)-th
+        power, above it that inverse refined by Newton steps."""
         if not self.is_unit():
             raise ZeroDivisionError("not a unit")
-        inv_res = self.residue().inverse()
-        x = UnramifiedRingElem(self.desc, inv_res.coeffs)
+        if self.desc.N == 1:
+            return self ** (self.desc.q - 2)
+        x = UnramifiedRingElem(self.desc, self.residue().invert().coeffs)
         two = self.desc.from_int(2)
         for _ in range(newton_steps(self.desc.N)):
             x = x * (two - self * x)
@@ -514,16 +465,15 @@ class UnramifiedRingElem:
 def teichmuller_lift(desc: RingDescriptor, r) -> UnramifiedRingElem:
     """Teichmuller representative: the unique lift fixed by x -> x^{p^f}.
 
-    Accepts a ResidueElem, an int, or any coefficient vector; iterates the
-    q-power map to its fixed point mod p^N.
+    Accepts a residue (an element at N = 1; any element is read mod p), an
+    int, or any coefficient vector; iterates the q-power map to its fixed
+    point mod p^N.
     """
-    if isinstance(r, ResidueElem):
-        coeffs = r.coeffs
+    if isinstance(r, UnramifiedRingElem):
+        r = r.coeffs
     elif isinstance(r, int):
-        coeffs = (r % desc.p,) + (0,) * (desc.f - 1)
-    else:
-        coeffs = tuple(int(c) % desc.p for c in r)
-    x = UnramifiedRingElem(desc, coeffs)
+        r = (r,) + (0,) * (desc.f - 1)
+    x = UnramifiedRingElem(desc, [int(c) % desc.p for c in r])
     for _ in range(desc.N + 4):
         nxt = x**desc.q
         if nxt == x:
@@ -591,18 +541,17 @@ class Embedding:
         if src.f == 1:
             return dst.zero()
         # root of the source modulus in the target residue field, smallest code
-        root_res = None
+        res = dst.at_precision(1)
         for code in range(dst.q):
-            r = ResidueElem.from_code(dst, code)
-            acc = ResidueElem.from_code(dst, 0)
+            r = UnramifiedRingElem.from_code(res, code)
+            acc = res.zero()
             for c in reversed(src.modulus):
-                acc = acc * r + ResidueElem.from_code(dst, c % dst.p)
+                acc = acc * r + res.from_int(c)
             if acc.is_zero():
-                root_res = r
                 break
-        if root_res is None:
+        else:
             raise AssertionError("no root of modulus in target residue field")
-        x = UnramifiedRingElem(dst, root_res.coeffs)
+        x = UnramifiedRingElem(dst, r.coeffs)
         # Newton: x <- x - M(x)/M'(x); derivative is a unit (separable mod p)
         for _ in range(newton_steps(dst.N)):
             val = dst.zero()

@@ -92,8 +92,8 @@ def law_window(D: int, q) -> int:
 def law_precision(kind: str, N_c: int, D: int, q: int) -> int:
     """Highest precision of a law on window D.  A lubin_tate law is solved
     from the stored [p]-series on law_window(D, q), so it pays the cushion
-    there; the closed form, the honda [p]-series and their base changes are
-    exact at any N."""
+    there; the closed form and the honda [p]-series, over any W(F_{p^f}),
+    are exact at any N."""
     return N_c - cushion(law_window(D, q), q) if kind == "lubin_tate" else N_c
 
 

@@ -531,28 +531,3 @@ def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> Trun
     out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
     return TruncSeries2(F.desc, D, F.domain, out, F.den * dP * dQ)
 
-
-def embed_series(s: TruncSeries1, emb, dst_desc: RingDescriptor) -> TruncSeries1:
-    """Apply a coefficient embedding to every coefficient."""
-    if s.domain == "scaled":
-        # rational coefficients embed unchanged componentwise only for f=1
-        if s.desc.f != 1:
-            raise ValueError("scaled embedding supported for rational coefficients only")
-        out = TruncSeries1.zero(dst_desc, s.D, "scaled")
-        out.data[:, 0] = s.data[:, 0]
-        return TruncSeries1(dst_desc, s.D, "scaled", out.data, s.den)
-    out = TruncSeries1.zero(dst_desc, s.D, "integral")
-    for k in range(s.D):
-        e = emb(UnramifiedRingElem(s.desc, [int(v) for v in s.data[k]]))
-        out.data[k] = np.array([c % dst_desc.pN for c in e.coeffs], dtype=out.data.dtype)
-    return out
-
-
-def embed_series2(F: TruncSeries2, emb, dst_desc: RingDescriptor) -> TruncSeries2:
-    out = TruncSeries2.zero(dst_desc, F.D, "integral")
-    for i in range(F.D):
-        for j in range(F.D - i):
-            if any(v != 0 for v in F.data[i, j]):
-                e = emb(UnramifiedRingElem(F.desc, [int(v) for v in F.data[i, j]]))
-                out.data[i, j] = np.array([c % dst_desc.pN for c in e.coeffs], dtype=out.data.dtype)
-    return out

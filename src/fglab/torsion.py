@@ -26,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .padic import (
     INF,
-    ResidueElem,
     UnramifiedRingElem,
     contraction_dtype,
     residue_power_test,
@@ -264,8 +263,9 @@ class TorsionFieldModel:
         """v_L of one element."""
         return self.valuations(a)[()]
 
-    def residue(self, a) -> ResidueElem:
-        return ResidueElem(self.desc, [int(v) for v in a[0]])
+    def residue(self, a) -> UnramifiedRingElem:
+        """The residue of an element, in F_{p^f}: its constant term at N = 1."""
+        return UnramifiedRingElem(self.desc.at_precision(1), [int(v) for v in a[0]])
 
     def exact_div_p(self, a):
         arr = a % self.desc.pN
@@ -612,12 +612,8 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
         if not residue_power_test(r, p - 1):
             attempts.append({"d": d, "solvable": False, "residue_code": r.code()})
             continue
-        rho = None
-        for code in range(1, model.desc.q):
-            cand = ResidueElem.from_code(model.desc, code)
-            if (cand ** (p - 1)).code() == r.code():
-                rho = cand
-                break
+        roots = (UnramifiedRingElem.from_code(r.desc, k) for k in range(1, model.desc.q))
+        rho = next(c for c in roots if c ** (p - 1) == r)
         t = model.from_ok(teichmuller_lift(model.desc, rho))
         for _ in range(40):
             err = model.sub(model.pow_int(t, p - 1), u)

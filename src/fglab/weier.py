@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .padic import UnramifiedRingElem, teichmuller_lift
+from .padic import teichmuller_lift
 from .precision import count_window, level_degree, model_window
 from .series import TruncSeries1
 
@@ -158,8 +158,7 @@ def digit_split_step(f: TruncSeries1, pi_ser: TruncSeries1, q: int | None = None
         raise ValueError("pi-series must have Weierstrass degree q")
     if prep is None:
         prep = weierstrass_prep(pi_ser)
-    a = [teichmuller_lift(desc, UnramifiedRingElem(desc, [int(v) for v in f.data[i]]).residue())
-         for i in range(q)]
+    a = [teichmuller_lift(desc, f.data[i]) for i in range(q)]
     rem = TruncSeries1(desc, f.D, "integral", f.data.copy())
     for i, ai in enumerate(a):
         rem.data[i] = (rem.data[i] - np.array(ai.coeffs, dtype=rem.data.dtype)) % desc.pN

@@ -123,6 +123,14 @@ class TestConstruct:
                                                    "1,0": [1] + [0] * (cfg.f - 1)}
         assert len(doc["group"]["pi_series"]) == group.q + 2
 
+    def test_base_changed_honda_echoes_its_kind(self, tmp_path):
+        # a honda group over W(F_9) is the honda kind, not a second one
+        out = tmp_path / "group.json"
+        assert main(["construct", "--group", "honda", "--p", "3", "--u", "0,1", "--f", "2",
+                     "--out", str(out)]) == 0
+        doc = read_json(out)["group"]
+        assert (doc["kind"], doc["f"], doc["height"]) == ("honda", 2, 2)
+
     def test_additive_constructs(self, capsys):
         # infinite height is fine for construct, only the suites refuse it
         assert main(["construct", "--group", "honda", "--u", "0,0", "--p", "3"]) == 0

@@ -404,6 +404,13 @@ def _vp(x, p):
     return v
 
 
+def _in_component_zero(s, base):
+    """s, over W(F_{p^f}), carries the Z_p data of base in component 0 and
+    zeros in the others."""
+    assert s.D == base.D and s.den == base.den and s.desc.N == base.desc.N
+    assert np.array_equal(s.data[..., 0], base.data[..., 0]) and not s.data[..., 1:].any()
+
+
 def test_base_change_preserves_data():
     g = lt_h1(3)
     g2 = g.base_change(2)
@@ -420,6 +427,27 @@ def test_base_change_preserves_data():
         assert int(pi2.data[k, 0]) == int(pi.data[k, 0]) and int(pi2.data[k, 1]) == 0
     with pytest.raises(ValueError):
         lt_h2().base_change(3)
+    # pi_series, the law and the logarithm have Z_p coefficients, through a
+    # chain of base changes too
+    D, N = 12, 6
+    cases = [(honda_group(RingDescriptor(3, 1, 14), u), (2,)) for u in ((0, 1), (1,))]
+    cases += [(honda_h2(), (2, 4)), (lt_h1(3), (2, 4))]
+    for base, chain in cases:
+        g = base
+        for f in chain:
+            g = g.base_change(f)
+            assert (g.desc.f, g.kind, g.u, g.height) == (f, base.kind, base.u, base.height)
+            _in_component_zero(g.pi_series(D, N), base.pi_series(D, N))
+            _in_component_zero(g.group_law2(D, N), base.group_law2(D, N))
+            _in_component_zero(g.logarithm(D), base.logarithm(D))
+    # a honda group built over W(F_9) is the base-changed one
+    for u in ((0, 1), (1,)):
+        direct = honda_group(RingDescriptor(3, 2, 14), u)
+        changed = honda_group(RingDescriptor(3, 1, 14), u).base_change(2)
+        assert (direct.kind, direct.u, direct.height) == (changed.kind, changed.u, changed.height)
+        assert direct.pi_series(D, N) == changed.pi_series(D, N)
+        assert direct.group_law2(D, N) == changed.group_law2(D, N)
+        assert direct.logarithm(D) == changed.logarithm(D)
 
 
 def test_gm_base_change_identical():

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from fglab import padic
 from fglab.padic import (
     INF,
+    _fp_polmul,
     Embedding,
-    ResidueElem,
     RingDescriptor,
     UnramifiedRingElem,
     minimal_modulus,
     multiplicative_generator,
+    multiplicative_order,
     residue_power_test,
     teichmuller_digits,
     teichmuller_lift,
@@ -76,7 +78,7 @@ def test_teichmuller_is_qth_power_fixed_point():
     for p, f, N in [(3, 2, 6), (5, 1, 8)]:
         d = RingDescriptor(p, f, N)
         for _ in range(10):
-            r = ResidueElem.from_code(d, rng.randrange(d.q))
+            r = UnramifiedRingElem.from_code(d.at_precision(1), rng.randrange(d.q))
             t = teichmuller_lift(d, r)
             assert t**d.q == t
             assert t.residue() == r
@@ -113,20 +115,61 @@ def test_modulus_relation():
 
 def test_residue_power_test():
     d5 = RingDescriptor(5, 1, 2)
-    assert residue_power_test(ResidueElem(d5, (4,)), 2) is True
+    assert residue_power_test(d5.at_precision(1).from_int(4), 2) is True
     d3 = RingDescriptor(3, 1, 2)
-    assert residue_power_test(ResidueElem(d3, (2,)), 2) is False
+    assert residue_power_test(d3.at_precision(1).from_int(2), 2) is False
     with pytest.raises(ValueError):
-        residue_power_test(ResidueElem(d3, (0,)), 2)
+        residue_power_test(d3.at_precision(1).zero(), 2)
 
 
 def test_multiplicative_generator():
     d = RingDescriptor(3, 2, 2)
     g = multiplicative_generator(d)
-    assert g.multiplicative_order() == 8
+    assert multiplicative_order(g) == 8
     assert g.code() == 4  # 1 + x is the first generator of F_9 in code order
     d5 = RingDescriptor(5, 1, 2)
     assert multiplicative_generator(d5).code() == 2
+
+
+def test_at_precision_shares_the_validated_modulus(monkeypatch):
+    d = RingDescriptor(3, 3, 6)
+    fresh = RingDescriptor(3, 3, 1)
+    checks = []
+    monkeypatch.setattr(padic, "is_prime", lambda n: checks.append(n) or True)
+    monkeypatch.setattr(padic, "_is_irreducible", lambda *a: checks.append(a) or True)
+    low = d.at_precision(1)
+    assert not checks
+    assert low == fresh and low.structure_table() is d.structure_table()
+    assert low.structure_table() == fresh.structure_table()
+    with pytest.raises(ValueError):
+        d.at_precision(0)
+
+
+@pytest.mark.parametrize("p, f", [(3, 2), (5, 2), (3, 3)])
+def test_residues_at_precision_one(p, f):
+    # F_9, F_25 and F_27 are the ring at N = 1: every product and inverse
+    # against polynomial arithmetic mod (p, modulus), orders by brute force
+    res = RingDescriptor(p, f, 4).at_precision(1)
+    mod = [c % p for c in res.modulus]
+    one = [1] + [0] * (f - 1)
+    elems = [UnramifiedRingElem.from_code(res, c) for c in range(res.q)]
+    assert [x.code() for x in elems] == list(range(res.q))
+    assert len(set(elems)) == res.q
+    for x in elems:
+        for y in elems:
+            assert list((x * y).coeffs) == _fp_polmul(list(x.coeffs), list(y.coeffs), p, mod)
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.invert()
+            with pytest.raises(ZeroDivisionError):
+                multiplicative_order(x)
+            continue
+        assert _fp_polmul(list(x.coeffs), list(x.invert().coeffs), p, mod) == one
+        order, acc = 1, list(x.coeffs)
+        while acc != one:
+            acc = _fp_polmul(acc, list(x.coeffs), p, mod)
+            order += 1
+        assert multiplicative_order(x) == order
 
 
 def test_teichmuller_digits_structure():
