@@ -3,7 +3,6 @@ over unramified p-adic coefficient rings."""
 
 from .padic import (
     INF,
-    Embedding,
     RingDescriptor,
     UnramifiedRingElem,
     minimal_modulus,

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -144,6 +145,12 @@ class RunConfig:
                     coeffs = self.load_coeffs()
                 except (OSError, ValueError) as exc:
                     problems.append(f"group_file: {exc}")
+        # refuse an unwritable report path now, not after every check has run
+        out = v["out"]
+        if out and os.path.isdir(out):
+            problems.append(f"out: {out} is a directory")
+        elif out and not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
+            problems.append(f"out: the directory of {out} is missing or not writable")
         if problems or command == "construct":
             return problems
         # feasibility: the torsion model at level n works in a window of

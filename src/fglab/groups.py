@@ -4,13 +4,18 @@ Three kinds of group, each with its multiplication-by-p series [p]:
 
 * multiplicative_group: F = X + Y + XY with everything in closed form;
 * lubin_tate_group: [p] is a distinguished polynomial f = pX + ...
-  congruent to X^q mod p;
+  with integer coefficients, congruent to X^q mod p;
 * honda_group: logarithm built from the functional equation
   lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
-  lam([p]) = p lam by a Newton iteration carried out mod a high power of p.
-  lam and [p] have Z_p coefficients (Hazewinkel's functional-equation
-  lemma), so a honda group over any W(F_{p^f}) keeps them in component 0,
-  and its base change is the honda group over the larger ring.
+  lam([p]) = p lam by a Newton iteration carried out mod a high power of p
+  (lam and [p] have Z_p coefficients by Hazewinkel's functional-equation
+  lemma).
+
+Every kind is defined by Z_p data, kept in component 0 over any
+W(F_{p^f}), so base change reuses it over the larger ring.  Lubin-Tate
+sources need no more: when h | f, any Frobenius series with W(F_{p^f})
+coefficients gives a group isomorphic over that ring to the one of
+pX + X^q (Lubin-Tate 1965).
 
 Both non-closed kinds get their two-variable law from one solver: F is the
 unique series X + Y + ... commuting with [p], F(f(X), f(Y)) = f(F(X, Y))
@@ -30,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .padic import (
     INF,
-    Embedding,
     RingDescriptor,
     UnramifiedRingElem,
     _frac_val,
@@ -71,36 +76,36 @@ class ObstructionError(ValueError):
 
 
 class FrobeniusSeries:
-    """Distinguished polynomial f = pX + ... with f = X^q mod p, q = p^h."""
+    """Distinguished polynomial f = pX + ... with f = X^q mod p, q = p^h.
+
+    Its coefficients are integers, checked and kept mod p^N of desc: Z_p
+    data, so the same series serves over every W(F_{p^f}) in component 0.
+    """
 
     def __init__(self, desc: RingDescriptor, coeffs):
-        self.desc = desc
-        poly = TruncSeries1.from_coeffs(desc, coeffs, D=len(coeffs))
+        try:
+            coeffs = [operator.index(c) % desc.pN for c in coeffs]
+        except TypeError:
+            raise ValueError("Lubin-Tate coefficients must be integers") from None
         p = desc.p
-        if any(v != 0 for v in poly.data[0]):
+        if any(coeffs[:1]):
             raise ValueError("constant term must vanish")
-        if tuple(poly.data[1]) != (p,) + (0,) * (desc.f - 1):
+        if coeffs[1:2] != [p]:
             raise ValueError("linear coefficient must be exactly p")
-        units = [k for k in poly.nonzero_degrees() if any(int(v) % p for v in poly.data[k])]
+        units = [k for k, c in enumerate(coeffs) if c % p]
         if len(units) != 1:
             raise ValueError("reduction mod p must be a single power of X")
         q = units[0]
         h = height_index(q, p)
-        res = [int(v) % p for v in poly.data[q]]
-        if res != [1] + [0] * (desc.f - 1):
+        if coeffs[q] % p != 1:
             raise ValueError("reduction mod p must equal X^q")
-        self.coeff_rows = [tuple(int(v) for v in poly.data[k]) for k in range(len(coeffs))]
-        self.degree = len(coeffs) - 1
+        self.coeffs = coeffs
         self.q = q
         self.h = h
 
-    def at(self, D: int, N: int | None = None) -> TruncSeries1:
-        desc = self.desc if N is None else self.desc.at_precision(N)
-        s = TruncSeries1.zero(desc, D)
-        for k, row in enumerate(self.coeff_rows[:D]):
-            for j, v in enumerate(row):
-                s.data[k, j] = v % desc.pN
-        return s
+    def at(self, desc: RingDescriptor, D: int) -> TruncSeries1:
+        """f on the window D over desc, its integers in component 0."""
+        return TruncSeries1.from_coeffs(desc, self.coeffs, D)
 
 
 def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
@@ -218,11 +223,11 @@ def _honda_pi_series(out_desc: RingDescriptor, u, D: int) -> TruncSeries1:
 def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSeries1:
     """Logarithm of a Lubin-Tate group, exact.
 
-    The stored integer coefficient rows define the group exactly, so
+    The stored integer coefficients define the group exactly, so
     log(f(X)) = p log(X) determines the coefficients by an exact rational
     recursion: b_n = [X^n](sum_{k<n} b_k f^k) / (p - p^n)."""
     p = desc.p
-    fx = TruncSeries1.from_coeffs(desc, fs.coeff_rows, D, "scaled")
+    fx = TruncSeries1.from_coeffs(desc, fs.coeffs, D, "scaled")
     b = [0, 1]
     comp = fx  # running sum_{k<n} b_k f^k, here b_1 f
     fpow = fx
@@ -303,7 +308,7 @@ class FormalGroupLaw:
             for k in range(1, min(p, D - 1) + 1):
                 out.data[k, 0] = math.comb(p, k) % desc.pN
         elif self.kind == "lubin_tate":
-            out = self.frobenius.at(D, N)
+            out = self.frobenius.at(self.desc.at_precision(N), D)
         else:
             out = _honda_pi_series(self.desc.at_precision(N), self.u, D)
         if out.first_unit_index() != (self.q if self.q else None):
@@ -379,22 +384,16 @@ class FormalGroupLaw:
 
     # --------------------------------------------------------- base change
     def base_change(self, f_new: int) -> "FormalGroupLaw":
-        """Coefficientwise image over the unramified extension with residue
-        degree f_new (a multiple of the current one)."""
+        """The same group over the unramified extension with residue degree
+        f_new (a multiple of the current one).  Every kind keeps its Z_p
+        data, so the defining series are reused over the larger ring."""
         if f_new % self.desc.f:
             raise ValueError("target residue degree must be a multiple of the current one")
         if f_new == self.desc.f:
             return self
         dst = RingDescriptor(self.desc.p, f_new, self.desc.N)
         label = f"{self.label}@f={f_new}"
-        if self.kind == "gm":
-            return multiplicative_group(dst, label=label)
-        if self.kind == "lubin_tate":
-            emb = Embedding(self.desc, dst)
-            coeffs = [emb(UnramifiedRingElem(self.desc, list(row))).coeffs
-                      for row in self.frobenius.coeff_rows]
-            return lubin_tate_group(dst, coeffs, label=label)
-        return honda_group(dst, self.u, label)
+        return FormalGroupLaw(dst, self.kind, label, self.frobenius, self.u)
 
 
 def multiplicative_group(desc: RingDescriptor, label: str | None = None) -> FormalGroupLaw:

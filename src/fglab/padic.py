@@ -5,6 +5,8 @@ over Z/p^N with respect to a fixed monic modulus polynomial, chosen
 deterministically so that independently created descriptors agree.  The
 residue field F_{p^f} is the same ring at N = 1: a residue is an
 UnramifiedRingElem of desc.at_precision(1), so it needs no class of its own.
+Z_p sits in every such ring as component 0, which is where formal groups
+keep their defining data, so no embedding between rings is needed.
 
 Every product of ring elements goes through one kernel built on the
 descriptor's structure table T[a][b] = X^a * X^b mod the modulus: ring_mul
@@ -128,26 +130,20 @@ def minimal_modulus(p: int, f: int) -> tuple[int, ...]:
 
 
 class RingDescriptor:
-    """Parameters (p, f, N) plus the fixed modulus of W(F_{p^f}) mod p^N."""
+    """Parameters (p, f, N) of W(F_{p^f}) mod p^N.  The modulus is always
+    minimal_modulus(p, f), so descriptors built independently agree."""
 
     __slots__ = ("p", "f", "N", "modulus", "_table")
 
-    def __init__(self, p: int, f: int, N: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, f: int, N: int):
         if not is_prime(p) or p == 2:
             raise ValueError("p must be an odd prime")
         if f < 1 or N < 1:
             raise ValueError("need f >= 1 and N >= 1")
-        if modulus is None:
-            modulus = minimal_modulus(p, f)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != f + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree f")
-        if not _is_irreducible([c % p for c in modulus], p):
-            raise ValueError("modulus is reducible mod p")
         self.p = p
         self.f = f
         self.N = N
-        self.modulus = modulus
+        self.modulus = minimal_modulus(p, f)
         self._table = None
 
     @property
@@ -170,7 +166,7 @@ class RingDescriptor:
         return self._table
 
     def at_precision(self, M: int) -> "RingDescriptor":
-        """The same ring mod p^M.  The modulus is already validated and the
+        """The same ring mod p^M.  The modulus depends on (p, f) only and the
         structure table does not depend on N, so both are shared."""
         if M < 1:
             raise ValueError("need N >= 1")
@@ -180,23 +176,17 @@ class RingDescriptor:
         return out
 
     def same_field(self, other: "RingDescriptor") -> bool:
-        return (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus)
+        return (self.p, self.f) == (other.p, other.f)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RingDescriptor)
-            and (self.p, self.f, self.N, self.modulus)
-            == (other.p, other.f, other.N, other.modulus)
-        )
+        return (isinstance(other, RingDescriptor)
+                and (self.p, self.f, self.N) == (other.p, other.f, other.N))
 
     def __hash__(self):
-        return hash((self.p, self.f, self.N, self.modulus))
+        return hash((self.p, self.f, self.N))
 
     def __repr__(self):
         return f"RingDescriptor(p={self.p}, f={self.f}, N={self.N})"
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "f": self.f, "N": self.N, "modulus": list(self.modulus)}
 
     # element constructors
     def zero(self) -> "UnramifiedRingElem":
@@ -518,55 +508,3 @@ def _frac_val(r: Fraction, p: int):
         v -= 1
     return v
 
-
-class Embedding:
-    """Coefficient embedding W(F_{p^f}) -> W(F_{p^{f'}}) for f | f'.
-
-    Sends the source modulus root to a deterministically chosen Hensel-lifted
-    root of the source modulus in the target ring.
-    """
-
-    def __init__(self, src: RingDescriptor, dst: RingDescriptor):
-        if src.p != dst.p or dst.f % src.f != 0:
-            raise ValueError("target must be an unramified extension of the source")
-        self.src = src
-        self.dst = dst
-        self.root = self._find_root()
-        self._powers = [dst.one()]
-        for _ in range(src.f - 1):
-            self._powers.append(self._powers[-1] * self.root)
-
-    def _find_root(self) -> UnramifiedRingElem:
-        dst, src = self.dst, self.src
-        if src.f == 1:
-            return dst.zero()
-        # root of the source modulus in the target residue field, smallest code
-        res = dst.at_precision(1)
-        for code in range(dst.q):
-            r = UnramifiedRingElem.from_code(res, code)
-            acc = res.zero()
-            for c in reversed(src.modulus):
-                acc = acc * r + res.from_int(c)
-            if acc.is_zero():
-                break
-        else:
-            raise AssertionError("no root of modulus in target residue field")
-        x = UnramifiedRingElem(dst, r.coeffs)
-        # Newton: x <- x - M(x)/M'(x); derivative is a unit (separable mod p)
-        for _ in range(newton_steps(dst.N)):
-            val = dst.zero()
-            for c in reversed(src.modulus):
-                val = val * x + dst.from_int(c)
-            der = dst.zero()
-            for i in range(len(src.modulus) - 1, 0, -1):
-                der = der * x + dst.from_int(i * src.modulus[i])
-            x = x - val * der.invert()
-        return x
-
-    def __call__(self, a: UnramifiedRingElem) -> UnramifiedRingElem:
-        if not a.desc.same_field(self.src):
-            raise ValueError("descriptor mismatch")
-        acc = self.dst.zero()
-        for i, c in enumerate(a.coeffs):
-            acc = acc + self.dst.from_int(c) * self._powers[i]
-        return acc

@@ -149,7 +149,7 @@ class TorsionFieldModel:
         self.N = N
         self.window = model_window(q, level, N)
         self.desc = group.desc.at_precision(N)
-        e, f, m = self.e, self.desc.f, self.desc.pN
+        e, f = self.e, self.desc.f
         raw, self.polygon = _factor_polygon(group, level, N)
         if raw.shape[0] != e + 1:
             raise ValueError("distinguished factor does not have degree e")
@@ -161,16 +161,7 @@ class TorsionFieldModel:
         self.dtype = contraction_dtype(2 * e * f * f * self.desc.p, self.desc)
         self.P_low = raw[:e].astype(self.dtype)
         # reduction table: red[k] = X^(e+k) mod P, k = 0 .. e-2
-        red = np.zeros((max(e - 1, 1), e, f), dtype=self.dtype)
-        red[0] = (-self.P_low) % m
-        for k in range(1, e - 1):
-            shifted = np.zeros((e, f), dtype=self.dtype)
-            shifted[1:] = red[k - 1][: e - 1]
-            top = red[k - 1][e - 1]
-            if any(int(v) for v in top):
-                shifted = (shifted + ring_scale(red[0], top, self.desc, m)) % m
-            red[k] = shifted % m
-        self.red = red
+        self.red = self._z_powers(2 * e - 1)[e:].astype(self.dtype)
 
     # ------------------------------------------------------------ elements
     # Every operation takes stacks: arrays shaped (..., e, f) whose leading
@@ -292,16 +283,18 @@ class TorsionFieldModel:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
 
-    def _z_powers(self):
-        """z^k for k < N*e by shift-and-fold; z^e is p times a unit (pure
-        slope 1/e), so z^(N*e) and every higher power vanish mod p^N.  Not
-        kept: each caller evaluates all its series in one eval_at_z."""
-        K, m = self.window, self.desc.pN
-        dtype = contraction_dtype(K, self.desc)  # eval_at_z sums K products
-        red0 = self.red[0].astype(dtype)
-        Z = np.zeros((K, self.e, self.desc.f), dtype=dtype)
-        Z[0, 0, 0] = 1
-        for k in range(1, K):
+    def _z_powers(self, count: int):
+        """z^k for k < count by shift-and-fold with z^e = -P_low; z^e is p
+        times a unit (pure slope 1/e), so z^(N*e) and every higher power
+        vanish mod p^N.  Not kept: each caller evaluates all its series in
+        one eval_at_z."""
+        m = self.desc.pN
+        dtype = contraction_dtype(count, self.desc)  # eval_at_z sums count products
+        red0 = ((-self.P_low) % m).astype(dtype)
+        e = self.e
+        Z = np.zeros((count, e, self.desc.f), dtype=dtype)
+        Z[range(e), range(e), 0] = 1  # z^k = X^k below e: nothing to fold
+        for k in range(e, count):
             Z[k, 1:] = Z[k - 1, :-1]
             Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
         return Z
@@ -312,7 +305,7 @@ class TorsionFieldModel:
         series = [s] if isinstance(s, TruncSeries1) else list(s)
         for t in series:
             self._require_window(t.D)
-        Z = self._z_powers()
+        Z = self._z_powers(self.window)
         m = self.desc.pN
         data = (np.stack([t.data[: len(Z)] for t in series]) % m).astype(Z.dtype)
         out = ring_mul(data, Z, self.desc, m, np.matmul).astype(self.dtype)
@@ -519,37 +512,19 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
     nonzero = [w for w in digits if not w.is_zero()]
     one = desc.one()
     units = [w for w in nonzero if not (w - one).is_zero()]  # u = 1: break is infinite
-    module.solve_batch([w - one for w in units] + (nonzero if n > 1 else []))
-    table = []
-    all_match = True
-    for k in range(n):
-        expected = q**k
-        if k == 0:
-            row = units
-            vals = model.valuations(model.eval_at_z(
-                [module.multiplication_by(w - one) for w in units]))
-        else:
-            # u - 1 = p^k * w: apply [p] k times, then the unit digit
-            row = nonzero
-            wk = model.apply_pi(model.z(), times=k)
-            window = eval_window(model.window, q**k, q)
-            vals = [model.valuation(model.eval_series(
-                module.multiplication_by(w).truncate(window), wk, min_val=q**k)) for w in row]
-        for w, val in zip(row, vals):
-            ok = val == expected
-            all_match = all_match and ok
-            table.append({
-                "k": k,
-                "digit": w.residue().code(),
-                "i_sigma": str(val),
-                "expected": expected,
-                "match": bool(ok),
-            })
+    # u - 1 is w - 1 at k = 0 and p^k * w at k >= 1: one batch, one evaluation
+    rows = [(0, w, w - one) for w in units]
+    rows += [(k, w, w * desc.p**k) for k in range(1, n) for w in nonzero]
+    module.solve_batch([a for _, _, a in rows])
+    points = model.eval_at_z([module.multiplication_by(a) for _, _, a in rows])
+    table = [{"k": k, "digit": w.residue().code(), "i_sigma": str(val),
+              "expected": q**k, "match": bool(val == q**k)}
+             for (k, w, _), val in zip(rows, model.valuations(points))]
     record = {
         "level": n,
         "breaks": table,
         "identity_break": "inf",
-        "all_match": bool(all_match),
+        "all_match": all(row["match"] for row in table),
     }
     if cross_check:
         record["direct_level_one"] = _direct_break_check(group, crosscheck_precision(N))

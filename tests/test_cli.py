@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fglab import cli
 from fglab.cli import main, parse_u, load_config_file, RunConfig
 from fglab.reports import Check, build_report, exit_code, run_checks, strip_timings
 
@@ -69,6 +70,18 @@ class TestExitCodes:
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["torsion", "--config", "/nonexistent/run.cfg"]) == 2
+
+    def test_unwritable_out_exit_two_before_the_group_is_built(self, tmp_path,
+                                                               monkeypatch, capsys):
+        def build_group(cfg):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(cli, "build_group", build_group)
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            for command in ("matrices", "construct"):
+                assert main([command, "--p", "3", "--out", str(out)]) == 2
+                assert "config error: out:" in capsys.readouterr().err
+        assert RunConfig({"out": str(tmp_path / "r.json")}).validate("verify") == []
 
     def test_endo_window_past_cap_exit_two(self, capsys):
         # torsion needs only N*e = 12 here, the certificates need 24

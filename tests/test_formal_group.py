@@ -57,6 +57,18 @@ def test_frobenius_validation():
         FrobeniusSeries(d, [1, 3, 0, 1])  # constant term
 
 
+def test_lubin_tate_coefficients_are_integers():
+    d = RingDescriptor(3, 2, 6)
+    good = [0, 3] + [0] * 7 + [1]  # 3X + X^9
+    assert FrobeniusSeries(d, good).coeffs == good
+    for bad in ((3, 0), [3, 0], Fraction(3), d.from_int(3)):
+        coeffs = [0, bad] + good[2:]
+        with pytest.raises(ValueError, match="integers"):
+            FrobeniusSeries(d, coeffs)
+        with pytest.raises(ValueError, match="integers"):
+            lubin_tate_group(d, coeffs)
+
+
 def test_lubin_tate_first_coefficients():
     # degree-2 part vanishes, degree-3 part is 8(X^2 Y + X Y^2) mod 9
     g = lt_h1(3, N=10)
@@ -448,6 +460,16 @@ def test_base_change_preserves_data():
         assert direct.pi_series(D, N) == changed.pi_series(D, N)
         assert direct.group_law2(D, N) == changed.group_law2(D, N)
         assert direct.logarithm(D) == changed.logarithm(D)
+    # a base-changed Lubin-Tate group is the one built from the same integers
+    for base, chain in ((lt_h1(3), (2, 4)), (lt_h2(), (4,))):
+        g = base
+        for f in chain:
+            g = g.base_change(f)
+            direct = lubin_tate_group(RingDescriptor(3, f, base.desc.N), base.frobenius.coeffs)
+            assert (direct.kind, direct.height) == (g.kind, g.height)
+            assert direct.pi_series(D, N) == g.pi_series(D, N)
+            assert direct.group_law2(D, N) == g.group_law2(D, N)
+            assert direct.logarithm(D) == g.logarithm(D)
 
 
 def test_gm_base_change_identical():

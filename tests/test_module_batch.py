@@ -409,15 +409,16 @@ def test_eval_at_z_contraction_switches_to_object():
     # z^k contraction sums N e = 36 products, so it runs on object data
     model = TorsionFieldModel(gm(3, N=20), 1, 18)
     assert model.dtype is np.int64
-    assert model._z_powers().dtype == object
-    assert TorsionFieldModel(gm(3, N=20), 1, 17)._z_powers().dtype == np.int64
+    assert model._z_powers(model.window).dtype == object
+    low = TorsionFieldModel(gm(3, N=20), 1, 17)
+    assert low._z_powers(low.window).dtype == np.int64
     s = random_series(model.desc, model.N * model.e, seed=1)
     got, want = model.eval_at_z(s), oracle_eval_at_z(model, s)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     # one digit more and the model itself runs on object data
     model = TorsionFieldModel(gm(3, N=20), 1, 19)
-    assert model.dtype is object and model._z_powers().dtype == object
+    assert model.dtype is object and model._z_powers(model.window).dtype == object
     s = random_series(model.desc, model.N * model.e + 1, seed=2)
     got, want = model.eval_at_z(s), oracle_eval_at_z(model, s)
     assert got.dtype == want.dtype == object

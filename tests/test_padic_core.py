@@ -7,7 +7,6 @@ from fglab import padic
 from fglab.padic import (
     INF,
     _fp_polmul,
-    Embedding,
     RingDescriptor,
     UnramifiedRingElem,
     minimal_modulus,
@@ -28,9 +27,10 @@ def test_descriptor_rejects_bad_parameters():
         RingDescriptor(3, 0, 4)
     with pytest.raises(ValueError):
         RingDescriptor(3, 1, 0)
-    # X^2 - 1 is reducible mod 3
-    with pytest.raises(ValueError):
-        RingDescriptor(3, 2, 4, (2, 0, 1))
+    # the modulus is not a parameter: it is always minimal_modulus(p, f)
+    with pytest.raises(TypeError):
+        RingDescriptor(3, 2, 4, (1, 0, 1))
+    assert RingDescriptor(5, 2, 4).modulus == minimal_modulus(5, 2)
 
 
 def test_minimal_modulus_choices():
@@ -186,22 +186,3 @@ def test_teichmuller_digits_structure():
     assert len(sub) == 3
     for t in sub:
         assert t**3 == t
-
-
-def test_embedding_roundtrip():
-    src = RingDescriptor(3, 1, 5)
-    dst = RingDescriptor(3, 2, 5)
-    emb = Embedding(src, dst)
-    a = src.from_int(17)
-    assert emb(a) == dst.from_int(17)
-    # embedding of a bigger field: root of the source modulus must vanish
-    src2 = RingDescriptor(3, 2, 5)
-    dst2 = RingDescriptor(3, 4, 5)
-    emb2 = Embedding(src2, dst2)
-    acc = dst2.zero()
-    for c in reversed(src2.modulus):
-        acc = acc * emb2.root + dst2.from_int(c)
-    assert acc.is_zero()
-    x, y = src2.from_coeffs([1, 2]), src2.from_coeffs([4, 7])
-    assert emb2(x * y) == emb2(x) * emb2(y)
-    assert emb2(x + y) == emb2(x) + emb2(y)

@@ -1,6 +1,7 @@
 """The window and precision rules, pinned on the corpus, and kept in one
 module."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -98,4 +99,14 @@ def test_window_and_precision_rules_live_in_one_module():
             text = re.sub(r"def unit_quotient_order\(.*?(?=\ndef |\Z)", "", text, flags=re.S)
         for lineno, line in enumerate(text.splitlines(), start=1):
             found += [f"{path.name}:{lineno}: {rule}" for rule in RULES if rule in line]
+    assert found == []
+
+
+def test_guards_raise_instead_of_asserting():
+    # an assert statement vanishes under python -O; raise AssertionError stays
+    src = Path(fglab.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
     assert found == []
