@@ -7,7 +7,7 @@ Three kinds of group, each with its multiplication-by-p series [p]:
   with integer coefficients, congruent to X^q mod p;
 * honda_group: logarithm built from the functional equation
   lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
-  lam([p]) = p lam by a Newton iteration carried out mod a high power of p
+  lam([p]) = p lam by a Newton iteration carried out mod p^(N + jmax)
   (lam and [p] have Z_p coefficients by Hazewinkel's functional-equation
   lemma).
 
@@ -17,12 +17,12 @@ sources need no more: when h | f, any Frobenius series with W(F_{p^f})
 coefficients gives a group isomorphic over that ring to the one of
 pX + X^q (Lubin-Tate 1965).
 
-Both non-closed kinds get their two-variable law from one solver: F is the
-unique series X + Y + ... commuting with [p], F(f(X), f(Y)) = f(F(X, Y))
-(Lubin-Tate 1965).  It follows the grading of f = X u(X^d): only total
-degrees k = 1 mod d are solved, each from the degree-k part of the defect
-f(F) - F(f(X), f(Y)), formed by compose and substitute2_into2, divided by
-p^k - p.
+Both non-closed kinds get their two-variable law from one solver over Z_p:
+F is the unique series X + Y + ... commuting with [p], F(f(X), f(Y)) =
+f(F(X, Y)) (Lubin-Tate 1965), so it has Z_p coefficients too.  It follows
+the grading of f = X u(X^d): only total degrees k = 1 mod d are solved,
+each from the degree-k part of the defect f(F) - F(f(X), f(Y)), formed by
+compose and substitute2_into2, divided by p^k - p.
 
 Module structure ([a]-series for ring scalars a) is computed by the
 commutation recursion: g with linear term a and g(f(X)) = f(g(X)) is solved
@@ -192,7 +192,7 @@ def _honda_pi_series(out_desc: RingDescriptor, u, D: int) -> TruncSeries1:
     lam = honda_log_coeffs(p, u, D)
     jmax = max((-_frac_val(c, p) for c in lam if c), default=0)
     scale = p**jmax
-    desc = RingDescriptor(p, 1, honda_precision(D, out_desc.N, jmax))
+    desc = RingDescriptor(p, 1, honda_precision(out_desc.N, jmax))
     m = desc.pN
     L = TruncSeries1.zero(desc, D)
     for k, c in enumerate(lam):
@@ -328,14 +328,18 @@ class FormalGroupLaw:
             return TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
         W = law_window(D2, self.q)
         N_work = N + cushion(W, self.q_eff)
+        # [p] has Z_p coefficients, so F is fixed by Frobenius: solve over Z_p
+        zp = RingDescriptor(self.desc.p, 1, N_work)
         if self.kind == "honda":
             # the honda [p]-series is exact data at any precision
-            f_work = _honda_pi_series(self.desc.at_precision(N_work), self.u, W)
+            f_work = _honda_pi_series(zp, self.u, W)
         elif N_work > self.desc.N:
             raise ValueError("construct the group at higher precision first")
         else:
-            f_work = self.pi_series(W, N_work)
-        return _narrow(solve_equivariant_group_law(f_work, W, N), D2, N)
+            f_work = self.frobenius.at(zp, W)
+        out = TruncSeries2.zero(self.desc.at_precision(N), D2)
+        out.data[..., 0] = _narrow(solve_equivariant_group_law(f_work, W, N), D2, N).data[..., 0]
+        return out
 
     # ------------------------------------------------------------ logarithm
     def logarithm(self, D: int) -> TruncSeries1:

@@ -97,12 +97,16 @@ def law_precision(kind: str, N_c: int, D: int, q: int) -> int:
     return N_c - cushion(law_window(D, q), q) if kind == "lubin_tate" else N_c
 
 
-def honda_precision(D: int, N_out: int, jmax: int) -> int:
-    """Working precision of the honda [p]-series Newton solve to window D:
-    the logarithm is scaled by p^jmax, and each of the ceil(log2 D)
-    doublings divides by p^jmax twice."""
-    doublings = (max(D, 2) - 1).bit_length()
-    return N_out + 2 * jmax * doublings + jmax + 2
+def honda_precision(N_out: int, jmax: int) -> int:
+    """Working precision M = N_out + jmax of the honda [p]-series Newton
+    solve, for any window: the logarithm is scaled by p^jmax to L, and the
+    digits lost to the division by p^jmax do not compound.  lam_k != 0 only
+    at k = p^v, with v_p(lam_k) >= -v, so L' = p^jmax lam' with lam'
+    integral, and an error delta = 0 mod p^(M-jmax) in g moves L(g) by
+    L'(g) delta = 0 mod p^M; its order-i term, i >= 2, has valuation
+    >= i (M - jmax) + jmax - v_p(i) >= M.  So each step's defect is right
+    mod p^M, and its correction, after the division, mod p^(M-jmax)."""
+    return N_out + jmax
 
 
 # ------------------------------------------------------------ multipliers

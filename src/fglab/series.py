@@ -29,7 +29,8 @@ with at most 10 nonzero terms sums addition-chain powers in one
 contraction, any other goes baby-step/giant-step with its block sums in
 one contraction.
 substitute2_into2 forms F(g(X), h(Y)) as P^T F Q from the power tables of
-g and h.
+g and h.  Reversion is a Newton iteration of one composition a step,
+r <- r - (f(r) - X) r' (Brent-Kung 1978), in either domain.
 """
 
 from __future__ import annotations
@@ -370,8 +371,15 @@ class TruncSeries1(_Series):
         return x
 
     def reversion(self):
-        """Compositional inverse; needs zero constant term and unit linear
-        coefficient.  Newton iteration with degree doubling."""
+        """Compositional inverse; needs zero constant term and an invertible
+        linear coefficient (integral: a unit; scaled: any nonzero linear
+        coefficient).
+
+        Newton iteration with one composition a step: r <- r - (f(r) - X) r'
+        takes r good mod X^d to r good mod X^(2d-1).  With r = r* + delta,
+        delta = O(X^d), f(r) - X = O(X^d) and r' = 1/f'(r*) + O(X^(d-1)),
+        so the new error is O(X^(2d-1)).  The inverse mod X^D is unique, so
+        the result does not depend on the route."""
         if any(v != 0 for v in self.data[0]):
             raise ValueError("series must have zero constant term")
         if self.domain == "integral":
@@ -381,15 +389,11 @@ class TruncSeries1(_Series):
         x = TruncSeries1.x(self.desc, self.D, self.domain)
         d = 2
         while d < self.D:
-            d = min(2 * d, self.D)
+            d = min(2 * d - 1, self.D)
             rt = r.truncate(d)
-            ft = self.truncate(d)
-            err = ft.compose(rt) - x.truncate(d)
-            if err.is_zero():
-                r = rt.lift(self.D)
-                continue
-            der = ft.derivative().compose(rt)
-            rt = rt - err * der.invert_unit()
+            err = self.truncate(d).compose(rt) - x.truncate(d)
+            if not err.is_zero():
+                rt = rt - err * rt.derivative()
             r = rt.lift(self.D)
         return r
 
@@ -431,7 +435,10 @@ class TruncSeries1(_Series):
 def _exact_vec_invert(nums, den: int, desc: RingDescriptor):
     """(w, e) with w / e the inverse of the ring element nums / den, exactly:
     fraction-free Gauss-Jordan elimination on the multiplication matrix of
-    nums, augmented by e_0, leaves row i as d_i w_i = r_i."""
+    nums, augmented by e_0, leaves row i as d_i w_i = r_i.  Raises
+    ZeroDivisionError on zero, the one element without an inverse."""
+    if not any(nums):
+        raise ZeroDivisionError("zero has no inverse")
     f = desc.f
     S = scalar_matrix([int(v) for v in nums], desc, None)
     M = [[S[j][i] for j in range(f)] + [int(i == 0)] for i in range(f)]

@@ -590,7 +590,7 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
         roots = (UnramifiedRingElem.from_code(r.desc, k) for k in range(1, model.desc.q))
         rho = next(c for c in roots if c ** (p - 1) == r)
         t = model.from_ok(teichmuller_lift(model.desc, rho))
-        for _ in range(40):
+        for _ in range(newton_steps(model.window)):
             err = model.sub(model.pow_int(t, p - 1), u)
             if model.equal(err, model.zero()):
                 break

@@ -156,6 +156,38 @@ def test_honda_u1_integral_height_one():
     assert F.coefficient(1, 1).coeffs[0] != 0 or F.coefficient(2, 1).coeffs[0] != 0
 
 
+# (p, u, D, N) on which the solve at N + jmax digits is checked
+HONDA_GRID = [
+    (3, (1,), 216, 12), (3, (0, 1), 300, 8), (3, (1, 1), 120, 10), (3, (2, 1), 100, 6),
+    (3, (0, 0, 1), 300, 6), (5, (1,), 150, 8), (5, (0, 1), 300, 6), (5, (1, 1), 60, 12),
+]
+
+
+@pytest.mark.parametrize("p,u,D,N", HONDA_GRID)
+def test_honda_pi_series_at_n_plus_jmax_digits(p, u, D, N, monkeypatch):
+    from fglab import groups
+    out_desc = RingDescriptor(p, 1, N)
+    got = groups._honda_pi_series(out_desc, u, D)
+
+    def doubling_rule(N_out, jmax):
+        # the rule it replaced: 2 jmax digits for each of ceil(log2 D) doublings
+        return N_out + 2 * jmax * (D - 1).bit_length() + jmax + 2
+
+    monkeypatch.setattr(groups, "honda_precision", doubling_rule)
+    assert got == groups._honda_pi_series(out_desc, u, D)
+
+
+def test_honda_pi_series_solve_fits_int64(monkeypatch):
+    # jmax = 4 at D = 216: 16 digits, where the doubling rule asked for 82
+    from fglab import groups
+    dtypes = []
+    compose = TruncSeries1.compose
+    monkeypatch.setattr(TruncSeries1, "compose",
+                        lambda self, g: dtypes.append(self.data.dtype) or compose(self, g))
+    groups._honda_pi_series(RingDescriptor(3, 1, 12), (1,), 216)
+    assert dtypes and all(dt == np.int64 for dt in dtypes)
+
+
 # ------------------------------------------- group axioms (test oracle)
 # Identity, commutativity and associativity on explicit windows, over
 # dicts of (i, j, k) -> coefficient vector: a substitution route that

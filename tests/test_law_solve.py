@@ -22,7 +22,7 @@ from fglab.groups import (
     solve_equivariant_group_law,
 )
 from fglab.padic import RingDescriptor, contraction_dtype, ring_mul
-from fglab.precision import cushion
+from fglab.precision import cushion, law_window
 from fglab.series import TruncSeries1, TruncSeries2
 
 
@@ -161,6 +161,28 @@ def test_law_groups_equal_oracle(name, solves):
         # the dense honda [p]-series: every odd degree, d = 2
         assert grading(f_ser) == 2 and len(f_ser.nonzero_degrees()) > 10
     assert new == old
+
+
+# groups over W(F_{p^f}), f > 1, and the law windows they are checked on
+RING_LAWS = {
+    "lt-h2-f2": (LAW_GROUPS["lt-h2"], 20),
+    "lt-h2-f4": (lambda: LAW_GROUPS["lt-h2"]().base_change(4), 20),
+    "honda-01-f2": (lambda: honda_group(RingDescriptor(3, 2, 14), (0, 1)), 20),
+    "honda-1-f2": (lambda: honda_group(RingDescriptor(3, 2, 14), (1,)), 14),
+}
+
+
+@pytest.mark.parametrize("name", list(RING_LAWS))
+def test_law_solved_over_zp_equals_solve_in_the_ring(name):
+    # [p] has Z_p coefficients, so the law solved over Z_p is the one
+    # solved in the f-component ring
+    make, D2 = RING_LAWS[name]
+    group, N = make(), 5
+    W = law_window(D2, group.q)
+    f_ring = group.pi_series(W, N + cushion(W, group.q_eff))
+    assert f_ring.desc.f == group.desc.f > 1
+    want = groups._narrow(solve_equivariant_group_law(f_ring, W, N), D2, N)
+    assert group.group_law2(D2, N) == want
 
 
 def test_law_of_px_is_x_plus_y():

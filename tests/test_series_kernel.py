@@ -57,6 +57,50 @@ def test_reversion_round_trip():
         assert r.compose(s) == x
 
 
+@pytest.mark.parametrize("D", [12, 24])
+def test_reversion_composes_once_per_step(D, monkeypatch):
+    # windows 2 -> 3 -> 5 -> 9 -> ... -> D: one f(r) a step, no f'(r) and
+    # no inversion of it
+    from fglab.groups import lubin_tate_group
+    log = lubin_tate_group(desc(), [0, 3, 0, 1]).logarithm(D)
+    integral = random_series(desc(), D, random.Random(5), unit_linear=True)
+    for s in (log, integral):
+        compositions, inversions = [], []
+        compose, invert_unit = TruncSeries1.compose, TruncSeries1.invert_unit
+        monkeypatch.setattr(TruncSeries1, "compose",
+                            lambda self, g: compositions.append(1) or compose(self, g))
+        monkeypatch.setattr(TruncSeries1, "invert_unit",
+                            lambda self: inversions.append(1) or invert_unit(self))
+        r = s.reversion()
+        monkeypatch.undo()
+        assert len(compositions) == (D - 2).bit_length()
+        assert not inversions
+        assert s.compose(r) == TruncSeries1.x(s.desc, D, s.domain)
+
+
+@pytest.mark.parametrize("f_", [1, 2])
+@pytest.mark.parametrize("c", [Fraction(3), Fraction(1, 3)])
+def test_scaled_reversion_takes_any_nonzero_linear_coefficient(c, f_):
+    # over Q_p every nonzero linear coefficient is invertible, units or not
+    d = desc(f=f_, N=6)
+    tail = [Fraction(1, 9), 2, Fraction(-5, 3), 0, 7, Fraction(2, 27)]
+    if f_ == 2:
+        tail = [(v, k - 2) for k, v in enumerate(tail)]
+    s = TruncSeries1.from_coeffs(d, [0, c] + tail, D=10, domain="scaled")
+    r = s.reversion()
+    x = TruncSeries1.x(d, 10, "scaled")
+    assert s.compose(r) == x
+    assert r.compose(s) == x
+    assert r.coeff_vec(1)[0] == 1 / c
+
+
+@pytest.mark.parametrize("f_", [1, 2])
+def test_scaled_reversion_of_zero_linear_coefficient_raises(f_):
+    s = TruncSeries1.from_coeffs(desc(f=f_), [0, 0, 1], D=6, domain="scaled")
+    with pytest.raises(ZeroDivisionError):
+        s.reversion()
+
+
 def test_compose_square_example():
     d = desc()
     sq = TruncSeries1.from_coeffs(d, [0, 0, 1], D=5)
