@@ -463,13 +463,13 @@ def matrix_checks(group, cfg: RunConfig, subfield_report=None):
 
 # ------------------------------------------------- seeded series properties
 
-def _random_series(desc, D, rng, unit_linear=False, zero_const=True):
+def _random_series(desc, D, rng, unit_linear=False):
+    """A seeded random series with zero constant term."""
     s = TruncSeries1.zero(desc, D)
     for k in range(D):
         for j in range(desc.f):
             s.data[k, j] = rng.randrange(desc.pN)
-    if zero_const:
-        s.data[0, :] = 0
+    s.data[0, :] = 0
     if unit_linear:
         s.data[1, 0] = 1 + desc.p * rng.randrange(desc.p ** (desc.N - 1))
         for j in range(1, desc.f):

@@ -47,7 +47,6 @@ from .padic import (
     _frac_val,
     contraction_dtype,
     ring_mul,
-    ring_scale,
 )
 from .precision import (
     cushion,
@@ -61,7 +60,7 @@ from .series import (
     TruncSeries1,
     TruncSeries2,
     _dtype_for,
-    _mul_data,
+    _powers,
     substitute2_into2,
 )
 from .weier import division_polynomial
@@ -422,23 +421,6 @@ def honda_group(desc: RingDescriptor, u, label: str | None = None) -> FormalGrou
 _BATCH_BYTES = 1 << 20
 
 
-def _power_table(f_data, desc: RingDescriptor, nz) -> np.ndarray:
-    """table[j] = f^j truncated at the window D = len(f_data), for j < D."""
-    D, m = len(f_data), desc.pN
-    table = np.zeros((D, D, desc.f), dtype=f_data.dtype)
-    table[0, 0, 0] = 1
-    table[1] = f_data
-    terms = [(k, tuple(f_data[k])) for k in nz]
-    for j in range(2, D):
-        cur = table[j - 1]
-        if len(terms) > 6:
-            table[j] = _mul_data(cur, f_data, desc, D, m)
-            continue
-        for d, vec in terms:
-            table[j, d:] = (table[j, d:] + ring_scale(cur[: D - d], vec, desc, m)) % m
-    return table
-
-
 # (x, y) -> sum_j x[b, j] * y[i, b, j] for every (i, b)
 _sum_bj = functools.partial(np.einsum, "bj,ibj->ib")
 
@@ -469,7 +451,7 @@ class ModuleStructure:
         self.f_nz = fs.nonzero_degrees()
         self.mdeg = self.f_nz[-1]
         self.step = math.gcd(*(j - 1 for j in self.f_nz))  # d; 0 when f = pX
-        self.fpow = _power_table(fs.data.astype(self.dtype), self.desc_w, self.f_nz)
+        self.fpow = _powers(fs, D)[0]
         self._cache = {}
 
     def _coerce_scalar(self, a):

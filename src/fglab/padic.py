@@ -201,17 +201,6 @@ class RingDescriptor:
     def from_coeffs(self, coeffs) -> "UnramifiedRingElem":
         return UnramifiedRingElem(self, tuple(int(c) % self.pN for c in coeffs))
 
-    def element_from_rationals(self, vec) -> "UnramifiedRingElem":
-        """Reduce a vector of p-integral Fractions mod p^N."""
-        out = []
-        for r in vec:
-            r = Fraction(r)
-            den = r.denominator
-            if den % self.p == 0:
-                raise ValueError("not p-integral")
-            out.append(r.numerator * pow(den, -1, self.pN) % self.pN)
-        return UnramifiedRingElem(self, tuple(out))
-
 
 # ---------------------------------------------------------------------------
 # the coefficient-ring multiply kernel
@@ -418,14 +407,6 @@ class UnramifiedRingElem:
         for _ in range(newton_steps(self.desc.N)):
             x = x * (two - self * x)
         return x
-
-    def exact_div_p(self, k: int = 1) -> "UnramifiedRingElem":
-        """Divide by p^k; requires p^k | a. Top k digits of the result are
-        unconstrained by the input and are returned as zero."""
-        pk = self.desc.p**k
-        if any(c % pk for c in self.coeffs):
-            raise ValueError("not divisible by p^%d" % k)
-        return UnramifiedRingElem(self.desc, [c // pk for c in self.coeffs])
 
     def reduce_to(self, desc: RingDescriptor) -> "UnramifiedRingElem":
         if not desc.same_field(self.desc):

@@ -12,6 +12,8 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 
@@ -27,17 +29,10 @@ def _jsonable(v):
         return v if v == v and abs(v) != float("inf") else str(v)
     if isinstance(v, int):
         return v if abs(v) < 2**53 else str(v)
-    try:
-        import numpy as np
-        if isinstance(v, np.integer):
-            return int(v)
-        if isinstance(v, np.bool_):
-            return bool(v)
-    except ImportError:
-        pass
-    from fractions import Fraction
-    if isinstance(v, Fraction):
-        return str(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.bool_):
+        return bool(v)
     return str(v)
 
 

@@ -23,7 +23,9 @@ An integral series keeps den = 1.  A two-variable product goes by
 homogeneous parts: the part of total degree t is the anti-diagonal
 c[i, t - i], the zero parts are skipped, and each pair of nonzero parts
 t1 + t2 < D is one convolution into part t1 + t2, reduced after every
-addition.  Composition has one route,
+addition.  Every table of powers g^0 .. g^(c-1) comes from one builder,
+_powers: term by term for an integral one-variable g of at most 6 terms,
+by products otherwise.  Composition has one route,
 TruncSeries1.compose, for an inner series of either kind: an outer series
 with at most 10 nonzero terms sums addition-chain powers in one
 contraction, any other goes baby-step/giant-step with its block sums in
@@ -284,17 +286,6 @@ class TruncSeries1(_Series):
         data[: self.D] = self.data
         return TruncSeries1(self.desc, Dnew, self.domain, data, self.den)
 
-    def pow_trunc(self, e: int):
-        result = self._monomial(0, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def compose(self, g):
         """self(g): the one composition route.
 
@@ -302,10 +293,11 @@ class TruncSeries1(_Series):
         window, with zero constant term; the result is of g's kind.  An
         outer series with at most 10 nonzero terms takes the powers of g it
         needs from a memoised addition chain and sums them in one ring_mul
-        contraction.  Any other takes baby steps g^r for r < s =
-        ceil(sqrt(n)), n the number of terms up to the last nonzero one,
-        forms every block sum sum_r c_{bs+r} g^r in one contraction, and
-        runs Horner in g^s over the blocks (Paterson-Stockmeyer): about
+        contraction.  Any other takes the baby steps g^r, r < s =
+        ceil(sqrt(n)) with n the number of terms up to the last nonzero
+        one, and the giant step g^s from one _powers table, forms every
+        block sum sum_r c_{bs+r} g^r in one contraction, and runs Horner
+        in g^s over the blocks (Paterson-Stockmeyer): about
         2 sqrt(n) products of g's kind.  Both contract self's numerators
         and divide by self.den once at the end.
         """
@@ -317,32 +309,33 @@ class TruncSeries1(_Series):
         if not nz:
             return kind.zero(desc, D, domain)
 
-        def sums(rows, terms):
-            """sum_r rows[..., r] terms[r], one series per leading index of rows."""
-            stack, den = _common(terms)
+        def sums(rows, stack, den):
+            """sum_r rows[..., r] stack[r] / den, one series per leading index
+            of rows."""
             out = ring_mul(rows, stack, desc, self._modulo(),
                            functools.partial(np.tensordot, axes=1))
             return [kind(desc, D, domain, part, den) for part in out]
 
         if len(nz) <= 10:
-            powers = dict(enumerate(_powers(g, 2)))
+            powers = {0: _one(g), 1: g}
 
             def gpow(e):
                 if e not in powers:
                     powers[e] = gpow(e - 1) * g if e % 2 else gpow(e // 2) * gpow(e // 2)
                 return powers[e]
 
-            return sums(self.data[nz][None], [gpow(k) for k in nz])[0]._divided(self.den)
+            return sums(self.data[nz][None], *_common([gpow(k) for k in nz]))[0]._divided(self.den)
         n = nz[-1] + 1
         s = math.isqrt(n - 1) + 1
         blocks = -(-n // s)
-        baby = _powers(g, s + 1)
+        baby, den = _powers(g, s + 1)
         coeffs = np.zeros((blocks * s, desc.f), dtype=self.data.dtype)
         coeffs[:n] = self.data[:n]
-        parts = sums(coeffs.reshape(blocks, s, desc.f), baby[:s])
+        parts = sums(coeffs.reshape(blocks, s, desc.f), baby[:s], den)
+        giant = g._new(baby[s], den)
         acc = parts[-1]
         for part in parts[-2::-1]:
-            acc = acc * baby[s] + part
+            acc = acc * giant + part
         return acc._divided(self.den)
 
     def derivative(self):
@@ -352,11 +345,10 @@ class TruncSeries1(_Series):
         return self._reduced(data, self.den)
 
     def invert_unit(self):
-        """Multiplicative inverse; constant coefficient must be a unit."""
+        """Multiplicative inverse; the constant coefficient must be invertible
+        (integral: a unit; scaled: any nonzero constant)."""
         if self.domain == "integral":
             x = self._monomial(0, self.coefficient(0).invert().coeffs)
-        elif self.first_unit_index() != 0:
-            raise ZeroDivisionError("constant term is not a unit")
         else:
             x = self._monomial(0, *_exact_vec_invert(self.data[0], self.den, self.desc))
         two = self._monomial(0, 2)
@@ -511,14 +503,35 @@ class TruncSeries2(_Series):
         return f"TruncSeries2(D={self.D}, {self.domain}, {len(self.coeff_triples())} terms)"
 
 
-def _powers(g, count):
-    """[g^0, g^1, ..., g^(count-1)] for a series of either kind."""
+def _one(g):
+    """The series 1 of g's kind, ring, domain and window."""
     one = type(g).zero(g.desc, g.D, g.domain)
     one.data[(0,) * one.data.ndim] = 1
-    out = [one, g]
-    while len(out) < count:
-        out.append(out[-1] * g)
-    return out[:count]
+    return one
+
+
+def _powers(g, count):
+    """g^0, ..., g^(count-1) of a series of either kind, stacked on a new
+    first axis over one denominator: (numerators, den).  The one builder of
+    power tables.  An integral one-variable g with at most 6 nonzero terms
+    fills each row in place from the one before, one shifted ring_scale per
+    term; any other g takes a product per row."""
+    one = _one(g)
+    terms = (g.nonzero_degrees() if isinstance(g, TruncSeries1) and g.domain == "integral"
+             else None)
+    if terms is None or len(terms) > 6:
+        out = [one, g]
+        while len(out) < count:
+            out.append(out[-1] * g)
+        return _common(out[:count])
+    D, desc, m = g.D, g.desc, g.desc.pN
+    table = np.zeros((count,) + g.data.shape, dtype=g.data.dtype)
+    table[0] = one.data
+    for j in range(1, count):
+        for d in terms:
+            seg = ring_scale(table[j - 1, : D - d], g.data[d], desc, m)
+            table[j, d:] = (table[j, d:] + seg) % m
+    return table, 1
 
 
 def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries2:
@@ -531,8 +544,8 @@ def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> Trun
         if s.data[0].any():
             raise ValueError("substituted series must have zero constant term")
     D, m = F.D, F._modulo()
-    P, dP = _common(_powers(g, D))
-    Q, dQ = (P, dP) if h is g else _common(_powers(h, D))
+    P, dP = _powers(g, D)
+    Q, dQ = (P, dP) if h is g else _powers(h, D)
     FQ = ring_mul(F.data, Q, F.desc, m, np.matmul)
     out = ring_mul(P, FQ, F.desc, m, lambda x, y: x.T @ y)
     out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0

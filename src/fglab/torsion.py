@@ -53,25 +53,16 @@ class NewtonPolygon:
         for pt in self.points:
             while len(verts) >= 2:
                 (x1, y1), (x2, y2) = verts[-2], verts[-1]
-                # pop the middle vertex unless it turns strictly upward
-                if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) < 0:
+                # pop the middle vertex unless it turns strictly upward, so
+                # collinear interior points go too (x strictly increases)
+                if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
                     verts.pop()
                 else:
                     break
             verts.append(pt)
-        # drop collinear interior points
-        clean = [verts[0]]
-        for pt in verts[1:]:
-            while len(clean) >= 2:
-                (x1, y1), (x2, y2) = clean[-2], clean[-1]
-                if (x2 - x1) * (pt[1] - y1) == (y2 - y1) * (pt[0] - x1):
-                    clean.pop()
-                else:
-                    break
-            clean.append(pt)
-        self.vertices = clean
+        self.vertices = verts
         self.segments = []
-        for (x1, y1), (x2, y2) in zip(clean, clean[1:]):
+        for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
             slope = Fraction(y2 - y1, x2 - x1)
             self.segments.append({
                 "slope": slope,

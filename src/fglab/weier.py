@@ -22,7 +22,7 @@ import numpy as np
 
 from .padic import teichmuller_lift
 from .precision import count_window, level_degree, model_window
-from .series import TruncSeries1
+from .series import TruncSeries1, _powers
 
 
 class WeierstrassData:
@@ -225,7 +225,8 @@ def phi_reconstruct(decomp: PhiDecomposition, pi_ser: TruncSeries1,
         comp = a.lift(D).compose(pi)
         out = out + comp.shift(i)
     if include_remainder:
-        tail = pi.pow_trunc(decomp.D_prime) * decomp.remainder
+        rows, den = _powers(pi, decomp.D_prime + 1)
+        tail = pi._new(rows[-1], den) * decomp.remainder
         out = out + tail
     return out
 

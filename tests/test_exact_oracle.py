@@ -29,6 +29,17 @@ from fglab.series import TruncSeries1, TruncSeries2
 
 # ------------------------------------------------------------------ oracle
 
+def element_from_rationals(desc, vec):
+    """Reduce a vector of p-integral Fractions mod p^N of desc."""
+    out = []
+    for r in vec:
+        r = Fraction(r)
+        if r.denominator % desc.p == 0:
+            raise ValueError("not p-integral")
+        out.append(r.numerator * pow(r.denominator, -1, desc.pN) % desc.pN)
+    return desc.from_coeffs(out)
+
+
 def over_common_denominator(X):
     """Integer numerators of the exact array X over L, the lcm of its
     denominators, and L."""
@@ -207,7 +218,7 @@ class FractionSeries:
     def to_integral(self, desc):
         """Each row through element_from_rationals, which refuses p in a
         denominator."""
-        return [desc.element_from_rationals(list(row)).coeffs for row in self.data]
+        return [element_from_rationals(desc, list(row)).coeffs for row in self.data]
 
     def first_unit_index(self):
         p = self.desc.p

@@ -312,6 +312,21 @@ def test_solver_matches_dense_oracle_on_corpus(name, window):
     assert module.solve_batch(scalars) == oracle_dense_records(module, scalars)
 
 
+@pytest.mark.parametrize("window", ["small", "level-2"])
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_power_table_matches_oracle_on_corpus(name, window):
+    g = dict(corpus(N=4, nmax=2))[name]
+    D = g.q + 3 if window == "small" else 4 * g.q * (g.q - 1)
+    module = g.module(D, 4)
+    oracle = oracle_fpow_list(module)
+    assert module.fpow.dtype == oracle[1].dtype == module.dtype
+    assert module.fpow.shape == (D, D, g.desc.f)
+    one = np.zeros((D, g.desc.f), dtype=module.dtype)
+    one[0, 0] = 1
+    assert np.array_equal(module.fpow[0], one)
+    assert all(np.array_equal(module.fpow[j], oracle[j]) for j in range(1, D))
+
+
 @pytest.mark.parametrize("make, step", [
     (lambda: gm(3, f=2, N=12), 1),
     (lambda: lubin_tate_group(RingDescriptor(3, 2, 12), [0, 3, 0, 1]), 2),

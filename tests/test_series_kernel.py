@@ -1,14 +1,19 @@
+import ast
+import collections
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fglab
+from fglab.corpus import corpus
 from fglab.groups import multiplicative_group, solve_equivariant_group_law
 from fglab.padic import RingDescriptor, contraction_dtype, ring_mul
 from fglab.precision import cushion
-from fglab.series import TruncSeries1, TruncSeries2, substitute2_into2
+from fglab.series import TruncSeries1, TruncSeries2, _powers, substitute2_into2
 from test_law_solve import LAW_GROUPS, inject_x, inject_y
 
 
@@ -149,6 +154,19 @@ def test_invert_unit_geometric():
     assert s * inv == one
 
 
+@pytest.mark.parametrize("f", [1, 2])
+def test_scaled_invert_unit_takes_any_nonzero_constant(f):
+    # 1/(3 + X) = sum_k (-1)^k X^k / 3^(k+1): the constant 3 is no unit of Z_3
+    d, D = RingDescriptor(3, f, 6), 6
+    s = TruncSeries1.from_coeffs(d, [3, 1], D=D, domain="scaled")
+    inv = s.invert_unit()
+    assert inv == TruncSeries1.from_coeffs(d, [Fraction((-1) ** k, 3 ** (k + 1)) for k in range(D)],
+                                           D=D, domain="scaled")
+    assert s * inv == TruncSeries1.from_coeffs(d, [1], D=D, domain="scaled")
+    with pytest.raises(ZeroDivisionError):
+        TruncSeries1.from_coeffs(d, [0, 1], D=D, domain="scaled").invert_unit()
+
+
 def test_invert_unit_quadratic_component():
     # over Z_3[x]/(x^2+1): the constant x has inverse -x
     d = RingDescriptor(3, 2, 5)
@@ -270,12 +288,13 @@ def test_shift_first_unit_equal_mod():
     assert u.first_unit_index() is None and not u.reduce_precision(1).data.any()
 
 
-def test_pow_trunc():
+def test_powers_rows():
     d = desc(N=6)
     s = TruncSeries1.from_coeffs(d, [0, 1, 1], D=8)
-    assert s.pow_trunc(3) == s * s * s
+    rows, den = _powers(s, 4)
+    assert s._new(rows[3], den) == s * s * s
     one = TruncSeries1.from_coeffs(d, [1], D=8)
-    assert s.pow_trunc(0) == one
+    assert s._new(rows[0], den) == one
 
 
 def test_scalar_mul_vector():
@@ -638,3 +657,77 @@ def test_compose_refuses_bad_inner_series(kind):
                   random_pointed(kind, d, 12, "scaled", rng)):
         with pytest.raises(ValueError):
             outer.compose(other)
+
+
+# ---------------------------------------------------------- power tables
+
+def product_powers(g, count):
+    """[g^0, ..., g^(count-1)], each power the product of the one before and g."""
+    one = type(g).zero(g.desc, g.D, g.domain)
+    one.data[(0,) * one.data.ndim] = 1
+    out = [one]
+    while len(out) < count:
+        out.append(out[-1] * g)
+    return out
+
+
+@pytest.mark.parametrize("p,N,domain,dtype", COMPOSE_DOMAINS)
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("support", ["sparse", "dense"])
+def test_powers_rows_equal_products(p, N, domain, dtype, f, support):
+    # the term-by-term rule serves an integral g of at most 6 terms; a
+    # constant term is allowed there
+    rng = random.Random(f"powers-{p}-{N}-{domain}-{f}-{support}")
+    d, D = RingDescriptor(p, f, N), 12
+    degrees = {0, 1, 4, 7, 11} if support == "sparse" else None
+    g = random_pointed(TruncSeries1, d, D, domain, rng, degrees=degrees)
+    assert (len(g.nonzero_degrees()) <= 6) == (support == "sparse")
+    rows, den = _powers(g, D)
+    expected = product_powers(g, D)
+    assert rows.shape == (D, D, f) and rows.dtype == dtype
+    assert den == math.lcm(*(s.den for s in expected))
+    assert (den > 1) == (domain == "scaled")
+    assert [g._new(row, den) for row in rows] == expected
+    rows, den = _powers(g, 2)
+    assert [g._new(row, den) for row in rows] == expected[:2]
+
+
+def test_law_substitution_takes_no_series_products(monkeypatch):
+    # lt-h2-p3 has [p] = 3X + X^9, so the power table of P^T F P is built
+    # term by term; by products it would take D - 2 of them
+    group, D = dict(corpus(N=6, nmax=1))["lt-h2-p3"], 36
+    F, f = group.group_law2(D, 4), group.pi_series(D, 4)
+    calls = []
+    mul = TruncSeries1.__mul__
+    monkeypatch.setattr(TruncSeries1, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    got = substitute2_into2(F, f, f)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == horner_substitute2_into2(F, inject_x(f), inject_y(f))
+
+
+def test_every_power_table_comes_from_powers():
+    """Counts the calls to series._powers in src by enclosing function; no
+    other builder of power tables is left."""
+    src = Path(fglab.__file__).parent
+    calls = collections.Counter()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_powers":
+                calls[f"{module}.{where}"] += 1
+            visit(child, module, where)
+
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "_power_table" not in text and "pow_trunc" not in text, path.name
+        visit(ast.parse(text), path.stem, "")
+    assert calls == {
+        "series.TruncSeries1.compose": 1,
+        "series.substitute2_into2": 2,
+        "groups.ModuleStructure.__init__": 1,
+        "weier.phi_reconstruct": 1,
+    }

@@ -9,6 +9,7 @@ from fglab.padic import INF, RingDescriptor, ring_mul
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.series import TruncSeries1, _mul_data
 from fglab.torsion import (
+    NewtonPolygon,
     TorsionFieldModel,
     _scalar_tuples,
     assumption_check,
@@ -48,7 +49,46 @@ def poly(desc, vals):
     return TruncSeries1(desc, D, "integral", data)
 
 
+def two_pass_hull(points):
+    """The lower hull built in two passes: pop the middle vertex on a
+    strictly downward turn, then drop the collinear interior vertices."""
+    verts = []
+    for pt in points:
+        while len(verts) >= 2:
+            (x1, y1), (x2, y2) = verts[-2], verts[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) < 0:
+                verts.pop()
+            else:
+                break
+        verts.append(pt)
+    clean = [verts[0]]
+    for pt in verts[1:]:
+        while len(clean) >= 2:
+            (x1, y1), (x2, y2) = clean[-2], clean[-1]
+            if (x2 - x1) * (pt[1] - y1) == (y2 - y1) * (pt[0] - x1):
+                clean.pop()
+            else:
+                break
+        clean.append(pt)
+    return clean
+
+
 class TestNewtonPolygon:
+    def test_one_pass_hull_matches_two_pass(self):
+        # points on the broken line y = max(0, 20 - 2x), or at random above
+        # it, so that hull segments carry collinear interior points
+        rng = random.Random(5)
+        collinear = 0
+        for _ in range(200):
+            xs = sorted(rng.sample(range(30), rng.randint(2, 16)))
+            pts = [(x, max(0, 20 - 2 * x) + (rng.randint(0, 6) if rng.random() < 0.4 else 0))
+                   for x in xs]
+            hull = two_pass_hull(pts)
+            assert NewtonPolygon(xs[-1], pts).vertices == hull
+            on_hull = [pt for pt in pts if pt[1] == max(0, 20 - 2 * pt[0])]
+            collinear += len(on_hull) > len(set(on_hull) & set(hull))
+        assert collinear > 100
+
     def test_pure_eisenstein(self):
         desc = RingDescriptor(3, 1, 6)
         ng = newton_polygon(poly(desc, [3, 3, 1, 0]), 2)
