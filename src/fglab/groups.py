@@ -47,6 +47,8 @@ from .padic import (
     _frac_val,
     contraction_dtype,
     ring_mul,
+    scalar_matrix,
+    teichmuller_digits,
 )
 from .precision import (
     cushion,
@@ -375,6 +377,8 @@ class FormalGroupLaw:
     def module(self, D: int, N_out: int) -> "ModuleStructure":
         key = (D, N_out)
         if key not in self._module_cache:
+            # the structure keeps no reference back to the group: a cycle
+            # would hold both, and their tables, until the cyclic collector runs
             self._module_cache[key] = ModuleStructure(self, D, N_out)
         return self._module_cache[key]
 
@@ -433,10 +437,17 @@ class ModuleStructure:
 
     With d = gcd{j - 1 : f_j != 0}, f = X u(X^d), so f^j lives on degrees
     = j mod d; by induction on k so does g^j, and g_k = 0 unless k = 1 mod d
-    (both sides of g(f) = f(g) vanish at every other degree)."""
+    (both sides of g(f) = f(g) vanish at every other degree).
+
+    The same grading makes the scalars come in orbits.  For zeta in mu_g,
+    g = gcd(d, p^f - 1), f(zeta X) = zeta f(X), so zeta [a] commutes with f
+    and has linear term zeta a: the solution is unique, so [zeta a] =
+    zeta [a] (Lubin-Tate 1965), and zeta a obstructs at the degree where a
+    does, its defects being zeta times those of a.  solve_batch solves one
+    scalar per mu_g-orbit and turns it into the others.  d = 0 (f = pX)
+    takes g = 1."""
 
     def __init__(self, group: FormalGroupLaw, D: int, N_out: int):
-        self.group = group
         self.D = D
         self.N_out = N_out
         self.cushion = cushion(D, group.q_eff)
@@ -453,6 +464,15 @@ class ModuleStructure:
         self.step = math.gcd(*(j - 1 for j in self.f_nz))  # d; 0 when f = pX
         self.fpow = _powers(fs, D)[0]
         self._cache = {}
+        # mu_g = {eta^k}, eta = zeta^((q-1)/g) for the generator zeta of the
+        # digits 0, 1, zeta, zeta^2, ... of W(F_q); the inverse of eta^k
+        # as a scalar matrix, to find where a vector sits in its orbit
+        q1 = self.desc_w.q - 1
+        g = math.gcd(self.step, q1) if self.step else 1
+        digits = teichmuller_digits(group.desc, group.desc.f)
+        self._mu = [digits[1 + k * q1 // g].coeffs for k in range(g)]
+        self._mu_inv = [scalar_matrix(self._mu[-k], self.desc_w, self.m) for k in range(g)]
+        self._orbits = {}  # orbit key -> (k, record of eta^k key)
 
     def _coerce_scalar(self, a):
         f = self.desc_w.f
@@ -478,23 +498,47 @@ class ModuleStructure:
             raise ObstructionError(obs)
         return ser
 
+    def _orbit(self, v):
+        """(key, k) with v = eta^k key: the key is the least of the
+        vectors eta^-k v, the same for every vector of the mu_g-orbit."""
+        m = self.m
+        turns = [tuple(sum(x * s for x, s in zip(v, col)) % m for col in zip(*S))
+                 for S in self._mu_inv]
+        key = min(turns)
+        return key, turns.index(key)
+
     def solve_batch(self, scalars):
         """Solve every scalar not yet in the cache, together; returns the
         (series, None) or (None, obstruction_degree) record of each scalar.
 
-        Scalars equal at the working precision share one record.  Chunks
+        Scalars equal at the working precision share one record.  Only the
+        first scalar seen of each mu_g-orbit is solved; every other one is
+        eta^k times its record, within the batch and across calls.  Chunks
         keep the power table under _BATCH_BYTES.  Under --jobs > 1 two
-        threads may solve the same scalar; the records are equal and the
-        dict store is atomic, so the race costs time only.
+        threads may solve the same scalar, or two scalars of one orbit; the
+        records and orbit entries they store serve equally, and each dict
+        store is atomic, so the race costs time only.
         """
         vecs = [self._coerce_scalar(a) for a in scalars]
-        todo = list(dict.fromkeys(v for v in vecs if v not in self._cache))
+        orbit = {v: self._orbit(v) for v in vecs if v not in self._cache}
+        todo = {}  # orbit key -> first scalar seen, for orbits not solved yet
+        for v, (key, _) in orbit.items():
+            if key not in self._orbits:
+                todo.setdefault(key, v)
+        todo = list(todo.values())
         entry = 8 if self.dtype is np.int64 else 40  # object: pointer and int
         chunk = max(1, _BATCH_BYTES // (self.mdeg * self.D * self.desc_w.f * entry))
         for i in range(0, len(todo), chunk):
             part = todo[i:i + chunk]
             for v, rec in zip(part, self._solve_chunk(part)):
                 self._cache[v] = rec
+                key, k = orbit[v]
+                self._orbits[key] = (k, rec)
+        for v, (key, k) in orbit.items():
+            if v not in self._cache:
+                k0, (ser, obs) = self._orbits[key]
+                turn = self._mu[(k - k0) % len(self._mu)]
+                self._cache[v] = (None if ser is None else ser.scalar_mul(turn), obs)
         return [self._cache[v] for v in vecs]
 
     def _solve_chunk(self, vecs):

@@ -18,6 +18,7 @@ explicit m, or none at all for the integer numerators of exact series.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -453,12 +454,15 @@ def teichmuller_lift(desc: RingDescriptor, r) -> UnramifiedRingElem:
     raise AssertionError("Teichmuller iteration did not stabilize")
 
 
-def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> list[UnramifiedRingElem]:
+@functools.lru_cache(maxsize=None)
+def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> tuple[UnramifiedRingElem, ...]:
     """All Teichmuller digits of the subring W(F_{p^d}): 0 and mu_{p^d-1}.
 
     Requires d | f so that F_{p^d} sits inside the residue field. Digits are
     returned in a deterministic order: zero, then powers of the canonical
-    generator of mu_{p^d-1}.
+    generator of mu_{p^d-1}, so digits[1 + i] = zeta^i.  The elements are
+    immutable, so one tuple per (desc, d) serves every caller; under --jobs
+    threads two calls may build the equal digits of one key.
     """
     if d is None:
         d = desc.f
@@ -472,7 +476,7 @@ def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> list[Unram
     for _ in range(m):
         out.append(cur)
         cur = cur * zeta
-    return out
+    return tuple(out)
 
 
 def _frac_val(r: Fraction, p: int):

@@ -317,14 +317,18 @@ class TruncSeries1(_Series):
             return [kind(desc, D, domain, part, den) for part in out]
 
         if len(nz) <= 10:
+            # g^k by the addition chain k -> k - 1 (odd k), k -> k/2 (even k),
+            # built upward in a loop: a recursive closure would hold the
+            # powers in a reference cycle until the cyclic collector runs
             powers = {0: _one(g), 1: g}
-
-            def gpow(e):
-                if e not in powers:
-                    powers[e] = gpow(e - 1) * g if e % 2 else gpow(e // 2) * gpow(e // 2)
-                return powers[e]
-
-            return sums(self.data[nz][None], *_common([gpow(k) for k in nz]))[0]._divided(self.den)
+            for k in nz:
+                chain = []
+                while k not in powers:
+                    chain.append(k)
+                    k = k - 1 if k % 2 else k // 2
+                for e in reversed(chain):
+                    powers[e] = powers[e - 1] * g if e % 2 else powers[e // 2] * powers[e // 2]
+            return sums(self.data[nz][None], *_common([powers[k] for k in nz]))[0]._divided(self.den)
         n = nz[-1] + 1
         s = math.isqrt(n - 1) + 1
         blocks = -(-n // s)
@@ -514,8 +518,9 @@ def _powers(g, count):
     """g^0, ..., g^(count-1) of a series of either kind, stacked on a new
     first axis over one denominator: (numerators, den).  The one builder of
     power tables.  An integral one-variable g with at most 6 nonzero terms
-    fills each row in place from the one before, one shifted ring_scale per
-    term; any other g takes a product per row."""
+    fills each row in place from the one before, one shifted product by each
+    term's scalar matrix, built once per table; any other g takes a product
+    per row."""
     one = _one(g)
     terms = (g.nonzero_degrees() if isinstance(g, TruncSeries1) and g.domain == "integral"
              else None)
@@ -525,12 +530,13 @@ def _powers(g, count):
             out.append(out[-1] * g)
         return _common(out[:count])
     D, desc, m = g.D, g.desc, g.desc.pN
+    scales = [(d, np.array(scalar_matrix(g.data[d], desc, m), dtype=g.data.dtype))
+              for d in terms]
     table = np.zeros((count,) + g.data.shape, dtype=g.data.dtype)
     table[0] = one.data
     for j in range(1, count):
-        for d in terms:
-            seg = ring_scale(table[j - 1, : D - d], g.data[d], desc, m)
-            table[j, d:] = (table[j, d:] + seg) % m
+        for d, S in scales:
+            table[j, d:] = (table[j, d:] + table[j - 1, : D - d] @ S % m) % m
     return table, 1
 
 

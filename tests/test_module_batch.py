@@ -1,8 +1,13 @@
 """The batched [a]-series solver and the z^k contraction of eval_at_z
 against the per-scalar routes they replaced, kept here as oracles."""
 
+import gc
+import itertools
 import math
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -23,18 +28,19 @@ from fglab.padic import (
     multiplicative_generator,
     ring_mul,
     ring_scale,
+    teichmuller_digits,
     teichmuller_lift,
 )
 from fglab.series import TruncSeries1, _mul_data
-from fglab.torsion import TorsionFieldModel
+from fglab.torsion import TorsionFieldModel, assumption_check
 
 
 # ------------------------------------------------------------------ oracles
 
-def oracle_fpow_list(module):
+def oracle_fpow_list(group, module):
     """f^j for j < D: shift-and-scale for a sparse f, products otherwise."""
     D, m, desc_w = module.D, module.m, module.desc_w
-    f_data = module.group.pi_series(D, desc_w.N).data
+    f_data = group.pi_series(D, desc_w.N).data
     terms = [(k, tuple(f_data[k])) for k in module.f_nz]
     sparse = len(terms) <= 6
     fpow = [None, f_data]
@@ -74,12 +80,12 @@ def oracle_update_powers(module, Gpow, k, gk):
         Gpow[i] = acc
 
 
-def oracle_solve(module, a_vec):
+def oracle_solve(group, module, a_vec):
     """One scalar at a time: (series, None) or (None, obstruction degree)."""
     D, m, p = module.D, module.m, module.desc_w.p
     desc_w = module.desc_w
     fdim = desc_w.f
-    fpow = oracle_fpow_list(module)
+    fpow = oracle_fpow_list(group, module)
     f_data = fpow[1]
     dtype = f_data.dtype
     g = np.zeros((D, fdim), dtype=dtype)
@@ -212,11 +218,24 @@ def scalars_for(module, count, seed):
     return out
 
 
-def check_against_oracle(module, scalars):
+def count_chunks(monkeypatch):
+    """The number of vectors of every _solve_chunk call, as they happen."""
+    calls = []
+    solve_chunk = ModuleStructure._solve_chunk
+
+    def counted(self, vecs):
+        calls.append(len(vecs))
+        return solve_chunk(self, vecs)
+
+    monkeypatch.setattr(ModuleStructure, "_solve_chunk", counted)
+    return calls
+
+
+def check_against_oracle(group, module, scalars):
     records = module.solve_batch(scalars)
     assert len(records) == len(scalars)
     for a, rec in zip(scalars, records):
-        assert_same_record(rec, oracle_solve(module, module._coerce_scalar(a)))
+        assert_same_record(rec, oracle_solve(group, module, module._coerce_scalar(a)))
 
 
 # -------------------------------------------------------------------- solver
@@ -231,8 +250,9 @@ def check_against_oracle(module, scalars):
     (lambda: honda((1,)), 16, 6),
 ])
 def test_batch_matches_per_scalar_solver(make, D, N_out):
-    module = make().module(D, N_out)
-    check_against_oracle(module, scalars_for(module, 8, seed=D + N_out))
+    g = make()
+    module = g.module(D, N_out)
+    check_against_oracle(g, module, scalars_for(module, 8, seed=D + N_out))
 
 
 def test_honda_series_is_dense():
@@ -252,34 +272,31 @@ def test_batch_dtype_switches_with_precision():
     assert large.dtype is object and large.fpow.dtype == object
     assert contraction_dtype(12, large.desc_w) is object
     for module in (small, large):
-        check_against_oracle(module, scalars_for(module, 5, seed=module.m % 97))
+        check_against_oracle(g, module, scalars_for(module, 5, seed=module.m % 97))
 
 
 def test_batch_longer_than_one_chunk(monkeypatch):
-    module = lt_h2().module(14, 6)
+    g = lt_h2()
+    module = g.module(14, 6)
     per_scalar = module.mdeg * module.D * module.desc_w.f * 8
     monkeypatch.setattr(groups, "_BATCH_BYTES", 3 * per_scalar)
-    calls = []
-    solve_chunk = ModuleStructure._solve_chunk
-
-    def counted(self, vecs):
-        calls.append(len(vecs))
-        return solve_chunk(self, vecs)
-
-    monkeypatch.setattr(ModuleStructure, "_solve_chunk", counted)
-    scalars = scalars_for(module, 8, seed=5)
-    check_against_oracle(module, scalars)
+    calls = count_chunks(monkeypatch)
+    # -1 = zeta^4 * 1 for the mu_8 generator zeta: it shares the orbit of 1
+    scalars = [a for a in scalars_for(module, 9, seed=5) if a != -1]
+    assert len({module._orbit(module._coerce_scalar(a))[0] for a in scalars}) == 8
+    check_against_oracle(g, module, scalars)
     assert calls == [3, 3, 2]
 
 
 def test_duplicate_scalars_share_one_record():
-    module = lt_h1(3).module(14, 6)
+    g = lt_h1(3)
+    module = g.module(14, 6)
     p, N = module.desc_w.p, module.desc_w.N
     a, b = 3, 3 + p**N
     recs = module.solve_batch([a, b, a])
     assert len(module._cache) == 1
     assert recs[0] is recs[1] is recs[2]
-    assert_same_record(recs[0], oracle_solve(module, module._coerce_scalar(a)))
+    assert_same_record(recs[0], oracle_solve(g, module, module._coerce_scalar(a)))
     # a cached scalar is not solved again
     assert module.try_multiplication(b) is recs[0]
 
@@ -295,7 +312,7 @@ def test_mixed_batch_obstruction():
     assert [obs is None for _, obs in recs] == [True, False, True, True]
     assert recs[1][1] == 3
     for a, rec in zip(scalars, recs):
-        assert_same_record(rec, oracle_solve(module, module._coerce_scalar(a)))
+        assert_same_record(rec, oracle_solve(g, module, module._coerce_scalar(a)))
 
 
 # ------------------------------------------- residue classes and support
@@ -318,7 +335,7 @@ def test_power_table_matches_oracle_on_corpus(name, window):
     g = dict(corpus(N=4, nmax=2))[name]
     D = g.q + 3 if window == "small" else 4 * g.q * (g.q - 1)
     module = g.module(D, 4)
-    oracle = oracle_fpow_list(module)
+    oracle = oracle_fpow_list(g, module)
     assert module.fpow.dtype == oracle[1].dtype == module.dtype
     assert module.fpow.shape == (D, D, g.desc.f)
     one = np.zeros((D, g.desc.f), dtype=module.dtype)
@@ -380,6 +397,111 @@ def test_solver_ring_products_bounded_by_residue_classes(monkeypatch):
     module.solve_batch(scalars)
     assert d == 8
     assert len(calls) <= (D - 2) + 2 * -(-D // d)
+
+
+def test_module_structure_leaves_its_group_to_refcounting():
+    # a group and its module structures form no reference cycle, so the
+    # tables they hold go when the group does, not at the next collection
+    g = lt_h2()
+    g.module(40, 6).solve_batch([2])
+    gone = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+# ------------------------------------------------------------ mu_g-orbits
+
+def digit_sums(g, n):
+    """Every nonzero sum of n Teichmuller digits times powers of p that the
+    base ring holds: digits of W(F_{p^gcd(f, h)})."""
+    desc = g.desc
+    digits = teichmuller_digits(desc, math.gcd(desc.f, g.height))
+    sums = (sum((w * desc.p**i for i, w in enumerate(tup)), desc.zero())
+            for tup in itertools.product(digits, repeat=n))
+    return [a for a in sums if not a.is_zero()]
+
+
+def mu_generator(desc):
+    return teichmuller_lift(desc, multiplicative_generator(desc))
+
+
+def test_assumption_check_solves_one_scalar_per_orbit(monkeypatch):
+    # d = 8 = q - 1: mu_8 acts, and the 80 nonzero digit sums make 10 orbits
+    g = dict(corpus(N=4, nmax=2))["lt-h2-p3"]
+    calls = count_chunks(monkeypatch)
+    assert assumption_check(g, 2)["holds"]
+    assert sum(calls) == (g.q**2 - 1) // (g.q - 1) == 10
+
+
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_orbit_records_match_dense_oracle_on_corpus(name):
+    # every scalar solved on its own by the oracle, at the level-2 window
+    g = dict(corpus(N=4, nmax=2))[name]
+    module = g.module(4 * g.q * (g.q - 1), 4)
+    scalars = digit_sums(g, 2)
+    assert module.solve_batch(scalars) == oracle_dense_records(module, scalars)
+
+
+def test_obstructed_orbit_shares_its_degree(monkeypatch):
+    # d = 2 and q - 1 = 8: mu_2 = {1, -1} acts, and the mu_8 digits obstruct
+    module = lubin_tate_group(RingDescriptor(3, 2, 12), [0, 3, 0, 1]).module(14, 5)
+    assert len(module._mu) == 2
+    zeta = mu_generator(module.desc_w)
+    scalars = [zeta, -zeta, zeta * zeta, -(zeta * zeta)]
+    calls = count_chunks(monkeypatch)
+    recs = module.solve_batch(scalars)
+    assert calls == [2]
+    assert all(ser is None for ser, _ in recs)
+    assert recs[0][1] == recs[1][1] and recs[2][1] == recs[3][1]
+    assert recs == oracle_dense_records(module, scalars)
+
+
+def test_orbit_served_across_calls(monkeypatch):
+    module = lt_h2().module(40, 6)
+    zeta = mu_generator(module.desc_w)
+    v = module.desc_w.from_coeffs((2, 5))
+    calls = count_chunks(monkeypatch)
+    module.solve_batch([v])
+    assert calls == [1]
+    turned = [zeta**k * v for k in range(1, 8)]
+    recs = module.solve_batch(turned)
+    assert calls == [1]
+    assert recs == oracle_dense_records(module, turned)
+
+
+def test_orbits_shared_across_threads():
+    # 4 threads ask for the zeta-multiples of the same scalars, each from a
+    # different first member: every record must equal the oracle's
+    module = lt_h2().module(40, 6)
+    desc, zeta = module.desc_w, mu_generator(module.desc_w)
+    base = [desc.from_coeffs(module._coerce_scalar(a)) for a in scalars_for(module, 4, seed=7)]
+    asked = [[zeta**((3 * t + j) % 8) * b for j in range(8) for b in base] for t in range(4)]
+    want = dict(zip(asked[0], oracle_dense_records(lt_h2().module(40, 6), asked[0])))
+    got, errors = [], []
+
+    def work(scalars):
+        try:
+            got.extend(zip(scalars, module.solve_batch(scalars)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(scalars,)) for scalars in asked]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 128 and all(rec == want[a] for a, rec in got)
 
 
 # ---------------------------------------------------------------- eval_at_z

@@ -1,5 +1,6 @@
 import ast
 import collections
+import gc
 import math
 import random
 from fractions import Fraction
@@ -112,6 +113,21 @@ def test_compose_square_example():
     g = TruncSeries1.from_coeffs(d, [0, 1, 1], D=5)
     out = sq.compose(g)
     assert [out.coeff_vec(k)[0] for k in range(5)] == [0, 0, 1, 2, 1]
+
+
+def test_compose_leaves_no_reference_cycle():
+    # the addition-chain route of a sparse outer series keeps its powers in
+    # no cycle, so they go when compose returns, not at the next collection
+    d = desc()
+    outer = TruncSeries1.from_coeffs(d, [0, 1, 0, 0, 0, 0, 0, 1], D=12)
+    g = random_series(d, 12, random.Random(5))
+    gc.collect()
+    gc.disable()
+    try:
+        outer.compose(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_compose_associative():
