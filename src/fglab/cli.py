@@ -465,16 +465,11 @@ def matrix_checks(group, cfg: RunConfig, subfield_report=None):
 
 def _random_series(desc, D, rng, unit_linear=False):
     """A seeded random series with zero constant term."""
-    s = TruncSeries1.zero(desc, D)
-    for k in range(D):
-        for j in range(desc.f):
-            s.data[k, j] = rng.randrange(desc.pN)
-    s.data[0, :] = 0
+    rows = [[rng.randrange(desc.pN) for _ in range(desc.f)] for _ in range(D)]
+    rows[0] = [0] * desc.f
     if unit_linear:
-        s.data[1, 0] = 1 + desc.p * rng.randrange(desc.p ** (desc.N - 1))
-        for j in range(1, desc.f):
-            s.data[1, j] = 0
-    return s
+        rows[1] = [1 + desc.p * rng.randrange(desc.p ** (desc.N - 1))] + [0] * (desc.f - 1)
+    return TruncSeries1.from_coeffs(desc, rows, D)
 
 
 def roundtrip_checks(group, seed: int):
@@ -540,12 +535,7 @@ def serialize_group(group, cfg: RunConfig) -> dict:
     D_law = 4
     N_echo = min(cfg.N, law_precision(group.kind, group.desc.N, D_law, group.q_eff))
     F2 = group.group_law2(D_law, N_echo)
-    law = {}
-    for i in range(D_law):
-        for j in range(D_law):
-            vec = [int(v) for v in F2.data[i, j]]
-            if any(vec):
-                law[f"{i},{j}"] = vec
+    law = {f"{i},{j}": [int(v) for v in vec] for i, j, vec in F2.coeff_triples()}
     q = group.q
     D_pi = (q + 2) if q is not None else 6
     pi = group.pi_series(D_pi, N_echo) if q is not None else None

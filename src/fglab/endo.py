@@ -169,8 +169,7 @@ def tau_infinity_check(group, D: int | None = None, report: dict | None = None) 
     cur = g
     for _ in range(q - 2):
         cur = g.compose(cur)
-    ident = TruncSeries1.zero(g.desc, g.D)
-    ident.data[1, 0] = 1
+    ident = TruncSeries1.x(g.desc, g.D)
     return {
         "zeta": tuple(int(v) for v in zeta.reduce_to(g.desc).coeffs),
         "order": q - 1,

@@ -129,11 +129,10 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSe
         return (f2.compose(F) - substitute2_into2(F, f2, f2)).data
 
     for k in range(1 + d, D2, d) if d else ():
-        i = np.arange(k + 1)
-        part = defect()[i, k - i]  # the coefficients of X^i Y^(k-i)
+        part = defect()[k]  # the degree-k part: row k of the series data
         if (part % p).any():
             raise ObstructionError(k, f"group law solve obstructed at degree {k}")
-        F.data[i, k - i] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
+        F.data[k] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
     if (defect() % p**N).any():
         raise ArithmeticError("equivariance failed")
     return F
@@ -144,8 +143,6 @@ def _narrow(s, D: int, N: int):
     N, with the dtype a fresh build there has."""
     desc = s.desc.at_precision(N)
     data = s.data[(slice(D),) * (s.data.ndim - 1)] % desc.pN
-    if s.data.ndim == 3:
-        data[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
     return type(s)(desc, D, "integral", data.astype(_dtype_for(desc, D, "integral")))
 
 

@@ -1,9 +1,9 @@
 """Truncated power series over unramified p-adic coefficient rings.
 
-A series is a coefficient array of shape (D, f): D tracked degrees, f ring
-components per coefficient.  Products of series, of two-variable series and
-by ring scalars all go through the coefficient-ring kernel of padic
-(ring_mul with a truncated convolution, ring_scale).  Two domains are
+A series is a coefficient array of shape (D, f), or (D, D, f) in two
+variables: D tracked degrees, f ring components per coefficient.  Products
+of series and by ring scalars all go through the coefficient-ring kernel of
+padic (ring_mul with a truncated convolution, ring_scale).  Two domains are
 supported:
 
 * "integral": entries are ints reduced mod p^N (int64 arrays when the
@@ -19,20 +19,21 @@ supported:
   edges: as input to from_coeffs, from_triples and scalar_mul, and as the
   output of coeff_vec, coeff_triples and repr.
 
-An integral series keeps den = 1.  A two-variable product goes by
-homogeneous parts: the part of total degree t is the anti-diagonal
-c[i, t - i], the zero parts are skipped, and each pair of nonzero parts
-t1 + t2 < D is one convolution into part t1 + t2, reduced after every
-addition.  Every table of powers g^0 .. g^(c-1) comes from one builder,
-_powers: term by term for an integral one-variable g of at most 6 terms,
-by products otherwise.  Composition has one route,
-TruncSeries1.compose, for an inner series of either kind: an outer series
-with at most 10 nonzero terms sums addition-chain powers in one
-contraction, any other goes baby-step/giant-step with its block sums in
-one contraction.
-substitute2_into2 forms F(g(X), h(Y)) as P^T F Q from the power tables of
-g and h.  Reversion is a Newton iteration of one composition a step,
-r <- r - (f(r) - X) r' (Brent-Kung 1978), in either domain.
+An integral series keeps den = 1, and takes a p-integral rational at those
+edges to its residue mod p^N.  A two-variable series is stored by total
+degree: data[t, i] holds X^i Y^(t - i), so row t is the homogeneous part of
+degree t, and entries with i > t stay zero; grid() and from_grid convert
+to and from the matrix indexed [i, j].  A product convolves the nonzero
+rows t1 + t2 < D into row t1 + t2, reduced after every addition.  Every
+table of powers g^0 .. g^(c-1) comes from one builder, _powers: term by
+term for an integral one-variable g of at most 6 terms, by products
+otherwise.  Composition has one route, TruncSeries1.compose, for an inner
+series of either kind: an outer series with at most 10 nonzero terms sums
+addition-chain powers in one contraction, any other goes baby-step/giant-
+step with its block sums in one contraction.  substitute2_into2 forms
+F(g(X), h(Y)) as P^T F Q from the power tables of g and h.  Reversion is a
+Newton iteration of one composition a step, r <- r - (f(r) - X) r'
+(Brent-Kung 1978), in either domain.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ def _vector(c, f: int):
     if isinstance(c, numbers.Rational):
         return (c,) + (0,) * (f - 1)
     raise TypeError("unsupported scalar")
+
+
+def _residues(vec, desc: RingDescriptor):
+    """The rationals of vec mod p^N; p in a denominator raises ValueError."""
+    if any(int(v.denominator) % desc.p == 0 for v in vec):
+        raise ValueError("not p-integral")
+    return [int(v.numerator) * pow(int(v.denominator), -1, desc.pN) % desc.pN for v in vec]
 
 
 def _num_den(values):
@@ -130,7 +138,7 @@ class _Series:
         s = cls.zero(desc, D, domain)
         if domain == "integral":
             for idx, vec in entries:
-                s.data[idx] = [int(v) % desc.pN for v in vec]
+                s.data[idx] = _residues(vec, desc)
             return s
         f = desc.f
         nums, den = _num_den([v for _, vec in entries for v in vec] or [0])
@@ -182,7 +190,7 @@ class _Series:
         """Multiply by a ring scalar (elem, int, Fraction, or vector)."""
         vec = _vector(c, self.desc.f)
         if self.domain == "integral":
-            return self._new(ring_scale(self.data, vec, self.desc, self.desc.pN))
+            return self._new(ring_scale(self.data, _residues(vec, self.desc), self.desc, self.desc.pN))
         nums, den = _num_den(vec)
         return self._new(ring_scale(self.data, nums, self.desc, None), self.den * den)
 
@@ -215,9 +223,7 @@ class TruncSeries1(_Series):
     # ------------------------------------------------------------- builders
     @classmethod
     def x(cls, desc, D, domain="integral"):
-        s = cls.zero(desc, D, domain)
-        s.data[1, 0] = 1
-        return s
+        return cls.from_coeffs(desc, [0, 1], D, domain)
 
     @classmethod
     def from_coeffs(cls, desc, coeffs, D=None, domain="integral"):
@@ -237,7 +243,7 @@ class TruncSeries1(_Series):
     # ------------------------------------------------------------ accessors
     def coefficient(self, k: int) -> UnramifiedRingElem:
         """The coefficient of X^k of an integral series, as a ring element."""
-        if k >= self.D:
+        if not 0 <= k < self.D:
             raise IndexError("degree outside truncation window")
         if self.domain != "integral":
             raise ValueError("scaled coefficients are numerators over den; read coeff_vec")
@@ -450,8 +456,8 @@ def _exact_vec_invert(nums, den: int, desc: RingDescriptor):
 
 
 class TruncSeries2(_Series):
-    """Two-variable truncated series: coefficients c[i, j] of X^i Y^j for
-    total degree i + j < D."""
+    """Two-variable truncated series, X^i Y^j for i + j < D, stored by total
+    degree: data[t, i] holds X^i Y^(t - i), and entries with i > t stay zero."""
 
     __slots__ = ()
     _axes = 2
@@ -460,48 +466,55 @@ class TruncSeries2(_Series):
     def from_triples(cls, desc, triples, D, domain="integral"):
         """triples: iterable of (i, j, value or vector)."""
         return cls._from_entries(desc, D, domain,
-                                 [((i, j), _vector(v, desc.f)) for i, j, v in triples if i + j < D])
+                                 [((i + j, i), _vector(v, desc.f)) for i, j, v in triples if i + j < D])
+
+    @classmethod
+    def from_grid(cls, desc, D, domain, grid, den=1):
+        """The inverse of grid(): a series from numerators grid[i, j] of
+        X^i Y^j over den; entries with i + j >= D are dropped."""
+        t, i = np.tril_indices(D)
+        data = np.zeros_like(grid)
+        data[t, i] = grid[i, t - i]
+        return cls(desc, D, domain, data, den)
+
+    def grid(self):
+        """The numerators as a (D, D, f) array indexed [i, j] by the
+        monomial X^i Y^j, zero where i + j >= D."""
+        t, i = np.tril_indices(self.D)
+        out = np.zeros_like(self.data)
+        out[i, t - i] = self.data[t, i]
+        return out
 
     def __mul__(self, other):
         self._compat(other)
         D, m = self.D, self._modulo()
-        # the homogeneous part of total degree t: the anti-diagonal x[i, t - i]
-        diag = [(np.arange(t + 1), t - np.arange(t + 1)) for t in range(D)]
 
         def conv2(x, y):
-            """Product of two (D, D) component slices, total degree < D: the
-            parts of degrees t1 and t2 convolve into the part of t1 + t2."""
-            xs = [(t, x[ij]) for t, ij in enumerate(diag) if x[ij].any()]
-            ys = [(t, y[ij]) for t, ij in enumerate(diag) if y[ij].any()]
-            parts = {}
-            for t1, a in xs:
-                for t2, b in ys:
-                    if t1 + t2 >= D:
-                        break
-                    c = np.convolve(a, b)
-                    if t1 + t2 in parts:
-                        c = c + parts[t1 + t2]
-                    parts[t1 + t2] = c if m is None else c % m
+            """Product of two (D, D) component slices: the rows t1 and t2
+            convolve into row t1 + t2 < D."""
             out = np.zeros_like(x)
-            for t, c in parts.items():
-                out[diag[t]] = c
+            ys = np.flatnonzero(y.any(axis=1))
+            for t1 in np.flatnonzero(x.any(axis=1)).tolist():
+                for t2 in ys[: np.searchsorted(ys, D - t1)].tolist():
+                    t = t1 + t2
+                    c = out[t, : t + 1] + np.convolve(x[t1, : t1 + 1], y[t2, : t2 + 1])
+                    out[t, : t + 1] = c if m is None else c % m
             return out
 
         return self._new(ring_mul(self.data, other.data, self.desc, m, conv2), self.den * other.den)
 
     def coefficient(self, i, j) -> UnramifiedRingElem:
         """The coefficient of X^i Y^j of an integral series, as a ring element."""
+        if min(i, j) < 0 or i + j >= self.D:
+            raise IndexError("degree outside truncation window")
         if self.domain != "integral":
             raise ValueError("scaled coefficients are numerators over den; read coeff_triples")
-        return UnramifiedRingElem(self.desc, [int(v) for v in self.data[i, j]])
+        return UnramifiedRingElem(self.desc, [int(v) for v in self.data[i + j, i]])
 
     def coeff_triples(self):
-        out = []
-        for i in range(self.D):
-            for j in range(self.D - i):
-                if any(v != 0 for v in self.data[i, j]):
-                    out.append((i, j, self._fractions((i, j))))
-        return out
+        """(i, j, coefficient vector) for each nonzero X^i Y^j, by i then j."""
+        return [(i, j, self._fractions((i + j, i)))
+                for i, j in np.argwhere(self.grid().any(axis=-1)).tolist()]
 
     def __repr__(self):
         return f"TruncSeries2(D={self.D}, {self.domain}, {len(self.coeff_triples())} terms)"
@@ -543,8 +556,8 @@ def _powers(g, count):
 def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries2:
     """F(g(X), h(Y)) for one-variable g, h with zero constant terms, on F's
     ring, domain and window.  With row i of P holding g^i and row j of Q
-    holding h^j, this is P^T F Q: two ring_mul contractions, then the
-    terms of total degree >= D are dropped."""
+    holding h^j, this is P^T F Q on the grid of F: two ring_mul
+    contractions, and from_grid drops the terms of total degree >= D."""
     for s in (g, h):
         F._compat(s)
         if s.data[0].any():
@@ -552,8 +565,7 @@ def substitute2_into2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> Trun
     D, m = F.D, F._modulo()
     P, dP = _powers(g, D)
     Q, dQ = (P, dP) if h is g else _powers(h, D)
-    FQ = ring_mul(F.data, Q, F.desc, m, np.matmul)
+    FQ = ring_mul(F.grid(), Q, F.desc, m, np.matmul)
     out = ring_mul(P, FQ, F.desc, m, lambda x, y: x.T @ y)
-    out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
-    return TruncSeries2(F.desc, D, F.domain, out, F.den * dP * dQ)
+    return TruncSeries2.from_grid(F.desc, D, F.domain, out, F.den * dP * dQ)
 

@@ -333,7 +333,7 @@ class TorsionFieldModel:
         self._require_window(F2.D)
         D2, m = F2.D, self.desc.pN
         dtype = contraction_dtype(D2, self.desc)  # the contraction sums D2 products
-        F = (F2.data % m).astype(dtype)
+        F = (F2.grid() % m).astype(dtype)
         Y = self.powers(y, D2).astype(dtype)
         inner = ring_mul(F, Y, self.desc, m, np.matmul).astype(self.dtype)
         return self.mul(inner, self.powers(x, D2)).sum(axis=0) % m

@@ -72,8 +72,7 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
     if d is None:
         raise ValueError("Weierstrass degree exceeds truncation")
     if d == 0:
-        P = TruncSeries1.zero(desc, 1)
-        P.data[0, 0] = 1
+        P = TruncSeries1.from_coeffs(desc, [1])
         return WeierstrassData(desc, 0, P, f)
     # initial unit: lift of the residue of f / X^d
     U = TruncSeries1.zero(desc, D)

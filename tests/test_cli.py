@@ -130,8 +130,8 @@ class TestConstruct:
         cfg = RunConfig(doc["config"])
         group = build_group(cfg)
         wide = group.group_law2(group.q + 8, cfg.N)
-        law = {f"{i},{j}": [int(v) for v in wide.data[i, j]]
-               for i in range(4) for j in range(4 - i) if wide.data[i, j].any()}
+        law = {f"{i},{j}": [int(v) for v in vec]
+               for i, j, vec in wide.coeff_triples() if i + j < 4}
         assert doc["group"]["group_law"] == law == {"0,1": [1] + [0] * (cfg.f - 1),
                                                    "1,0": [1] + [0] * (cfg.f - 1)}
         assert len(doc["group"]["pi_series"]) == group.q + 2

@@ -229,8 +229,10 @@ class FractionSeries:
 # ----------------------------------------------------------------- helpers
 
 def fractions(s):
-    """The coefficients of a scaled series as an object array of Fractions."""
-    return np.frompyfunc(lambda n: Fraction(n, s.den), 1, 1)(s.data)
+    """The coefficients of a scaled series as an object array of Fractions,
+    indexed [i, j] by X^i Y^j when two-variable, as the oracle stores them."""
+    data = s.grid() if isinstance(s, TruncSeries2) else s.data
+    return np.frompyfunc(lambda n: Fraction(n, s.den), 1, 1)(data)
 
 
 def assert_same(new, old):

@@ -220,9 +220,10 @@ def _compose2_into3(F: TruncSeries2, G: dict, H: dict, D3: int):
         Gp.append(_poly3_mul(Gp[-1], G, desc, m, D3))
         Hp.append(_poly3_mul(Hp[-1], H, desc, m, D3))
     out: dict = {}
+    grid = F.grid()
     for i in range(min(F.D, D3)):
         for j in range(min(F.D - i, D3)):
-            vec = tuple(int(v) % m for v in F.data[i, j])
+            vec = tuple(int(v) % m for v in grid[i, j])
             if not any(vec):
                 continue
             term = _poly3_mul(Gp[i], Hp[j], desc, m, D3)
@@ -244,11 +245,12 @@ def check_group_axioms(group, D2: int | None = None, D3: int | None = None,
     D3 = D3 if D3 is not None else max(q + 3, 6)
     F = group.group_law2(D2, N)
     x = TruncSeries1.x(F.desc, D2)
-    if not (F.data[:, 0] == x.data).all():
+    grid = F.grid()
+    if not (grid[:, 0] == x.data).all():
         raise AssertionError("F(X, 0) != X")
-    if not (F.data[0, :] == x.data).all():
+    if not (grid[0, :] == x.data).all():
         raise AssertionError("F(0, Y) != Y")
-    if not (F.data.swapaxes(0, 1) == F.data).all():
+    if not (grid.swapaxes(0, 1) == grid).all():
         raise AssertionError("F not commutative")
     desc = F.desc
     m = desc.pN
@@ -282,7 +284,7 @@ def test_axioms_height_two():
 
 def substitute2(F: TruncSeries2, g: TruncSeries1, h: TruncSeries1) -> TruncSeries1:
     """F(g(X), h(X)): the anti-diagonal sums of substitute2_into2(F, g, h)."""
-    R = substitute2_into2(F, g, h).data
+    R = substitute2_into2(F, g, h).grid()
     out = TruncSeries1.zero(F.desc, F.D, F.domain)
     for i in range(F.D):
         out.data[i:] += R[i, : F.D - i]

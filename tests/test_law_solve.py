@@ -9,6 +9,7 @@ powers of f, and visited every degree; it lives on here as an oracle
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,23 +24,23 @@ from fglab.groups import (
 )
 from fglab.padic import RingDescriptor, contraction_dtype, ring_mul
 from fglab.precision import cushion, law_window
-from fglab.series import TruncSeries1, TruncSeries2
+from fglab.series import TruncSeries1, TruncSeries2, substitute2_into2
 
 
 # ------------------------------------------------------------------ oracle
 
 def inject_x(s: TruncSeries1) -> TruncSeries2:
     """s(X) as a two-variable series."""
-    data = TruncSeries2.zero(s.desc, s.D, s.domain).data
-    data[:, 0, :] = s.data
-    return TruncSeries2(s.desc, s.D, s.domain, data, s.den)
+    grid = TruncSeries2.zero(s.desc, s.D, s.domain).grid()
+    grid[:, 0, :] = s.data
+    return TruncSeries2.from_grid(s.desc, s.D, s.domain, grid, s.den)
 
 
 def inject_y(s: TruncSeries1) -> TruncSeries2:
     """s(Y) as a two-variable series."""
-    data = TruncSeries2.zero(s.desc, s.D, s.domain).data
-    data[0, :, :] = s.data
-    return TruncSeries2(s.desc, s.D, s.domain, data, s.den)
+    grid = TruncSeries2.zero(s.desc, s.D, s.domain).grid()
+    grid[0, :, :] = s.data
+    return TruncSeries2.from_grid(s.desc, s.D, s.domain, grid, s.den)
 
 
 def _line_outer(xs: TruncSeries1, ys: TruncSeries1) -> TruncSeries2:
@@ -47,8 +48,7 @@ def _line_outer(xs: TruncSeries1, ys: TruncSeries1) -> TruncSeries2:
     desc, D = xs.desc, xs.D
     m = desc.pN if xs.domain == "integral" else None
     out = ring_mul(xs.data, ys.data, desc, m, np.multiply.outer)
-    out[np.add.outer(np.arange(D), np.arange(D)) >= D] = 0
-    return TruncSeries2(desc, D, xs.domain, out)
+    return TruncSeries2.from_grid(desc, D, xs.domain, out)  # drops i + j >= D
 
 
 def rank_one_law_solve(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
@@ -73,21 +73,23 @@ def rank_one_law_solve(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
         w1 = pow(p, k - 1, m)
         inv = pow((w1 - 1) % m, -1, m)
         changed = []
+        a, b, grid = A.grid(), B.grid(), F.grid()
         for i in range(k + 1):
             j = k - i
-            d = (B.data[i, j] - A.data[i, j]) % m
+            d = (b[i, j] - a[i, j]) % m
             if not d.any():
                 continue
             if any(int(v) % p for v in d):
                 raise ObstructionError(k, f"group law solve obstructed at degree {k}")
             h = tuple(int(v) // p * inv % m for v in d)
-            F.data[i, j] = h
+            grid[i, j] = h
             changed.append((i, j, h))
+        F = TruncSeries2.from_grid(desc, D2, "integral", grid)
         for i, j, h in changed:
             A = A + _line_outer(fpow[i].scalar_mul(h), fpow[j])
             dirty = True
     B = f2.compose(F)
-    if ((A.data - B.data) % p**N).any():
+    if ((A.grid() - B.grid()) % p**N).any():
         raise ArithmeticError("equivariance failed")
     return F
 
@@ -206,7 +208,7 @@ def test_law_solve_obstruction(solve):
 # -------------------------------------------------- timing-free work guards
 
 def parts(x):
-    """Total degrees t with a nonzero anti-diagonal x[i, t - i]."""
+    """Total degrees t with a nonzero anti-diagonal x[i, t - i] of a grid x."""
     D = x.shape[0]
     return [t for t in range(D) if any(x[i, t - i].any() for i in range(t + 1))]
 
@@ -215,18 +217,19 @@ def test_graded_product_convolves_nonzero_parts_only(monkeypatch):
     spec = dict(CORPUS_SPECS)["lt-h2-p3"]
     F = make_group(N=6, nmax=1, **spec).group_law2(36)
     D, f = F.D, F.desc.f
-    assert set(parts(F.data)) == {1, 9, 17, 25, 33}
+    grid = F.grid()
+    assert set(parts(grid)) == {1, 9, 17, 25, 33}
     expected = 0
     for a in range(f):
         for b in range(f):
-            ta, tb = parts(F.data[..., a]), parts(F.data[..., b])
+            ta, tb = parts(grid[..., a]), parts(grid[..., b])
             expected += sum(t1 + t2 < D for t1 in ta for t2 in tb)
     calls = []
     convolve = np.convolve
     monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
     square = F * F
     assert len(calls) == expected
-    assert set(parts(square.data)) <= {2, 10, 18, 26, 34}
+    assert set(parts(square.grid())) <= {2, 10, 18, 26, 34}
 
 
 @pytest.mark.parametrize("name", list(LAW_GROUPS) + ["px"])
@@ -247,6 +250,41 @@ def test_law_solve_evaluates_the_defect_once_per_degree(name, monkeypatch):
     assert len(substitutions) == len(compositions) == evaluations
 
 
+# ------------------------------------------------ the total-degree layout
+
+def assert_layout(s):
+    """data[t, i] holds X^i Y^(t - i): nothing above the diagonal i = t,
+    grid() and from_grid invert each other, and grid() over den agrees
+    with coeff_triples()."""
+    upper = np.triu_indices(s.D, 1)
+    assert not s.data[upper].any()
+    grid = s.grid()
+    assert TruncSeries2.from_grid(s.desc, s.D, s.domain, grid, s.den) == s
+    i, j = np.indices((s.D, s.D))
+    assert not grid[i + j >= s.D].any()
+    triples = {(i, j): vec for i, j, vec in s.coeff_triples()}
+    assert triples == {(i, j): tuple(Fraction(int(v), s.den) for v in grid[i, j])
+                       for i, j in np.argwhere(grid.any(axis=-1)).tolist()}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS_SPECS])
+def test_total_degree_layout_on_the_corpus_laws(name, monkeypatch):
+    group = make_group(N=6, nmax=1, label=name, **dict(CORPUS_SPECS)[name])
+    builds = []
+    build = type(group)._build_group_law2
+    monkeypatch.setattr(type(group), "_build_group_law2",
+                        lambda self, D2, N: builds.append(D2) or build(self, D2, N))
+    wide = group.group_law2(20, 4)
+    narrow = group.group_law2(12, 4)  # served from the wide law by _narrow
+    assert builds == [20]
+    for F in (wide, narrow):
+        f = group.pi_series(F.D, 4)
+        half = TruncSeries2.from_grid(F.desc, F.D, "scaled", F.grid().astype(object), 2)
+        for s in (F, F * F, F + F, F - F.scalar_mul(2), f.compose(F), substitute2_into2(F, f, f),
+                  half, half * half, half + half):
+            assert_layout(s)
+
+
 # ------------------------------------------------------- the int64 budget
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1)])
@@ -256,9 +294,10 @@ def test_product_at_the_int64_edge(p, f):
     D = 24
     N = max(N for N in range(1, 40) if contraction_dtype(D, RingDescriptor(p, f, N)) is np.int64)
     desc = RingDescriptor(p, f, N)
-    S = TruncSeries2.zero(desc, D)
-    assert S.data.dtype == np.int64
-    S.data[np.add.outer(np.arange(D), np.arange(D)) < D] = desc.pN - 1
+    grid = TruncSeries2.zero(desc, D).grid()
+    assert grid.dtype == np.int64
+    grid[np.add.outer(np.arange(D), np.arange(D)) < D] = desc.pN - 1
+    S = TruncSeries2.from_grid(desc, D, "integral", grid)
     wide = TruncSeries2(desc, D, "integral", S.data.astype(object))
     got, want = S * S, wide * wide
     assert got.data.dtype == np.int64 and want.data.dtype == object
@@ -267,4 +306,4 @@ def test_product_at_the_int64_edge(p, f):
     if f == 1:
         i, j = np.indices((D, D))
         ways = np.where(i + j < D, (i + 1) * (j + 1), 0) % desc.pN
-        assert np.array_equal(got.data[..., 0], ways)
+        assert np.array_equal(got.grid()[..., 0], ways)

@@ -212,10 +212,12 @@ def series_from(kind, d, D, domain, values):
 
 
 def fractions(s):
-    """The coefficients of s as an object array: Fractions when scaled."""
+    """The coefficients of s as an array, indexed [i, j] by X^i Y^j when
+    two-variable: Fractions when scaled."""
+    data = s.grid() if isinstance(s, TruncSeries2) else s.data
     if s.domain == "integral":
-        return s.data
-    return np.frompyfunc(lambda n: Fraction(n, s.den), 1, 1)(s.data)
+        return data
+    return np.frompyfunc(lambda n: Fraction(n, s.den), 1, 1)(data)
 
 
 def test_derivative_integrate_round_trip():
@@ -276,6 +278,38 @@ def test_substitute2_into2_matches_direct():
     assert out == horner_substitute2_into2(F, inject_x(g), inject_y(y))
     assert sorted((i, j, int(c[0])) for i, j, c in out.coeff_triples()) == [
         (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 0, 1), (2, 1, 2)]
+
+
+def test_integral_edges_take_rationals_to_residues():
+    # 1/2 = 41 mod 3^4; 1/3 has no residue
+    d, d2 = RingDescriptor(3, 1, 4), RingDescriptor(3, 2, 4)
+    half = Fraction(1, 2)
+    assert TruncSeries1.from_coeffs(d, [0, half, 5]) == TruncSeries1.from_coeffs(d, [0, 41, 5])
+    assert TruncSeries1.from_coeffs(d, [0, half], 3, "scaled").to_integral() == \
+        TruncSeries1.from_coeffs(d, [0, 41], 3)
+    assert TruncSeries2.from_triples(d, [(1, 0, half)], 4).coefficient(1, 0).coeffs == (41,)
+    assert TruncSeries1.x(d, 4).scalar_mul(half) == TruncSeries1.from_coeffs(d, [0, 41], 4)
+    vec = (half, Fraction(-2, 7))
+    assert TruncSeries1.x(d2, 4).scalar_mul(vec).coefficient(1).coeffs == (41, -2 * pow(7, -1, 81) % 81)
+    for build in (lambda: TruncSeries1.from_coeffs(d, [0, half, Fraction(7, 3)]),
+                  lambda: TruncSeries2.from_triples(d, [(0, 1, Fraction(1, 3))], 4),
+                  lambda: TruncSeries1.x(d, 4).scalar_mul(Fraction(1, 3)),
+                  lambda: TruncSeries1.x(d2, 4).scalar_mul((1, Fraction(2, 9)))):
+        with pytest.raises(ValueError, match="not p-integral"):
+            build()
+
+
+def test_coefficient_refuses_degrees_outside_the_window():
+    d = desc(N=4)
+    s = TruncSeries1.from_coeffs(d, [0, 1, 2, 3])
+    assert s.coefficient(3).coeffs == (3,)
+    F = TruncSeries2.from_triples(d, [(1, 2, 5), (0, 3, 7)], 4)
+    assert F.coefficient(1, 2).coeffs == (5,) and F.coefficient(0, 3).coeffs == (7,)
+    for read in (lambda: s.coefficient(-1), lambda: s.coefficient(4),
+                 lambda: F.coefficient(0, -1), lambda: F.coefficient(-1, 0),
+                 lambda: F.coefficient(2, 2), lambda: F.coefficient(4, 0)):
+        with pytest.raises(IndexError):
+            read()
 
 
 def test_object_dtype_fallback():
@@ -538,7 +572,7 @@ def horner_substitute2_into2(F, G, H):
     for j in range(D - 1, -1, -1):
         inner = TruncSeries2.zero(F.desc, D, F.domain)
         for i in range(D - j):
-            if F.data[i, j].any():
+            if coeffs[i, j].any():
                 inner = inner + gpow[i].scalar_mul(tuple(coeffs[i, j]))
         acc = acc * H + inner
     return acc
