@@ -231,8 +231,7 @@ def torsion_checks(group, cfg: RunConfig):
 
         def annihilation_thunk(n=n):
             model = TorsionFieldModel(group, n, cfg.N)
-            t = model.apply_pi(model.z(), times=n)
-            val = model.valuation(t)
+            val = model.point_valuations(model.apply_pi(model.point_z(), times=n))[()]
             return val is INF, {"valuation": str(val)}
 
         checks.append(Check(

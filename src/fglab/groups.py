@@ -283,6 +283,19 @@ class FormalGroupLaw:
         return self.desc.p**self._height
 
     @property
+    def grading(self) -> int:
+        """d with [p] = X u(X^d), from the defining Z_p data: 1 for gm,
+        gcd{j - 1} over the support of the Frobenius series, gcd{p^i - 1 :
+        u_i != 0} for honda (0 for u = ()).  The [p]-series on a window
+        may look more coarsely graded: ModuleStructure.step is the gcd of
+        its own window."""
+        if self.kind == "gm":
+            return 1
+        if self.kind == "lubin_tate":
+            return math.gcd(*(j - 1 for j, c in enumerate(self.frobenius.coeffs) if c))
+        return math.gcd(*(self.desc.p**i - 1 for i, ui in enumerate(self.u, start=1) if ui))
+
+    @property
     def q_eff(self) -> int:
         return self.q if self.q else self.desc.p
 

@@ -10,6 +10,15 @@ residues mod e.
 Series are evaluated at points of positive valuation; a window D >= N*e
 makes the discarded tail vanish at the working precision.
 
+Torsion points live on the grading of the group.  With [p] = X u(X^d),
+[p^n] is X times a series in X^d, and the preparation commutes with
+X -> zeta X, so P_n(X) = Phi_n(X^d) with deg Phi_n = e/d.  Every point
+[a](z), its images under [p] and [u](z) - z lie in one component
+z^r O_K[w]/Phi_n(w), w = z^d, r = 1 mod d (r = 1 when d >= 2, r = 0 when
+d = 1), so a point z^r G(w) is kept as G and its arithmetic runs in the
+degree-e/d ring O_K[w]/Phi_n, where w is a uniformiser of the fixed field
+K(w) of the tame part mu_{q-1} of the Galois group (Lubin and Tate, 1965).
+
 Model arithmetic takes stacks: arrays shaped (..., e, f) whose leading axes
 broadcast, so one product, power or series evaluation serves many points.
 The scalar-action check builds all q^n points in one contraction and
@@ -18,6 +27,7 @@ applies [p^n] once per valuation class of points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,7 +45,7 @@ from .padic import (
     teichmuller_lift,
 )
 from .precision import (count_window, crosscheck_precision, crosscheck_window, eval_window,
-                        level_degree, model_window, newton_steps)
+                        level_degree, newton_steps)
 from .series import TruncSeries1
 
 
@@ -121,6 +131,14 @@ class TorsionFieldModel:
     Elements are coefficient arrays of shape (e, f) mod p^N, and stacks of
     them arrays of shape (..., e, f).  The class of X is a root z of P_n, a
     point of exact order p^n with v_L(z) = 1.
+
+    Points are kept on the grading d of the group: a point z^r G(w) as its
+    coefficient stack G, shaped (..., e/d, f), in the ring `w` of
+    O_K[w]/Phi_n(w), Phi_n = P_low[::d] + w^(e/d).  `w` runs this class's
+    own arithmetic on e/d and Phi_n; for d = 1 it is the model itself and
+    G = x.  eval_at_z, point_valuations and apply_pi take and give points;
+    mul, pow_int, powers, invert, eval2 and valuation take full elements,
+    and scatter turns points into them.
     """
 
     def __init__(self, group, level: int, N: int):
@@ -136,11 +154,9 @@ class TorsionFieldModel:
         self.group = group
         self.level = level
         self.q = q
-        self.e = level_degree(q, level)
         self.N = N
-        self.window = model_window(q, level, N)
         self.desc = group.desc.at_precision(N)
-        e, f = self.e, self.desc.f
+        e = level_degree(q, level)
         raw, self.polygon = _factor_polygon(group, level, N)
         if raw.shape[0] != e + 1:
             raise ValueError("distinguished factor does not have degree e")
@@ -149,10 +165,42 @@ class TorsionFieldModel:
         seg = self.polygon.segments
         if not (len(seg) == 1 and seg[0]["root_valuation"] == Fraction(1, e)):
             raise ValueError("distinguished factor is not pure of slope 1/e")
-        self.dtype = contraction_dtype(2 * e * f * f * self.desc.p, self.desc)
-        self.P_low = raw[:e].astype(self.dtype)
-        # reduction table: red[k] = X^(e+k) mod P, k = 0 .. e-2
-        self.red = self._z_powers(2 * e - 1)[e:].astype(self.dtype)
+        d = group.grading
+        if any(any(raw[k]) for k in range(e) if k % d):
+            raise ValueError(f"distinguished factor is not a polynomial in X^{d}")
+        self.d, self.r = d, 1 % d
+        self._ring(e, raw[:e])
+        # for d = 1 the model is its own ring w: storing self would make a
+        # reference cycle, which holds the tables until the collector runs
+        self._w = None if d == 1 else self._graded_ring(self.desc, N, raw[:e:d])
+
+    @classmethod
+    def _graded_ring(cls, desc, N: int, P_low):
+        """O_K[w]/(w^k + P_low(w)), k = len(P_low): the ring arithmetic of
+        a model, with no group, level or points of its own."""
+        ring = cls.__new__(cls)
+        ring.desc, ring.N, ring._w = desc, N, None
+        ring._ring(len(P_low), P_low)
+        return ring
+
+    def _ring(self, e: int, P_low):
+        """The arithmetic of O_K[X]/(X^e + P_low(X)) mod p^N."""
+        self.e = e
+        self.window = self.N * e  # z^(N e) = 0 mod p^N
+        self.dtype = contraction_dtype(2 * e * self.desc.f * self.desc.f * self.desc.p, self.desc)
+        self.P_low = P_low.astype(self.dtype)
+
+    @functools.cached_property
+    def red(self):
+        """Reduction table: red[k] = X^(e+k) mod P, k = 0 .. e-2, built at
+        the first product that needs it (a model whose points all live in
+        its ring w makes none)."""
+        return self._z_powers(2 * self.e - 1)[self.e:].astype(self.dtype)
+
+    @property
+    def w(self):
+        """The ring O_K[w]/Phi_n(w) of point coefficients G."""
+        return self if self._w is None else self._w
 
     # ------------------------------------------------------------ elements
     # Every operation takes stacks: arrays shaped (..., e, f) whose leading
@@ -166,9 +214,8 @@ class TorsionFieldModel:
         return x
 
     def z(self):
-        x = self.zero()
-        x[1, 0] = 1
-        return x
+        """The class of X: z in the model, w in its ring `w`."""
+        return self._z_powers(2)[1].astype(self.dtype)
 
     def from_ok(self, c):
         """Embed an O_K scalar (int or ring element) as a constant."""
@@ -232,12 +279,17 @@ class TorsionFieldModel:
         """v_L of every element of a stack, INF for 0, as an object array
         shaped like the leading axes; exact because coefficient valuations
         are distinct mod e."""
+        return self._valuations(A, 0, 1)
+
+    def _valuations(self, A, r: int, d: int):
+        """r + d v of every element of a stack, v its valuation in this
+        ring, INF for 0."""
         p, N, e = self.desc.p, self.N, self.e
         A = np.asarray(A) % self.desc.pN
         # v_p of each coefficient, N for a zero one (A < p^N after reduction)
         vp = sum((A % p**k == 0).astype(np.int64) for k in range(1, N + 1))
         v = np.asarray((e * vp.min(axis=-1) + np.arange(e)).min(axis=-1))
-        out = v.astype(object)
+        out = np.asarray(r + d * v).astype(object)
         out[v == self.window] = INF
         return out
 
@@ -284,28 +336,34 @@ class TorsionFieldModel:
         red0 = ((-self.P_low) % m).astype(dtype)
         e = self.e
         Z = np.zeros((count, e, self.desc.f), dtype=dtype)
-        Z[range(e), range(e), 0] = 1  # z^k = X^k below e: nothing to fold
+        low = min(count, e)
+        Z[range(low), range(low), 0] = 1  # z^k = X^k below e: nothing to fold
         for k in range(e, count):
             Z[k, 1:] = Z[k - 1, :-1]
             Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
         return Z
 
     def eval_at_z(self, s):
-        """s(z) for one series, or the stack of s_i(z) for a sequence of
-        series: one contraction of the coefficients with the z^k table."""
+        """The point s(z) = z^r G(w) of one series, or the stack of them for
+        a sequence of series, as G: one contraction of the coefficients
+        s_(r+dm) with the table of w^m.  Terms with m >= N e/d vanish, as
+        w^(N e/d) = 0 mod p^N, so a window D >= N e holds all the others.
+        Raises ValueError for a nonzero coefficient below N e at a degree
+        other than r mod d."""
         series = [s] if isinstance(s, TruncSeries1) else list(s)
         for t in series:
             self._require_window(t.D)
-        Z = self._z_powers(self.window)
-        m = self.desc.pN
-        data = (np.stack([t.data[: len(Z)] for t in series]) % m).astype(Z.dtype)
-        out = ring_mul(data, Z, self.desc, m, np.matmul).astype(self.dtype)
+        w, m = self.w, self.desc.pN
+        Z = w._z_powers(w.window)
+        data = _graded(np.stack([t.data[:self.window] for t in series]), self.d, self.r)
+        out = ring_mul((data % m).astype(Z.dtype), Z, self.desc, m, np.matmul).astype(w.dtype)
         return out[0] if isinstance(s, TruncSeries1) else out
 
-    def eval_series(self, s: TruncSeries1, x, min_val: int = 1):
-        """Evaluate at a stack of elements of valuation >= min_val."""
-        self._require_window(s.D, min_val)
-        nz = s.nonzero_degrees()
+    def _eval_poly(self, c, x):
+        """sum_k c[k] x^k at a stack x, c an array of O_K coefficients
+        shaped (n, f): a chain of powers over at most 8 nonzero terms,
+        Horner's rule over more."""
+        nz = np.flatnonzero((c != 0).any(axis=-1)).tolist()
         out = self.zero(x.shape[:-2])
         if not nz:
             return out
@@ -314,15 +372,18 @@ class TorsionFieldModel:
             # x^k for the nonzero degrees in turn, each from the one before
             power, deg = None, 0
             for k in nz:
+                if not k:
+                    out[..., 0, :] = c[0] % m
+                    continue
                 step = self.pow_int(x, k - deg)
                 power = step if power is None else self.mul(power, step)
                 deg = k
-                out = self.add(out, self.scal(power, s.data[k]))
+                out = self.add(out, self.scal(power, c[k]))
             return out
-        out[..., 0, :] = s.data[nz[-1]] % m
+        out[..., 0, :] = c[nz[-1]] % m
         for k in range(nz[-1] - 1, -1, -1):
             out = self.mul(out, x)
-            out[..., 0, :] = (out[..., 0, :] + s.data[k]) % m
+            out[..., 0, :] = (out[..., 0, :] + c[k]) % m
         return out
 
     def eval2(self, F2, x, y):
@@ -338,20 +399,53 @@ class TorsionFieldModel:
         inner = ring_mul(F, Y, self.desc, m, np.matmul).astype(self.dtype)
         return self.mul(inner, self.powers(x, D2)).sum(axis=0) % m
 
-    def apply_pi(self, x, times: int = 1, val=None):
-        """Apply the [p]-series `times` times to a stack of elements of
-        valuation >= val (default: the least valuation in the stack); the
-        window shrinks as the valuation grows."""
-        q, K = self.q, self.window
+    # ------------------------------------------------------------ points
+    # A point z^r G(w) is its stack G, shaped (..., e/d, f), in the ring w.
+    def point_z(self):
+        """z as a point: G = 1 when d >= 2, G = z when d = 1."""
+        return self.w.z() if self.d == 1 else self.w.one()
+
+    def scatter(self, G):
+        """The model elements z^r G(z^d) of a stack of points: G_m goes to
+        the slot r + dm, which is below e, so the map is injective."""
+        x = self.zero(G.shape[:-2])
+        x[..., self.r::self.d, :] = G
+        return x
+
+    def point_valuations(self, G):
+        """v_L(z^r G(w)) = r + d v_w(G) of every point of a stack, INF for
+        0; v_w(G) = min_m ((e/d) v_p(G_m) + m), w being a uniformiser of
+        K(w)."""
+        return self.w._valuations(G, self.r, self.d)
+
+    def apply_pi(self, G, times: int = 1, val=None):
+        """Apply [p] `times` times to a stack of points of valuation >= val
+        (default: the least valuation in the stack): with f = X u(X^d),
+        f(z^r G) = z^r G u(w^r G^d), one product G u(...) in the ring w.
+        The window shrinks as the valuation grows."""
+        q, K, d, w = self.q, self.window, self.d, self.w
         if val is None:
-            val = min((v for v in np.ravel(self.valuations(x)) if v != INF), default=INF)
+            val = min((v for v in np.ravel(self.point_valuations(G)) if v != INF), default=INF)
         v = 1 if val == INF else max(1, int(val))
-        cur = x
+        cur = G
         for _ in range(times):
             pi = self.group.pi_series(eval_window(K, v, q), self.N)
-            cur = self.eval_series(pi, cur, min_val=v)
+            self._require_window(pi.D, v)
+            y = w.pow_int(cur, d)
+            if self.r:
+                y = w.mul(w.z(), y)
+            cur = w.mul(cur, w._eval_poly(_graded(pi.data, d, 1), y))
             v = min(v * q, K)
         return cur
+
+
+def _graded(data, d: int, r: int):
+    """The rows of the degrees = r mod d of series data shaped (..., D, f);
+    raises ValueError when a row of another degree is nonzero."""
+    off = np.arange(data.shape[-2]) % d != r % d
+    if data[..., off, :].any():
+        raise ValueError(f"series has a nonzero coefficient at a degree other than {r} mod {d}")
+    return data[..., r::d, :]
 
 
 def _conv(x, y):
@@ -458,12 +552,13 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
     scalars = [a for _tup, a in _scalar_tuples(group, n)]
     nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
     module.solve_batch([scalars[i] for i in nonzero])
-    points = model.zero((len(scalars),))
+    # the points z^r G(w) as G: distinct exactly when the Gs are
+    points = model.w.zero((len(scalars),))
     points[nonzero] = model.eval_at_z([module.multiplication_by(scalars[i]) for i in nonzero])
     seen = set(map(tuple, points.reshape(len(points), -1).tolist()))
     histogram = {}
     classes = {}
-    for i, val in enumerate(model.valuations(points)):
+    for i, val in enumerate(model.point_valuations(points)):
         histogram[str(val)] = histogram.get(str(val), 0) + 1
         if val != INF:
             classes.setdefault(val, []).append(i)
@@ -510,7 +605,7 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
     points = model.eval_at_z([module.multiplication_by(a) for _, _, a in rows])
     table = [{"k": k, "digit": w.residue().code(), "i_sigma": str(val),
               "expected": q**k, "match": bool(val == q**k)}
-             for (k, w, _), val in zip(rows, model.valuations(points))]
+             for (k, w, _), val in zip(rows, model.point_valuations(points))]
     record = {
         "level": n,
         "breaks": table,
@@ -536,9 +631,10 @@ def _direct_break_check(group, N: int) -> list:
     pts = model.eval_at_z([group.negation_series(D, N)]
                           + [module.multiplication_by(w) for w in units]
                           + [module.multiplication_by(w - one) for w in units])
-    iz, ux, um1 = pts[0], pts[1:len(units) + 1], pts[len(units) + 1:]
+    # eval2 takes model elements: z^r G(w) scattered into the z^k slots
+    iz, ux = model.scatter(pts[0]), model.scatter(pts[1:len(units) + 1])
     out = []
-    for w, x, linear in zip(units, ux, model.valuations(um1)):
+    for w, x, linear in zip(units, ux, model.point_valuations(pts[len(units) + 1:])):
         direct = model.valuation(model.eval2(F2, x, iz))
         out.append({
             "digit": w.residue().code(),

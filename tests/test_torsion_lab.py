@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from fglab.corpus import corpus, make_group
+from fglab.corpus import CORPUS_SPECS, corpus, make_group
 from fglab.padic import INF, RingDescriptor, ring_mul
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.series import TruncSeries1, _mul_data
@@ -166,7 +166,7 @@ class TestModel:
         m = TorsionFieldModel(gm(), 2, 4)
         short = m.group.pi_series(10, 4)
         with pytest.raises(ValueError, match="insufficient truncation"):
-            m.eval_series(short, m.z())
+            m.eval_at_z(short)
 
     def test_additive_group_rejected(self):
         add = honda_group(RingDescriptor(3, 1, 6), ())
@@ -336,6 +336,14 @@ def oracle_valuation(model, a):
     return best
 
 
+def oracle_eval_at_z(model, s):
+    """s(z) in O_K[z]/P_n: the coefficients contracted with z^k, k < N e."""
+    Z = model._z_powers(model.window)
+    m = model.desc.pN
+    data = (s.data[:len(Z)] % m).astype(Z.dtype)
+    return ring_mul(data, Z, model.desc, m, np.matmul).astype(model.dtype)
+
+
 def oracle_eval_series(model, s, x):
     m = model.desc.pN
     nz = s.nonzero_degrees()
@@ -391,7 +399,7 @@ def oracle_assumption_check(group, n, N=4):
     module = group.module(N * model.e, N)
     seen, annihilated, histogram = set(), True, {}
     for _tup, a in _scalar_tuples(group, n):
-        t = model.zero() if a.is_zero() else model.eval_at_z(module.multiplication_by(a))
+        t = model.zero() if a.is_zero() else oracle_eval_at_z(model, module.multiplication_by(a))
         seen.add(tuple(int(v) for v in t.ravel()))
         val = oracle_valuation(model, t)
         histogram[str(val)] = histogram.get(str(val), 0) + 1
@@ -468,8 +476,9 @@ class TestStackedModel:
         assert not model.mul(Z, S).any() and model.mul(Z, S).shape == S.shape
         assert all(v is INF for v in model.valuations(Z))
         assert np.array_equal(model.pow_int(Z, 0), model.one((4,)))
-        pi = model.group.pi_series(model.N * model.e + 1, model.N)
-        assert not model.eval_series(pi, Z).any()
+        points = model.w.zero((4,))
+        assert all(v is INF for v in model.point_valuations(points))
+        assert not model.apply_pi(points).any()
 
     def test_pow_int_matches_per_element(self, model):
         S = random_stack(model, 4, 6)
@@ -487,12 +496,14 @@ class TestStackedModel:
         assert model.valuation(S[2]) == oracle_valuation(model, S[2])
 
     def test_eval_series_and_apply_pi_match_per_element(self, model):
-        # points of positive valuation: z times random elements
-        X = model.mul(model.z(), random_stack(model, 5, 8))
+        # points of positive valuation: z^r G(w), G = z times random
+        # elements when d = 1, random elements of the ring w when d >= 2
+        G = model.w.mul(model.point_z(), random_stack(model.w, 5, 8))
+        X = model.scatter(G)
         pi = model.group.pi_series(model.N * model.e + 1, model.N)
-        got = model.eval_series(pi, X)
-        once = model.apply_pi(X)
-        twice = model.apply_pi(X, times=2)
+        got = model.scatter(model.apply_pi(G, val=1))
+        once = model.scatter(model.apply_pi(G))
+        twice = model.scatter(model.apply_pi(G, times=2))
         for i in range(len(X)):
             assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
             assert np.array_equal(once[i], oracle_apply_pi(model, X[i]))
@@ -504,9 +515,11 @@ class TestStackedModel:
         for g, is_sparse in ((sparse, True), (dense, False)):
             model = TorsionFieldModel(g, 2, 4)
             pi = g.pi_series(model.N * model.e + 1, model.N)
+            # [p] = X u(X^d): the point route evaluates u
             assert (len(pi.nonzero_degrees()) <= 8) == is_sparse
-            X = model.mul(model.z(), random_stack(model, 3, 9))
-            got = model.eval_series(pi, X)
+            G = model.w.mul(model.point_z(), random_stack(model.w, 3, 9))
+            X = model.scatter(G)
+            got = model.scatter(model.apply_pi(G, val=1))
             for i in range(len(X)):
                 assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
 
@@ -516,7 +529,7 @@ class TestStackedModel:
         module = g.module(model.N * model.e, model.N)
         series = [module.multiplication_by(a) for _t, a in _scalar_tuples(g, 1)[1:4]]
         got = model.eval_at_z(series)
-        assert got.shape == (3, model.e, model.desc.f)
+        assert got.shape == (3, model.e // model.d, model.desc.f)
         for t, s in zip(got, series):
             assert np.array_equal(t, model.eval_at_z(s))
 
@@ -558,6 +571,96 @@ class TestStackedAssumption:
         classes = sum(1 for k in rec["valuations"] if k != "inf")
         assert rec["holds"]
         assert len(calls) <= 12 * n * classes
+
+
+# -------------------------------------------- points on the grading
+
+# (group, levels): the six corpus groups, and a group-file polynomial whose
+# [p]-series has every degree, so d = 1
+GROUP_FILE_COEFFS = [0, 3, 30, 13, 36, 60, 3, 6, 78, 51]
+GRADED_CASES = [(name, n) for name, _spec in CORPUS_SPECS for n in (1, 2)] + [("group-file", 2)]
+
+
+def graded_group(name):
+    if name == "group-file":
+        return make_group(p=3, f=1, N=4, source="lubin-tate", coeffs=GROUP_FILE_COEFFS, nmax=2)
+    return make_group(N=4, nmax=2, **dict(CORPUS_SPECS)[name])
+
+
+def sample_scalars(group, n):
+    """A few integers and, where O_F acts (h | f), a few digit sums."""
+    scalars = [1, -1, 2, group.desc.p + 1]
+    if group.desc.f % group.height == 0:
+        sums = [a for _tup, a in _scalar_tuples(group, n) if not a.is_zero()]
+        scalars += sums[:: max(1, len(sums) // 6)]
+    return scalars
+
+
+class TestGradedPoints:
+    @pytest.mark.parametrize("name,n", GRADED_CASES)
+    def test_graded_route_equals_full_model(self, name, n):
+        g = graded_group(name)
+        model = TorsionFieldModel(g, n, 4)
+        assert model.d == g.grading and model.w.e * model.d == model.e
+        assert (model.d == 1) == (model.w is model)
+        module = g.module(model.window, 4)
+        series = [module.multiplication_by(a) for a in sample_scalars(g, n)]
+        G = model.eval_at_z(series)
+        X = model.scatter(G)
+        assert G.shape == (len(series), model.e // model.d, model.desc.f)
+        assert all(np.array_equal(x, oracle_eval_at_z(model, s)) for x, s in zip(X, series))
+        vals = list(model.point_valuations(G))
+        assert vals == list(model.valuations(X)) == [oracle_valuation(model, x) for x in X]
+        classes = {}
+        for i, v in enumerate(vals):
+            classes.setdefault(v, []).append(i)
+        for v, rows in classes.items():
+            for times in sorted({1, n}):
+                got = model.scatter(model.apply_pi(G[rows], times=times, val=v))
+                for i, x in zip(rows, got):
+                    assert np.array_equal(x, oracle_apply_pi(model, X[i], times=times))
+
+    def test_grading_divides_step(self):
+        for _name, g in corpus(N=4, nmax=2):
+            assert g.module(40, 4).step % g.grading == 0
+        g = graded_group("group-file")
+        assert g.grading == 1 and g.module(40, 4).step == 1
+
+    def test_grading_is_the_group_not_the_window(self):
+        # the [p]-series of u = (0, 1, 1) looks graded by 8 below degree 28
+        g = honda_group(RingDescriptor(3, 1, 10), (0, 1, 1))
+        assert g.grading == 2
+        assert g.module(20, 4).step == 8 and g.module(40, 4).step == 2
+        assert honda_group(RingDescriptor(3, 1, 6), ()).grading == 0
+
+    def test_factor_off_the_grading_raises(self, monkeypatch):
+        g = graded_group("lt-h2-p3")
+        P = g.division_factor(1, 4)
+        bad = TruncSeries1(P.desc, P.D, "integral", P.data.copy())
+        bad.data[1, 0] = 3  # above the polygon: still monic, pure of slope 1/8
+        monkeypatch.setattr(g, "division_factor", lambda n, N: bad)
+        with pytest.raises(ValueError, match="not a polynomial in X\\^8"):
+            TorsionFieldModel(g, 1, 4)
+
+    def test_eval_at_z_off_the_grading_raises(self):
+        model = TorsionFieldModel(graded_group("lt-h2-p3"), 1, 4)
+        s = TruncSeries1.from_coeffs(model.desc, [0, 1, 1], model.window)
+        with pytest.raises(ValueError, match="degree other than 1 mod 8"):
+            model.eval_at_z(s)
+
+    def test_scalar_action_multiplies_in_the_w_ring(self, monkeypatch):
+        # lt-h2-p3 at level 2: e = 72, d = 8, so every product is of 9 rows
+        shapes = []
+        mul = TorsionFieldModel.mul
+
+        def recorded(self, a, b):
+            shapes.append((a.shape[-2], b.shape[-2]))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(TorsionFieldModel, "mul", recorded)
+        rec = assumption_check(graded_group("lt-h2-p3"), 2, N=4)
+        assert rec["holds"] and shapes
+        assert set(shapes) == {(9, 9)}
 
 
 # -------------------------------------------- [p]-series window reuse
