@@ -30,14 +30,18 @@ from .endo import (compute_endo_subfield, multiplier_closure_sample, tau_infinit
                    try_endomorphism)
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
-from .precision import (count_window, crosscheck_window, endo_window, law_precision,
-                        level_degree, model_window)
+from .precision import (count_window, crosscheck_precision, crosscheck_window, endo_window,
+                        law_precision, level_degree, model_window, multiplier_precision,
+                        ramification_precision)
 from .reports import Check, build_report, exit_code, render_summary, run_checks
 from .series import TruncSeries1
 from .torsion import (
     TorsionFieldModel,
     assumption_check,
+    break_rows,
     certify_torsion_degree,
+    crosscheck_scalars,
+    digit_sums,
     mu_p_membership,
     ramification_breaks,
     torsion_count,
@@ -196,13 +200,71 @@ def _capable(group) -> bool:
     return group.height is not INF and group.desc.f % group.height == 0
 
 
-def torsion_checks(group, cfg: RunConfig):
+class TorsionPlan:
+    """The widest (D, N) at which the torsion suite opens each artifact of
+    its group, from the precision functions: the [p]-series of the top
+    level; where h | f, the module structure covering the scalar-action,
+    ramification and cross-check windows; in verify, the law of an integer
+    multiplier's certificate, if it covers the cross-check's.  A cached
+    artifact serves every narrower request, so each is built once.  The
+    first check that needs one opens it, so a failure is recorded there."""
+
+    def __init__(self, group, cfg: RunConfig, with_endo: bool = False):
+        q, N = group.q, cfg.N
+        self.group, self.cfg = group, cfg
+        self.pi = (model_window(q, cfg.nmax, N), N)
+        self.modules, self.module, self.law = [], None, None
+        self._solved = False
+        if not _capable(group):
+            return
+        N_r = ramification_precision(N)
+        N_x = crosscheck_precision(N_r)
+        self.modules = ([(model_window(q, n, 4), 4) for n in range(1, cfg.nmax + 1)]
+                        + [(model_window(q, n, N_r), N_r) for n in _break_levels(cfg)]
+                        + [(model_window(q, 1, N_x), N_x)])
+        self.module = tuple(map(max, zip(*self.modules)))
+        if not with_endo:
+            return
+        D_e = endo_window(q)
+        try:
+            N_e = multiplier_precision(True, group.kind, group.desc.N, D_e, group.desc.p, q)
+        except ValueError:  # the certificates refuse the group; the endo suite says so
+            return
+        if D_e >= crosscheck_window(q, N_r) and N_e >= N_x:
+            self.law = (D_e, N_e)
+
+    def open_pi(self):
+        self.group.pi_series(*self.pi)
+
+    def open_modules(self):
+        """Solve the checks' scalars in one batch: the digit sums at nmax
+        hold those of every lower level."""
+        if self._solved or self.module is None:
+            return
+        group, cfg = self.group, self.cfg
+        scalars = [a for a in digit_sums(group, cfg.nmax) if not a.is_zero()]
+        scalars += [a for _, _, a in break_rows(group, _break_levels(cfg)[-1])]
+        group.module(*self.module).solve_batch(scalars + crosscheck_scalars(group))
+        self._solved = True  # a race under jobs > 1 repeats deterministic work only
+
+    def open_law(self):
+        if self.law is not None:
+            self.group.group_law2(*self.law)
+
+
+def _break_levels(cfg):
+    """The levels of the ramification checks."""
+    return range(1, min(cfg.nmax, 2) + 1)
+
+
+def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
     q = group.q
     checks = []
     for n in range(1, cfg.nmax + 1):
         e_n = level_degree(q, n)
 
         def degree_thunk(n=n, e_n=e_n):
+            plan.open_pi()
             # prepare P_n once, at the models' precision; N = 4 is its reduction
             group.division_factor(n, max(cfg.N, 4))
             cert = certify_torsion_degree(group, n, N=4)
@@ -241,6 +303,7 @@ def torsion_checks(group, cfg: RunConfig):
             annihilation_thunk, {"D": model_window(q, n, cfg.N), "N": cfg.N}))
 
         def scalars_thunk(n=n):
+            plan.open_modules()
             rec = assumption_check(group, n, N=4)
             if _capable(group):
                 ok = rec["holds"] and rec["count"] == rec["expected"]
@@ -258,10 +321,13 @@ def torsion_checks(group, cfg: RunConfig):
             scalars_thunk, {"D": model_window(q, n, 4), "N": 4}))
 
     if _capable(group):
-        for n in range(1, min(cfg.nmax, 2) + 1):
-            N_r = min(cfg.N, 5)
+        N_r = ramification_precision(cfg.N)
+        for n in _break_levels(cfg):
 
             def breaks_thunk(n=n, N_r=N_r):
+                plan.open_modules()
+                if n == 1:
+                    plan.open_law()
                 rec = ramification_breaks(group, n, N=N_r, cross_check=(n == 1))
                 ok = rec["all_match"] and rec["identity_break"] == "inf"
                 if n == 1:
@@ -556,7 +622,7 @@ def collect_checks(command: str, group, cfg: RunConfig):
     checks = []
     subfield_report = _subfield_once(group)  # one report for both suites
     if command in ("torsion", "verify"):
-        checks += torsion_checks(group, cfg)
+        checks += torsion_checks(group, cfg, TorsionPlan(group, cfg, with_endo=command == "verify"))
     if command in ("endo", "verify"):
         checks += endo_checks(group, cfg, subfield_report)
     if command in ("matrices", "verify"):

@@ -146,14 +146,15 @@ def _narrow(s, D: int, N: int):
     return type(s)(desc, D, "integral", data.astype(_dtype_for(desc, D, "integral")))
 
 
-def _serve(cache: dict, D: int, N: int, build):
+def _serve(cache: dict, D: int, N: int, build, narrow=_narrow):
     """cache[(D, N)]: built on a miss, unless some cached (D0 >= D, N0 >= N)
-    serves it by truncation and reduction.  list() copies the keys at once,
-    so another --jobs thread may store while the wider ones are sought."""
+    serves it by narrow(artifact, D, N), truncation and reduction.  list()
+    copies the keys at once, so another --jobs thread may store while the
+    wider ones are sought."""
     out = cache.get((D, N))
     if out is None:
         wider = [k for k in list(cache) if k[0] >= D and k[1] >= N]
-        out = _narrow(cache[min(wider)], D, N) if wider else build()
+        out = narrow(cache[min(wider)], D, N) if wider else build()
         cache[(D, N)] = out
     return out
 
@@ -247,8 +248,10 @@ class FormalGroupLaw:
     kind is one of "gm", "lubin_tate", "honda"; each kind is one object over
     any W(F_{p^f}), and base_change returns the same kind over the larger
     ring.  Heavy artifacts (the [p]-series at a degree window, the
-    two-variable law, module structures) are built on demand and cached per
-    window/precision.
+    two-variable law, division factors, module structures) are built on
+    demand and cached at their (window, precision); each serves every
+    narrower, less precise request by truncation and reduction, so a
+    caller that opens the widest first builds each one once.
     """
 
     def __init__(self, desc, kind, label, frobenius=None, u=None):
@@ -385,12 +388,12 @@ class FormalGroupLaw:
 
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":
-        key = (D, N_out)
-        if key not in self._module_cache:
-            # the structure keeps no reference back to the group: a cycle
-            # would hold both, and their tables, until the cyclic collector runs
-            self._module_cache[key] = ModuleStructure(self, D, N_out)
-        return self._module_cache[key]
+        """The [a]-series solver on the window D mod p^N_out, served by a
+        cached (D0 >= D, N0 >= N_out) one where there is one."""
+        # a structure keeps no reference back to the group: a cycle would
+        # hold both, and their tables, until the cyclic collector runs
+        return _serve(self._module_cache, D, N_out, lambda: ModuleStructure(self, D, N_out),
+                      ModuleStructure.narrow)
 
     def multiplication_by(self, a, D: int, N: int | None = None) -> TruncSeries1:
         N = default_precision(self.desc.N, D, self.q_eff) if N is None else N
@@ -455,13 +458,19 @@ class ModuleStructure:
     zeta [a] (Lubin-Tate 1965), and zeta a obstructs at the degree where a
     does, its defects being zeta times those of a.  solve_batch solves one
     scalar per mu_g-orbit and turns it into the others.  d = 0 (f = pX)
-    takes g = 1."""
+    takes g = 1.
+
+    narrow(D, N) serves a narrower window and lower precision from this
+    structure's records; for it, an obstructed scalar keeps the series
+    solved below its obstruction degree."""
+
+    source = None  # the structure a narrowed one takes its records from
 
     def __init__(self, group: FormalGroupLaw, D: int, N_out: int):
         self.D = D
         self.N_out = N_out
-        self.cushion = cushion(D, group.q_eff)
-        N_work = N_out + self.cushion
+        self.q = group.q_eff
+        N_work = N_out + cushion(D, self.q)
         if N_work > group.desc.N:
             raise ValueError("construct the group at higher precision first")
         self.desc_w = group.desc.at_precision(N_work)
@@ -474,6 +483,7 @@ class ModuleStructure:
         self.step = math.gcd(*(j - 1 for j in self.f_nz))  # d; 0 when f = pX
         self.fpow = _powers(fs, D)[0]
         self._cache = {}
+        self._below = {}  # obstructed vector -> its series, right below the obstruction
         # mu_g = {eta^k}, eta = zeta^((q-1)/g) for the generator zeta of the
         # digits 0, 1, zeta, zeta^2, ... of W(F_q); the inverse of eta^k
         # as a scalar matrix, to find where a vector sits in its orbit
@@ -482,7 +492,12 @@ class ModuleStructure:
         digits = teichmuller_digits(group.desc, group.desc.f)
         self._mu = [digits[1 + k * q1 // g].coeffs for k in range(g)]
         self._mu_inv = [scalar_matrix(self._mu[-k], self.desc_w, self.m) for k in range(g)]
-        self._orbits = {}  # orbit key -> (k, record of eta^k key)
+        self._orbits = {}  # orbit key -> (k, series, obstruction) of eta^k key
+
+    def narrow(self, D: int, N_out: int) -> "ModuleStructure":
+        """The structure on the window D <= self.D mod p^N_out, N_out <=
+        self.N_out, served from the records of the widest one."""
+        return _NarrowModule(self.source or self, D, N_out)
 
     def _coerce_scalar(self, a):
         f = self.desc_w.f
@@ -540,15 +555,16 @@ class ModuleStructure:
         chunk = max(1, _BATCH_BYTES // (self.mdeg * self.D * self.desc_w.f * entry))
         for i in range(0, len(todo), chunk):
             part = todo[i:i + chunk]
-            for v, rec in zip(part, self._solve_chunk(part)):
-                self._cache[v] = rec
+            for v, (ser, obs) in zip(part, self._solve_chunk(part)):
                 key, k = orbit[v]
-                self._orbits[key] = (k, rec)
+                self._orbits[key] = (k, ser, obs)
         for v, (key, k) in orbit.items():
-            if v not in self._cache:
-                k0, (ser, obs) = self._orbits[key]
-                turn = self._mu[(k - k0) % len(self._mu)]
-                self._cache[v] = (None if ser is None else ser.scalar_mul(turn), obs)
+            k0, ser, obs = self._orbits[key]
+            if k != k0:
+                ser = ser.scalar_mul(self._mu[(k - k0) % len(self._mu)])
+            if obs is not None:
+                self._below[v] = ser
+            self._cache[v] = (ser, None) if obs is None else (None, obs)
         return [self._cache[v] for v in vecs]
 
     def _solve_chunk(self, vecs):
@@ -590,8 +606,39 @@ class ModuleStructure:
             P[0, :, k] = gk
             if gk.any():
                 sup.append(k)
-        return [
-            (None, obs) if obs is not None else
-            (TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(self.N_out), None)
-            for b, obs in enumerate(obstruction)
-        ]
+        # (series, obstruction): an obstructed series is right below its degree
+        return [(TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(self.N_out), obs)
+                for b, obs in enumerate(obstruction)]
+
+
+class _NarrowModule(ModuleStructure):
+    """A ModuleStructure on the window D mod p^N_out whose records are its
+    wider, more precise source's, truncated and reduced: the [a]-series mod
+    (p^N, X^D) is unique.  A scalar the source lacks is solved there.  A
+    record obstructed at k >= D narrows to the series solved below k, as a
+    solve on this window finds no obstruction."""
+
+    def __init__(self, source: ModuleStructure, D: int, N_out: int):
+        self.D = D
+        self.N_out = N_out
+        self.source = source
+        self.desc_w = source.desc_w.at_precision(N_out + cushion(D, source.q))
+        self.m = self.desc_w.pN
+        self._cache = {}
+
+    def solve_batch(self, scalars):
+        src, D, N = self.source, self.D, self.N_out
+        vecs = [self._coerce_scalar(a) for a in scalars]
+        todo = {}  # vector here -> the scalar the source is asked for
+        for v, a in zip(vecs, scalars):
+            if v not in self._cache:
+                # the scalar itself, so that the source finds what it solved
+                # before; a ring element below the source's working
+                # precision goes as the vector read from it here
+                low = isinstance(a, UnramifiedRingElem) and a.desc.N < src.desc_w.N
+                todo.setdefault(v, v if low else a)
+        for (v, a), (ser, obs) in zip(todo.items(), src.solve_batch(list(todo.values()))):
+            if obs is not None and obs >= D:
+                ser, obs = src._below[src._coerce_scalar(a)], None
+            self._cache[v] = (None, obs) if ser is None else (_narrow(ser, D, N), None)
+        return [self._cache[v] for v in vecs]

@@ -58,6 +58,11 @@ def eval_window(K: int, v: int, q: int) -> int:
     return max(min(-(-K // v) + 1, K), q + 1)
 
 
+def ramification_precision(N: int) -> int:
+    """Precision of the ramification checks, min(N, 5)."""
+    return min(N, 5)
+
+
 def crosscheck_precision(N: int) -> int:
     """Precision of the level-1 ramification cross-check against the law."""
     return min(N, 4)

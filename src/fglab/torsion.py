@@ -28,7 +28,6 @@ applies [p^n] once per valuation class of points.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +44,7 @@ from .padic import (
     teichmuller_lift,
 )
 from .precision import (count_window, crosscheck_precision, crosscheck_window, eval_window,
-                        level_degree, newton_steps)
+                        level_degree, model_window, newton_steps)
 from .series import TruncSeries1
 
 
@@ -511,19 +510,40 @@ def torsion_count(group, n: int, N: int | None = None) -> dict:
     }
 
 
-def _scalar_tuples(group, n: int):
-    """All sums sum_i w_i p^i over Teichmuller digits of O_F, n digits."""
-    h = group.height
+# ------------------------------------------------ the scalars of the checks
+
+def digit_sums(group, n: int) -> list:
+    """The q^n sums sum_{i<n} w_i p^i over Teichmuller digits w_i of O_F,
+    0 among them: the scalar-action check's scalars at level n.  0 is a
+    digit, so the sums at level n hold those of every lower level."""
+    digits = teichmuller_digits(group.desc, group.height)
+    sums = [group.desc.zero()]
+    for _ in range(n):  # w_0 + p (sum at one level less), w_0 the slowest
+        sums = [w + s * group.desc.p for w in digits for s in sums]
+    return sums
+
+
+def _units(group) -> list:
+    """The Teichmuller digits of O_F other than 0 and 1."""
+    one = group.desc.one()
+    return [w for w in teichmuller_digits(group.desc, group.height)
+            if not (w.is_zero() or (w - one).is_zero())]
+
+
+def break_rows(group, n: int) -> list:
+    """(k, w, u - 1) for the units u of U_k \\ U_{k+1} that the level-n
+    ramification check measures: u - 1 is w - 1 at k = 0, for the digits
+    w != 0, 1 (u = 1 breaks at infinity), and p^k w at 1 <= k < n."""
     desc = group.desc
-    digits = teichmuller_digits(desc, h)
-    p = desc.p
-    out = []
-    for tup in itertools.product(range(len(digits)), repeat=n):
-        a = desc.zero()
-        for i, ix in enumerate(tup):
-            a = a + digits[ix] * (p**i)
-        out.append((tup, a))
-    return out
+    nonzero = [w for w in teichmuller_digits(desc, group.height) if not w.is_zero()]
+    rows = [(0, w, w - desc.one()) for w in _units(group)]
+    return rows + [(k, w, w * desc.p**k) for k in range(1, n) for w in nonzero]
+
+
+def crosscheck_scalars(group) -> list:
+    """-1, the units w and the w - 1 of the level-1 cross-check."""
+    units = _units(group)
+    return [-1] + units + [w - group.desc.one() for w in units]
 
 
 def assumption_check(group, n: int, N: int = 4) -> dict:
@@ -548,8 +568,8 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
             "expected": group.q**n,
         }
     model = TorsionFieldModel(group, n, N)
-    module = group.module(model.window, N)
-    scalars = [a for _tup, a in _scalar_tuples(group, n)]
+    module = group.module(model_window(group.q, n, N), N)
+    scalars = digit_sums(group, n)
     nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
     module.solve_batch([scalars[i] for i in nonzero])
     # the points z^r G(w) as G: distinct exactly when the Gs are
@@ -593,14 +613,8 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
         raise ValueError("full-height module structure required: h must divide f")
     q = group.q
     model = TorsionFieldModel(group, n, N)
-    module = group.module(model.window, N)
-    digits = teichmuller_digits(desc, h)
-    nonzero = [w for w in digits if not w.is_zero()]
-    one = desc.one()
-    units = [w for w in nonzero if not (w - one).is_zero()]  # u = 1: break is infinite
-    # u - 1 is w - 1 at k = 0 and p^k * w at k >= 1: one batch, one evaluation
-    rows = [(0, w, w - one) for w in units]
-    rows += [(k, w, w * desc.p**k) for k in range(1, n) for w in nonzero]
+    module = group.module(model_window(q, n, N), N)
+    rows = break_rows(group, n)  # one batch, one evaluation
     module.solve_batch([a for _, _, a in rows])
     points = model.eval_at_z([module.multiplication_by(a) for _, _, a in rows])
     table = [{"k": k, "digit": w.residue().code(), "i_sigma": str(val),
@@ -621,16 +635,12 @@ def _direct_break_check(group, N: int) -> list:
     """Level-1 cross-check against the definition: evaluate the two-variable
     group law at ([u](z), iota(z)) and compare with the [u-1](z) route."""
     model = TorsionFieldModel(group, 1, N)
-    D = model.window
-    module = group.module(D, N)
+    module = group.module(model_window(group.q, 1, N), N)
     F2 = group.group_law2(crosscheck_window(group.q, N), N)
-    digits = teichmuller_digits(group.desc, group.height)
-    one = group.desc.one()
-    units = [w for w in digits if not (w.is_zero() or (w - one).is_zero())]
-    module.solve_batch([-1] + units + [w - one for w in units])
-    pts = model.eval_at_z([group.negation_series(D, N)]
-                          + [module.multiplication_by(w) for w in units]
-                          + [module.multiplication_by(w - one) for w in units])
+    units = _units(group)
+    scalars = crosscheck_scalars(group)
+    module.solve_batch(scalars)
+    pts = model.eval_at_z([module.multiplication_by(a) for a in scalars])
     # eval2 takes model elements: z^r G(w) scattered into the z^k slots
     iz, ux = model.scatter(pts[0]), model.scatter(pts[1:len(units) + 1])
     out = []

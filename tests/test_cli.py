@@ -243,8 +243,9 @@ class TestDeterminism:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_worker_pool_keeps_order(self, tmp_path):
+        # at level 2 the 4 threads share the run plan's one module structure
         out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
-        base = ["torsion", "--p", "3", "--group", "lubin-tate", "--nmax", "1", "--N", "4"]
+        base = ["torsion", "--p", "3", "--group", "lubin-tate", "--nmax", "2", "--N", "4"]
         assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
         assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
         a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))
@@ -257,6 +258,87 @@ class TestDeterminism:
         assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
         a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))
         assert a["checks"] == b["checks"]
+
+
+# the configs of the benchmark workloads torsion-deep and verify-h1
+TORSION_DEEP = {
+    "lt-h2-p3": ("torsion", "--group", "lubin-tate", "--p", "3", "--f", "2", "--d", "2",
+                 "--N", "8", "--nmax", "2"),
+    "lt-p5": ("torsion", "--group", "lubin-tate", "--p", "5", "--d", "1", "--N", "6", "--nmax", "3"),
+    "gm-p3": ("torsion", "--group", "multiplicative", "--p", "3", "--N", "12", "--nmax", "4"),
+    "honda-h1-p3": ("torsion", "--group", "honda", "--u", "1", "--p", "3", "--N", "12",
+                    "--nmax", "3"),
+}
+VERIFY_H1 = {
+    name: ("verify", *source, "--p", p, "--N", "6", "--nmax", "2")
+    for name, source, p in (("mult-p3", ("--group", "multiplicative"), "3"),
+                            ("mult-p5", ("--group", "multiplicative"), "5"),
+                            ("lt-p3", ("--group", "lubin-tate", "--d", "1"), "3"),
+                            ("lt-p5", ("--group", "lubin-tate", "--d", "1"), "5"))
+}
+
+
+def counted(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name, as they happen."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestRunPlan:
+    """Each torsion artifact is built once, at the widest (D, N) the run
+    asks for, and serves every narrower request."""
+
+    @pytest.mark.parametrize("argv", list(TORSION_DEEP.values()) + list(VERIFY_H1.values()),
+                             ids=[f"torsion-deep-{k}" for k in TORSION_DEEP]
+                             + [f"verify-h1-{k}" for k in VERIFY_H1])
+    def test_one_module_solver_per_group(self, argv, monkeypatch, tmp_path):
+        # one structure is built, the plan's; it solves in one batch exactly
+        # the scalars that the checks then ask it for, and nothing later
+        from fglab import groups
+        builds = counted(monkeypatch, groups.ModuleStructure, "__init__")
+        chunks = counted(monkeypatch, groups.ModuleStructure, "_solve_chunk")
+        planned, asked = [], set()
+        open_modules, solve_batch = cli.TorsionPlan.open_modules, groups.ModuleStructure.solve_batch
+
+        def opening(plan):
+            planned.append(len(chunks))
+            open_modules(plan)
+            planned.append(len(chunks))
+
+        def asking(module, scalars):
+            if len(planned) % 2 == 0:  # not inside open_modules
+                asked.update(module._coerce_scalar(a) for a in scalars)
+            return solve_batch(module, scalars)
+
+        monkeypatch.setattr(cli.TorsionPlan, "open_modules", opening)
+        monkeypatch.setattr(groups.ModuleStructure, "solve_batch", asking)
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(builds) == 1
+        wide = builds[0][0]
+        assert len(chunks) == planned[1] - planned[0] > 0
+        assert asked == set(wide._cache)
+
+    def test_one_honda_pi_series_solve(self, monkeypatch, tmp_path):
+        # _build_pi_series runs _honda_pi_series once for a honda group;
+        # the law's solve calls it directly and is not counted
+        from fglab import groups
+        builds = counted(monkeypatch, groups.FormalGroupLaw, "_build_pi_series")
+        assert main([*TORSION_DEEP["honda-h1-p3"], "--out", str(tmp_path / "r.json")]) == 0
+        assert [args[1:] for args in builds] == [(216, 12)]
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_H1))
+    def test_one_law_solve_per_group(self, name, monkeypatch, tmp_path):
+        from fglab import groups
+        solves = counted(monkeypatch, groups, "solve_equivariant_group_law")
+        assert main([*VERIFY_H1[name], "--out", str(tmp_path / "r.json")]) == 0
+        assert len(solves) == (1 if name.startswith("lt") else 0)
 
 
 class TestReportPlumbing:

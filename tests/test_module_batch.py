@@ -504,6 +504,146 @@ def test_orbits_shared_across_threads():
     assert len(got) == 128 and all(rec == want[a] for a, rec in got)
 
 
+# ------------------------------------------------------------- narrowing
+
+def fresh_records(make, D, N, scalars):
+    """The records of a structure built on the window D mod p^N of a new
+    group, which holds no wider structure to serve it."""
+    module = make().module(D, N)
+    assert module.source is None
+    return module.solve_batch(scalars)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_narrowed_records_equal_fresh_solve_on_corpus(name, level):
+    # the level-2 window at N = 5 serves the level-n window at N = 4
+    def make():
+        return dict(corpus(N=5, nmax=2))[name]
+
+    g = make()
+    q = g.q
+    wide = g.module(precision.model_window(q, 2, 5), 5)
+    scalars = digit_sums(g, level)
+    wide.solve_batch(scalars)
+    D, N = precision.model_window(q, level, 4), 4
+    narrow = g.module(D, N)
+    assert isinstance(narrow, ModuleStructure) and narrow.source is wide
+    assert (narrow.D, narrow.N_out) == (D, N)
+    got = narrow.solve_batch(scalars)
+    want = fresh_records(make, D, N, scalars)
+    assert got == want
+    for rec, rec0 in zip(got, want):
+        assert_same_record(rec, rec0)
+    assert all(narrow._cache[narrow._coerce_scalar(a)] is rec for a, rec in zip(scalars, got))
+
+
+def gm_f2():
+    return gm(3, f=2, N=14)
+
+
+def lt_h1_f2():
+    return lubin_tate_group(RingDescriptor(3, 2, 14), [0, 3, 0, 1])
+
+
+@pytest.mark.parametrize("make", [gm_f2, lt_h1_f2])
+def test_narrowed_obstructions_equal_fresh_solve(make):
+    # the mixed batches of the obstruction tests, with 1 + 3 zeta and
+    # 2 + 9 zeta, which obstruct at 9 and 27: a window ending at or below
+    # the obstruction degree finds none, one past it finds it there
+    g = make()
+    wide = g.module(40, 6)
+    zeta = mu_generator(wide.desc_w)
+    one = wide.desc_w.one()
+    scalars = [2, zeta, -1, (1, 1), 4, zeta * zeta, 3, one + zeta * 3, one + one + zeta * 9]
+    degrees = [obs for _, obs in wide.solve_batch(scalars)]
+    assert degrees == [None, 3, None, 3, None, 3, None, 9, 27]
+    cases = set()
+    for D in (4, 8, 9, 10, 20, 27, 28):
+        for N in (4, 6):
+            got = g.module(D, N).solve_batch(scalars)
+            want = fresh_records(make, D, N, scalars)
+            assert got == want
+            for rec, rec0 in zip(got, want):
+                assert_same_record(rec, rec0)
+            for (ser, obs), k in zip(got, degrees):
+                if k is not None:
+                    assert (obs, ser is None) == ((k, True) if k < D else (None, False))
+                    cases.add("below" if k < D else "at or above")
+    assert cases == {"below", "at or above"}
+
+
+def test_narrowed_structure_solves_new_scalars_in_its_source(monkeypatch):
+    g = lt_h2()
+    wide = g.module(80, 6)
+    wide.solve_batch([2])
+    narrow = g.module(40, 5)
+    calls = count_chunks(monkeypatch)
+    scalars = [2, 5, (1, 1)]
+    got = narrow.solve_batch(scalars)
+    # 2 was solved already; 5 and 1 + zeta' are solved once, in the source
+    assert calls == [2]
+    assert {wide._coerce_scalar(a) for a in scalars} <= set(wide._cache)
+    assert got == fresh_records(lt_h2, 40, 5, scalars)
+    # a narrowed structure is served from the source, never from itself
+    assert g.module(20, 4).source is wide
+    assert narrow.narrow(20, 4).source is wide
+    # a ring element at this structure's working precision, below the
+    # source's, is read at this precision, as a fresh structure reads it
+    low = narrow.desc_w.from_coeffs((4, 7))
+    assert low.desc.N < wide.desc_w.N
+    assert narrow.solve_batch([low]) == fresh_records(lt_h2, 40, 5, [low])
+
+
+def test_narrowed_structures_shared_across_threads():
+    # 4 threads open narrowed structures of one wide structure, at different
+    # windows and in different orders, while the source solves: every
+    # record must equal a fresh solve's
+    g = lt_h2()
+    g.module(80, 6)
+    scalars = scalars_for(g.module(80, 6), 12, seed=11)
+    windows = [(40, 5), (20, 4), (60, 6), (30, 4)]
+    want = {w: fresh_records(lt_h2, *w, scalars) for w in windows}
+    got, errors = [], []
+
+    def work(t):
+        try:
+            for w in windows[t:] + windows[:t]:
+                got.append((w, t, g.module(*w).solve_batch(scalars[t:] + scalars[:t])))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 16
+    assert all(recs == want[w][t:] + want[w][:t] for w, t, recs in got)
+
+
+def test_narrowed_structure_keeps_no_cycle():
+    # narrowed structures refer to their source only: the group and all its
+    # structures go by reference counting
+    g = lt_h2()
+    g.module(40, 6).solve_batch([2])
+    g.module(20, 4).solve_batch([2, 3])
+    gone = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------- eval_at_z
 
 def random_series(desc, D, seed):

@@ -9,10 +9,14 @@ from pathlib import Path
 import pytest
 
 import fglab
-from fglab.cli import RunConfig
+from fglab import cli
+from fglab.cli import RunConfig, TorsionPlan, build_group
 from fglab.corpus import CORPUS_SPECS, make_group
 from fglab.endo import endo_window, try_endomorphism
+from fglab.groups import FormalGroupLaw
 from fglab.padic import teichmuller_digits
+from fglab.precision import (crosscheck_precision, cushion, model_window, multiplier_precision,
+                             ramification_precision)
 from fglab.torsion import ramification_breaks
 
 # (spec, N, nmax): (construction precision, default law precision at the
@@ -110,3 +114,63 @@ def test_guards_raise_instead_of_asserting():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# ---------------------------------------------------------------- run plan
+
+def corpus_config(name, N, nmax):
+    spec = dict(CORPUS_SPECS)[name]
+    return RunConfig(dict(p=spec["p"], f=spec["f"], group=spec["source"], d=spec.get("d", 1),
+                          u=",".join(map(str, spec.get("u", ()))), N=N, nmax=nmax))
+
+
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_run_plan_windows_come_from_the_precision_rules(name):
+    # every config of the group at N <= 9, nmax <= 3 that validate accepts:
+    # the plan's windows are the precision functions', and its module
+    # structure passes the construction-precision guard, so a config that
+    # runs never fails because of the plan
+    accepted = 0
+    for N in range(4, 10):
+        for nmax in (1, 2, 3):
+            cfg = corpus_config(name, N, nmax)
+            if cfg.validate("verify"):
+                continue
+            accepted += 1
+            g = build_group(cfg)
+            q = g.q
+            plan = TorsionPlan(g, cfg, with_endo=True)
+            assert plan.pi == (model_window(q, nmax, N), N)
+            if g.desc.f % g.height:
+                assert (plan.modules, plan.module, plan.law) == ([], None, None)
+                continue
+            N_r = ramification_precision(N)
+            N_x = crosscheck_precision(N_r)
+            assert plan.modules == ([(model_window(q, n, 4), 4) for n in range(1, nmax + 1)]
+                                    + [(model_window(q, n, N_r), N_r)
+                                       for n in range(1, min(nmax, 2) + 1)]
+                                    + [(model_window(q, 1, N_x), N_x)])
+            D, N_m = plan.module
+            assert (D, N_m) == (max(w for w, _ in plan.modules), max(n for _, n in plan.modules))
+            assert N_m + cushion(D, g.q_eff) <= g.desc.N
+            D_e = endo_window(q)
+            assert plan.law == (D_e, multiplier_precision(True, g.kind, g.desc.N, D_e, g.desc.p, g.q_eff))
+    assert accepted >= 6
+
+
+# the corpus groups with h | f, which open module structures
+@pytest.mark.parametrize("name", ["mult-p3", "mult-p5", "lt-p3", "lt-p5", "lt-h2-p3"])
+def test_torsion_checks_open_the_plan_windows(name, monkeypatch, tmp_path):
+    # the module structures the checks ask for are the plan's windows, and
+    # the first one opened is the widest
+    cfg = corpus_config(name, 6, 2)
+    plan = TorsionPlan(build_group(cfg), cfg)
+    asked = []
+    module = FormalGroupLaw.module
+    monkeypatch.setattr(FormalGroupLaw, "module",
+                        lambda self, D, N: asked.append((D, N)) or module(self, D, N))
+    argv = ["torsion", "--p", str(cfg.p), "--f", str(cfg.f), "--group", cfg.group,
+            "--d", str(cfg.d), "--N", "6", "--nmax", "2", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert asked[0] == plan.module
+    assert set(asked[1:]) == set(plan.modules)

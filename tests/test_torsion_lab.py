@@ -11,9 +11,9 @@ from fglab.series import TruncSeries1, _mul_data
 from fglab.torsion import (
     NewtonPolygon,
     TorsionFieldModel,
-    _scalar_tuples,
     assumption_check,
     certify_torsion_degree,
+    digit_sums,
     mu_p_membership,
     newton_polygon,
     ramification_breaks,
@@ -398,7 +398,7 @@ def oracle_assumption_check(group, n, N=4):
     model = TorsionFieldModel(group, n, N)
     module = group.module(N * model.e, N)
     seen, annihilated, histogram = set(), True, {}
-    for _tup, a in _scalar_tuples(group, n):
+    for a in digit_sums(group, n):
         t = model.zero() if a.is_zero() else oracle_eval_at_z(model, module.multiplication_by(a))
         seen.add(tuple(int(v) for v in t.ravel()))
         val = oracle_valuation(model, t)
@@ -527,7 +527,7 @@ class TestStackedModel:
         g = h2lt()
         model = TorsionFieldModel(g, 1, 4)
         module = g.module(model.N * model.e, model.N)
-        series = [module.multiplication_by(a) for _t, a in _scalar_tuples(g, 1)[1:4]]
+        series = [module.multiplication_by(a) for a in digit_sums(g, 1)[1:4]]
         got = model.eval_at_z(series)
         assert got.shape == (3, model.e // model.d, model.desc.f)
         for t, s in zip(got, series):
@@ -591,7 +591,7 @@ def sample_scalars(group, n):
     """A few integers and, where O_F acts (h | f), a few digit sums."""
     scalars = [1, -1, 2, group.desc.p + 1]
     if group.desc.f % group.height == 0:
-        sums = [a for _tup, a in _scalar_tuples(group, n) if not a.is_zero()]
+        sums = [a for a in digit_sums(group, n) if not a.is_zero()]
         scalars += sums[:: max(1, len(sums) // 6)]
     return scalars
 
