@@ -155,14 +155,19 @@ class RunConfig:
             problems.append(f"out: {out} is a directory")
         elif out and not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
             problems.append(f"out: the directory of {out} is missing or not writable")
-        if problems or command == "construct":
+        if problems:
             return problems
-        # feasibility: the torsion model at level n works in a window of
-        # N*e(n) ring elements; refuse windows past the cap
         try:
             h = source_height(v["p"], v["group"], v["d"], v["u"], coeffs)
         except ValueError as exc:
             return [f"the group could not be constructed: {exc}"]
+        if command == "construct":  # the echo opens the [p]-series at q + 2
+            if h != math.inf and (D_pi := v["p"] ** h + 2) > v["dcap"]:
+                problems.append(f"construct window q + 2 = {D_pi} exceeds the cap "
+                                f"{v['dcap']}; raise dcap")
+            return problems
+        # feasibility: the torsion model at level n works in a window of
+        # N*e(n) ring elements; refuse windows past the cap
         if h == math.inf:
             problems.append("group has no finite height; the suites need finite torsion")
             return problems
@@ -293,7 +298,7 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
 
         def annihilation_thunk(n=n):
             model = TorsionFieldModel(group, n, cfg.N)
-            val = model.point_valuations(model.apply_pi(model.point_z(), times=n))[()]
+            val = model.valuation(model.apply_pi(model.point_z(), times=n), model.r)
             return val is INF, {"valuation": str(val)}
 
         checks.append(Check(
@@ -306,12 +311,12 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
             plan.open_modules()
             rec = assumption_check(group, n, N=4)
             if _capable(group):
-                ok = rec["holds"] and rec["count"] == rec["expected"]
+                ok = (rec["holds"] and rec["count"] == rec["expected"]
+                      or rec["mode"] == "obstructed")
             else:
                 ok = (not rec["holds"]) and rec["mode"] == "no-module-structure"
             obs = {k: rec.get(k) for k in ("holds", "mode", "count", "expected")}
-            if "valuations" in rec:
-                obs["valuations"] = rec["valuations"]
+            obs.update((k, rec[k]) for k in ("valuations", "obstruction") if k in rec)
             return ok, obs
 
         checks.append(Check(

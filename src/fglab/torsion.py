@@ -1,26 +1,26 @@
 """Torsion-field models and ramification measurements.
 
-The level-n torsion field L_n = K(z) is modelled as O_K[X]/(P_n) where P_n is
-the distinguished factor of [p^n]/[p^{n-1}].  P_n is Eisenstein-like: its
+The level-n torsion field L_n = K(z) is K[X]/(P_n) where P_n is the
+distinguished factor of [p^n]/[p^{n-1}].  P_n is Eisenstein-like: its
 Newton polygon is pure of slope 1/e with e = q^{n-1}(q-1), so L_n/K is
-totally ramified of degree e and element valuations are v_L-exact:
-v_L(sum c_j z^j) = min_j (e * v_p(c_j) + j), the terms having distinct
-residues mod e.
+totally ramified of degree e and v_L(z) = 1.
+
+The model works on the grading of the group.  With [p] = X u(X^d), [p^n]
+is X times a series in X^d, and the preparation commutes with
+X -> zeta X, so P_n(X) = Phi_n(X^d) with deg Phi_n = e/d, and O_K[z]/P_n
+is the sum of the components z^c O_K[w]/Phi_n(w), c < d, w = z^d.  The
+tame action z -> zeta z (Lubin and Tate, 1965) keeps every element the lab
+forms in one component: the points [a](z), their images under [p] and
+[u](z) - z in z^r O_K[w]/Phi_n, r = 1 mod d (r = 1 when d >= 2, r = 0
+when d = 1), and the mu_p witness in component 0.  So the model is the
+degree-e/d ring O_K[w]/Phi_n, an element z^c G(w) is kept as G, and
+v_L(z^c G) = c + d v_w(G), exact as w is a uniformiser of K(w).
 
 Series are evaluated at points of positive valuation; a window D >= N*e
 makes the discarded tail vanish at the working precision.
 
-Torsion points live on the grading of the group.  With [p] = X u(X^d),
-[p^n] is X times a series in X^d, and the preparation commutes with
-X -> zeta X, so P_n(X) = Phi_n(X^d) with deg Phi_n = e/d.  Every point
-[a](z), its images under [p] and [u](z) - z lie in one component
-z^r O_K[w]/Phi_n(w), w = z^d, r = 1 mod d (r = 1 when d >= 2, r = 0 when
-d = 1), so a point z^r G(w) is kept as G and its arithmetic runs in the
-degree-e/d ring O_K[w]/Phi_n, where w is a uniformiser of the fixed field
-K(w) of the tame part mu_{q-1} of the Galois group (Lubin and Tate, 1965).
-
-Model arithmetic takes stacks: arrays shaped (..., e, f) whose leading axes
-broadcast, so one product, power or series evaluation serves many points.
+Model arithmetic takes stacks: arrays shaped (..., e/d, f) whose leading
+axes broadcast, so one product, power or series evaluation serves many points.
 The scalar-action check builds all q^n points in one contraction and
 applies [p^n] once per valuation class of points.
 """
@@ -125,19 +125,11 @@ def newton_polygon(poly: TruncSeries1, degree: int) -> NewtonPolygon:
 # ------------------------------------------------------------ the model ring
 
 class TorsionFieldModel:
-    """O_K[X]/(P_n): arithmetic for the level-n torsion field.
+    """O_K[w]/(Phi_n): arithmetic for the level-n torsion field.
 
-    Elements are coefficient arrays of shape (e, f) mod p^N, and stacks of
-    them arrays of shape (..., e, f).  The class of X is a root z of P_n, a
-    point of exact order p^n with v_L(z) = 1.
-
-    Points are kept on the grading d of the group: a point z^r G(w) as its
-    coefficient stack G, shaped (..., e/d, f), in the ring `w` of
-    O_K[w]/Phi_n(w), Phi_n = P_low[::d] + w^(e/d).  `w` runs this class's
-    own arithmetic on e/d and Phi_n; for d = 1 it is the model itself and
-    G = x.  eval_at_z, point_valuations and apply_pi take and give points;
-    mul, pow_int, powers, invert, eval2 and valuation take full elements,
-    and scatter turns points into them.
+    Elements are coefficient arrays of shape (k, f) mod p^N in powers of
+    w, k = e/d, and stacks of them arrays of shape (..., k, f).  A point
+    z^r G(w) is its G; when d = 1, w = z and r = 0.
     """
 
     def __init__(self, group, level: int, N: int):
@@ -167,54 +159,31 @@ class TorsionFieldModel:
         d = group.grading
         if any(any(raw[k]) for k in range(e) if k % d):
             raise ValueError(f"distinguished factor is not a polynomial in X^{d}")
-        self.d, self.r = d, 1 % d
-        self._ring(e, raw[:e])
-        # for d = 1 the model is its own ring w: storing self would make a
-        # reference cycle, which holds the tables until the collector runs
-        self._w = None if d == 1 else self._graded_ring(self.desc, N, raw[:e:d])
-
-    @classmethod
-    def _graded_ring(cls, desc, N: int, P_low):
-        """O_K[w]/(w^k + P_low(w)), k = len(P_low): the ring arithmetic of
-        a model, with no group, level or points of its own."""
-        ring = cls.__new__(cls)
-        ring.desc, ring.N, ring._w = desc, N, None
-        ring._ring(len(P_low), P_low)
-        return ring
-
-    def _ring(self, e: int, P_low):
-        """The arithmetic of O_K[X]/(X^e + P_low(X)) mod p^N."""
-        self.e = e
-        self.window = self.N * e  # z^(N e) = 0 mod p^N
-        self.dtype = contraction_dtype(2 * e * self.desc.f * self.desc.f * self.desc.p, self.desc)
-        self.P_low = P_low.astype(self.dtype)
+        self.e, self.d, self.r, self.k = e, d, 1 % d, e // d
+        self.window = N * e  # a series window: z^(N e) = 0 mod p^N
+        self.dtype = contraction_dtype(2 * self.k * self.desc.f * self.desc.f * self.desc.p, self.desc)
+        self.P_low = raw[:e:d].astype(self.dtype)  # Phi_n = w^k + P_low(w)
 
     @functools.cached_property
     def red(self):
-        """Reduction table: red[k] = X^(e+k) mod P, k = 0 .. e-2, built at
-        the first product that needs it (a model whose points all live in
-        its ring w makes none)."""
-        return self._z_powers(2 * self.e - 1)[self.e:].astype(self.dtype)
-
-    @property
-    def w(self):
-        """The ring O_K[w]/Phi_n(w) of point coefficients G."""
-        return self if self._w is None else self._w
+        """Reduction table: red[j] = w^(k+j) mod Phi_n, j = 0 .. k-2, built
+        at the first product that needs it."""
+        return self._w_powers(2 * self.k - 1)[self.k:].astype(self.dtype)
 
     # ------------------------------------------------------------ elements
-    # Every operation takes stacks: arrays shaped (..., e, f) whose leading
+    # Every operation takes stacks: arrays shaped (..., k, f) whose leading
     # axes broadcast, so one element combines with a stack elementwise.
     def zero(self, lead=()):
-        return np.zeros(tuple(lead) + (self.e, self.desc.f), dtype=self.dtype)
+        return np.zeros(tuple(lead) + (self.k, self.desc.f), dtype=self.dtype)
 
     def one(self, lead=()):
         x = self.zero(lead)
         x[..., 0, 0] = 1
         return x
 
-    def z(self):
-        """The class of X: z in the model, w in its ring `w`."""
-        return self._z_powers(2)[1].astype(self.dtype)
+    def w(self):
+        """The class of w = z^d."""
+        return self._w_powers(2)[1].astype(self.dtype)
 
     def from_ok(self, c):
         """Embed an O_K scalar (int or ring element) as a constant."""
@@ -235,11 +204,11 @@ class TorsionFieldModel:
         return (-a) % self.desc.pN
 
     def mul(self, a, b):
-        e, m = self.e, self.desc.pN
+        k, m = self.k, self.desc.pN
         full = ring_mul(a, b, self.desc, m, _conv)
-        low, high = full[..., :e, :], full[..., e:, :]
+        low, high = full[..., :k, :], full[..., k:, :]
         if high.any():
-            # sum_k high[k] * (X^(e+k) mod P), a ring product contracted over k
+            # sum_j high[j] * (w^(k+j) mod Phi_n), a ring product contracted over j
             low = (low + ring_mul(high, self.red, self.desc, m, np.dot)) % m
         return low
 
@@ -274,27 +243,22 @@ class TorsionFieldModel:
     def equal(self, a, b) -> bool:
         return bool(((a - b) % self.desc.pN == 0).all())
 
-    def valuations(self, A):
-        """v_L of every element of a stack, INF for 0, as an object array
-        shaped like the leading axes; exact because coefficient valuations
-        are distinct mod e."""
-        return self._valuations(A, 0, 1)
-
-    def _valuations(self, A, r: int, d: int):
-        """r + d v of every element of a stack, v its valuation in this
-        ring, INF for 0."""
-        p, N, e = self.desc.p, self.N, self.e
+    def valuations(self, A, c: int = 0):
+        """v_L(z^c G(w)) = c + d v_w(G) of every element G of a stack, INF
+        for 0, as an object array shaped like the leading axes.  v_w(G) =
+        min_m (k v_p(G_m) + m) is exact, as w is a uniformiser of K(w)."""
+        p, N, k = self.desc.p, self.N, self.k
         A = np.asarray(A) % self.desc.pN
         # v_p of each coefficient, N for a zero one (A < p^N after reduction)
-        vp = sum((A % p**k == 0).astype(np.int64) for k in range(1, N + 1))
-        v = np.asarray((e * vp.min(axis=-1) + np.arange(e)).min(axis=-1))
-        out = np.asarray(r + d * v).astype(object)
-        out[v == self.window] = INF
+        vp = sum((A % p**j == 0).astype(np.int64) for j in range(1, N + 1))
+        v = np.asarray((k * vp.min(axis=-1) + np.arange(k)).min(axis=-1))
+        out = np.asarray(c + self.d * v).astype(object)
+        out[v == N * k] = INF
         return out
 
-    def valuation(self, a):
-        """v_L of one element."""
-        return self.valuations(a)[()]
+    def valuation(self, a, c: int = 0):
+        """v_L(z^c a(w)) of one element."""
+        return self.valuations(a, c)[()]
 
     def residue(self, a) -> UnramifiedRingElem:
         """The residue of an element, in F_{p^f}: its constant term at N = 1."""
@@ -312,7 +276,7 @@ class TorsionFieldModel:
         c0 = UnramifiedRingElem(self.desc, [int(v) for v in a[0]])
         x = self.from_ok(c0.invert())
         two = self.from_ok(2)
-        for _ in range(newton_steps(self.window)):
+        for _ in range(newton_steps(self.N * self.k)):  # w^(N k) = 0 mod p^N
             x = self.mul(x, self.sub(two, self.mul(a, x)))
         if not self.equal(self.mul(a, x), self.one()):
             raise ArithmeticError("Newton inversion did not converge")
@@ -325,37 +289,37 @@ class TorsionFieldModel:
             raise ValueError(
                 "insufficient truncation for this level: lower N or raise D")
 
-    def _z_powers(self, count: int):
-        """z^k for k < count by shift-and-fold with z^e = -P_low; z^e is p
-        times a unit (pure slope 1/e), so z^(N*e) and every higher power
+    def _w_powers(self, count: int):
+        """w^m for m < count by shift-and-fold with w^k = -P_low; w^k is p
+        times a unit (pure slope 1/e), so w^(N k) and every higher power
         vanish mod p^N.  Not kept: each caller evaluates all its series in
         one eval_at_z."""
         m = self.desc.pN
         dtype = contraction_dtype(count, self.desc)  # eval_at_z sums count products
         red0 = ((-self.P_low) % m).astype(dtype)
-        e = self.e
-        Z = np.zeros((count, e, self.desc.f), dtype=dtype)
-        low = min(count, e)
-        Z[range(low), range(low), 0] = 1  # z^k = X^k below e: nothing to fold
-        for k in range(e, count):
-            Z[k, 1:] = Z[k - 1, :-1]
-            Z[k] = (Z[k] + ring_scale(red0, Z[k - 1, -1], self.desc, m)) % m
-        return Z
+        k = self.k
+        W = np.zeros((count, k, self.desc.f), dtype=dtype)
+        low = min(count, k)
+        W[range(low), range(low), 0] = 1  # w^m below k: nothing to fold
+        for j in range(k, count):
+            W[j, 1:] = W[j - 1, :-1]
+            W[j] = (W[j] + ring_scale(red0, W[j - 1, -1], self.desc, m)) % m
+        return W
 
     def eval_at_z(self, s):
         """The point s(z) = z^r G(w) of one series, or the stack of them for
         a sequence of series, as G: one contraction of the coefficients
-        s_(r+dm) with the table of w^m.  Terms with m >= N e/d vanish, as
-        w^(N e/d) = 0 mod p^N, so a window D >= N e holds all the others.
+        s_(r+dm) with the table of w^m.  Terms with m >= N k vanish, as
+        w^(N k) = 0 mod p^N, so a window D >= N e holds all the others.
         Raises ValueError for a nonzero coefficient below N e at a degree
         other than r mod d."""
         series = [s] if isinstance(s, TruncSeries1) else list(s)
         for t in series:
             self._require_window(t.D)
-        w, m = self.w, self.desc.pN
-        Z = w._z_powers(w.window)
+        m = self.desc.pN
+        W = self._w_powers(self.N * self.k)
         data = _graded(np.stack([t.data[:self.window] for t in series]), self.d, self.r)
-        out = ring_mul((data % m).astype(Z.dtype), Z, self.desc, m, np.matmul).astype(w.dtype)
+        out = ring_mul((data % m).astype(W.dtype), W, self.desc, m, np.matmul).astype(self.dtype)
         return out[0] if isinstance(s, TruncSeries1) else out
 
     def _eval_poly(self, c, x):
@@ -386,54 +350,49 @@ class TorsionFieldModel:
         return out
 
     def eval2(self, F2, x, y):
-        """Evaluate a two-variable series at two elements; total-degree
-        window D2 needs D2 >= N * e for the tail to vanish.  inner[i] =
-        sum_j F2[i, j] y^j is one contraction, then sum_i inner[i] x^i is
-        one stacked product."""
+        """F2(z^r x(w), z^r y(w)) = z^r G(w) at two points, as G; the
+        total-degree window D2 needs D2 >= N e for the tail to vanish.  F2
+        has only degrees i + j = r mod d, where z^(r(i+j)) = z^r w^(a_i+b_j),
+        a_i = floor(ri/d), b_j = ceil(r(j-1)/d): with x^i and y^j weighted
+        by those powers of w, inner[i] = sum_j F2[i, j] y^j w^(b_j) is one
+        contraction, then sum_i inner[i] x^i w^(a_i) is one stacked
+        product.  Raises ValueError for a term at another degree."""
         self._require_window(F2.D)
-        D2, m = F2.D, self.desc.pN
+        D2, m, d, r = F2.D, self.desc.pN, self.d, self.r
+        F = F2.grid() % m
+        i = np.arange(D2)
+        if F[(i[:, None] + i) % d != r].any():
+            raise ValueError(f"law has a nonzero term at a total degree other than {r} mod {d}")
+        X, Y = self.powers(x, D2), self.powers(y, D2)
+        if r:
+            W = self._w_powers(D2 // d + 2).astype(self.dtype)
+            X, Y = self.mul(X, W[i // d]), self.mul(Y, W[(i + d - 2) // d])
         dtype = contraction_dtype(D2, self.desc)  # the contraction sums D2 products
-        F = (F2.grid() % m).astype(dtype)
-        Y = self.powers(y, D2).astype(dtype)
-        inner = ring_mul(F, Y, self.desc, m, np.matmul).astype(self.dtype)
-        return self.mul(inner, self.powers(x, D2)).sum(axis=0) % m
+        inner = ring_mul(F.astype(dtype), Y.astype(dtype), self.desc, m, np.matmul).astype(self.dtype)
+        return self.mul(inner, X).sum(axis=0) % m
 
     # ------------------------------------------------------------ points
-    # A point z^r G(w) is its stack G, shaped (..., e/d, f), in the ring w.
     def point_z(self):
-        """z as a point: G = 1 when d >= 2, G = z when d = 1."""
-        return self.w.z() if self.d == 1 else self.w.one()
-
-    def scatter(self, G):
-        """The model elements z^r G(z^d) of a stack of points: G_m goes to
-        the slot r + dm, which is below e, so the map is injective."""
-        x = self.zero(G.shape[:-2])
-        x[..., self.r::self.d, :] = G
-        return x
-
-    def point_valuations(self, G):
-        """v_L(z^r G(w)) = r + d v_w(G) of every point of a stack, INF for
-        0; v_w(G) = min_m ((e/d) v_p(G_m) + m), w being a uniformiser of
-        K(w)."""
-        return self.w._valuations(G, self.r, self.d)
+        """z as a point z^r G(w): G = 1 when d >= 2, G = w = z when d = 1."""
+        return self.w() if self.d == 1 else self.one()
 
     def apply_pi(self, G, times: int = 1, val=None):
         """Apply [p] `times` times to a stack of points of valuation >= val
         (default: the least valuation in the stack): with f = X u(X^d),
-        f(z^r G) = z^r G u(w^r G^d), one product G u(...) in the ring w.
-        The window shrinks as the valuation grows."""
-        q, K, d, w = self.q, self.window, self.d, self.w
+        f(z^r G) = z^r G u(w^r G^d), one product G u(...).  The window
+        shrinks as the valuation grows."""
+        q, K, d = self.q, self.window, self.d
         if val is None:
-            val = min((v for v in np.ravel(self.point_valuations(G)) if v != INF), default=INF)
+            val = min((v for v in np.ravel(self.valuations(G, self.r)) if v != INF), default=INF)
         v = 1 if val == INF else max(1, int(val))
         cur = G
         for _ in range(times):
             pi = self.group.pi_series(eval_window(K, v, q), self.N)
             self._require_window(pi.D, v)
-            y = w.pow_int(cur, d)
+            y = self.pow_int(cur, d)
             if self.r:
-                y = w.mul(w.z(), y)
-            cur = w.mul(cur, w._eval_poly(_graded(pi.data, d, 1), y))
+                y = self.mul(self.w(), y)
+            cur = self.mul(cur, self._eval_poly(_graded(pi.data, d, 1), y))
             v = min(v * q, K)
         return cur
 
@@ -567,18 +526,21 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
             "count": None,
             "expected": group.q**n,
         }
-    model = TorsionFieldModel(group, n, N)
     module = group.module(model_window(group.q, n, N), N)
     scalars = digit_sums(group, n)
     nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
-    module.solve_batch([scalars[i] for i in nonzero])
+    obstructions = [k for _, k in module.solve_batch([scalars[i] for i in nonzero]) if k is not None]
+    if obstructions:
+        return {"level": n, "holds": False, "mode": "obstructed", "obstruction": min(obstructions),
+                "count": None, "expected": group.q**n}
+    model = TorsionFieldModel(group, n, N)
     # the points z^r G(w) as G: distinct exactly when the Gs are
-    points = model.w.zero((len(scalars),))
+    points = model.zero((len(scalars),))
     points[nonzero] = model.eval_at_z([module.multiplication_by(scalars[i]) for i in nonzero])
     seen = set(map(tuple, points.reshape(len(points), -1).tolist()))
     histogram = {}
     classes = {}
-    for i, val in enumerate(model.point_valuations(points)):
+    for i, val in enumerate(model.valuations(points, model.r)):
         histogram[str(val)] = histogram.get(str(val), 0) + 1
         if val != INF:
             classes.setdefault(val, []).append(i)
@@ -619,7 +581,7 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
     points = model.eval_at_z([module.multiplication_by(a) for _, _, a in rows])
     table = [{"k": k, "digit": w.residue().code(), "i_sigma": str(val),
               "expected": q**k, "match": bool(val == q**k)}
-             for (k, w, _), val in zip(rows, model.point_valuations(points))]
+             for (k, w, _), val in zip(rows, model.valuations(points, model.r))]
     record = {
         "level": n,
         "breaks": table,
@@ -641,11 +603,10 @@ def _direct_break_check(group, N: int) -> list:
     scalars = crosscheck_scalars(group)
     module.solve_batch(scalars)
     pts = model.eval_at_z([module.multiplication_by(a) for a in scalars])
-    # eval2 takes model elements: z^r G(w) scattered into the z^k slots
-    iz, ux = model.scatter(pts[0]), model.scatter(pts[1:len(units) + 1])
+    iz, ux = pts[0], pts[1:len(units) + 1]
     out = []
-    for w, x, linear in zip(units, ux, model.point_valuations(pts[len(units) + 1:])):
-        direct = model.valuation(model.eval2(F2, x, iz))
+    for w, x, linear in zip(units, ux, model.valuations(pts[len(units) + 1:], model.r)):
+        direct = model.valuation(model.eval2(F2, x, iz), model.r)
         out.append({
             "digit": w.residue().code(),
             "direct": str(direct),
@@ -662,13 +623,12 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
     Searches for y with y^(p-1) = -p: y = t * z^(e/(p-1)) with
     t^(p-1) = -p / z^e, solvable iff the residue of -(z^e/p)^(-1) is a
     (p-1)-th power.  A witness must satisfy v_L(y^(p-1) + p) >= (N-2)*e.
+    It is formed in component 0: y^(p-1) = t^(p-1) z^e, z^e = w^k.
     """
     h = group.height
     if h is INF:
         raise ValueError("no finite height: level-1 torsion is not a field model")
-    q = group.q
     p = group.desc.p
-    e = q - 1
     if d_max is None:
         d_max = h
     attempts = []
@@ -676,8 +636,8 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
         grp = group if d == 1 else group.base_change(group.desc.f * d)
         model = TorsionFieldModel(grp, 1, N)
         m = model.desc.pN
-        # z^e = -(low part of P); V = z^e / p is a unit by pure slope
-        ze = (-(model.P_low)) % m
+        # z^e = w^k = -Phi_low(w); V = z^e / p is a unit by pure slope
+        ze = (-model.P_low) % m
         V = model.exact_div_p(ze)
         u = model.neg(model.invert(V))
         r = model.residue(u)
@@ -687,14 +647,13 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
         roots = (UnramifiedRingElem.from_code(r.desc, k) for k in range(1, model.desc.q))
         rho = next(c for c in roots if c ** (p - 1) == r)
         t = model.from_ok(teichmuller_lift(model.desc, rho))
-        for _ in range(newton_steps(model.window)):
+        for _ in range(newton_steps(model.N * model.k)):
             err = model.sub(model.pow_int(t, p - 1), u)
             if model.equal(err, model.zero()):
                 break
             deriv = model.scal(model.pow_int(t, p - 2), p - 1)
             t = model.sub(t, model.mul(err, model.invert(deriv)))
-        y = model.mul(t, model.pow_int(model.z(), e // (p - 1)))
-        wit = model.add(model.pow_int(y, p - 1), model.from_ok(p))
+        wit = model.add(model.mul(model.pow_int(t, p - 1), ze), model.from_ok(p))
         v_w = model.valuation(wit)
         threshold = (N - 2) * model.e
         ok = v_w is INF or v_w >= threshold

@@ -90,6 +90,15 @@ class TestExitCodes:
             assert main([command, "--p", "3", "--N", "6", "--nmax", "1", "--dcap", "20"]) == 2
             assert "endo window max(4q, 24) = 24 exceeds the cap 20" in capsys.readouterr().err
 
+    def test_construct_window_past_cap_exit_two(self, capsys):
+        # the echo opens the [p]-series at q + 2 = 3^7 + 2
+        assert main(["construct", "--group", "lubin-tate", "--p", "3", "--d", "7"]) == 2
+        assert "construct window q + 2 = 2189 exceeds the cap 800" in capsys.readouterr().err
+        assert RunConfig({"d": 6, "dcap": 731}).validate("construct") == []
+        assert RunConfig({"d": 6, "dcap": 730}).validate("construct")
+        # infinite height: no [p]-series, no window to refuse
+        assert main(["construct", "--group", "honda", "--p", "3", "--u", "0"]) == 0
+
     def test_law_window_past_cap_exit_two(self, capsys):
         # the torsion window N*e = 8 fits, the level-1 law window 4*2 + 2 = 10 does not
         argv = ["--group", "multiplicative", "--p", "3", "--N", "4", "--nmax", "1"]
@@ -153,6 +162,23 @@ class TestConstruct:
 
 
 class TestSuites:
+    def test_obstructed_module_is_reported(self, tmp_path, capsys):
+        # h = 2 divides f = 2, but [zeta] is obstructed at degree 27
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--group", "honda", "--p", "3", "--u", "0,1,1", "--f", "2",
+                     "--N", "4", "--nmax", "1", "--out", str(out)]) == 1
+        recs = {r["id"]: r for r in read_json(out)["checks"]}
+        scalars = recs["torsion.scalar-action.n1"]
+        assert scalars["pass"] and "error" not in scalars
+        assert scalars["observed"] == {"holds": False, "mode": "obstructed", "obstruction": 27,
+                                       "count": None, "expected": 9}
+        agreement = recs["endo.predicate-agreement"]
+        assert agreement["pass"] and agreement["observed"] == {
+            "scalar_bijection": False, "full_height": False, "tau_identity": False}
+        # the ramification check still fails loudly, and nothing else fails
+        assert recs["torsion.ramification.n1"]["error"].startswith("ObstructionError")
+        assert [i for i, r in recs.items() if not r["pass"]] == ["torsion.ramification.n1"]
+
     def test_torsion_small_all_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["torsion", "--p", "3", "--group", "lubin-tate",

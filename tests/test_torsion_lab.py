@@ -6,11 +6,13 @@ from fractions import Fraction
 
 from fglab.corpus import CORPUS_SPECS, corpus, make_group
 from fglab.padic import INF, RingDescriptor, ring_mul
-from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
-from fglab.series import TruncSeries1, _mul_data
+from fglab.groups import (FormalGroupLaw, ObstructionError, honda_group, lubin_tate_group,
+                          multiplicative_group)
+from fglab.series import TruncSeries1, TruncSeries2, _mul_data
 from fglab.torsion import (
     NewtonPolygon,
     TorsionFieldModel,
+    _direct_break_check,
     assumption_check,
     certify_torsion_degree,
     digit_sums,
@@ -19,6 +21,26 @@ from fglab.torsion import (
     ramification_breaks,
     torsion_count,
 )
+
+
+class Ungraded(FormalGroupLaw):
+    """A group read with grading 1: its torsion model is the full ring
+    O_K[z]/P_n on all e rows, the oracle of the graded model."""
+    grading = 1
+
+
+def full_model(model):
+    """The full model of a model's group, level and precision."""
+    g = Ungraded.__new__(Ungraded)
+    g.__dict__.update(model.group.__dict__)  # the same artifacts and caches
+    return TorsionFieldModel(g, model.level, model.N)
+
+
+def scatter(model, G):
+    """The full-model elements z^r G(z^d) of a stack of points of a model."""
+    x = np.zeros(G.shape[:-2] + (model.e, G.shape[-1]), dtype=G.dtype)
+    x[..., model.r::model.d, :] = G
+    return x
 
 
 def gm(p=3, N=8):
@@ -123,19 +145,19 @@ class TestNewtonPolygon:
 class TestModel:
     def test_element_valuations(self):
         m = TorsionFieldModel(gm(), 1, 4)
-        assert m.valuation(m.z()) == 1
+        assert m.valuation(m.w()) == 1
         assert m.valuation(m.scal(m.one(), 3)) == m.e
-        three_z = m.scal(m.z(), 3)
-        assert m.valuation(m.add(three_z, m.mul(m.z(), m.z()))) == 2
+        three_z = m.scal(m.w(), 3)
+        assert m.valuation(m.add(three_z, m.mul(m.w(), m.w()))) == 2
         assert m.valuation(m.zero()) is INF
 
     def test_ring_axioms_sampled(self):
-        m = TorsionFieldModel(h2lt(), 2, 4)
+        m = full_model(TorsionFieldModel(h2lt(), 2, 4))
         rng = np.random.default_rng(7)
         for _ in range(5):
-            a = rng.integers(0, m.desc.pN, size=(m.e, m.desc.f)).astype(m.dtype)
-            b = rng.integers(0, m.desc.pN, size=(m.e, m.desc.f)).astype(m.dtype)
-            c = rng.integers(0, m.desc.pN, size=(m.e, m.desc.f)).astype(m.dtype)
+            a = rng.integers(0, m.desc.pN, size=(m.k, m.desc.f)).astype(m.dtype)
+            b = rng.integers(0, m.desc.pN, size=(m.k, m.desc.f)).astype(m.dtype)
+            c = rng.integers(0, m.desc.pN, size=(m.k, m.desc.f)).astype(m.dtype)
             assert m.equal(m.mul(a, b), m.mul(b, a))
             assert m.equal(m.mul(m.mul(a, b), c), m.mul(a, m.mul(b, c)))
             assert m.equal(m.mul(a, m.add(b, c)),
@@ -143,22 +165,22 @@ class TestModel:
 
     def test_invert_roundtrip(self):
         m = TorsionFieldModel(gm(), 2, 4)
-        x = m.add(m.one(), m.z())
+        x = m.add(m.one(), m.w())
         assert m.equal(m.mul(x, m.invert(x)), m.one())
         with pytest.raises(ZeroDivisionError):
-            m.invert(m.z())
+            m.invert(m.w())
 
     def test_exact_div_p(self):
         m = TorsionFieldModel(gm(), 1, 4)
-        assert m.equal(m.exact_div_p(m.scal(m.z(), 3)), m.z())
+        assert m.equal(m.exact_div_p(m.scal(m.w(), 3)), m.w())
         with pytest.raises(ValueError):
-            m.exact_div_p(m.z())
+            m.exact_div_p(m.w())
 
     def test_pi_annihilates_z(self):
         m = TorsionFieldModel(gm(), 1, 4)
-        assert m.equal(m.apply_pi(m.z()), m.zero())
+        assert m.equal(m.apply_pi(m.w()), m.zero())
         m2 = TorsionFieldModel(gm(), 2, 4)
-        once = m2.apply_pi(m2.z())
+        once = m2.apply_pi(m2.w())
         assert m2.valuation(once) == 3
         assert m2.equal(m2.apply_pi(once), m2.zero())
 
@@ -246,6 +268,16 @@ class TestAssumption:
         assert rec["holds"] is False
         assert rec["mode"] == "no-module-structure"
 
+    def test_obstructed_module_reports_its_degree(self):
+        # h = 2 divides f = 2, but the module solve is obstructed at degree 27
+        g = make_group(p=3, f=2, N=4, source="honda", u=(0, 1, 1), nmax=1)
+        assert assumption_check(g, 1) == {"level": 1, "holds": False, "mode": "obstructed",
+                                          "obstruction": 27, "count": None, "expected": 9}
+        with pytest.raises(ObstructionError, match="degree 27"):
+            ramification_breaks(g, 1)
+        # a measured record has no obstruction key
+        assert "obstruction" not in assumption_check(gm(), 1)
+
 
 class TestRamification:
     def test_multiplicative_two_levels(self):
@@ -294,14 +326,14 @@ class TestMuP:
 # series product, valuations by a loop over entries, [p^n] point by point.
 
 def oracle_mul(model, a, b):
-    e, f, m = model.e, model.desc.f, model.desc.pN
-    W = 2 * e - 1
+    k, f, m = model.k, model.desc.f, model.desc.pN
+    W = 2 * k - 1
     pa = np.zeros((W, f), dtype=model.dtype)
-    pa[:e] = a
+    pa[:k] = a
     pb = np.zeros((W, f), dtype=model.dtype)
-    pb[:e] = b
+    pb[:k] = b
     full = _mul_data(pa, pb, model.desc, W, m)
-    low, high = full[:e], full[e:]
+    low, high = full[:k], full[k:]
     if high.any():
         low = (low + ring_mul(high, model.red, model.desc, m, np.dot)) % m
     return low % m
@@ -318,9 +350,10 @@ def oracle_pow(model, a, k):
 
 
 def oracle_valuation(model, a):
+    """v_L(a(w)) = d v_w(a) by a loop over entries."""
     best = INF
     p = model.desc.p
-    for j in range(model.e):
+    for j in range(model.k):
         v = None
         for c in a[j]:
             c = int(c) % model.desc.pN
@@ -332,13 +365,14 @@ def oracle_valuation(model, a):
                 w += 1
             v = w if v is None else min(v, w)
         if v is not None:
-            best = min(best, model.e * v + j)
-    return best
+            best = min(best, model.k * v + j)
+    return best if best is INF else model.d * best
 
 
 def oracle_eval_at_z(model, s):
-    """s(z) in O_K[z]/P_n: the coefficients contracted with z^k, k < N e."""
-    Z = model._z_powers(model.window)
+    """s(z) in the full model O_K[z]/P_n: the coefficients contracted with
+    z^k, k < N e."""
+    Z = model._w_powers(model.window)
     m = model.desc.pN
     data = (s.data[:len(Z)] % m).astype(Z.dtype)
     return ring_mul(data, Z, model.desc, m, np.matmul).astype(model.dtype)
@@ -395,7 +429,7 @@ def oracle_assumption_check(group, n, N=4):
             "count": None,
             "expected": group.q**n,
         }
-    model = TorsionFieldModel(group, n, N)
+    model = full_model(TorsionFieldModel(group, n, N))
     module = group.module(N * model.e, N)
     seen, annihilated, histogram = set(), True, {}
     for a in digit_sums(group, n):
@@ -426,7 +460,7 @@ def random_stack(model, count, seed):
     """count random elements, some with high valuation and one zero."""
     rng = random.Random(seed)
     p, m = model.desc.p, model.desc.pN
-    shape = (count, model.e, model.desc.f)
+    shape = (count, model.k, model.desc.f)
     S = np.array([rng.randrange(m) for _ in range(np.prod(shape))], dtype=object).reshape(shape)
     for i in range(1, count, 3):
         S[i] = S[i] * p ** rng.randrange(1, model.N) % m
@@ -449,79 +483,90 @@ def model(request):
     return MODELS[request.param]()
 
 
+@pytest.fixture(scope="module")
+def full(model):
+    return full_model(model)
+
+
 class TestStackedModel:
+    # the ring tests run on a model and on the full model of its group
     def test_dtypes_covered(self):
         assert TorsionFieldModel(gm(), 2, 4).dtype is np.int64
         assert lt5_deep().dtype is object
 
-    def test_mul_matches_per_element(self, model):
-        A, B = random_stack(model, 7, 1), random_stack(model, 7, 2)
-        got = model.mul(A, B)
-        assert got.shape == A.shape
-        for i in range(len(A)):
-            assert np.array_equal(got[i], oracle_mul(model, A[i], B[i]))
-            assert np.array_equal(model.mul(A[i], B[i]), got[i])
+    def test_mul_matches_per_element(self, model, full):
+        for m in (model, full):
+            A, B = random_stack(m, 7, 1), random_stack(m, 7, 2)
+            got = m.mul(A, B)
+            assert got.shape == A.shape
+            for i in range(len(A)):
+                assert np.array_equal(got[i], oracle_mul(m, A[i], B[i]))
+                assert np.array_equal(m.mul(A[i], B[i]), got[i])
 
-    def test_element_times_stack(self, model):
-        S = random_stack(model, 5, 3)
-        a = random_stack(model, 2, 4)[1]
-        left, right = model.mul(a, S), model.mul(S, a)
-        for i in range(len(S)):
-            assert np.array_equal(left[i], oracle_mul(model, a, S[i]))
-            assert np.array_equal(right[i], left[i])
-
-    def test_all_zero_stack(self, model):
-        Z = model.zero((4,))
-        S = random_stack(model, 4, 5)
-        assert not model.mul(Z, S).any() and model.mul(Z, S).shape == S.shape
-        assert all(v is INF for v in model.valuations(Z))
-        assert np.array_equal(model.pow_int(Z, 0), model.one((4,)))
-        points = model.w.zero((4,))
-        assert all(v is INF for v in model.point_valuations(points))
-        assert not model.apply_pi(points).any()
-
-    def test_pow_int_matches_per_element(self, model):
-        S = random_stack(model, 4, 6)
-        for k in (0, 1, 2, 5, 9):
-            got = model.pow_int(S, k)
+    def test_element_times_stack(self, model, full):
+        for m in (model, full):
+            S = random_stack(m, 5, 3)
+            a = random_stack(m, 2, 4)[1]
+            left, right = m.mul(a, S), m.mul(S, a)
             for i in range(len(S)):
-                assert np.array_equal(got[i], oracle_pow(model, S[i], k))
+                assert np.array_equal(left[i], oracle_mul(m, a, S[i]))
+                assert np.array_equal(right[i], left[i])
 
-    def test_valuations_match_loop(self, model):
-        S = random_stack(model, 9, 7)
-        vals = model.valuations(S)
-        assert vals.shape == (9,)
-        assert vals[0] is INF
-        assert list(vals) == [oracle_valuation(model, x) for x in S]
-        assert model.valuation(S[2]) == oracle_valuation(model, S[2])
+    def test_all_zero_stack(self, model, full):
+        for m in (model, full):
+            Z = m.zero((4,))
+            S = random_stack(m, 4, 5)
+            assert not m.mul(Z, S).any() and m.mul(Z, S).shape == S.shape
+            assert all(v is INF for v in m.valuations(Z))
+            assert np.array_equal(m.pow_int(Z, 0), m.one((4,)))
+            assert all(v is INF for v in m.valuations(Z, m.r))
+            assert not m.apply_pi(Z).any()
 
-    def test_eval_series_and_apply_pi_match_per_element(self, model):
+    def test_pow_int_matches_per_element(self, model, full):
+        for m in (model, full):
+            S = random_stack(m, 4, 6)
+            for k in (0, 1, 2, 5, 9):
+                got = m.pow_int(S, k)
+                for i in range(len(S)):
+                    assert np.array_equal(got[i], oracle_pow(m, S[i], k))
+
+    def test_valuations_match_loop(self, model, full):
+        for m in (model, full):
+            S = random_stack(m, 9, 7)
+            vals = m.valuations(S)
+            assert vals.shape == (9,)
+            assert vals[0] is INF
+            assert list(vals) == [oracle_valuation(m, x) for x in S]
+            assert m.valuation(S[2]) == oracle_valuation(m, S[2])
+
+    def test_eval_series_and_apply_pi_match_per_element(self, model, full):
         # points of positive valuation: z^r G(w), G = z times random
-        # elements when d = 1, random elements of the ring w when d >= 2
-        G = model.w.mul(model.point_z(), random_stack(model.w, 5, 8))
-        X = model.scatter(G)
+        # elements when d = 1, random elements of the ring when d >= 2
+        G = model.mul(model.point_z(), random_stack(model, 5, 8))
+        X = scatter(model, G)
         pi = model.group.pi_series(model.N * model.e + 1, model.N)
-        got = model.scatter(model.apply_pi(G, val=1))
-        once = model.scatter(model.apply_pi(G))
-        twice = model.scatter(model.apply_pi(G, times=2))
+        got = scatter(model, model.apply_pi(G, val=1))
+        once = scatter(model, model.apply_pi(G))
+        twice = scatter(model, model.apply_pi(G, times=2))
         for i in range(len(X)):
-            assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
-            assert np.array_equal(once[i], oracle_apply_pi(model, X[i]))
-            assert np.array_equal(twice[i], oracle_apply_pi(model, X[i], times=2))
+            assert np.array_equal(got[i], oracle_eval_series(full, pi, X[i]))
+            assert np.array_equal(once[i], oracle_apply_pi(full, X[i]))
+            assert np.array_equal(twice[i], oracle_apply_pi(full, X[i], times=2))
 
     def test_both_eval_series_branches(self):
         sparse = lubin_tate_group(RingDescriptor(5, 1, 8), [0, 5, 0, 0, 0, 1])
         dense = honda_group(RingDescriptor(3, 1, 10), (1,))
         for g, is_sparse in ((sparse, True), (dense, False)):
             model = TorsionFieldModel(g, 2, 4)
+            full = full_model(model)
             pi = g.pi_series(model.N * model.e + 1, model.N)
             # [p] = X u(X^d): the point route evaluates u
             assert (len(pi.nonzero_degrees()) <= 8) == is_sparse
-            G = model.w.mul(model.point_z(), random_stack(model.w, 3, 9))
-            X = model.scatter(G)
-            got = model.scatter(model.apply_pi(G, val=1))
+            G = model.mul(model.point_z(), random_stack(model, 3, 9))
+            X = scatter(model, G)
+            got = scatter(model, model.apply_pi(G, val=1))
             for i in range(len(X)):
-                assert np.array_equal(got[i], oracle_eval_series(model, pi, X[i]))
+                assert np.array_equal(got[i], oracle_eval_series(full, pi, X[i]))
 
     def test_eval_at_z_stack_matches_single(self):
         g = h2lt()
@@ -529,17 +574,17 @@ class TestStackedModel:
         module = g.module(model.N * model.e, model.N)
         series = [module.multiplication_by(a) for a in digit_sums(g, 1)[1:4]]
         got = model.eval_at_z(series)
-        assert got.shape == (3, model.e // model.d, model.desc.f)
+        assert got.shape == (3, model.k, model.desc.f)
         for t, s in zip(got, series):
             assert np.array_equal(t, model.eval_at_z(s))
 
     @pytest.mark.parametrize("mk", [gm, lt5, h2lt, honda1])
     def test_eval2_matches_product_route(self, mk):
         g = mk()
-        model = TorsionFieldModel(g, 1, 4)
+        model = full_model(TorsionFieldModel(g, 1, 4))
         F2 = g.group_law2(model.N * model.e + 2, model.N)
         rng = np.random.default_rng(3)
-        x, y = (model.mul(model.z(), rng.integers(0, model.desc.pN, size=(model.e, model.desc.f))
+        x, y = (model.mul(model.w(), rng.integers(0, model.desc.pN, size=(model.k, model.desc.f))
                           .astype(model.dtype)) for _ in range(2))
         assert np.array_equal(model.eval2(F2, x, y), oracle_eval2(model, F2, x, y))
 
@@ -579,11 +624,17 @@ class TestStackedAssumption:
 # [p]-series has every degree, so d = 1
 GROUP_FILE_COEFFS = [0, 3, 30, 13, 36, 60, 3, 6, 78, 51]
 GRADED_CASES = [(name, n) for name, _spec in CORPUS_SPECS for n in (1, 2)] + [("group-file", 2)]
+# group files with d = 2: 5X + 5X^3 + X^5 (k = 2 at level 1), and
+# 3X + 3X^3 + X^9 over W(F_9) (k = 4)
+GRADED_FILES = {"file-p5": dict(p=5, f=1, coeffs=[0, 5, 0, 5, 0, 1]),
+                "file-p3-f2": dict(p=3, f=2, coeffs=[0, 3, 0, 3, 0, 0, 0, 0, 0, 1])}
 
 
 def graded_group(name):
     if name == "group-file":
         return make_group(p=3, f=1, N=4, source="lubin-tate", coeffs=GROUP_FILE_COEFFS, nmax=2)
+    if name in GRADED_FILES:
+        return make_group(N=4, source="lubin-tate", nmax=2, **GRADED_FILES[name])
     return make_group(N=4, nmax=2, **dict(CORPUS_SPECS)[name])
 
 
@@ -596,29 +647,69 @@ def sample_scalars(group, n):
     return scalars
 
 
+def random_graded_series2(model, D, seed):
+    """A two-variable series on window D with random coefficients at the
+    total degrees r mod d of a model, and none at the others."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, model.desc.pN, size=(D, D, model.desc.f))
+    i = np.arange(D)
+    grid[(i[:, None] + i) % model.d != model.r] = 0
+    return TruncSeries2.from_grid(model.desc, D, "integral", grid)
+
+
 class TestGradedPoints:
     @pytest.mark.parametrize("name,n", GRADED_CASES)
     def test_graded_route_equals_full_model(self, name, n):
         g = graded_group(name)
         model = TorsionFieldModel(g, n, 4)
-        assert model.d == g.grading and model.w.e * model.d == model.e
-        assert (model.d == 1) == (model.w is model)
+        full = full_model(model)
+        assert model.d == g.grading and model.k * model.d == model.e == full.k
+        assert np.array_equal(scatter(model, model.point_z()), full.w())
         module = g.module(model.window, 4)
         series = [module.multiplication_by(a) for a in sample_scalars(g, n)]
         G = model.eval_at_z(series)
-        X = model.scatter(G)
-        assert G.shape == (len(series), model.e // model.d, model.desc.f)
-        assert all(np.array_equal(x, oracle_eval_at_z(model, s)) for x, s in zip(X, series))
-        vals = list(model.point_valuations(G))
-        assert vals == list(model.valuations(X)) == [oracle_valuation(model, x) for x in X]
+        X = scatter(model, G)
+        assert G.shape == (len(series), model.k, model.desc.f)
+        assert all(np.array_equal(x, oracle_eval_at_z(full, s)) for x, s in zip(X, series))
+        vals = list(model.valuations(G, model.r))
+        assert vals == list(full.valuations(X)) == [oracle_valuation(full, x) for x in X]
         classes = {}
         for i, v in enumerate(vals):
             classes.setdefault(v, []).append(i)
         for v, rows in classes.items():
             for times in sorted({1, n}):
-                got = model.scatter(model.apply_pi(G[rows], times=times, val=v))
+                got = scatter(model, model.apply_pi(G[rows], times=times, val=v))
                 for i, x in zip(rows, got):
-                    assert np.array_equal(x, oracle_apply_pi(model, X[i], times=times))
+                    assert np.array_equal(x, oracle_apply_pi(full, X[i], times=times))
+
+    @pytest.mark.parametrize("name,n", GRADED_CASES + [(f, n) for f in GRADED_FILES for n in (1, 2)])
+    def test_eval2_equals_full_model(self, name, n):
+        # a series on the grading at two points, z^r G(w) kept as G, against
+        # the full model; the law too at level 1, where the ramification
+        # cross-check evaluates it (at level 2 its solve takes up to a minute)
+        g = graded_group(name)
+        model = TorsionFieldModel(g, n, 4)
+        full = full_model(model)
+        D2 = model.window + 2
+        series = [random_graded_series2(model, D2, seed=n)]
+        if n == 1:
+            series.append(g.group_law2(D2, 4))
+        module = g.module(model.window, 4)
+        G = model.eval_at_z([module.multiplication_by(a) for a in sample_scalars(g, n)[:4]])
+        X = scatter(model, G)
+        for F2 in series:
+            for i in range(len(G) - 1):
+                got = model.eval2(F2, G[i], G[i + 1])
+                assert np.array_equal(scatter(model, got), full.eval2(F2, X[i], X[i + 1]))
+
+    def test_eval2_off_the_grading_raises(self):
+        model = TorsionFieldModel(graded_group("lt-h2-p3"), 1, 4)
+        # X + Y + XY: the term XY has total degree 2, not 1 mod 8
+        F2 = TruncSeries2.from_triples(model.desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)],
+                                       model.window + 2)
+        G = model.point_z()
+        with pytest.raises(ValueError, match="total degree other than 1 mod 8"):
+            model.eval2(F2, G, G)
 
     def test_grading_divides_step(self):
         for _name, g in corpus(N=4, nmax=2):
@@ -647,6 +738,37 @@ class TestGradedPoints:
         s = TruncSeries1.from_coeffs(model.desc, [0, 1, 1], model.window)
         with pytest.raises(ValueError, match="degree other than 1 mod 8"):
             model.eval_at_z(s)
+
+    @pytest.mark.parametrize("name,k", [("lt-h2-p3", 1), ("file-p3-f2", 4)])
+    def test_crosscheck_and_mu_p_multiply_on_k_rows(self, monkeypatch, name, k):
+        # level 1, d = 8 and 2: no product in either check has e rows
+        shapes = []
+        mul = TorsionFieldModel.mul
+
+        def recorded(self, a, b):
+            shapes.append((a.shape[-2], b.shape[-2]))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(TorsionFieldModel, "mul", recorded)
+        g = graded_group(name)
+        assert all(r["match"] for r in _direct_break_check(g, 4))
+        assert mu_p_membership(g, N=4)["found"]
+        assert shapes and set(shapes) == {(k, k)}
+
+    def test_gm_torsion_suite_mul_count(self, monkeypatch, tmp_path):
+        # d = 1: the one ring is O_K[z]/P_n, with the products it always made
+        from fglab.cli import main
+        calls = []
+        mul = TorsionFieldModel.mul
+
+        def counted(self, a, b):
+            calls.append(1)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(TorsionFieldModel, "mul", counted)
+        assert main(["torsion", "--group", "multiplicative", "--p", "3", "--N", "12", "--nmax", "4",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 163
 
     def test_scalar_action_multiplies_in_the_w_ring(self, monkeypatch):
         # lt-h2-p3 at level 2: e = 72, d = 8, so every product is of 9 rows
