@@ -26,9 +26,12 @@ compose and substitute2_into2, divided by p^k - p.
 
 Module structure ([a]-series for ring scalars a) is computed by the
 commutation recursion: g with linear term a and g(f(X)) = f(g(X)) is solved
-one coefficient at a time, the degree-k defect divided by p^k - p.  A defect
-that is not divisible by p certifies that no such series exists; the degree
-where that happens is reported as the obstruction.
+one coefficient at a time, the degree-k defect divided by p^k - p.  It
+follows the grading too: g = X S(X^d), so only the windows k = 1 + d t are
+solved, in y = X^d, with the powers of g taken from those of S - a by the
+binomial identity.  A defect that is not divisible by p certifies that no
+such series exists; the degree where that happens is reported as the
+obstruction.
 """
 
 from __future__ import annotations
@@ -434,31 +437,42 @@ def honda_group(desc: RingDescriptor, u, label: str | None = None) -> FormalGrou
 
 # -------------------------------------------------------- module structure
 
-# The power table of one solver chunk stays under this many bytes.
+# The E table of one solver chunk stays under this many bytes.
 _BATCH_BYTES = 1 << 20
 
 
-# (x, y) -> sum_j x[b, j] * y[i, b, j] for every (i, b)
-_sum_bj = functools.partial(np.einsum, "bj,ibj->ib")
+# (x, y) -> sum_j x[j, b] * y[i, j, b] for every (i, b)
+_sum_jb = functools.partial(np.einsum, "jb,ijb->ib")
+# (x, y) -> sum_l x[l, s, b] * y[l, s, b] for every (s, b)
+_sum_l = functools.partial(np.einsum, "lsb,lsb->sb")
 
 
 class ModuleStructure:
     """[a]-series solver for one group at a fixed degree window and output
     precision, working with a digit cushion over N_out.  Every scalar obeys
-    the same degree-k recurrence, so solve_batch runs many scalars through
-    one pass over a table of the powers f^j built once for the window.
+    the same recurrence, so solve_batch runs many scalars through one pass
+    over a table of powers of f built once for the window.
 
-    With d = gcd{j - 1 : f_j != 0}, f = X u(X^d), so f^j lives on degrees
-    = j mod d; by induction on k so does g^j, and g_k = 0 unless k = 1 mod d
-    (both sides of g(f) = f(g) vanish at every other degree).
+    The solve runs in y = X^d, d = gcd{j - 1 : f_j != 0}: f = X u(y), and
+    both sides of g(f) = f(g) vanish off the degrees k = 1 + d t, so g =
+    X S(y), S(0) = a, is solved on the Tn = (D - 2) // d + 1 windows k < D.
+    The degree-k defect sum_{s>=1} u_s [y^(t-s)] S^(1+ds) - sum_{j<t} S_j
+    fpow[j, t] is (p^k - p) S_t, where fpow[j, t] = [y^t] y^j u^(1+dj) is
+    f^(1+dj) on the grid, a Tn x Tn table.  The powers of S come from E_l =
+    (S - a)^l, l <= L = min(mdeg, Tn - 2), by the binomial identity S^m =
+    sum_l C(m, l) a^(m-l) E_l.  E_l has no constant term, so E_l at t takes
+    E_(l-1) only below t: the rows E_2 .. E_L at one window are one
+    contraction, with no chain through them.  A window is three
+    contractions: those rows, f(g) over (s, l) with K = u_s C(m, l) a^(m-l)
+    per scalar, and g(f) over fpow.
 
-    The same grading makes the scalars come in orbits.  For zeta in mu_g,
+    The grading makes the scalars come in orbits.  For zeta in mu_g,
     g = gcd(d, p^f - 1), f(zeta X) = zeta f(X), so zeta [a] commutes with f
     and has linear term zeta a: the solution is unique, so [zeta a] =
     zeta [a] (Lubin-Tate 1965), and zeta a obstructs at the degree where a
     does, its defects being zeta times those of a.  solve_batch solves one
     scalar per mu_g-orbit and turns it into the others.  d = 0 (f = pX)
-    takes g = 1.
+    takes g = 1, and [a] = aX.
 
     narrow(D, N) serves a narrower window and lower precision from this
     structure's records; for it, an obstructed scalar keeps the series
@@ -473,25 +487,45 @@ class ModuleStructure:
         N_work = N_out + cushion(D, self.q)
         if N_work > group.desc.N:
             raise ValueError("construct the group at higher precision first")
-        self.desc_w = group.desc.at_precision(N_work)
-        self.m = self.desc_w.pN
+        self.desc_w = desc = group.desc.at_precision(N_work)
+        self.m = m = desc.pN
         fs = group.pi_series(D, N_work)
         # every contraction of the solver sums at most D products
-        self.dtype = contraction_dtype(D, self.desc_w)
+        self.dtype = contraction_dtype(D, desc)
         self.f_nz = fs.nonzero_degrees()
         self.mdeg = self.f_nz[-1]
-        self.step = math.gcd(*(j - 1 for j in self.f_nz))  # d; 0 when f = pX
-        self.fpow = _powers(fs, D)[0]
+        self.step = d = math.gcd(*(j - 1 for j in self.f_nz))  # 0 when f = pX
+        # u on the windows t, degrees 1 + d t < D (t = 0 only when d = 0),
+        # and fpow[j] = y^j u^(1+dj) = u (y u^d)^j
+        rows = fs.data[1::d or D].copy()
+        self.Tn = Tn = len(rows)
+        u = TruncSeries1(desc, Tn, "integral", rows)
+        yud = np.zeros_like(rows)
+        yud[1:] = functools.reduce(operator.mul, [u] * max(d, 1)).data[:-1]
+        self.fpow = _powers(TruncSeries1(desc, Tn, "integral", yud), Tn, first=u)[0]
+        # E_l at the windows t - s < Tn - 1 vanishes for l > t - s: rows E_0
+        # .. E_L, and E_1 = S - a always
+        self.L = L = max(1, min(self.mdeg, Tn - 2))
+        # the s >= 1 of u's support, m_s = 1 + d s, and K's factors
+        # u_s C(m_s, l) and m_s - l, for l <= L
+        ms = np.array(self.f_nz[1:], dtype=object)
+        self.us = ((ms - 1) // (d or 1)).astype(np.intp)
+        self._expo = np.maximum(ms - np.arange(L + 1)[:, None], 0).astype(np.intp)
+        binom = [np.ones(len(ms), dtype=object)]
+        for l in range(1, L + 1):
+            binom.append(binom[-1] * (ms - l + 1) // l)
+        coef = np.array(binom)[:, :, None] % m * fs.data[self.f_nz[1:]] % m
+        self._coef = coef[:, :, None].astype(self.dtype)
         self._cache = {}
         self._below = {}  # obstructed vector -> its series, right below the obstruction
         # mu_g = {eta^k}, eta = zeta^((q-1)/g) for the generator zeta of the
         # digits 0, 1, zeta, zeta^2, ... of W(F_q); the inverse of eta^k
         # as a scalar matrix, to find where a vector sits in its orbit
-        q1 = self.desc_w.q - 1
-        g = math.gcd(self.step, q1) if self.step else 1
+        q1 = desc.q - 1
+        g = math.gcd(d, q1) if d else 1
         digits = teichmuller_digits(group.desc, group.desc.f)
         self._mu = [digits[1 + k * q1 // g].coeffs for k in range(g)]
-        self._mu_inv = [scalar_matrix(self._mu[-k], self.desc_w, self.m) for k in range(g)]
+        self._mu_inv = [scalar_matrix(self._mu[-k], desc, m) for k in range(g)]
         self._orbits = {}  # orbit key -> (k, series, obstruction) of eta^k key
 
     def narrow(self, D: int, N_out: int) -> "ModuleStructure":
@@ -539,7 +573,7 @@ class ModuleStructure:
         Scalars equal at the working precision share one record.  Only the
         first scalar seen of each mu_g-orbit is solved; every other one is
         eta^k times its record, within the batch and across calls.  Chunks
-        keep the power table under _BATCH_BYTES.  Under --jobs > 1 two
+        keep the E table under _BATCH_BYTES.  Under --jobs > 1 two
         threads may solve the same scalar, or two scalars of one orbit; the
         records and orbit entries they store serve equally, and each dict
         store is atomic, so the race costs time only.
@@ -552,7 +586,7 @@ class ModuleStructure:
                 todo.setdefault(key, v)
         todo = list(todo.values())
         entry = 8 if self.dtype is np.int64 else 40  # object: pointer and int
-        chunk = max(1, _BATCH_BYTES // (self.mdeg * self.D * self.desc_w.f * entry))
+        chunk = max(1, _BATCH_BYTES // ((self.L + 1) * self.Tn * self.desc_w.f * entry))
         for i in range(0, len(todo), chunk):
             part = todo[i:i + chunk]
             for v, (ser, obs) in zip(part, self._solve_chunk(part)):
@@ -569,30 +603,45 @@ class ModuleStructure:
 
     def _solve_chunk(self, vecs):
         D, m, p, d = self.D, self.m, self.desc_w.p, self.step
-        desc, fpow, mdeg = self.desc_w, self.fpow, self.mdeg
-        # P[i] = g^(i+1) for every scalar, so P[0] holds the series g
-        P = np.zeros((mdeg, len(vecs), D, desc.f), dtype=self.dtype)
-        P[0, :, 1] = vecs
+        desc, fpow, us, Tn, L = self.desc_w, self.fpow, self.us, self.Tn, self.L
+        # S[t] = g_(1+dt) and E[l, t] = [y^t] (S - a)^l, for every scalar
+        S = np.zeros((Tn, len(vecs), desc.f), dtype=self.dtype)
+        S[0] = vecs
+        E = np.zeros((L + 1,) + S.shape, dtype=self.dtype)
+        E[0, 0, :, 0] = 1
+        # K[l, i] = u_s C(m_s, l) a^(m_s - l), s = us[i], from a^0 .. a^mdeg:
+        # a^(n-1) times a^1 .. a^(n-1) gives a^n .. a^(2n-2)
+        A = np.zeros((self.mdeg + 1,) + S.shape[1:], dtype=self.dtype)
+        A[0, :, 0], A[1], n = 1, S[0], 2
+        while n <= self.mdeg:
+            hi = min(2 * n - 1, self.mdeg + 1)
+            A[n:hi] = ring_mul(A[n - 1:n], A[1:hi - n + 1], desc, m, np.multiply)
+            n = hi
+        K = ring_mul(self._coef, A[self._expo], desc, m, np.multiply)
         obstruction = [None] * len(vecs)
-        sup = [1]  # degrees j where some g_j of the chunk may be nonzero
-        for k in range(2, D if d else 2):  # d = 0: f = pX, so g = aX
-            top = min(mdeg, k)
-            # only the rows g^(i+1) with i + 1 = k mod d are nonzero at k
-            lo = (k - 2) % d + 1
+        sup = [0]  # windows j where some S_j of the chunk may be nonzero
+        for t in range(1, Tn):
+            k = 1 + d * t
             # sums over j run on the support only; a dense one is sliced
-            if len(sup) == k - 1:
-                js, back = slice(1, k), slice(k - 1, 0, -1)
-            else:
-                js = np.array(sup)
-                back = k - js
-            g_low = P[0][:, js]
-            if lo < top:
-                # g^(i+1)[k] = sum_{0<j<k} g_j g^i[k-j]; g_k is not needed
-                P[lo:top:d, :, k] = ring_mul(g_low, P[lo - 1:top - 1:d, :, back], desc, m, _sum_bj)
-            if (k - 1) % d:
-                continue
-            fg = ring_mul(fpow[1, lo + 1:top + 1:d], P[lo:top:d, :, k], desc, m, np.matmul)
-            gf = ring_mul(g_low, fpow[js, k], desc, m, np.matmul)
+            dense = len(sup) == t
+            top = min(L, t - 1)
+            if top >= 2:
+                # E_l at t - 1: sum_{0<j<t-1} S_j E_(l-1)[t-1-j], for 2 <= l <= top
+                if dense:
+                    js, back = slice(1, t - 1), slice(t - 2, 0, -1)
+                else:
+                    js = np.array([j for j in sup[1:] if j < t - 1], dtype=np.intp)
+                    back = t - 1 - js
+                E[2:top + 1, t - 1] = ring_mul(S[js], E[1:top, back], desc, m, _sum_jb)
+            # f(g): sum over s <= t of the reduced sums over l of K[l, s] E_l[t - s]
+            fg = 0
+            ns = int(np.searchsorted(us, t, side="right"))
+            if ns:
+                lt = min(L, t - int(us[0]))
+                fg = ring_mul(K[:lt + 1, :ns], E[:lt + 1, t - us[:ns]], desc, m, _sum_l).sum(0)
+            # g(f): sum_{j<t} S_j fpow[j, t]
+            js = slice(0, t) if dense else np.array(sup, dtype=np.intp)
+            gf = ring_mul(fpow[js, t], S[js], desc, m, np.matmul)
             defect = (fg - gf) % m
             if not defect.any():
                 continue
@@ -603,11 +652,13 @@ class ModuleStructure:
             inv = pow((pow(p, k - 1, m) - 1) % m, -1, m)
             gk = defect // p * inv % m
             gk[bad] = 0
-            P[0, :, k] = gk
+            S[t] = E[1, t] = gk
             if gk.any():
-                sup.append(k)
+                sup.append(t)
+        g = np.zeros((len(vecs), D, desc.f), dtype=self.dtype)
+        g[:, 1::d or D] = S.swapaxes(0, 1)
         # (series, obstruction): an obstructed series is right below its degree
-        return [(TruncSeries1(desc, D, "integral", P[0, b]).reduce_precision(self.N_out), obs)
+        return [(TruncSeries1(desc, D, "integral", g[b]).reduce_precision(self.N_out), obs)
                 for b, obs in enumerate(obstruction)]
 
 

@@ -98,19 +98,28 @@ def _fp_polpow_x(e, p, mod):
     return result
 
 
+def _fp_polgcd(a, b, p):
+    """A gcd over F_p of two polynomials, low coefficients first."""
+    while any(x % p for x in b):
+        b = [x % p for x in b]
+        while not b[-1]:
+            b.pop()
+        a, b = b, _fp_polrem(a, [x * pow(b[-1], -1, p) % p for x in b], p)
+    return a
+
+
 def _is_irreducible(mod, p):
-    """Rabin test: X^{p^f} = X and X^{p^{f/l}} != X for prime l | f."""
+    """Rabin's test (SIAM J. Comput. 9, 1980): X^{p^f} = X, and
+    gcd(X^{p^{f/l}} - X, mod) = 1 for every prime l | f."""
     f = len(mod) - 1
     if f == 1:
         return True
-    xq = _fp_polpow_x(p**f, p, mod)
     x = [0, 1] + [0] * (f - 2)
-    x = x[:f]
-    if xq != x:
+    if _fp_polpow_x(p**f, p, mod) != x:
         return False
     for ell in _factor(f):
         sub = _fp_polpow_x(p ** (f // ell), p, mod)
-        if sub == x:
+        if len(_fp_polgcd(mod, [s - t for s, t in zip(sub, x)], p)) > 1:
             return False
     return True
 
@@ -247,8 +256,9 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     beside them): the partial products are folded without reduction.
     """
     f = desc.f
-    xs = [(a, A[..., a]) for a in range(f) if A[..., a].any()]
-    ys = [(b, B[..., b]) for b in range(f) if B[..., b].any()]
+    # zero slices are skipped, but at f = 1 the scan costs more than it saves
+    xs = [(a, A[..., a]) for a in range(f) if f == 1 or A[..., a].any()]
+    ys = [(b, B[..., b]) for b in range(f) if f == 1 or B[..., b].any()]
     cross = [None] * (2 * f - 1)
     for a, x in xs:
         for b, y in ys:

@@ -616,6 +616,11 @@ def _direct_break_check(group, N: int) -> list:
     return out
 
 
+class ResidueRootError(ArithmeticError):
+    """A residue passes residue_power_test but has no root: exact over a
+    field, so the residue ring is not one (its modulus is reducible)."""
+
+
 def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
     """Does the level-1 torsion field contain the p-th roots of unity after
     an unramified enlargement of degree d <= d_max?
@@ -623,7 +628,8 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
     Searches for y with y^(p-1) = -p: y = t * z^(e/(p-1)) with
     t^(p-1) = -p / z^e, solvable iff the residue of -(z^e/p)^(-1) is a
     (p-1)-th power.  A witness must satisfy v_L(y^(p-1) + p) >= (N-2)*e.
-    It is formed in component 0: y^(p-1) = t^(p-1) z^e, z^e = w^k.
+    It is formed in component 0: y^(p-1) = t^(p-1) z^e, z^e = w^k.  A
+    residue that passes the power test with no root raises ResidueRootError.
     """
     h = group.height
     if h is INF:
@@ -645,7 +651,10 @@ def mu_p_membership(group, d_max: int | None = None, N: int = 6) -> dict:
             attempts.append({"d": d, "solvable": False, "residue_code": r.code()})
             continue
         roots = (UnramifiedRingElem.from_code(r.desc, k) for k in range(1, model.desc.q))
-        rho = next(c for c in roots if c ** (p - 1) == r)
+        rho = next((c for c in roots if c ** (p - 1) == r), None)
+        if rho is None:
+            raise ResidueRootError(f"residue code {r.code()} passes the power test at d = {d} "
+                                   f"but no residue is a {p - 1}-th root of it")
         t = model.from_ok(teichmuller_lift(model.desc, rho))
         for _ in range(newton_steps(model.N * model.k)):
             err = model.sub(model.pow_int(t, p - 1), u)

@@ -29,6 +29,8 @@ CONFIGS = {
                            "--N", "6", "--nmax", "1"),
     "honda-u01-f2-torsion": ("torsion", "--group", "honda", "--p", "3", "--u", "0,1", "--f", "2",
                              "--N", "6", "--nmax", "2"),
+    "lt-p5-f2-d2-torsion": ("torsion", "--group", "lubin-tate", "--p", "5", "--f", "2", "--d", "2",
+                            "--N", "4", "--nmax", "2", "--dcap", "3000"),
     "file-p5-k2-verify": ("verify", "--group", "lubin-tate", "--p", "5",
                           "--group-file", "p5-k2.txt", "--N", "6"),
     "file-p3-f2-k4-verify": ("verify", "--group", "lubin-tate", "--p", "3", "--f", "2",

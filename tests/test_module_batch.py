@@ -1,6 +1,7 @@
 """The batched [a]-series solver and the z^k contraction of eval_at_z
 against the per-scalar routes they replaced, kept here as oracles."""
 
+import functools
 import gc
 import itertools
 import math
@@ -37,6 +38,10 @@ from test_torsion_lab import full_model, scatter
 
 
 # ------------------------------------------------------------------ oracles
+
+# (x, y) -> sum_j x[b, j] * y[i, b, j] for every (i, b)
+sum_bj = functools.partial(np.einsum, "bj,ibj->ib")
+
 
 def oracle_fpow_list(group, module):
     """f^j for j < D: shift-and-scale for a sparse f, products otherwise."""
@@ -126,11 +131,20 @@ def oracle_solve(group, module, a_vec):
     return (ser.reduce_precision(module.N_out), None)
 
 
-def oracle_dense_chunk(module, vecs):
-    """The degree-k recurrence on every degree and every power row: three
-    ring products per degree, each summing over all j < k."""
+def oracle_fpow_table(group, module):
+    """The D x D table of f^j, f^0 = 1, from oracle_fpow_list."""
+    rows = oracle_fpow_list(group, module)
+    table = np.zeros((module.D,) + rows[1].shape, dtype=rows[1].dtype)
+    table[0, 0, 0] = 1
+    table[1:] = rows[1:]
+    return table
+
+
+def oracle_dense_chunk(group, module, vecs):
+    """The degree-k recurrence on every degree and every power row, in X:
+    three ring products per degree, each summing over all j < k."""
     D, m, p = module.D, module.m, module.desc_w.p
-    desc, fpow, mdeg = module.desc_w, module.fpow, module.mdeg
+    desc, fpow, mdeg = module.desc_w, oracle_fpow_table(group, module), module.mdeg
     # P[i] = g^(i+1) for every scalar, so P[0] holds the series g
     P = np.zeros((mdeg, len(vecs), D, desc.f), dtype=module.dtype)
     P[0, :, 1] = vecs
@@ -139,7 +153,7 @@ def oracle_dense_chunk(module, vecs):
         top = min(mdeg, k)
         g_low = P[0, :, 1:k]
         if top > 1:
-            P[1:top, :, k] = ring_mul(g_low, P[: top - 1, :, k - 1:0:-1], desc, m, groups._sum_bj)
+            P[1:top, :, k] = ring_mul(g_low, P[: top - 1, :, k - 1:0:-1], desc, m, sum_bj)
         fg = ring_mul(fpow[1, 2:top + 1], P[1:top, :, k], desc, m, np.matmul)
         gf = ring_mul(g_low, fpow[1:k, k], desc, m, np.matmul)
         defect = (fg - gf) % m
@@ -160,8 +174,8 @@ def oracle_dense_chunk(module, vecs):
     ]
 
 
-def oracle_dense_records(module, scalars):
-    return oracle_dense_chunk(module, [module._coerce_scalar(a) for a in scalars])
+def oracle_dense_records(group, module, scalars):
+    return oracle_dense_chunk(group, module, [module._coerce_scalar(a) for a in scalars])
 
 
 def oracle_eval_at_z(model, s):
@@ -280,7 +294,7 @@ def test_batch_dtype_switches_with_precision():
 def test_batch_longer_than_one_chunk(monkeypatch):
     g = lt_h2()
     module = g.module(14, 6)
-    per_scalar = module.mdeg * module.D * module.desc_w.f * 8
+    per_scalar = (module.L + 1) * module.Tn * module.desc_w.f * 8
     monkeypatch.setattr(groups, "_BATCH_BYTES", 3 * per_scalar)
     calls = count_chunks(monkeypatch)
     # -1 = zeta^4 * 1 for the mu_8 generator zeta: it shares the orbit of 1
@@ -328,7 +342,7 @@ def test_solver_matches_dense_oracle_on_corpus(name, window):
     D = q + 3 if window == "small" else 4 * q * (q - 1)
     module = g.module(D, 4)
     scalars = scalars_for(module, 6, seed=D)
-    assert module.solve_batch(scalars) == oracle_dense_records(module, scalars)
+    assert module.solve_batch(scalars) == oracle_dense_records(g, module, scalars)
 
 
 @pytest.mark.parametrize("window", ["small", "level-2"])
@@ -337,13 +351,18 @@ def test_power_table_matches_oracle_on_corpus(name, window):
     g = dict(corpus(N=4, nmax=2))[name]
     D = g.q + 3 if window == "small" else 4 * g.q * (g.q - 1)
     module = g.module(D, 4)
-    oracle = oracle_fpow_list(g, module)
-    assert module.fpow.dtype == oracle[1].dtype == module.dtype
-    assert module.fpow.shape == (D, D, g.desc.f)
-    one = np.zeros((D, g.desc.f), dtype=module.dtype)
-    one[0, 0] = 1
-    assert np.array_equal(module.fpow[0], one)
-    assert all(np.array_equal(module.fpow[j], oracle[j]) for j in range(1, D))
+    d, Tn = module.step, module.Tn
+    oracle = oracle_fpow_table(g, module)
+    assert module.fpow.dtype == oracle.dtype == module.dtype
+    # Tn^2 f entries, not D^2 f: fpow[s, t] is f^(1+ds) at degree 1 + dt
+    assert Tn == (D - 2) // d + 1
+    assert module.fpow.shape == (Tn, Tn, g.desc.f)
+    grid = 1 + d * np.arange(Tn)
+    assert np.array_equal(module.fpow, oracle[np.ix_(grid, grid)])
+    # and the dense table holds nothing off that grid: f^j lives on the
+    # degrees = j mod d
+    j, k = np.indices((D, D))
+    assert not oracle[(j - k) % d != 0].any()
 
 
 @pytest.mark.parametrize("make, step", [
@@ -353,41 +372,46 @@ def test_power_table_matches_oracle_on_corpus(name, window):
 def test_solver_matches_dense_oracle_on_mixed_batch(make, step):
     # only Z_3 acts on these height-1 groups over W(F_9): the mu_8 digits
     # obstruct and the integers and other residues around them solve
-    module = make().module(14, 5)
+    g = make()
+    module = g.module(14, 5)
     assert module.step == step
     zeta = teichmuller_lift(module.desc_w, multiplicative_generator(module.desc_w))
     scalars = [2, zeta, -1, (1, 1), 4, zeta * zeta, 3]
     recs = module.solve_batch(scalars)
     assert [obs is None for _, obs in recs] == [True, False, True, False, True, False, True]
-    assert recs == oracle_dense_records(module, scalars)
+    assert recs == oracle_dense_records(g, module, scalars)
 
 
 def test_solver_matches_dense_oracle_on_one_term_pi_series():
     # f = pX alone: the gcd is 0 and every [a]-series is aX
-    module = honda_group(RingDescriptor(3, 1, 10), ()).module(12, 5)
+    g = honda_group(RingDescriptor(3, 1, 10), ())
+    module = g.module(12, 5)
     assert module.f_nz == [1] and module.step == 0
     scalars = [5, -1, 3, 0, 7]
     recs = module.solve_batch(scalars)
-    assert recs == oracle_dense_records(module, scalars)
+    assert recs == oracle_dense_records(g, module, scalars)
     assert all(ser.nonzero_degrees() == ([1] if a else []) for a, (ser, _) in zip(scalars, recs))
 
 
 def test_lt_h2_series_vanish_off_one_mod_eight():
     # 3X + X^9: f_j != 0 only for j = 1, 9, so d = gcd(0, 8) = 8
-    module = lt_h2().module(80, 6)
+    g = lt_h2()
+    module = g.module(80, 6)
     assert module.step == 8
-    recs = oracle_dense_records(module, scalars_for(module, 6, seed=8))
+    recs = oracle_dense_records(g, module, scalars_for(module, 6, seed=8))
     degrees = {k for ser, _ in recs for k in ser.nonzero_degrees()}
     assert {1, 9, 17} <= degrees
     assert all(k % 8 == 1 for k in degrees)
 
 
 def test_solver_ring_products_bounded_by_residue_classes(monkeypatch):
-    # lt-h2-p3 at its level-2 window for N = 4: at most one power-row product
-    # per degree, and the two defect products on degrees 1 mod 8 only
+    # lt-h2-p3 at its level-2 window for N = 4: D = 288 and d = 8 make
+    # Tn = 36 windows.  Each of the 35 solved windows takes at most three
+    # products (the E rows, f(g), g(f)), and the K table of the one chunk
+    # takes a^0 .. a^mdeg by doubling and one product more
     module = lt_h2(N=8).module(288, 4)
-    D, d = module.D, module.step
     scalars = scalars_for(module, 20, seed=3)
+    chunks = count_chunks(monkeypatch)
     calls = []
     mul = groups.ring_mul
 
@@ -397,8 +421,9 @@ def test_solver_ring_products_bounded_by_residue_classes(monkeypatch):
 
     monkeypatch.setattr(groups, "ring_mul", counted)
     module.solve_batch(scalars)
-    assert d == 8
-    assert len(calls) <= (D - 2) + 2 * -(-D // d)
+    assert (module.D, module.step, module.Tn, module.mdeg) == (288, 8, 36, 9)
+    assert len(chunks) == 1
+    assert len(calls) <= 3 * (module.Tn - 1) + module.mdeg.bit_length() + 1
 
 
 def test_module_structure_leaves_its_group_to_refcounting():
@@ -445,12 +470,13 @@ def test_orbit_records_match_dense_oracle_on_corpus(name):
     g = dict(corpus(N=4, nmax=2))[name]
     module = g.module(4 * g.q * (g.q - 1), 4)
     scalars = digit_sums(g, 2)
-    assert module.solve_batch(scalars) == oracle_dense_records(module, scalars)
+    assert module.solve_batch(scalars) == oracle_dense_records(g, module, scalars)
 
 
 def test_obstructed_orbit_shares_its_degree(monkeypatch):
     # d = 2 and q - 1 = 8: mu_2 = {1, -1} acts, and the mu_8 digits obstruct
-    module = lubin_tate_group(RingDescriptor(3, 2, 12), [0, 3, 0, 1]).module(14, 5)
+    g = lubin_tate_group(RingDescriptor(3, 2, 12), [0, 3, 0, 1])
+    module = g.module(14, 5)
     assert len(module._mu) == 2
     zeta = mu_generator(module.desc_w)
     scalars = [zeta, -zeta, zeta * zeta, -(zeta * zeta)]
@@ -459,11 +485,12 @@ def test_obstructed_orbit_shares_its_degree(monkeypatch):
     assert calls == [2]
     assert all(ser is None for ser, _ in recs)
     assert recs[0][1] == recs[1][1] and recs[2][1] == recs[3][1]
-    assert recs == oracle_dense_records(module, scalars)
+    assert recs == oracle_dense_records(g, module, scalars)
 
 
 def test_orbit_served_across_calls(monkeypatch):
-    module = lt_h2().module(40, 6)
+    g = lt_h2()
+    module = g.module(40, 6)
     zeta = mu_generator(module.desc_w)
     v = module.desc_w.from_coeffs((2, 5))
     calls = count_chunks(monkeypatch)
@@ -472,7 +499,7 @@ def test_orbit_served_across_calls(monkeypatch):
     turned = [zeta**k * v for k in range(1, 8)]
     recs = module.solve_batch(turned)
     assert calls == [1]
-    assert recs == oracle_dense_records(module, turned)
+    assert recs == oracle_dense_records(g, module, turned)
 
 
 def test_orbits_shared_across_threads():
@@ -482,7 +509,7 @@ def test_orbits_shared_across_threads():
     desc, zeta = module.desc_w, mu_generator(module.desc_w)
     base = [desc.from_coeffs(module._coerce_scalar(a)) for a in scalars_for(module, 4, seed=7)]
     asked = [[zeta**((3 * t + j) % 8) * b for j in range(8) for b in base] for t in range(4)]
-    want = dict(zip(asked[0], oracle_dense_records(lt_h2().module(40, 6), asked[0])))
+    want = dict(zip(asked[0], oracle_dense_records(lt_h2(), lt_h2().module(40, 6), asked[0])))
     got, errors = [], []
 
     def work(scalars):

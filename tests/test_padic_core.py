@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fglab import padic
@@ -37,6 +38,34 @@ def test_minimal_modulus_choices():
     assert minimal_modulus(3, 1) == (0, 1)
     assert minimal_modulus(3, 2) == (1, 0, 1)  # X^2 + 1, since -1 is not a square mod 3
     assert minimal_modulus(5, 2) == (2, 0, 1)  # X^2 + 2, since -1 and -2... -2 first non-square shift
+    # X^6 + X + 1 and X^12 + X^2 + 1 pass X^(3^f) = X but vanish at X = 1
+    assert minimal_modulus(3, 6) == (2, 1, 0, 0, 0, 0, 1)
+    assert minimal_modulus(3, 12) == (2, 0, 1) + (0,) * 9 + (1,)
+
+
+def has_monic_factor(poly, p):
+    """Trial division of poly (low coefficients first, monic) by every
+    monic polynomial over F_p of degree 1 .. deg/2, all of one degree at
+    once."""
+    f = len(poly) - 1
+    for k in range(1, f // 2 + 1):
+        codes = np.arange(p**k)[:, None]
+        divs = np.hstack([codes // p ** np.arange(k) % p, np.ones_like(codes)])
+        rem = np.tile(np.array(poly), (len(divs), 1))
+        for i in range(f, k - 1, -1):
+            rem[:, i - k:i + 1] = (rem[:, i - k:i + 1] - rem[:, i:i + 1] * divs) % p
+        if not rem.any(axis=1).all():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_minimal_modulus_equals_trial_division_search(p):
+    # the first code, low coefficients as base-p digits, with no factor
+    for f in range(1, 13):
+        code = next(c for c in range(p**f)
+                    if not has_monic_factor([c // p**i % p for i in range(f)] + [1], p))
+        assert minimal_modulus(p, f) == tuple(code // p**i % p for i in range(f)) + (1,)
 
 
 def test_add_wraps_mod_p_to_the_N():

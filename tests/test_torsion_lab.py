@@ -9,8 +9,10 @@ from fglab.padic import INF, RingDescriptor, ring_mul
 from fglab.groups import (FormalGroupLaw, ObstructionError, honda_group, lubin_tate_group,
                           multiplicative_group)
 from fglab.series import TruncSeries1, TruncSeries2, _mul_data
+from fglab import torsion
 from fglab.torsion import (
     NewtonPolygon,
+    ResidueRootError,
     TorsionFieldModel,
     _direct_break_check,
     assumption_check,
@@ -319,6 +321,26 @@ class TestMuP:
     def test_additive_rejected(self):
         with pytest.raises(ValueError, match="finite height"):
             mu_p_membership(honda_group(RingDescriptor(3, 1, 6), ()))
+
+    def test_twisted_honda_over_f6_records_no_bare_exception(self, tmp_path):
+        # d = 2 base-changes to f = 6, where the residue ring once had zero
+        # divisors: a square with no square root made next() raise
+        import json
+        from fglab.cli import main
+        out = tmp_path / "r.json"
+        main(["torsion", "--group", "honda", "--p", "3", "--f", "3", "--u", "0,2",
+              "--N", "4", "--nmax", "1", "--out", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        assert [c for c in checks if "error" in c] == []
+
+    def test_residue_without_root_is_a_named_error(self, monkeypatch):
+        # over a field the power test is exact; a test that lies is caught.
+        # For u = (2, 1) at p = 3 the level-1 residue is not a square
+        g = honda_group(RingDescriptor(3, 1, 6), (2, 1))
+        assert not mu_p_membership(g, d_max=1, N=4)["attempts"][0]["solvable"]
+        monkeypatch.setattr(torsion, "residue_power_test", lambda r, n: True)
+        with pytest.raises(ResidueRootError, match="no residue"):
+            mu_p_membership(g, d_max=1, N=4)
 
 
 # ----------------------------------------- per-element routes, as oracles
