@@ -619,20 +619,12 @@ class ModuleStructure:
             n = hi
         K = ring_mul(self._coef, A[self._expo], desc, m, np.multiply)
         obstruction = [None] * len(vecs)
-        sup = [0]  # windows j where some S_j of the chunk may be nonzero
         for t in range(1, Tn):
             k = 1 + d * t
-            # sums over j run on the support only; a dense one is sliced
-            dense = len(sup) == t
             top = min(L, t - 1)
             if top >= 2:
                 # E_l at t - 1: sum_{0<j<t-1} S_j E_(l-1)[t-1-j], for 2 <= l <= top
-                if dense:
-                    js, back = slice(1, t - 1), slice(t - 2, 0, -1)
-                else:
-                    js = np.array([j for j in sup[1:] if j < t - 1], dtype=np.intp)
-                    back = t - 1 - js
-                E[2:top + 1, t - 1] = ring_mul(S[js], E[1:top, back], desc, m, _sum_jb)
+                E[2:top + 1, t - 1] = ring_mul(S[1:t - 1], E[1:top, t - 2:0:-1], desc, m, _sum_jb)
             # f(g): sum over s <= t of the reduced sums over l of K[l, s] E_l[t - s]
             fg = 0
             ns = int(np.searchsorted(us, t, side="right"))
@@ -640,8 +632,7 @@ class ModuleStructure:
                 lt = min(L, t - int(us[0]))
                 fg = ring_mul(K[:lt + 1, :ns], E[:lt + 1, t - us[:ns]], desc, m, _sum_l).sum(0)
             # g(f): sum_{j<t} S_j fpow[j, t]
-            js = slice(0, t) if dense else np.array(sup, dtype=np.intp)
-            gf = ring_mul(fpow[js, t], S[js], desc, m, np.matmul)
+            gf = ring_mul(fpow[:t, t], S[:t], desc, m, np.matmul)
             defect = (fg - gf) % m
             if not defect.any():
                 continue
@@ -653,8 +644,6 @@ class ModuleStructure:
             gk = defect // p * inv % m
             gk[bad] = 0
             S[t] = E[1, t] = gk
-            if gk.any():
-                sup.append(t)
         g = np.zeros((len(vecs), D, desc.f), dtype=self.dtype)
         g[:, 1::d or D] = S.swapaxes(0, 1)
         # (series, obstruction): an obstructed series is right below its degree
