@@ -533,20 +533,20 @@ def _powers(g, count, first=None):
     (numerators, den).  The one builder of power tables.  An integral
     one-variable g with at most 6 nonzero terms fills each row in place
     from the one before, one shifted product by each term's scalar matrix,
-    built once per table; any other g takes a product per row."""
-    first = _one(g) if first is None else first
+    built once per table; any other g takes a product per row (row 1 is g
+    itself when first is 1)."""
     terms = (g.nonzero_degrees() if isinstance(g, TruncSeries1) and g.domain == "integral"
              else None)
     if terms is None or len(terms) > 6:
-        out = [first]
+        out = [_one(g), g] if first is None else [first]
         while len(out) < count:
             out.append(out[-1] * g)
-        return _common(out)
+        return _common(out[:count])
     D, desc, m = g.D, g.desc, g.desc.pN
     scales = [(d, np.array(scalar_matrix(g.data[d], desc, m), dtype=g.data.dtype))
               for d in terms]
     table = np.zeros((count,) + g.data.shape, dtype=g.data.dtype)
-    table[0] = first.data
+    table[0] = (_one(g) if first is None else first).data
     for j in range(1, count):
         for d, S in scales:
             table[j, d:] = (table[j, d:] + table[j - 1, : D - d] @ S % m) % m

@@ -1,7 +1,9 @@
 """Weierstrass preparation and the phi-basis division algorithm.
 
 weierstrass_prep factors f = P * U with P monic distinguished of degree d
-(the first unit-coefficient index) and U a unit series, by p-digit induction.
+(the first unit-coefficient index) and U a unit series, by p-digit induction
+on the short factor: a digit E of f - P * U is rho * ubar + X^d * mu mod p, as
+P = X^d mod p, so each product has a factor of at most d + 1 terms: O(N * D * d).
 
 digit_split_step writes f = sum a_i X^i + [p](X) * g + p * f1 with a_i the
 Teichmuller lifts of the first q residue coefficients; the division is fixed
@@ -22,7 +24,7 @@ import numpy as np
 
 from .padic import teichmuller_lift
 from .precision import count_window, level_degree, model_window
-from .series import TruncSeries1, _powers
+from .series import TruncSeries1, _mul_data, _powers
 
 
 class WeierstrassData:
@@ -32,7 +34,9 @@ class WeierstrassData:
     pins down the true distinguished factor mod p^stable_digits, with
     stable_digits = ceil((D - d + 1) / d): a tail term X^T of f perturbs the
     factor coefficients by valuation >= (T - d + 1)/d.  Callers needing P at
-    full precision N must supply a window D >= N*d.
+    full precision N must supply a window D >= N*d.  U is pinned at degree
+    j < D - d mod p^min(N, ceil((D - d - j) / d)) only, and not at all at its
+    top d degrees, which weierstrass_prep leaves at their starting lift.
     """
 
     __slots__ = ("desc", "d", "P", "U", "stable_digits", "_u_inv")
@@ -42,14 +46,8 @@ class WeierstrassData:
         self.d = d
         self.P = P  # window d+1 polynomial
         self.U = U  # window of the input series
-        if d > 0:
-            self.stable_digits = min(desc.N, -(-(U.D - d + 1) // d))
-        else:
-            self.stable_digits = desc.N
+        self.stable_digits = min(desc.N, -(-(U.D - d + 1) // d)) if d > 0 else desc.N
         self._u_inv = None
-
-    def P_window(self, D: int) -> TruncSeries1:
-        return self.P.lift(D)
 
     def u_inverse(self) -> TruncSeries1:
         if self._u_inv is None:
@@ -57,15 +55,21 @@ class WeierstrassData:
         return self._u_inv
 
     def product(self) -> TruncSeries1:
-        return self.P_window(self.U.D) * self.U
+        U = self.U
+        return U._new(_mul_data(self.P.data, U.data, self.desc, U.D, U._modulo()))
 
     def __repr__(self):
         return f"WeierstrassData(d={self.d}, D={self.U.D})"
 
 
 def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> WeierstrassData:
-    """Digit-by-digit preparation; `perturb` (a series multiplied by p and
-    added to the initial unit lift) must not change the result — uniqueness."""
+    """Digit-by-digit preparation on the short factor.  With f = P U mod p^s,
+    the digit E = (f - P U) / p^s mod (p, X^D) is rho ubar + X^d mu, ubar the
+    residue of U, as P = X^d mod p: rho = E ubar^-1 mod X^d, with ubar
+    inverted at window d, and mu = (E - rho ubar) / X^d.  Every product of
+    a digit has a factor of at most d + 1 terms, O(N D d) in all.
+    `perturb` (a series multiplied by p and added to the initial unit lift)
+    must not change P beyond its stable digits — uniqueness."""
     desc, D = f.desc, f.D
     p, N, m = desc.p, desc.N, desc.pN
     d = f.first_unit_index()
@@ -82,24 +86,20 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
     P = TruncSeries1.zero(desc, d + 1)
     P.data[d, 0] = 1
     desc1 = desc.at_precision(1)
-    ubar = TruncSeries1(desc1, D, "integral", (U.data % p).astype(U.data.dtype))
-    ubar_inv = ubar.invert_unit()
+    ubar = U.data % p
+    ubar_inv = TruncSeries1(desc1, d, "integral", ubar[:d]).invert_unit().data
     for step in range(1, N):
-        err = f - P.lift(D) * U
+        err = (f.data - _mul_data(P.data, U.data, desc, D, m)) % m
         pm = p**step
-        if not err.data.any():
+        if not err.any():
             break
-        if (err.data % pm).any():
+        if (err % pm).any():
             raise ArithmeticError("digit induction out of sync")
-        Ebar = TruncSeries1(desc1, D, "integral", (err.data // pm % p).astype(err.data.dtype))
-        t = Ebar * ubar_inv
-        rho = t.data[:d] % p
-        t_high = TruncSeries1.zero(desc1, D)
-        t_high.data[: D - d] = t.data[d:]
-        mu = (t_high * ubar).data % p
-        P = TruncSeries1(desc, d + 1, "integral",
-                         (P.data + pm * np.vstack([rho, np.zeros((1, desc.f), dtype=P.data.dtype)])) % m)
-        U = TruncSeries1(desc, D, "integral", (U.data + pm * mu) % m)
+        E = err // pm % p
+        rho = _mul_data(E[:d], ubar_inv, desc1, d, p)
+        mu = (E - _mul_data(rho, ubar, desc1, D, p))[d:] % p
+        P.data[:d] = (P.data[:d] + pm * rho) % m
+        U.data[: D - d] = (U.data[: D - d] + pm * mu) % m
     out = WeierstrassData(desc, d, P, U)
     if out.product() != f:
         raise ArithmeticError("preparation failed to converge")

@@ -742,6 +742,24 @@ def test_powers_rows_equal_products(p, N, domain, dtype, f, support):
     assert [g._new(row, den) for row in rows] == expected[:2]
 
 
+@pytest.mark.parametrize("kind", [TruncSeries1, TruncSeries2])
+def test_powers_take_no_product_by_one(kind, monkeypatch):
+    # rows 0 and 1 of a default table are 1 and g themselves; each later row
+    # is one product, and none multiplies by 1
+    rng = random.Random(f"powers-count-{kind.__name__}")
+    g = random_pointed(kind, RingDescriptor(3, 2, 6), 10, "integral", rng)
+    calls = []
+    mul = kind.__mul__
+    monkeypatch.setattr(kind, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for count in (1, 2, 6):
+        calls.clear()
+        rows, _ = _powers(g, count)
+        assert len(rows) == count and len(calls) == max(0, count - 2)
+    calls.clear()
+    _powers(g, 3, first=g)
+    assert len(calls) == 2
+
+
 def test_law_substitution_takes_no_series_products(monkeypatch):
     # lt-h2-p3 has [p] = 3X + X^9, so the power table of P^T F P is built
     # term by term; by products it would take D - 2 of them

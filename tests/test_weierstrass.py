@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import fglab.series
 from fglab import (
     RingDescriptor,
     TruncSeries1,
@@ -10,8 +11,10 @@ from fglab import (
     honda_group,
     multiplicative_group,
 )
+from fglab.corpus import corpus
 from fglab.torsion import torsion_count
 from fglab.weier import (
+    WeierstrassData,
     digit_split_step,
     division_polynomial,
     phi_basis_decompose,
@@ -32,6 +35,110 @@ def flat(s):
 def lt_pi(p, N, D):
     g = lubin_tate_group(RingDescriptor(p, 1, N), [0, p] + [0] * (p - 2) + [1])
     return g, g.pi_series(D, N)
+
+
+def oracle_prep(f, perturb=None):
+    """The digit loop weierstrass_prep replaced: each p-digit divides the
+    error digit by the unit residue over the whole window and splits the
+    quotient at X^d, three window-D products a digit."""
+    desc, D = f.desc, f.D
+    p, N, m = desc.p, desc.N, desc.pN
+    d = f.first_unit_index()
+    if d == 0:
+        return WeierstrassData(desc, 0, TruncSeries1.from_coeffs(desc, [1]), f)
+    U = TruncSeries1.zero(desc, D)
+    U.data[: D - d] = f.data[d:] % p
+    if perturb is not None:
+        U = U + perturb.scalar_mul(p)
+    P = TruncSeries1.zero(desc, d + 1)
+    P.data[d, 0] = 1
+    desc1 = desc.at_precision(1)
+    ubar = TruncSeries1(desc1, D, "integral", (U.data % p).astype(U.data.dtype))
+    ubar_inv = ubar.invert_unit()
+    for step in range(1, N):
+        err = f - P.lift(D) * U
+        pm = p**step
+        if not err.data.any():
+            break
+        assert not (err.data % pm).any()
+        Ebar = TruncSeries1(desc1, D, "integral", (err.data // pm % p).astype(err.data.dtype))
+        t = Ebar * ubar_inv
+        rho = t.data[:d] % p
+        t_high = TruncSeries1.zero(desc1, D)
+        t_high.data[: D - d] = t.data[d:]
+        mu = (t_high * ubar).data % p
+        P = TruncSeries1(desc, d + 1, "integral",
+                         (P.data + pm * np.vstack([rho, np.zeros((1, desc.f), dtype=P.data.dtype)])) % m)
+        U = TruncSeries1(desc, D, "integral", (U.data + pm * mu) % m)
+    return WeierstrassData(desc, d, P, U)
+
+
+def prep_input(desc, d, D, rng):
+    """A random series of window D with its first unit coefficient at d."""
+    f = desc.f
+    coeffs = [[rng.randrange(desc.pN) for _ in range(f)] for _ in range(D)]
+    for k in range(d + 1):
+        coeffs[k] = [c * desc.p for c in coeffs[k]]
+    coeffs[d][rng.randrange(f)] += rng.randrange(1, desc.p)
+    return ser(desc, coeffs, D)
+
+
+class TestOracle:
+    """weierstrass_prep against the window-D digit loop it replaced, oracle_prep."""
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_corpus_division_polynomials_are_bit_identical(self, N):
+        for name, group in corpus(N=N, nmax=3):
+            for n in range(1, 5 - group.height):
+                phi = division_polynomial(group, n, N=N).phi
+                w, o = weierstrass_prep(phi), oracle_prep(phi)
+                assert (w.d, w.P, w.U) == (o.d, o.P, o.U), (name, n)
+
+    def test_random_inputs_agree_with_oracle(self):
+        rng = random.Random(2022)
+        for _ in range(120):
+            # windows both below N*d and at or above it
+            p, N, d = rng.choice((3, 5, 7)), rng.randrange(2, 7), rng.randrange(1, 7)
+            desc, D = RingDescriptor(p, rng.choice((1, 2, 3)), N), rng.randrange(d + 2, N * d + 8)
+            f = prep_input(desc, d, D, rng)
+            perturb = None
+            if rng.random() < 0.5:
+                perturb = ser(desc, [[rng.randrange(desc.pN) for _ in range(desc.f)]
+                                     for _ in range(D)], D)
+            w, o = weierstrass_prep(f, perturb), oracle_prep(f, perturb)
+            assert w.d == o.d == d
+            assert ((w.P.data - o.P.data) % p**w.stable_digits == 0).all()
+            if D >= N * d:
+                assert w.P == o.P
+            # f mod X^D pins U only up to the graded guard of
+            # test_recovers_random_factorization, and its top d not at all
+            for j in range(D - d):
+                guard = p ** min(N, -(-(D - d - j) // d))
+                assert ((w.U.data[j] - o.U.data[j]) % guard == 0).all()
+            assert w.product() == f and o.product() == f
+
+    @pytest.mark.parametrize("p,f,N,d,D", [(3, 1, 19, 2, 40), (3, 2, 19, 3, 60), (5, 1, 14, 4, 70)])
+    def test_object_windows_agree_with_oracle(self, p, f, N, d, D):
+        # p^N past the int64 budget at window D (at (3, 1, 19) not at d + 1)
+        s = prep_input(RingDescriptor(p, f, N), d, D, random.Random(f"object-{p}-{f}-{N}"))
+        assert s.data.dtype == object
+        w, o = weierstrass_prep(s), oracle_prep(s)
+        assert w.d == d and w.P == o.P and w.product() == s
+
+    def test_each_product_has_a_short_factor(self, monkeypatch):
+        # the gm-p3 level-4 model window: D = 648, d = 54, N = 12
+        dp = division_polynomial(multiplicative_group(RingDescriptor(3, 1, 12)), 4)
+        assert (dp.phi.D, dp.e, dp.phi.desc.N) == (648, 54, 12)
+        rows = []
+        ring_mul = fglab.series.ring_mul
+
+        def counted(A, B, *args):
+            rows.append(min(len(A), len(B)))
+            return ring_mul(A, B, *args)
+
+        monkeypatch.setattr(fglab.series, "ring_mul", counted)
+        weierstrass_prep(dp.phi)
+        assert rows and max(rows) <= dp.e + 1
 
 
 class TestPrep:
@@ -122,7 +229,7 @@ class TestPrep:
         w = weierstrass_prep(pi)
         Q, R = weierstrass_divide(f, w)
         assert R.D == w.d
-        assert Q * w.P_window(D) + R.lift(D) == f
+        assert Q * w.P.lift(D) + R.lift(D) == f
 
 
 class TestDigitSplit:
