@@ -30,9 +30,9 @@ from .endo import (compute_endo_subfield, multiplier_closure_sample, tau_infinit
                    try_endomorphism)
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
-from .precision import (count_window, crosscheck_precision, crosscheck_window, endo_window,
-                        law_precision, level_degree, model_window, multiplier_precision,
-                        ramification_precision)
+from .precision import (count_window, crosscheck_precision, crosscheck_window, cushion,
+                        endo_window, law_precision, level_degree, model_window,
+                        multiplier_precision, ramification_precision)
 from .reports import Check, build_report, exit_code, render_summary, run_checks
 from .series import TruncSeries1
 from .torsion import (
@@ -208,11 +208,13 @@ def _capable(group) -> bool:
 class TorsionPlan:
     """The widest (D, N) at which the torsion suite opens each artifact of
     its group, from the precision functions: the [p]-series of the top
-    level; where h | f, the module structure covering the scalar-action,
-    ramification and cross-check windows; in verify, the law of an integer
-    multiplier's certificate, if it covers the cross-check's.  A cached
-    artifact serves every narrower request, so each is built once.  The
-    first check that needs one opens it, so a failure is recorded there."""
+    level, widened to the one the module structure solves over where that
+    stays within the group's precision; where h | f, the module structure
+    covering the scalar-action, ramification and cross-check windows; in
+    verify, the law of an integer multiplier's certificate, if it covers
+    the cross-check's.  A cached artifact serves every narrower request, so
+    each is built once.  The first check that needs one opens it, so a
+    failure is recorded there."""
 
     def __init__(self, group, cfg: RunConfig, with_endo: bool = False):
         q, N = group.q, cfg.N
@@ -227,7 +229,10 @@ class TorsionPlan:
         self.modules = ([(model_window(q, n, 4), 4) for n in range(1, cfg.nmax + 1)]
                         + [(model_window(q, n, N_r), N_r) for n in _break_levels(cfg)]
                         + [(model_window(q, 1, N_x), N_x)])
-        self.module = tuple(map(max, zip(*self.modules)))
+        self.module = D_m, N_m = tuple(map(max, zip(*self.modules)))
+        N_w = N_m + cushion(D_m, q)  # the [p]-series the structure solves over
+        if N_w <= group.desc.N:
+            self.pi = (max(self.pi[0], D_m), max(N, N_w))
         if not with_endo:
             return
         D_e = endo_window(q)

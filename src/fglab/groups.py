@@ -149,11 +149,21 @@ def _narrow(s, D: int, N: int):
     return type(s)(desc, D, "integral", data.astype(_dtype_for(desc, D, "integral")))
 
 
+def series_of(records) -> list:
+    """The series of (series, obstruction) records; the first obstructed
+    record raises its ObstructionError."""
+    for _, obs in records:
+        if obs is not None:
+            raise ObstructionError(obs)
+    return [ser for ser, _ in records]
+
+
 def _serve(cache: dict, D: int, N: int, build, narrow=_narrow):
     """cache[(D, N)]: built on a miss, unless some cached (D0 >= D, N0 >= N)
-    serves it by narrow(artifact, D, N), truncation and reduction.  list()
-    copies the keys at once, so another --jobs thread may store while the
-    wider ones are sought."""
+    serves it by narrow(artifact, D, N), truncation and reduction; the
+    module structures pass the identity, as a structure serves every window
+    it covers as it is.  list() copies the keys at once, so another --jobs
+    thread may store while the wider ones are sought."""
     out = cache.get((D, N))
     if out is None:
         wider = [k for k in list(cache) if k[0] >= D and k[1] >= N]
@@ -391,16 +401,42 @@ class FormalGroupLaw:
 
     # --------------------------------------------------------------- module
     def module(self, D: int, N_out: int) -> "ModuleStructure":
-        """The [a]-series solver on the window D mod p^N_out, served by a
-        cached (D0 >= D, N0 >= N_out) one where there is one."""
+        """The [a]-series solver covering the window D mod p^N_out: the
+        cached structure at some (D0 >= D, N0 >= N_out) where there is one,
+        else one built at (D, N_out).  Its records are on its own window;
+        multiplications narrows them to the one asked for."""
         # a structure keeps no reference back to the group: a cycle would
         # hold both, and their tables, until the cyclic collector runs
         return _serve(self._module_cache, D, N_out, lambda: ModuleStructure(self, D, N_out),
-                      ModuleStructure.narrow)
+                      lambda module, D, N: module)
+
+    def multiplications(self, scalars, D: int, N: int | None = None) -> list:
+        """The (series, None) or (None, obstruction_degree) record of [a] on
+        the window D mod p^N for each scalar, from one solve_batch on the
+        structure that covers (D, N).  The [a]-series mod (p^N, X^D) is
+        unique, so a wider, more precise record narrows to it, and a record
+        obstructed at k >= D to the series solved below k, as a solve on
+        this window finds no obstruction.  A ring element below the
+        structure's working precision is read at this window's, N +
+        cushion(D, q), as a structure built here reads it."""
+        N = default_precision(self.desc.N, D, self.q_eff) if N is None else N
+        module = self.module(D, N)
+        desc = self.desc.at_precision(N + cushion(D, self.q_eff))
+        asked = [module._coerce_scalar(a, desc)
+                 if isinstance(a, UnramifiedRingElem) and a.desc.N < module.desc_w.N else a
+                 for a in scalars]
+        # on the structure's own key its records serve as they are: a copy
+        # of each would cost time and memory at the widest windows
+        own = (module.D, module.N_out) == (D, N)
+        out = []
+        for a, (ser, obs) in zip(asked, module.solve_batch(asked)):
+            if obs is not None and obs >= D:
+                ser, obs = module._below[module._coerce_scalar(a)], None
+            out.append((ser if own or ser is None else _narrow(ser, D, N), obs))
+        return out
 
     def multiplication_by(self, a, D: int, N: int | None = None) -> TruncSeries1:
-        N = default_precision(self.desc.N, D, self.q_eff) if N is None else N
-        return self.module(D, N).multiplication_by(a)
+        return series_of(self.multiplications([a], D, N))[0]
 
     def negation_series(self, D: int, N: int | None = None) -> TruncSeries1:
         return self.multiplication_by(-1, D, N)
@@ -474,11 +510,10 @@ class ModuleStructure:
     scalar per mu_g-orbit and turns it into the others.  d = 0 (f = pX)
     takes g = 1, and [a] = aX.
 
-    narrow(D, N) serves a narrower window and lower precision from this
-    structure's records; for it, an obstructed scalar keeps the series
-    solved below its obstruction degree."""
-
-    source = None  # the structure a narrowed one takes its records from
+    One structure serves every window and precision it covers:
+    FormalGroupLaw.multiplications narrows its records, and for that an
+    obstructed scalar keeps the series solved below its obstruction degree
+    in _below."""
 
     def __init__(self, group: FormalGroupLaw, D: int, N_out: int):
         self.D = D
@@ -528,34 +563,25 @@ class ModuleStructure:
         self._mu_inv = [scalar_matrix(self._mu[-k], desc, m) for k in range(g)]
         self._orbits = {}  # orbit key -> (k, series, obstruction) of eta^k key
 
-    def narrow(self, D: int, N_out: int) -> "ModuleStructure":
-        """The structure on the window D <= self.D mod p^N_out, N_out <=
-        self.N_out, served from the records of the widest one."""
-        return _NarrowModule(self.source or self, D, N_out)
-
-    def _coerce_scalar(self, a):
-        f = self.desc_w.f
+    def _coerce_scalar(self, a, desc=None):
+        """The vector mod p^N of a scalar read at the working precision, or
+        at that of desc: the key its record is filed under."""
+        desc = desc or self.desc_w
         if isinstance(a, UnramifiedRingElem):
-            if not a.desc.same_field(self.desc_w):
+            if not a.desc.same_field(desc):
                 raise ValueError("scalar from a different ring")
-            if a.desc.N < self.desc_w.N:
+            if a.desc.N < desc.N:
                 raise ValueError("scalar needs at least the working precision")
-            return tuple(int(v) % self.m for v in a.coeffs)
+            return tuple(int(v) % desc.pN for v in a.coeffs)
         if isinstance(a, int):
-            return (a % self.m,) + (0,) * (f - 1)
+            return (a % desc.pN,) + (0,) * (desc.f - 1)
         if isinstance(a, (tuple, list)):
-            return tuple(int(v) % self.m for v in a)
+            return tuple(int(v) % desc.pN for v in a)
         raise TypeError("unsupported scalar")
 
     def try_multiplication(self, a):
         """Returns (series, None) or (None, obstruction_degree)."""
         return self.solve_batch([a])[0]
-
-    def multiplication_by(self, a) -> TruncSeries1:
-        ser, obs = self.try_multiplication(a)
-        if obs is not None:
-            raise ObstructionError(obs)
-        return ser
 
     def _orbit(self, v):
         """(key, k) with v = eta^k key: the key is the least of the
@@ -649,36 +675,3 @@ class ModuleStructure:
         # (series, obstruction): an obstructed series is right below its degree
         return [(TruncSeries1(desc, D, "integral", g[b]).reduce_precision(self.N_out), obs)
                 for b, obs in enumerate(obstruction)]
-
-
-class _NarrowModule(ModuleStructure):
-    """A ModuleStructure on the window D mod p^N_out whose records are its
-    wider, more precise source's, truncated and reduced: the [a]-series mod
-    (p^N, X^D) is unique.  A scalar the source lacks is solved there.  A
-    record obstructed at k >= D narrows to the series solved below k, as a
-    solve on this window finds no obstruction."""
-
-    def __init__(self, source: ModuleStructure, D: int, N_out: int):
-        self.D = D
-        self.N_out = N_out
-        self.source = source
-        self.desc_w = source.desc_w.at_precision(N_out + cushion(D, source.q))
-        self.m = self.desc_w.pN
-        self._cache = {}
-
-    def solve_batch(self, scalars):
-        src, D, N = self.source, self.D, self.N_out
-        vecs = [self._coerce_scalar(a) for a in scalars]
-        todo = {}  # vector here -> the scalar the source is asked for
-        for v, a in zip(vecs, scalars):
-            if v not in self._cache:
-                # the scalar itself, so that the source finds what it solved
-                # before; a ring element below the source's working
-                # precision goes as the vector read from it here
-                low = isinstance(a, UnramifiedRingElem) and a.desc.N < src.desc_w.N
-                todo.setdefault(v, v if low else a)
-        for (v, a), (ser, obs) in zip(todo.items(), src.solve_batch(list(todo.values()))):
-            if obs is not None and obs >= D:
-                ser, obs = src._below[src._coerce_scalar(a)], None
-            self._cache[v] = (None, obs) if ser is None else (_narrow(ser, D, N), None)
-        return [self._cache[v] for v in vecs]

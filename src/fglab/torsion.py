@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .groups import series_of
 from .padic import (
     INF,
     UnramifiedRingElem,
@@ -526,17 +527,17 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
             "count": None,
             "expected": group.q**n,
         }
-    module = group.module(model_window(group.q, n, N), N)
     scalars = digit_sums(group, n)
     nonzero = [i for i, a in enumerate(scalars) if not a.is_zero()]
-    obstructions = [k for _, k in module.solve_batch([scalars[i] for i in nonzero]) if k is not None]
+    records = group.multiplications([scalars[i] for i in nonzero], model_window(group.q, n, N), N)
+    obstructions = [k for _, k in records if k is not None]
     if obstructions:
         return {"level": n, "holds": False, "mode": "obstructed", "obstruction": min(obstructions),
                 "count": None, "expected": group.q**n}
     model = TorsionFieldModel(group, n, N)
     # the points z^r G(w) as G: distinct exactly when the Gs are
     points = model.zero((len(scalars),))
-    points[nonzero] = model.eval_at_z([module.multiplication_by(scalars[i]) for i in nonzero])
+    points[nonzero] = model.eval_at_z([ser for ser, _ in records])
     seen = set(map(tuple, points.reshape(len(points), -1).tolist()))
     histogram = {}
     classes = {}
@@ -575,10 +576,9 @@ def ramification_breaks(group, n: int, N: int = 4, cross_check: bool = True) -> 
         raise ValueError("full-height module structure required: h must divide f")
     q = group.q
     model = TorsionFieldModel(group, n, N)
-    module = group.module(model_window(q, n, N), N)
     rows = break_rows(group, n)  # one batch, one evaluation
-    module.solve_batch([a for _, _, a in rows])
-    points = model.eval_at_z([module.multiplication_by(a) for _, _, a in rows])
+    records = group.multiplications([a for _, _, a in rows], model_window(q, n, N), N)
+    points = model.eval_at_z(series_of(records))
     table = [{"k": k, "digit": w.residue().code(), "i_sigma": str(val),
               "expected": q**k, "match": bool(val == q**k)}
              for (k, w, _), val in zip(rows, model.valuations(points, model.r))]
@@ -597,12 +597,10 @@ def _direct_break_check(group, N: int) -> list:
     """Level-1 cross-check against the definition: evaluate the two-variable
     group law at ([u](z), iota(z)) and compare with the [u-1](z) route."""
     model = TorsionFieldModel(group, 1, N)
-    module = group.module(model_window(group.q, 1, N), N)
+    records = group.multiplications(crosscheck_scalars(group), model_window(group.q, 1, N), N)
     F2 = group.group_law2(crosscheck_window(group.q, N), N)
     units = _units(group)
-    scalars = crosscheck_scalars(group)
-    module.solve_batch(scalars)
-    pts = model.eval_at_z([module.multiplication_by(a) for a in scalars])
+    pts = model.eval_at_z(series_of(records))
     iz, ux = pts[0], pts[1:len(units) + 1]
     out = []
     for w, x, linear in zip(units, ux, model.valuations(pts[len(units) + 1:], model.r)):

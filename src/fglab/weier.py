@@ -107,26 +107,27 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
 
 
 def weierstrass_divide(f: TruncSeries1, prep: WeierstrassData):
-    """f = Q * P + R with deg R < d, exact mod (p^N, X^D)."""
+    """f = Q * P + R with deg R < d, exact mod (p^N, X^D).  Each pass moves
+    the part of cur at degrees >= d, S, into Q and takes cur = M S with M =
+    X^d - P: M has valuation >= 1, so a pass gains a p-digit, and d rows,
+    so its product is O(D d)."""
     desc, D = f.desc, f.D
-    d = prep.d
+    d, m = prep.d, desc.pN
     if d == 0:
         return f, TruncSeries1.zero(desc, max(d, 1))
-    # M = X^d - P has valuation >= 1, so each pass gains a p-digit
-    M = TruncSeries1.zero(desc, D)
-    M.data[:d] = (-prep.P.data[:d]) % desc.pN
     Q = TruncSeries1.zero(desc, D)
     R = TruncSeries1.zero(desc, d)
-    cur = f
+    M = (-prep.P.data[:d] % m).astype(Q.data.dtype)
+    cur = f.data
     for _ in range(desc.N + 1):
-        if cur.is_zero():
+        if not cur.any():
             break
-        S = TruncSeries1.zero(desc, D)
-        S.data[: D - d] = cur.data[d:]
-        R.data[:] = (R.data + cur.data[:d]) % desc.pN
-        Q = Q + S
-        cur = M * S
-    if not cur.is_zero():
+        S = np.zeros_like(Q.data)
+        S[: D - d] = cur[d:]
+        R.data[:] = (R.data + cur[:d]) % m
+        Q.data = (Q.data + S) % m
+        cur = _mul_data(M, S, desc, D, m)
+    if cur.any():
         raise ArithmeticError("division did not terminate")
     return Q, R
 

@@ -359,6 +359,34 @@ class TestRunPlan:
         assert main([*TORSION_DEEP["honda-h1-p3"], "--out", str(tmp_path / "r.json")]) == 0
         assert [args[1:] for args in builds] == [(216, 12)]
 
+    @pytest.mark.parametrize("argv, build", [
+        (("torsion", "--group", "honda", "--u", "0,1", "--f", "2", "--N", "6", "--nmax", "2"),
+         (432, 9)),
+        (("verify", "--group", "honda", "--u", "1", "--N", "6", "--nmax", "2"), (36, 10)),
+    ], ids=["honda-h2-f2-torsion", "honda-h1-verify"])
+    def test_one_pi_series_where_the_module_works_deeper(self, argv, build, monkeypatch, tmp_path):
+        # the module structure solves over more digits than the config's N:
+        # the plan opens the [p]-series at both keys' maximum, which serves
+        # the division factors and the structure alike
+        from fglab import groups
+        builds = counted(monkeypatch, groups.FormalGroupLaw, "_build_pi_series")
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert [args[1:] for args in builds] == [build]
+
+    @pytest.mark.parametrize("name", sorted(TORSION_DEEP))
+    def test_one_solve_batch_per_check(self, name, monkeypatch, tmp_path):
+        # the plan's batch, then one for each check that reads [a]-series:
+        # the scalar action at each level, the ramification breaks at levels
+        # 1 and 2 and the level-1 cross-check; a single chunk solves them all
+        from fglab import groups
+        batches = counted(monkeypatch, groups.ModuleStructure, "solve_batch")
+        chunks = counted(monkeypatch, groups.ModuleStructure, "_solve_chunk")
+        argv = TORSION_DEEP[name]
+        nmax = int(argv[argv.index("--nmax") + 1])
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(batches) <= 1 + nmax + min(nmax, 2) + 1
+        assert len(chunks) == 1
+
     @pytest.mark.parametrize("name", sorted(VERIFY_H1))
     def test_one_law_solve_per_group(self, name, monkeypatch, tmp_path):
         from fglab import groups

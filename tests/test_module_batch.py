@@ -538,33 +538,34 @@ def test_orbits_shared_across_threads():
 def fresh_records(make, D, N, scalars):
     """The records of a structure built on the window D mod p^N of a new
     group, which holds no wider structure to serve it."""
-    module = make().module(D, N)
-    assert module.source is None
-    return module.solve_batch(scalars)
+    return ModuleStructure(make(), D, N).solve_batch(scalars)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
-def test_narrowed_records_equal_fresh_solve_on_corpus(name, level):
+def test_narrowed_records_equal_fresh_solve_on_corpus(name, level, monkeypatch):
     # the level-2 window at N = 5 serves the level-n window at N = 4
     def make():
         return dict(corpus(N=5, nmax=2))[name]
 
     g = make()
     q = g.q
-    wide = g.module(precision.model_window(q, 2, 5), 5)
+    key = (precision.model_window(q, 2, 5), 5)
+    wide = g.module(*key)
     scalars = digit_sums(g, level)
     wide.solve_batch(scalars)
     D, N = precision.model_window(q, level, 4), 4
-    narrow = g.module(D, N)
-    assert isinstance(narrow, ModuleStructure) and narrow.source is wide
-    assert (narrow.D, narrow.N_out) == (D, N)
-    got = narrow.solve_batch(scalars)
+    assert g.module(D, N) is wide
+    calls = count_chunks(monkeypatch)
+    got = g.multiplications(scalars, D, N)
+    assert calls == []  # served from the wide structure's records
     want = fresh_records(make, D, N, scalars)
     assert got == want
     for rec, rec0 in zip(got, want):
         assert_same_record(rec, rec0)
-    assert all(narrow._cache[narrow._coerce_scalar(a)] is rec for a, rec in zip(scalars, got))
+    # on its own window a structure's records are served as they are
+    own = g.multiplications(scalars, *key)
+    assert all(wide._cache[wide._coerce_scalar(a)][0] is ser for a, (ser, _) in zip(scalars, own))
 
 
 def gm_f2():
@@ -590,7 +591,7 @@ def test_narrowed_obstructions_equal_fresh_solve(make):
     cases = set()
     for D in (4, 8, 9, 10, 20, 27, 28):
         for N in (4, 6):
-            got = g.module(D, N).solve_batch(scalars)
+            got = g.multiplications(scalars, D, N)
             want = fresh_records(make, D, N, scalars)
             assert got == want
             for rec, rec0 in zip(got, want):
@@ -606,28 +607,33 @@ def test_narrowed_structure_solves_new_scalars_in_its_source(monkeypatch):
     g = lt_h2()
     wide = g.module(80, 6)
     wide.solve_batch([2])
-    narrow = g.module(40, 5)
     calls = count_chunks(monkeypatch)
     scalars = [2, 5, (1, 1)]
-    got = narrow.solve_batch(scalars)
-    # 2 was solved already; 5 and 1 + zeta' are solved once, in the source
+    got = g.multiplications(scalars, 40, 5)
+    # 2 was solved already; 5 and 1 + zeta' are solved once, in the wide one
     assert calls == [2]
     assert {wide._coerce_scalar(a) for a in scalars} <= set(wide._cache)
     assert got == fresh_records(lt_h2, 40, 5, scalars)
-    # a narrowed structure is served from the source, never from itself
-    assert g.module(20, 4).source is wide
-    assert narrow.narrow(20, 4).source is wide
-    # a ring element at this structure's working precision, below the
-    # source's, is read at this precision, as a fresh structure reads it
-    low = narrow.desc_w.from_coeffs((4, 7))
+    # every window it covers is served by the wide structure itself
+    assert g.module(40, 5) is wide and g.module(20, 4) is wide
+    # a ring element at the working precision of (40, 5), below the wide
+    # structure's, is read at that precision, as a fresh structure reads it
+    fresh = ModuleStructure(lt_h2(), 40, 5)
+    low = fresh.desc_w.from_coeffs((4, 7))
     assert low.desc.N < wide.desc_w.N
-    assert narrow.solve_batch([low]) == fresh_records(lt_h2, 40, 5, [low])
+    got, want = g.multiplications([low], 40, 5), fresh.solve_batch([low])
+    assert got == want
+    assert_same_record(got[0], want[0])
+    lower = fresh.desc_w.at_precision(low.desc.N - 1).from_coeffs((4, 7))
+    for solve in (lambda: g.multiplications([lower], 40, 5), lambda: fresh.solve_batch([lower])):
+        with pytest.raises(ValueError, match="at least the working precision"):
+            solve()
 
 
 def test_narrowed_structures_shared_across_threads():
-    # 4 threads open narrowed structures of one wide structure, at different
-    # windows and in different orders, while the source solves: every
-    # record must equal a fresh solve's
+    # 4 threads narrow the records of one wide structure, at different
+    # windows and in different orders, while it solves: every record must
+    # equal a fresh solve's
     g = lt_h2()
     g.module(80, 6)
     scalars = scalars_for(g.module(80, 6), 12, seed=11)
@@ -638,7 +644,7 @@ def test_narrowed_structures_shared_across_threads():
     def work(t):
         try:
             for w in windows[t:] + windows[:t]:
-                got.append((w, t, g.module(*w).solve_batch(scalars[t:] + scalars[:t])))
+                got.append((w, t, g.multiplications(scalars[t:] + scalars[:t], *w)))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -659,11 +665,11 @@ def test_narrowed_structures_shared_across_threads():
 
 
 def test_narrowed_structure_keeps_no_cycle():
-    # narrowed structures refer to their source only: the group and all its
-    # structures go by reference counting
+    # narrowed records refer to nothing: the group and its structure go by
+    # reference counting
     g = lt_h2()
     g.module(40, 6).solve_batch([2])
-    g.module(20, 4).solve_batch([2, 3])
+    g.multiplications([2, 3], 20, 4)
     gone = weakref.ref(g)
     gc.disable()
     try:
@@ -712,9 +718,8 @@ def test_eval_at_z_on_module_series_matches_horner():
     g = lt_h1(3, N=16)
     model = TorsionFieldModel(g, 2, 4)
     full = full_model(model)
-    module = g.module(4 * model.e, 4)
     for a in (2, -1, 4, 7):
-        ser = module.multiplication_by(a)
+        ser = g.multiplication_by(a, 4 * model.e, 4)
         assert np.array_equal(scatter(model, model.eval_at_z(ser)), oracle_eval_at_z(full, ser))
 
 

@@ -13,8 +13,8 @@ from fglab import cli
 from fglab.cli import RunConfig, TorsionPlan, build_group
 from fglab.corpus import CORPUS_SPECS, make_group
 from fglab.endo import endo_window, try_endomorphism
-from fglab.groups import FormalGroupLaw
-from fglab.padic import teichmuller_digits
+from fglab.groups import FormalGroupLaw, lubin_tate_group
+from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.precision import (crosscheck_precision, cushion, model_window, multiplier_precision,
                              ramification_precision)
 from fglab.torsion import ramification_breaks
@@ -129,7 +129,8 @@ def test_run_plan_windows_come_from_the_precision_rules(name):
     # every config of the group at N <= 9, nmax <= 3 that validate accepts:
     # the plan's windows are the precision functions', and its module
     # structure passes the construction-precision guard, so a config that
-    # runs never fails because of the plan
+    # runs never fails because of the plan; the [p]-series covers the top
+    # level and the module structure's working precision
     accepted = 0
     for N in range(4, 10):
         for nmax in (1, 2, 3):
@@ -140,8 +141,9 @@ def test_run_plan_windows_come_from_the_precision_rules(name):
             g = build_group(cfg)
             q = g.q
             plan = TorsionPlan(g, cfg, with_endo=True)
-            assert plan.pi == (model_window(q, nmax, N), N)
+            pi = (model_window(q, nmax, N), N)
             if g.desc.f % g.height:
+                assert plan.pi == pi
                 assert (plan.modules, plan.module, plan.law) == ([], None, None)
                 continue
             N_r = ramification_precision(N)
@@ -152,10 +154,27 @@ def test_run_plan_windows_come_from_the_precision_rules(name):
                                     + [(model_window(q, 1, N_x), N_x)])
             D, N_m = plan.module
             assert (D, N_m) == (max(w for w, _ in plan.modules), max(n for _, n in plan.modules))
-            assert N_m + cushion(D, g.q_eff) <= g.desc.N
+            N_w = N_m + cushion(D, g.q_eff)
+            assert N_w <= g.desc.N
+            assert plan.pi == (max(pi[0], D), max(N, N_w))
             D_e = endo_window(q)
             assert plan.law == (D_e, multiplier_precision(True, g.kind, g.desc.N, D_e, g.desc.p, g.q_eff))
     assert accepted >= 6
+
+
+def test_plan_keeps_the_config_pi_series_below_the_module_precision():
+    # a group constructed at the config's N holds no module structure's
+    # working precision: the plan opens the [p]-series at the config's key,
+    # and the module structure's precision error is left to its check
+    cfg = corpus_config("lt-p3", 6, 2)
+    g = lubin_tate_group(RingDescriptor(3, 1, 6), [0, 3, 0, 1])
+    plan = TorsionPlan(g, cfg)
+    D, N_m = plan.module
+    assert N_m + cushion(D, g.q) > g.desc.N
+    assert plan.pi == (model_window(g.q, 2, 6), 6)
+    plan.open_pi()
+    with pytest.raises(ValueError, match="higher precision"):
+        plan.open_modules()
 
 
 # the corpus groups with h | f, which open module structures

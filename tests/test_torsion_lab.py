@@ -452,10 +452,10 @@ def oracle_assumption_check(group, n, N=4):
             "expected": group.q**n,
         }
     model = full_model(TorsionFieldModel(group, n, N))
-    module = group.module(N * model.e, N)
     seen, annihilated, histogram = set(), True, {}
     for a in digit_sums(group, n):
-        t = model.zero() if a.is_zero() else oracle_eval_at_z(model, module.multiplication_by(a))
+        t = model.zero() if a.is_zero() else oracle_eval_at_z(
+            model, group.multiplication_by(a, N * model.e, N))
         seen.add(tuple(int(v) for v in t.ravel()))
         val = oracle_valuation(model, t)
         histogram[str(val)] = histogram.get(str(val), 0) + 1
@@ -593,8 +593,7 @@ class TestStackedModel:
     def test_eval_at_z_stack_matches_single(self):
         g = h2lt()
         model = TorsionFieldModel(g, 1, 4)
-        module = g.module(model.N * model.e, model.N)
-        series = [module.multiplication_by(a) for a in digit_sums(g, 1)[1:4]]
+        series = [g.multiplication_by(a, model.N * model.e, model.N) for a in digit_sums(g, 1)[1:4]]
         got = model.eval_at_z(series)
         assert got.shape == (3, model.k, model.desc.f)
         for t, s in zip(got, series):
@@ -687,8 +686,7 @@ class TestGradedPoints:
         full = full_model(model)
         assert model.d == g.grading and model.k * model.d == model.e == full.k
         assert np.array_equal(scatter(model, model.point_z()), full.w())
-        module = g.module(model.window, 4)
-        series = [module.multiplication_by(a) for a in sample_scalars(g, n)]
+        series = [g.multiplication_by(a, model.window, 4) for a in sample_scalars(g, n)]
         G = model.eval_at_z(series)
         X = scatter(model, G)
         assert G.shape == (len(series), model.k, model.desc.f)
@@ -716,8 +714,7 @@ class TestGradedPoints:
         series = [random_graded_series2(model, D2, seed=n)]
         if n == 1:
             series.append(g.group_law2(D2, 4))
-        module = g.module(model.window, 4)
-        G = model.eval_at_z([module.multiplication_by(a) for a in sample_scalars(g, n)[:4]])
+        G = model.eval_at_z([g.multiplication_by(a, model.window, 4) for a in sample_scalars(g, n)[:4]])
         X = scatter(model, G)
         for F2 in series:
             for i in range(len(G) - 1):

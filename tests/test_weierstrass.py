@@ -73,6 +73,35 @@ def oracle_prep(f, perturb=None):
     return WeierstrassData(desc, d, P, U)
 
 
+def oracle_divide(f, prep):
+    """The division loop weierstrass_divide replaced: M = X^d - P is held
+    on the window D and each pass multiplies it by S at full window."""
+    desc, D = f.desc, f.D
+    d = prep.d
+    if d == 0:
+        return f, TruncSeries1.zero(desc, max(d, 1))
+    M = TruncSeries1.zero(desc, D)
+    M.data[:d] = (-prep.P.data[:d]) % desc.pN
+    Q = TruncSeries1.zero(desc, D)
+    R = TruncSeries1.zero(desc, d)
+    cur = f
+    for _ in range(desc.N + 1):
+        if cur.is_zero():
+            break
+        S = TruncSeries1.zero(desc, D)
+        S.data[: D - d] = cur.data[d:]
+        R.data[:] = (R.data + cur.data[:d]) % desc.pN
+        Q = Q + S
+        cur = M * S
+    assert cur.is_zero()
+    return Q, R
+
+
+def assert_bit_identical(got, want):
+    for s, s0 in zip(got, want):
+        assert s == s0 and s.data.dtype == s0.data.dtype
+
+
 def prep_input(desc, d, D, rng):
     """A random series of window D with its first unit coefficient at d."""
     f = desc.f
@@ -139,6 +168,49 @@ class TestOracle:
         monkeypatch.setattr(fglab.series, "ring_mul", counted)
         weierstrass_prep(dp.phi)
         assert rows and max(rows) <= dp.e + 1
+
+
+class TestDivideOracle:
+    """weierstrass_divide against the window-D loop it replaced, oracle_divide."""
+
+    def test_random_inputs_are_bit_identical(self):
+        # 3X + X^9 over f = 2 at N = 5, D = 243: the phi-basis window
+        desc = RingDescriptor(3, 2, 5)
+        pi = ser(desc, [0, 3] + [0] * 7 + [1], 243)
+        prep = weierstrass_prep(pi)
+        rng = random.Random(23)
+        for _ in range(10):
+            f = ser(desc, [[rng.randrange(desc.pN) for _ in range(2)] for _ in range(243)], 243)
+            got = weierstrass_divide(f, prep)
+            assert_bit_identical(got, oracle_divide(f, prep))
+            Q, R = got
+            assert Q * prep.P.lift(243) + R.lift(243) == f
+
+    @pytest.mark.parametrize("p,f,N,d,D", [(3, 1, 6, 2, 20), (5, 2, 4, 4, 30), (3, 1, 19, 2, 40),
+                                           (3, 2, 19, 3, 60)])
+    def test_prepared_inputs_are_bit_identical(self, p, f, N, d, D):
+        # the last two past the int64 budget at window D: object data
+        desc = RingDescriptor(p, f, N)
+        rng = random.Random(f"divide-{p}-{f}-{N}")
+        prep = weierstrass_prep(prep_input(desc, d, D, rng))
+        for _ in range(3):
+            s = ser(desc, [[rng.randrange(desc.pN) for _ in range(f)] for _ in range(D)], D)
+            assert_bit_identical(weierstrass_divide(s, prep), oracle_divide(s, prep))
+
+    def test_each_product_has_a_short_factor(self, monkeypatch):
+        desc = RingDescriptor(3, 2, 5)
+        prep = weierstrass_prep(ser(desc, [0, 3] + [0] * 7 + [1], 243))
+        f = ser(desc, [[k % 7, k % 5] for k in range(243)], 243)
+        rows = []
+        ring_mul = fglab.series.ring_mul
+
+        def counted(A, B, *args):
+            rows.append(min(len(A), len(B)))
+            return ring_mul(A, B, *args)
+
+        monkeypatch.setattr(fglab.series, "ring_mul", counted)
+        weierstrass_divide(f, prep)
+        assert rows and max(rows) <= prep.d
 
 
 class TestPrep:
