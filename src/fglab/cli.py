@@ -161,35 +161,10 @@ class RunConfig:
             h = source_height(v["p"], v["group"], v["d"], v["u"], coeffs)
         except ValueError as exc:
             return [f"the group could not be constructed: {exc}"]
-        if command == "construct":  # the echo opens the [p]-series at q + 2
-            if h != math.inf and (D_pi := v["p"] ** h + 2) > v["dcap"]:
-                problems.append(f"construct window q + 2 = {D_pi} exceeds the cap "
-                                f"{v['dcap']}; raise dcap")
-            return problems
-        # feasibility: the torsion model at level n works in a window of
-        # N*e(n) ring elements; refuse windows past the cap
-        if h == math.inf:
-            problems.append("group has no finite height; the suites need finite torsion")
-            return problems
-        q = v["p"] ** h
-        for n in range(1, v["nmax"] + 1):
-            e_n = level_degree(q, n)
-            window = model_window(q, n, v["N"])
-            if window > v["dcap"]:
-                problems.append(
-                    f"level {n}: window N*e = {v['N']}*{e_n} = {window} exceeds the cap "
-                    f"{v['dcap']}; lower N or nmax, or raise dcap"
-                )
-        # the level-1 ramification cross-check solves the law where h divides f
-        D_law = crosscheck_window(q, v["N"])
-        if command in ("torsion", "verify") and v["f"] % h == 0 and D_law > v["dcap"]:
-            problems.append(f"law window min(N, 4)*(q-1) + 2 = {D_law} exceeds the cap "
-                            f"{v['dcap']}; raise dcap")
-        D_endo = endo_window(q)
-        if command in ("endo", "matrices", "verify") and D_endo > v["dcap"]:
-            problems.append(f"endo window max(4q, 24) = {D_endo} exceeds the cap {v['dcap']}; "
-                            "raise dcap")
-        return problems
+        if h == math.inf and command != "construct":
+            return ["group has no finite height; the suites need finite torsion"]
+        return [f"{what} {D} exceeds the cap {v['dcap']}; {fix}"
+                for what, D, fix in RunPlan(self, command, h).windows() if D > v["dcap"]]
 
 
 def build_group(cfg: RunConfig):
@@ -200,84 +175,110 @@ def build_group(cfg: RunConfig):
 
 # ------------------------------------------------------------- suites
 
-def _capable(group) -> bool:
-    """Does the base ring carry the full scalar action (h divides f)?"""
-    return group.height is not INF and group.desc.f % group.height == 0
+class RunPlan:
+    """Every (D, N) a command opens, from the precision functions and the
+    height, so validate refuses a window past dcap before the group exists.
+    Each artifact opens at its widest key and serves every narrower one: the
+    top level's [p]-series, widened to the module structure's working key
+    where the group's precision holds it; where h | f, the module structure
+    covering the scalar-action, ramification and cross-check keys; in
+    verify, an integer-multiplier certificate's law if it covers the
+    cross-check's.  The first check that needs one opens it, so a failure
+    is recorded there."""
 
-
-class TorsionPlan:
-    """The widest (D, N) at which the torsion suite opens each artifact of
-    its group, from the precision functions: the [p]-series of the top
-    level, widened to the one the module structure solves over where that
-    stays within the group's precision; where h | f, the module structure
-    covering the scalar-action, ramification and cross-check windows; in
-    verify, the law of an integer multiplier's certificate, if it covers
-    the cross-check's.  A cached artifact serves every narrower request, so
-    each is built once.  The first check that needs one opens it, so a
-    failure is recorded there."""
-
-    def __init__(self, group, cfg: RunConfig, with_endo: bool = False):
-        q, N = group.q, cfg.N
-        self.group, self.cfg = group, cfg
-        self.pi = (model_window(q, cfg.nmax, N), N)
-        self.modules, self.module, self.law = [], None, None
+    def __init__(self, cfg: RunConfig, command: str, h):
+        self.command, self.N, self.dcap = command, cfg.N, cfg.dcap
+        self.q = q = None if h == math.inf else cfg.p**h
+        self.capable = q is not None and cfg.f % h == 0  # the full scalar action
+        self.levels = range(1, cfg.nmax + 1)
+        self.low_levels = range(1, min(cfg.nmax, 2) + 1)  # ramification, unit quotients
+        self.N_r = ramification_precision(cfg.N)
+        self.mu_N = min(cfg.N, 6)
+        self.echo = (4, None if q is None else q + 2)  # the law's window, the [p]-series'
+        self.endo = endo_window(q)
         self._solved = False
-        if not _capable(group):
+        if q is not None:  # the cross-check's law
+            N_x = crosscheck_precision(self.N_r)
+            self.crosscheck = (crosscheck_window(q, N_x), N_x)
+
+    def level(self, n: int) -> dict:
+        """The (D, N) keys of the level-n checks."""
+        q, N, N_r = self.q, self.N, self.N_r
+        return {"division": (count_window(q, n), 4), "count": (count_window(q, n), 3),
+                "model": (model_window(q, n, N), N), "scalars": (model_window(q, n, 4), 4),
+                "breaks": (model_window(q, n, N_r), N_r)}
+
+    def windows(self):
+        """(what, D, remedy) of each window validate holds against dcap."""
+        if self.command == "construct":
+            if self.q is not None:
+                yield "construct window q + 2 =", self.echo[1], "raise dcap"
             return
-        N_r = ramification_precision(N)
-        N_x = crosscheck_precision(N_r)
-        self.modules = ([(model_window(q, n, 4), 4) for n in range(1, cfg.nmax + 1)]
-                        + [(model_window(q, n, N_r), N_r) for n in _break_levels(cfg)]
-                        + [(model_window(q, 1, N_x), N_x)])
-        self.module = D_m, N_m = tuple(map(max, zip(*self.modules)))
-        N_w = N_m + cushion(D_m, q)  # the [p]-series the structure solves over
-        if N_w <= group.desc.N:
-            self.pi = (max(self.pi[0], D_m), max(N, N_w))
-        if not with_endo:
-            return
-        D_e = endo_window(q)
+        q, N, nmax, fix = self.q, self.N, self.levels[-1], "lower N or nmax, or raise dcap"
+        for n in self.levels:
+            D = model_window(q, n, N)
+            yield f"level {n}: window N*e = {N}*{level_degree(q, n)} =", D, fix
+            if D > self.dcap and n + 1 < nmax:  # the windows grow with n: one line for the rest
+                yield f"levels {n + 1} to {nmax}: window N*e >=", model_window(q, n + 1, N), fix
+                break
+        if self.capable and self.command in ("torsion", "verify"):
+            yield "law window min(N, 4)*(q-1) + 2 =", self.crosscheck[0], "raise dcap"
+        if self.command in ("endo", "matrices", "verify"):
+            yield "endo window max(4q, 24) =", self.endo, "raise dcap"
+
+    def modules(self) -> list:
+        """The module keys of the checks that read [a]-series, where h | f."""
+        if not self.capable:
+            return []
+        N_x = self.crosscheck[1]
+        return ([self.level(n)["scalars"] for n in self.levels]
+                + [self.level(n)["breaks"] for n in self.low_levels]
+                + [(model_window(self.q, 1, N_x), N_x)])
+
+    def module(self):  # the one module structure's key: the modules' componentwise maximum
+        return tuple(map(max, zip(*self.modules()))) if self.capable else None
+
+    def pi(self, group) -> tuple:
+        D, N = self.level(self.levels[-1])["model"]
+        if self.capable:
+            D_m, N_m = self.module()
+            N_w = N_m + cushion(D_m, self.q)  # the [p]-series the structure solves over
+            if N_w <= group.desc.N:
+                D, N = max(D, D_m), max(N, N_w)
+        return D, N
+
+    def law(self, group):
+        if self.command != "verify" or not self.capable:
+            return None
         try:
-            N_e = multiplier_precision(True, group.kind, group.desc.N, D_e, group.desc.p, q)
+            N_e = multiplier_precision(True, group.kind, group.desc.N, self.endo, group.desc.p, self.q)
         except ValueError:  # the certificates refuse the group; the endo suite says so
-            return
-        if D_e >= crosscheck_window(q, N_r) and N_e >= N_x:
-            self.law = (D_e, N_e)
+            return None
+        D_x, N_x = self.crosscheck
+        return (self.endo, N_e) if self.endo >= D_x and N_e >= N_x else None
 
-    def open_pi(self):
-        self.group.pi_series(*self.pi)
-
-    def open_modules(self):
-        """Solve the checks' scalars in one batch: the digit sums at nmax
-        hold those of every lower level."""
-        if self._solved or self.module is None:
+    def open_modules(self, group):
+        """Solve the checks' scalars in one batch: nmax's digit sums hold every lower level's."""
+        if self._solved or not self.capable:
             return
-        group, cfg = self.group, self.cfg
-        scalars = [a for a in digit_sums(group, cfg.nmax) if not a.is_zero()]
-        scalars += [a for _, _, a in break_rows(group, _break_levels(cfg)[-1])]
-        group.module(*self.module).solve_batch(scalars + crosscheck_scalars(group))
+        scalars = [a for a in digit_sums(group, self.levels[-1]) if not a.is_zero()]
+        scalars += [a for _, _, a in break_rows(group, self.low_levels[-1])]
+        group.module(*self.module()).solve_batch(scalars + crosscheck_scalars(group))
         self._solved = True  # a race under jobs > 1 repeats deterministic work only
 
-    def open_law(self):
-        if self.law is not None:
-            self.group.group_law2(*self.law)
 
-
-def _break_levels(cfg):
-    """The levels of the ramification checks."""
-    return range(1, min(cfg.nmax, 2) + 1)
-
-
-def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
+def torsion_checks(group, plan: RunPlan):
     q = group.q
     checks = []
-    for n in range(1, cfg.nmax + 1):
+    for n in plan.levels:
         e_n = level_degree(q, n)
+        keys = plan.level(n)
 
-        def degree_thunk(n=n, e_n=e_n):
-            plan.open_pi()
-            # prepare P_n once, at the models' precision; N = 4 is its reduction
-            group.division_factor(n, max(cfg.N, 4))
-            cert = certify_torsion_degree(group, n, N=4)
+        def degree_thunk(n=n, e_n=e_n, keys=keys):
+            group.pi_series(*plan.pi(group))
+            # prepare P_n once, at the models' precision; the check reads its reduction
+            group.division_factor(n, keys["model"][1])
+            cert = certify_torsion_degree(group, n, N=keys["division"][1])
             ok = (cert["pure"] and cert["certified_degree"] == e_n
                   and cert["root_valuation"] == str(Fraction(1, e_n)))
             return ok, {"degree": cert["degree"], "pure": cert["pure"],
@@ -288,10 +289,10 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
             f"torsion.division-degree.n{n}",
             {"group": group.label, "level": n},
             f"relative division polynomial is pure of slope 1/{e_n} and degree {e_n}",
-            degree_thunk, {"D": count_window(q, n), "N": 4}))
+            degree_thunk, dict(zip("DN", keys["division"]))))
 
-        def count_thunk(n=n):
-            rec = torsion_count(group, n)
+        def count_thunk(n=n, keys=keys):
+            rec = torsion_count(group, n, N=keys["count"][1])
             return rec["match"], {"weierstrass_degree": rec["weierstrass_degree"],
                                   "expected": rec["expected"]}
 
@@ -299,10 +300,10 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
             f"torsion.count.n{n}",
             {"group": group.label, "level": n},
             f"[p^{n}] has Weierstrass degree q^{n} = {q**n}",
-            count_thunk, {"D": count_window(q, n), "N": 3}))
+            count_thunk, dict(zip("DN", keys["count"]))))
 
-        def annihilation_thunk(n=n):
-            model = TorsionFieldModel(group, n, cfg.N)
+        def annihilation_thunk(n=n, keys=keys):
+            model = TorsionFieldModel(group, n, keys["model"][1])
             val = model.valuation(model.apply_pi(model.point_z(), times=n), model.r)
             return val is INF, {"valuation": str(val)}
 
@@ -310,12 +311,12 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
             f"torsion.annihilation.n{n}",
             {"group": group.label, "level": n},
             f"[p^{n}](z) = 0 in the level-{n} field model",
-            annihilation_thunk, {"D": model_window(q, n, cfg.N), "N": cfg.N}))
+            annihilation_thunk, dict(zip("DN", keys["model"]))))
 
-        def scalars_thunk(n=n):
-            plan.open_modules()
-            rec = assumption_check(group, n, N=4)
-            if _capable(group):
+        def scalars_thunk(n=n, keys=keys):
+            plan.open_modules(group)
+            rec = assumption_check(group, n, N=keys["scalars"][1])
+            if plan.capable:
                 ok = (rec["holds"] and rec["count"] == rec["expected"]
                       or rec["mode"] == "obstructed")
             else:
@@ -326,19 +327,19 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
 
         checks.append(Check(
             f"torsion.scalar-action.n{n}",
-            {"group": group.label, "level": n, "full_scalars": _capable(group)},
+            {"group": group.label, "level": n, "full_scalars": plan.capable},
             "digit sums hit the torsion bijectively, or the obstruction is reported",
-            scalars_thunk, {"D": model_window(q, n, 4), "N": 4}))
+            scalars_thunk, dict(zip("DN", keys["scalars"]))))
 
-    if _capable(group):
-        N_r = ramification_precision(cfg.N)
-        for n in _break_levels(cfg):
+    if plan.capable:
+        for n in plan.low_levels:
+            key = plan.level(n)["breaks"]
 
-            def breaks_thunk(n=n, N_r=N_r):
-                plan.open_modules()
-                if n == 1:
-                    plan.open_law()
-                rec = ramification_breaks(group, n, N=N_r, cross_check=(n == 1))
+            def breaks_thunk(n=n, key=key):
+                plan.open_modules(group)
+                if n == 1 and (law := plan.law(group)):
+                    group.group_law2(*law)
+                rec = ramification_breaks(group, n, N=key[1], cross_check=(n == 1))
                 ok = rec["all_match"] and rec["identity_break"] == "inf"
                 if n == 1:
                     ok = ok and all(r["match"] for r in rec["direct_level_one"])
@@ -349,17 +350,17 @@ def torsion_checks(group, cfg: RunConfig, plan: TorsionPlan):
                 f"torsion.ramification.n{n}",
                 {"group": group.label, "level": n},
                 "unit scalars break at i(sigma) = q^k exactly",
-                breaks_thunk, {"D": model_window(q, n, N_r), "N": N_r}))
+                breaks_thunk, dict(zip("DN", key))))
 
     def mu_thunk():
-        rec = mu_p_membership(group, N=min(cfg.N, 6))
+        rec = mu_p_membership(group, N=plan.mu_N)
         return rec["found"], {"d": rec["d"], "attempts": rec["attempts"]}
 
     checks.append(Check(
         "torsion.mu-p",
         {"group": group.label, "d_max": group.height},
         "the level-1 field reaches the p-th roots of unity within degree h",
-        mu_thunk, {"N": min(cfg.N, 6)}))
+        mu_thunk, {"N": plan.mu_N}))
     return checks
 
 
@@ -369,7 +370,7 @@ def _subfield_once(group):
     return functools.cache(lambda: compute_endo_subfield(group))
 
 
-def endo_checks(group, cfg: RunConfig, subfield_report=None):
+def endo_checks(group, plan: RunPlan, subfield_report=None):
     p = group.desc.p
     checks = []
     subfield_report = subfield_report or _subfield_once(group)
@@ -446,7 +447,7 @@ def endo_checks(group, cfg: RunConfig, subfield_report=None):
         closure_thunk))
 
     def agreement_thunk():
-        a1 = assumption_check(group, 1, N=4)["holds"]
+        a1 = assumption_check(group, 1, N=plan.level(1)["scalars"][1])["holds"]
         rep = subfield_report()
         full = rep["full_height"]
         if full:
@@ -464,7 +465,7 @@ def endo_checks(group, cfg: RunConfig, subfield_report=None):
     return checks
 
 
-def matrix_checks(group, cfg: RunConfig, subfield_report=None):
+def matrix_checks(group, plan: RunPlan, subfield_report=None):
     p = group.desc.p
     subfield_report = subfield_report or _subfield_once(group)
     q = group.q
@@ -507,9 +508,9 @@ def matrix_checks(group, cfg: RunConfig, subfield_report=None):
         "circulant pattern is equivalent to commutation, exhaustively",
         circulant_thunk))
 
-    for n in range(1, min(cfg.nmax, 2) + 1):
+    for n in plan.low_levels:
         def order_thunk(n=n):
-            cert = certify_torsion_degree(group, n, N=4)
+            cert = certify_torsion_degree(group, n, N=plan.level(n)["division"][1])
             order = unit_quotient_order(q, n)
             return cert["certified_degree"] == order, {
                 "unit_quotient_order": order,
@@ -607,13 +608,11 @@ def roundtrip_checks(group, seed: int):
 # ------------------------------------------------------------- commands
 
 def serialize_group(group, cfg: RunConfig) -> dict:
-    D_law = 4
+    D_law, D_pi = RunPlan(cfg, "construct", group.height).echo
     N_echo = min(cfg.N, law_precision(group.kind, group.desc.N, D_law, group.q_eff))
     F2 = group.group_law2(D_law, N_echo)
     law = {f"{i},{j}": [int(v) for v in vec] for i, j, vec in F2.coeff_triples()}
-    q = group.q
-    D_pi = (q + 2) if q is not None else 6
-    pi = group.pi_series(D_pi, N_echo) if q is not None else None
+    pi = group.pi_series(D_pi, N_echo) if D_pi else None
     return {
         "label": group.label,
         "kind": group.kind,
@@ -622,7 +621,7 @@ def serialize_group(group, cfg: RunConfig) -> dict:
         "working_precision": cfg.N,
         "construction_precision": group.desc.N,
         "height": "inf" if group.height is INF else group.height,
-        "q": q,
+        "q": group.q,
         "group_law": law,
         "pi_series": [[int(v) for v in pi.data[k]] for k in range(D_pi)] if pi else None,
     }
@@ -630,13 +629,14 @@ def serialize_group(group, cfg: RunConfig) -> dict:
 
 def collect_checks(command: str, group, cfg: RunConfig):
     checks = []
+    plan = RunPlan(cfg, command, group.height)
     subfield_report = _subfield_once(group)  # one report for both suites
     if command in ("torsion", "verify"):
-        checks += torsion_checks(group, cfg, TorsionPlan(group, cfg, with_endo=command == "verify"))
+        checks += torsion_checks(group, plan)
     if command in ("endo", "verify"):
-        checks += endo_checks(group, cfg, subfield_report)
+        checks += endo_checks(group, plan, subfield_report)
     if command in ("matrices", "verify"):
-        checks += matrix_checks(group, cfg, subfield_report)
+        checks += matrix_checks(group, plan, subfield_report)
     if command == "verify":
         checks += roundtrip_checks(group, cfg.seed)
     return checks

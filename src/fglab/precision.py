@@ -70,8 +70,7 @@ def crosscheck_precision(N: int) -> int:
 
 def crosscheck_window(q: int, N: int) -> int:
     """Window of the law in the level-1 cross-check, the level-1 model
-    window plus 2.  The ramification check's min(N, 5) and the config's N
-    give the same window, since crosscheck_precision caps both at 4."""
+    window plus 2."""
     return model_window(q, 1, crosscheck_precision(N)) + 2
 
 

@@ -99,6 +99,17 @@ class TestExitCodes:
         # infinite height: no [p]-series, no window to refuse
         assert main(["construct", "--group", "honda", "--p", "3", "--u", "0"]) == 0
 
+    def test_large_nmax_exit_two_with_one_line_for_the_higher_levels(self, capsys):
+        # the level windows grow with n: the first level past the cap keeps
+        # its line, and the levels above it share one
+        assert main(["torsion", "--nmax", "10000"]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "level" in line]
+        assert lines == [
+            "config error: level 5: window N*e = 6*162 = 972 exceeds the cap 800; "
+            "lower N or nmax, or raise dcap",
+            "config error: levels 6 to 10000: window N*e >= 2916 exceeds the cap 800; "
+            "lower N or nmax, or raise dcap"]
+
     def test_law_window_past_cap_exit_two(self, capsys):
         # the torsion window N*e = 8 fits, the level-1 law window 4*2 + 2 = 10 does not
         argv = ["--group", "multiplicative", "--p", "3", "--N", "4", "--nmax", "1"]
@@ -331,11 +342,11 @@ class TestRunPlan:
         builds = counted(monkeypatch, groups.ModuleStructure, "__init__")
         chunks = counted(monkeypatch, groups.ModuleStructure, "_solve_chunk")
         planned, asked = [], set()
-        open_modules, solve_batch = cli.TorsionPlan.open_modules, groups.ModuleStructure.solve_batch
+        open_modules, solve_batch = cli.RunPlan.open_modules, groups.ModuleStructure.solve_batch
 
-        def opening(plan):
+        def opening(plan, group):
             planned.append(len(chunks))
-            open_modules(plan)
+            open_modules(plan, group)
             planned.append(len(chunks))
 
         def asking(module, scalars):
@@ -343,7 +354,7 @@ class TestRunPlan:
                 asked.update(module._coerce_scalar(a) for a in scalars)
             return solve_batch(module, scalars)
 
-        monkeypatch.setattr(cli.TorsionPlan, "open_modules", opening)
+        monkeypatch.setattr(cli.RunPlan, "open_modules", opening)
         monkeypatch.setattr(groups.ModuleStructure, "solve_batch", asking)
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
         assert len(builds) == 1

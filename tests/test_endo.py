@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fglab import cli
-from fglab.cli import RunConfig, build_group, collect_checks, endo_checks, matrix_checks
+from fglab.cli import RunConfig, RunPlan, build_group, collect_checks, endo_checks, matrix_checks
 from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.reports import run_checks
@@ -172,7 +172,8 @@ class TestCertificateCache:
     def test_suites_build_each_certificate_once(self):
         cfg = RunConfig({"group": "multiplicative", "p": 3, "N": 6, "nmax": 1})
         g = build_group(cfg)
-        records = run_checks(endo_checks(g, cfg) + matrix_checks(g, cfg))
+        plan = RunPlan(cfg, "verify", g.height)
+        records = run_checks(endo_checks(g, plan) + matrix_checks(g, plan))
         assert all(r["pass"] for r in records)
         # p, -1, the mu_2 generator, and the closure's sum p - 1 and product -p
         assert len(g._endo_cache) == 5

@@ -2,6 +2,7 @@
 module."""
 
 import ast
+import bisect
 import math
 import re
 from pathlib import Path
@@ -10,13 +11,13 @@ import pytest
 
 import fglab
 from fglab import cli
-from fglab.cli import RunConfig, TorsionPlan, build_group
+from fglab.cli import RunConfig, RunPlan, build_group
 from fglab.corpus import CORPUS_SPECS, make_group
 from fglab.endo import endo_window, try_endomorphism
 from fglab.groups import FormalGroupLaw, lubin_tate_group
 from fglab.padic import RingDescriptor, teichmuller_digits
-from fglab.precision import (crosscheck_precision, cushion, model_window, multiplier_precision,
-                             ramification_precision)
+from fglab.precision import (crosscheck_precision, cushion, law_window, model_window,
+                             multiplier_precision, ramification_precision)
 from fglab.torsion import ramification_breaks
 
 # (spec, N, nmax): (construction precision, default law precision at the
@@ -92,8 +93,15 @@ RULES = ("floor_log(", "math.log(", "math.log2(", "q ** (n - 1)", "q ** (level -
          "(q - 1) * q **", "max(4 * q")
 
 
+# Windows that cli.py opens through its run plan alone, so that the windows
+# validate holds against dcap are the ones the checks open.
+PLAN_RULES = ("model_window(", "count_window(", "crosscheck_window(", "endo_window(")
+
+
 def test_window_and_precision_rules_live_in_one_module():
     src = Path(fglab.__file__).parent
+    plan = next(node for node in ast.parse((src / "cli.py").read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == "RunPlan")
     found = []
     for path in sorted(src.glob("*.py")):
         if path.name == "precision.py":
@@ -103,6 +111,8 @@ def test_window_and_precision_rules_live_in_one_module():
             text = re.sub(r"def unit_quotient_order\(.*?(?=\ndef |\Z)", "", text, flags=re.S)
         for lineno, line in enumerate(text.splitlines(), start=1):
             found += [f"{path.name}:{lineno}: {rule}" for rule in RULES if rule in line]
+            if path.name == "cli.py" and not plan.lineno <= lineno <= plan.end_lineno:
+                found += [f"cli.py:{lineno}: {rule}" for rule in PLAN_RULES if rule in line]
     assert found == []
 
 
@@ -118,10 +128,10 @@ def test_guards_raise_instead_of_asserting():
 
 # ---------------------------------------------------------------- run plan
 
-def corpus_config(name, N, nmax):
+def corpus_config(name, N, nmax, dcap=None):
     spec = dict(CORPUS_SPECS)[name]
     return RunConfig(dict(p=spec["p"], f=spec["f"], group=spec["source"], d=spec.get("d", 1),
-                          u=",".join(map(str, spec.get("u", ()))), N=N, nmax=nmax))
+                          u=",".join(map(str, spec.get("u", ()))), N=N, nmax=nmax, dcap=dcap))
 
 
 @pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
@@ -140,25 +150,25 @@ def test_run_plan_windows_come_from_the_precision_rules(name):
             accepted += 1
             g = build_group(cfg)
             q = g.q
-            plan = TorsionPlan(g, cfg, with_endo=True)
+            plan = RunPlan(cfg, "verify", g.height)
             pi = (model_window(q, nmax, N), N)
             if g.desc.f % g.height:
-                assert plan.pi == pi
-                assert (plan.modules, plan.module, plan.law) == ([], None, None)
+                assert plan.pi(g) == pi
+                assert (plan.modules(), plan.module(), plan.law(g)) == ([], None, None)
                 continue
             N_r = ramification_precision(N)
             N_x = crosscheck_precision(N_r)
-            assert plan.modules == ([(model_window(q, n, 4), 4) for n in range(1, nmax + 1)]
+            assert plan.modules() == ([(model_window(q, n, 4), 4) for n in range(1, nmax + 1)]
                                     + [(model_window(q, n, N_r), N_r)
                                        for n in range(1, min(nmax, 2) + 1)]
                                     + [(model_window(q, 1, N_x), N_x)])
-            D, N_m = plan.module
-            assert (D, N_m) == (max(w for w, _ in plan.modules), max(n for _, n in plan.modules))
+            D, N_m = plan.module()
+            assert (D, N_m) == (max(w for w, _ in plan.modules()), max(n for _, n in plan.modules()))
             N_w = N_m + cushion(D, g.q_eff)
             assert N_w <= g.desc.N
-            assert plan.pi == (max(pi[0], D), max(N, N_w))
+            assert plan.pi(g) == (max(pi[0], D), max(N, N_w))
             D_e = endo_window(q)
-            assert plan.law == (D_e, multiplier_precision(True, g.kind, g.desc.N, D_e, g.desc.p, g.q_eff))
+            assert plan.law(g) == (D_e, multiplier_precision(True, g.kind, g.desc.N, D_e, g.desc.p, g.q_eff))
     assert accepted >= 6
 
 
@@ -168,13 +178,13 @@ def test_plan_keeps_the_config_pi_series_below_the_module_precision():
     # and the module structure's precision error is left to its check
     cfg = corpus_config("lt-p3", 6, 2)
     g = lubin_tate_group(RingDescriptor(3, 1, 6), [0, 3, 0, 1])
-    plan = TorsionPlan(g, cfg)
-    D, N_m = plan.module
+    plan = RunPlan(cfg, "torsion", g.height)
+    D, N_m = plan.module()
     assert N_m + cushion(D, g.q) > g.desc.N
-    assert plan.pi == (model_window(g.q, 2, 6), 6)
-    plan.open_pi()
+    assert plan.pi(g) == (model_window(g.q, 2, 6), 6)
+    g.pi_series(*plan.pi(g))
     with pytest.raises(ValueError, match="higher precision"):
-        plan.open_modules()
+        plan.open_modules(g)
 
 
 # the corpus groups with h | f, which open module structures
@@ -183,7 +193,7 @@ def test_torsion_checks_open_the_plan_windows(name, monkeypatch, tmp_path):
     # the module structures the checks ask for are the plan's windows, and
     # the first one opened is the widest
     cfg = corpus_config(name, 6, 2)
-    plan = TorsionPlan(build_group(cfg), cfg)
+    plan = RunPlan(cfg, "torsion", build_group(cfg).height)
     asked = []
     module = FormalGroupLaw.module
     monkeypatch.setattr(FormalGroupLaw, "module",
@@ -191,5 +201,34 @@ def test_torsion_checks_open_the_plan_windows(name, monkeypatch, tmp_path):
     argv = ["torsion", "--p", str(cfg.p), "--f", str(cfg.f), "--group", cfg.group,
             "--d", str(cfg.d), "--N", "6", "--nmax", "2", "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    assert asked[0] == plan.module
-    assert set(asked[1:]) == set(plan.modules)
+    assert asked[0] == plan.module()
+    assert set(asked[1:]) == set(plan.modules())
+
+
+@pytest.mark.parametrize("command", ["torsion", "endo", "matrices", "verify"])
+@pytest.mark.parametrize("name", [name for name, _spec in CORPUS_SPECS])
+def test_no_run_opens_a_window_past_dcap(name, command, monkeypatch, tmp_path):
+    # at the smallest dcap that validate accepts, no [p]-series, law (on the
+    # window it is solved on) or module structure is opened wider; for
+    # torsion and verify the widest one opened is that dcap
+    opened = []
+    pi, law, module = FormalGroupLaw.pi_series, FormalGroupLaw.group_law2, FormalGroupLaw.module
+    monkeypatch.setattr(FormalGroupLaw, "pi_series",
+                        lambda self, D, N=None: opened.append(D) or pi(self, D, N))
+    monkeypatch.setattr(FormalGroupLaw, "group_law2",
+                        lambda self, D, N=None: opened.append(law_window(D, self.q)) or law(self, D, N))
+    monkeypatch.setattr(FormalGroupLaw, "module",
+                        lambda self, D, N: opened.append(D) or module(self, D, N))
+    for N, nmax in ((4, 1), (6, 2)):
+        cfg = corpus_config(name, N, nmax)
+        assert not cfg.validate(command)
+        dcap = 1 + bisect.bisect(range(1, 800), False,
+                                 key=lambda c: not corpus_config(name, N, nmax, c).validate(command))
+        argv = [command, "--p", str(cfg.p), "--f", str(cfg.f), "--group", cfg.group,
+                "--d", str(cfg.d), "--u", ",".join(map(str, cfg.u)), "--N", str(N),
+                "--nmax", str(nmax), "--dcap", str(dcap), "--out", str(tmp_path / "r.json")]
+        opened.clear()
+        assert cli.main(argv) == 0
+        assert max(opened) <= dcap
+        if command in ("torsion", "verify"):
+            assert max(opened) == dcap
