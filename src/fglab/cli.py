@@ -31,8 +31,8 @@ from .endo import (compute_endo_subfield, multiplier_closure_sample, tau_infinit
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
 from .precision import (count_window, crosscheck_precision, crosscheck_window, cushion,
-                        endo_window, law_precision, level_degree, model_window,
-                        multiplier_precision, ramification_precision)
+                        division_window, endo_window, law_precision, level_degree,
+                        model_window, multiplier_precision, ramification_precision)
 from .reports import Check, build_report, exit_code, render_summary, run_checks
 from .series import TruncSeries1
 from .torsion import (
@@ -209,20 +209,30 @@ class RunPlan:
                 "breaks": (model_window(q, n, N_r), N_r)}
 
     def windows(self):
-        """(what, D, remedy) of each window validate holds against dcap."""
+        """(what, D, remedy) of each window validate holds against dcap: the
+        windows the command opens.  In verify, the level-n model windows
+        hold the endo suite's level-1 window and the matrices suite's
+        division windows, as N >= 4."""
         if self.command == "construct":
             if self.q is not None:
                 yield "construct window q + 2 =", self.echo[1], "raise dcap"
             return
         q, N, nmax, fix = self.q, self.N, self.levels[-1], "lower N or nmax, or raise dcap"
-        for n in self.levels:
-            D = model_window(q, n, N)
-            yield f"level {n}: window N*e = {N}*{level_degree(q, n)} =", D, fix
-            if D > self.dcap and n + 1 < nmax:  # the windows grow with n: one line for the rest
-                yield f"levels {n + 1} to {nmax}: window N*e >=", model_window(q, n + 1, N), fix
-                break
-        if self.capable and self.command in ("torsion", "verify"):
-            yield "law window min(N, 4)*(q-1) + 2 =", self.crosscheck[0], "raise dcap"
+        if self.command in ("torsion", "verify"):
+            for n in self.levels:
+                D = model_window(q, n, N)
+                yield f"level {n}: window N*e = {N}*{level_degree(q, n)} =", D, fix
+                if D > self.dcap and n + 1 < nmax:  # the windows grow with n: one line for the rest
+                    yield f"levels {n + 1} to {nmax}: window N*e >=", model_window(q, n + 1, N), fix
+                    break
+            if self.capable:
+                yield "law window min(N, 4)*(q-1) + 2 =", self.crosscheck[0], "raise dcap"
+        if self.command == "endo":  # the predicate-agreement check's level-1 model
+            yield "level 1: window 4*e =", self.level(1)["scalars"][0], "raise dcap"
+        if self.command == "matrices":
+            for n in self.low_levels:
+                yield (f"level {n}: division window max(q^{n} + q, 4*e) =", division_window(q, n, 4),
+                       "lower nmax, or raise dcap" if n > 1 else "raise dcap")
         if self.command in ("endo", "matrices", "verify"):
             yield "endo window max(4q, 24) =", self.endo, "raise dcap"
 

@@ -24,9 +24,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .padic import INF, UnramifiedRingElem, teichmuller_digits
 from .precision import endo_window, multiplier_precision
-from .series import TruncSeries1, _p_part, substitute2_into2
+from .series import TruncSeries1, substitute2_into2
 
 
 def c_map(g: TruncSeries1) -> UnramifiedRingElem:
@@ -79,8 +81,8 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     log = group.logarithm(D)
     g = group.exponential(D).compose(log.scalar_mul(scalar))
     # the first degree whose numerators carry fewer factors p than g.den
-    pv = _p_part(g.den, p)
-    first_bad = next((k for k in range(1, D) if any(v % pv for v in g.data[k])), None)
+    bad = np.flatnonzero(g.row_valuations()[1:] < 0)
+    first_bad = int(bad[0]) + 1 if bad.size else None
     record = {
         "multiplier": tuple(int(v) for v in a_elem.coeffs),
         "window": D,

@@ -47,11 +47,11 @@ from .padic import (
     INF,
     RingDescriptor,
     UnramifiedRingElem,
-    _frac_val,
     contraction_dtype,
     ring_mul,
     scalar_matrix,
     teichmuller_digits,
+    valuations,
 )
 from .precision import (
     cushion,
@@ -201,16 +201,13 @@ def _honda_pi_series(out_desc: RingDescriptor, u, D: int) -> TruncSeries1:
     """[p]-series of the honda group over out_desc: Newton solve of
     lam(g) = p lam over Z_p, written into component 0."""
     p = out_desc.p
-    lam = honda_log_coeffs(p, u, D)
-    jmax = max((-_frac_val(c, p) for c in lam if c), default=0)
-    scale = p**jmax
+    lam = TruncSeries1.from_coeffs(out_desc, honda_log_coeffs(p, u, D), D, "scaled")
+    # lam has p-power denominators only, so its den is p^jmax and its
+    # numerators are lam * p^jmax
+    jmax = int(valuations(lam.den, p, lam.den.bit_length()))
     desc = RingDescriptor(p, 1, honda_precision(out_desc.N, jmax))
-    m = desc.pN
     L = TruncSeries1.zero(desc, D)
-    for k, c in enumerate(lam):
-        if c:
-            # lam has p-power denominators only, so c * scale is an integer
-            L.data[k, 0] = int(c * scale) % m
+    L.data[:, 0] = lam.data[:, 0] % desc.pN
     target = L.scalar_mul(p)
     Lp = L.derivative()
     g = TruncSeries1.zero(desc, D)

@@ -14,13 +14,15 @@ for arrays of elements under any bilinear product of component slices
 (truncated convolution, contraction), and ring_scale, its
 one-matrix form, for multiplying by a single element.  Reduction is mod an
 explicit m, or none at all for the integer numerators of exact series.
+
+Every p-adic valuation of the lab goes through one kernel, valuations: the
+capped v_p of each entry of an integer array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -213,6 +215,28 @@ class RingDescriptor:
 
 
 # ---------------------------------------------------------------------------
+# the valuation kernel
+
+def valuations(A, p: int, cap: int):
+    """min(v_p(a), cap) for every entry a of an int64 or object array (or an
+    int), and cap for 0, as an int64 array of A's shape.  Each pass divides
+    the entries not yet settled by p, so there are at most cap passes, over
+    fewer entries each time.  As min(v_p(a), cap) = min(v_p(a mod p^cap),
+    cap), data reduced mod p^N reads the same at any cap <= N."""
+    A = np.asarray(A)
+    out = np.full(A.shape, cap, dtype=np.int64)
+    idx = np.flatnonzero(A)
+    rest = A.ravel()[idx]
+    for v in range(cap):
+        if not idx.size:
+            break
+        unit = rest % p != 0
+        out.flat[idx[unit]] = v
+        idx, rest = idx[~unit], rest[~unit] // p
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the coefficient-ring multiply kernel
 
 def scalar_matrix(c, desc: RingDescriptor, m):
@@ -363,15 +387,7 @@ class UnramifiedRingElem:
         """Largest v <= N with p^v | a, or INF when a = 0 mod p^N."""
         if self.is_zero():
             return INF
-        v = self.desc.N
-        for c in self.coeffs:
-            if c:
-                w = 0
-                while c % self.desc.p == 0:
-                    c //= self.desc.p
-                    w += 1
-                v = min(v, w)
-        return v
+        return int(valuations(np.array(self.coeffs, dtype=object), self.desc.p, self.desc.N).min())
 
     def __add__(self, other):
         self._check(other)
@@ -487,19 +503,3 @@ def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> tuple[Unra
         out.append(cur)
         cur = cur * zeta
     return tuple(out)
-
-
-def _frac_val(r: Fraction, p: int):
-    if r == 0:
-        return INF
-    v = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-

@@ -52,6 +52,12 @@ def count_window(q: int, n: int) -> int:
     return q**n + q
 
 
+def division_window(q: int, n: int, N: int) -> int:
+    """Window of P_n at precision N: past the Weierstrass degree of [p^n],
+    and at least the model window, where every digit of P_n is stable."""
+    return max(count_window(q, n), model_window(q, n, N))
+
+
 def eval_window(K: int, v: int, q: int) -> int:
     """Window of a series evaluated at points of valuation >= v in a model
     of window K; above q, so that it holds a [p]-series."""

@@ -52,6 +52,7 @@ from .padic import (
     ring_mul,
     ring_scale,
     scalar_matrix,
+    valuations,
 )
 
 
@@ -98,14 +99,6 @@ def _common(series):
     denominators, and that lcm."""
     den = math.lcm(*(s.den for s in series))
     return np.stack([s.data if s.den == den else s.data * (den // s.den) for s in series]), den
-
-
-def _p_part(n: int, p: int) -> int:
-    """The largest power of p dividing the positive integer n."""
-    pv = 1
-    while n % (pv * p) == 0:
-        pv *= p
-    return pv
 
 
 class _Series:
@@ -252,16 +245,17 @@ class TruncSeries1(_Series):
     def coeff_vec(self, k: int):
         return self._fractions(k)
 
+    def row_valuations(self):
+        """v_p of each coefficient: the least valuation of its numerators
+        less v_p(den).  Both are capped at den.bit_length(), which exceeds
+        v_p(den), so a zero coefficient reads a positive number."""
+        p, cap = self.desc.p, self.den.bit_length()
+        return valuations(self.data, p, cap).min(axis=-1) - valuations(self.den, p, cap)
+
     def first_unit_index(self):
-        """Smallest k with a unit coefficient, or None: the least valuation
-        of the numerators of X^k equals that of den."""
-        p = self.desc.p
-        pv = _p_part(self.den, p)
-        for k in range(self.D):
-            row = [int(v) for v in self.data[k]]
-            if any(v % (pv * p) for v in row) and all(v % pv == 0 for v in row):
-                return k
-        return None
+        """Smallest k with a unit coefficient, or None."""
+        units = np.flatnonzero(self.row_valuations() == 0)
+        return int(units[0]) if units.size else None
 
     def nonzero_degrees(self):
         return np.flatnonzero((self.data != 0).any(axis=-1)).tolist()

@@ -1,9 +1,11 @@
 """Torsion-field models and ramification measurements.
 
 The level-n torsion field L_n = K(z) is K[X]/(P_n) where P_n is the
-distinguished factor of [p^n]/[p^{n-1}].  P_n is Eisenstein-like: its
-Newton polygon is pure of slope 1/e with e = q^{n-1}(q-1), so L_n/K is
-totally ramified of degree e and v_L(z) = 1.
+distinguished factor of [p^n]/[p^{n-1}], monic of degree e = q^{n-1}(q-1).
+P_n is Eisenstein: its Newton polygon is pure of slope 1/e, so L_n/K is
+totally ramified of degree e and v_L(z) = 1.  The model checks Eisenstein's
+criterion on P_n; only certify_torsion_degree builds the polygon, for its
+report.
 
 The model works on the grading of the group.  With [p] = X u(X^d), [p^n]
 is X times a series in X^d, and the preparation commutes with
@@ -43,6 +45,7 @@ from .padic import (
     ring_scale,
     teichmuller_digits,
     teichmuller_lift,
+    valuations,
 )
 from .precision import (count_window, crosscheck_precision, crosscheck_window, eval_window,
                         level_degree, model_window, newton_steps)
@@ -95,32 +98,21 @@ class NewtonPolygon:
 
 
 def newton_polygon(poly: TruncSeries1, degree: int) -> NewtonPolygon:
-    """Polygon of a monic polynomial held in a series window > degree.
+    """Polygon of a monic polynomial held in an integral series window >
+    degree.
 
-    Raises when a coefficient that could influence the hull is
-    indistinguishable from zero at the working precision.
+    Raises when an endpoint coefficient is indistinguishable from zero at
+    the working precision.  An interior one is left out: it sits at v >= N,
+    above every chord of the other points, whose values are all < N.
     """
     if poly.D <= degree:
         raise ValueError("window does not contain the polynomial")
-    desc = poly.desc
-    pts = []
-    missing = []
-    for i in range(degree + 1):
-        c = poly.coefficient(i)
-        v = c.valuation()
-        if v == INF:
-            missing.append(i)
-        else:
-            pts.append((i, int(v)))
+    N = poly.desc.N
+    vals = valuations(poly.data[:degree + 1], poly.desc.p, N).min(axis=-1)
+    pts = [(i, int(v)) for i, v in enumerate(vals) if v < N]
     if not pts or pts[0][0] != 0 or pts[-1][0] != degree:
         raise ValueError("polygon endpoint indistinguishable from zero at this precision")
-    ng = NewtonPolygon(degree, pts)
-    # an omitted interior point sits at v >= N; it only matters if the hull
-    # of the finite points passes above N there, which cannot happen when the
-    # finite values are all < N (the hull lies under their chords)
-    if missing and max(v for _, v in pts) >= desc.N:
-        raise ValueError("polygon coefficient indistinguishable from zero at this precision")
-    return ng
+    return NewtonPolygon(degree, pts)
 
 
 # ------------------------------------------------------------ the model ring
@@ -149,13 +141,15 @@ class TorsionFieldModel:
         self.N = N
         self.desc = group.desc.at_precision(N)
         e = level_degree(q, level)
-        raw, self.polygon = _factor_polygon(group, level, N)
+        raw = group.division_factor(level, N).data
         if raw.shape[0] != e + 1:
             raise ValueError("distinguished factor does not have degree e")
         if int(raw[e, 0]) != 1 or any(int(v) for v in raw[e, 1:]):
             raise ValueError("distinguished factor is not monic")
-        seg = self.polygon.segments
-        if not (len(seg) == 1 and seg[0]["root_valuation"] == Fraction(1, e)):
+        # for a monic factor of degree e, pure of slope 1/e is Eisenstein's
+        # criterion: v(c_0) = 1 and p | c_i for i < e
+        v = valuations(raw[:e], self.desc.p, 2).min(axis=-1)
+        if v[0] != 1 or v.min() < 1:
             raise ValueError("distinguished factor is not pure of slope 1/e")
         d = group.grading
         if any(any(raw[k]) for k in range(e) if k % d):
@@ -248,10 +242,8 @@ class TorsionFieldModel:
         """v_L(z^c G(w)) = c + d v_w(G) of every element G of a stack, INF
         for 0, as an object array shaped like the leading axes.  v_w(G) =
         min_m (k v_p(G_m) + m) is exact, as w is a uniformiser of K(w)."""
-        p, N, k = self.desc.p, self.N, self.k
-        A = np.asarray(A) % self.desc.pN
-        # v_p of each coefficient, N for a zero one (A < p^N after reduction)
-        vp = sum((A % p**j == 0).astype(np.int64) for j in range(1, N + 1))
+        N, k = self.N, self.k
+        vp = valuations(A, self.desc.p, N)  # N for a coefficient = 0 mod p^N
         v = np.asarray((k * vp.min(axis=-1) + np.arange(k)).min(axis=-1))
         out = np.asarray(c + self.d * v).astype(object)
         out[v == N * k] = INF
@@ -319,7 +311,7 @@ class TorsionFieldModel:
             self._require_window(t.D)
         m = self.desc.pN
         W = self._w_powers(self.N * self.k)
-        data = _graded(np.stack([t.data[:self.window] for t in series]), self.d, self.r)
+        data = np.stack([_graded(t.data[:self.window], self.d, self.r) for t in series])
         out = ring_mul((data % m).astype(W.dtype), W, self.desc, m, np.matmul).astype(self.dtype)
         return out[0] if isinstance(s, TruncSeries1) else out
 
@@ -422,18 +414,12 @@ def _conv(x, y):
 
 # ------------------------------------------------------------ measurements
 
-def _factor_polygon(group, n: int, N: int):
-    """P_n at precision N as an (e + 1, f) object array, and its Newton polygon."""
-    P = group.division_factor(n, N)
-    raw = P.data.astype(object)
-    return raw, newton_polygon(TruncSeries1(P.desc, P.D, "integral", raw), P.D - 1)
-
-
 def certify_torsion_degree(group, n: int, N: int = 4) -> dict:
     """Pure slope 1/e with denominator equal to the degree certifies that the
     level-n relative factor is irreducible and L_n/K totally ramified."""
-    raw, ng = _factor_polygon(group, n, N)
-    e = len(raw) - 1
+    P = group.division_factor(n, N)
+    e = P.D - 1
+    ng = newton_polygon(P, e)
     pure = ng.is_pure() and ng.segments[0]["root_valuation"] == Fraction(1, e)
     return {
         "level": n,

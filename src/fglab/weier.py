@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .padic import teichmuller_lift
-from .precision import count_window, level_degree, model_window
+from .precision import division_window, level_degree
 from .series import TruncSeries1, _mul_data, _powers
 
 
@@ -253,7 +253,7 @@ def division_polynomial(group, n: int, N: int | None = None) -> DivisionPolyData
         raise ValueError("group has no finite height; no division polynomial")
     N = N if N is not None else group.desc.N
     e = level_degree(q, n)
-    D = max(count_window(q, n), model_window(q, n, N))
+    D = division_window(q, n, N)
     pi = group.pi_series(D, N)
     psi = TruncSeries1.zero(pi.desc, D)
     psi.data[: D - 1] = pi.data[1:]

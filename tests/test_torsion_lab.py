@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from fractions import Fraction
 from fglab.corpus import CORPUS_SPECS, corpus, make_group
 from fglab.padic import INF, RingDescriptor, ring_mul
 from fglab.groups import (FormalGroupLaw, ObstructionError, honda_group, lubin_tate_group,
-                          multiplicative_group)
+                          multiplicative_group, series_of)
 from fglab.series import TruncSeries1, TruncSeries2, _mul_data
 from fglab import torsion
 from fglab.torsion import (
@@ -752,6 +753,21 @@ class TestGradedPoints:
         with pytest.raises(ValueError, match="not a polynomial in X\\^8"):
             TorsionFieldModel(g, 1, 4)
 
+    @pytest.mark.parametrize("row,value", [(0, 9), (1, 1)])
+    def test_factor_failing_eisenstein_raises(self, monkeypatch, row, value):
+        # P_1 = X^2 + 3X + 3 of the multiplicative group, with v(c_0) = 2 or
+        # a unit c_1: still monic of degree e, not pure of slope 1/2
+        g = gm()
+        P = g.division_factor(1, 4)
+        assert P.data[:, 0].tolist() == [3, 3, 1]
+        bad = TruncSeries1(P.desc, P.D, "integral", P.data.copy())
+        bad.data[row, 0] = value
+        monkeypatch.setattr(g, "division_factor", lambda n, N: bad)
+        with pytest.raises(ValueError, match="not pure of slope 1/e"):
+            TorsionFieldModel(g, 1, 4)
+        bad.data[row, 0] = 6  # v = 1 at either row is Eisenstein again
+        TorsionFieldModel(g, 1, 4)
+
     def test_eval_at_z_off_the_grading_raises(self):
         model = TorsionFieldModel(graded_group("lt-h2-p3"), 1, 4)
         s = TruncSeries1.from_coeffs(model.desc, [0, 1, 1], model.window)
@@ -910,3 +926,23 @@ def test_division_factor_shared_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(got) == 24 and all(P == want[N] for N, P in got)
+
+
+def test_eval_at_z_stacks_the_graded_rows_only():
+    # lt p = 5, f = 2, d = 2 at level 2: 624 [a]-series on the window
+    # N e = 2400, graded by 24; the points need their 100 graded rows, so
+    # eval_at_z must not stack the 2400-row windows (23 MB here)
+    g = make_group(p=5, f=2, N=4, source="lubin-tate", d=2, nmax=2)
+    model = TorsionFieldModel(g, 2, 4)
+    scalars = [a for a in digit_sums(g, 2) if not a.is_zero()]
+    series = series_of(g.multiplications(scalars, model.window, model.N))
+    assert model.d == 24 and len(series) == 624
+    full = sum(s.data[:model.window].nbytes for s in series)
+    tracemalloc.start()
+    try:
+        points = model.eval_at_z(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (624, model.k, 2)
+    assert peak < full / 4
