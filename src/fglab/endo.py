@@ -60,9 +60,7 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     non-integral degree.
 
     Records are cached on the group per (D, multiplier as given) and each
-    call returns a fresh copy, so callers may annotate theirs.  Two threads
-    may both miss and build the same record; the records are equal and the
-    dict store is atomic, so the race costs time only.
+    call returns a fresh copy, so callers may annotate theirs.
     """
     desc = group.desc
     p = desc.p

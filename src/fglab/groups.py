@@ -48,9 +48,10 @@ from .padic import (
     RingDescriptor,
     UnramifiedRingElem,
     contraction_dtype,
+    multiplicative_generator,
     ring_mul,
     scalar_matrix,
-    teichmuller_digits,
+    teichmuller_lift,
     valuations,
 )
 from .precision import (
@@ -162,11 +163,10 @@ def _serve(cache: dict, D: int, N: int, build, narrow=_narrow):
     """cache[(D, N)]: built on a miss, unless some cached (D0 >= D, N0 >= N)
     serves it by narrow(artifact, D, N), truncation and reduction; the
     module structures pass the identity, as a structure serves every window
-    it covers as it is.  list() copies the keys at once, so another --jobs
-    thread may store while the wider ones are sought."""
+    it covers as it is."""
     out = cache.get((D, N))
     if out is None:
-        wider = [k for k in list(cache) if k[0] >= D and k[1] >= N]
+        wider = [k for k in cache if k[0] >= D and k[1] >= N]
         out = narrow(cache[min(wider)], D, N) if wider else build()
         cache[(D, N)] = out
     return out
@@ -550,13 +550,12 @@ class ModuleStructure:
         self._coef = coef[:, :, None].astype(self.dtype)
         self._cache = {}
         self._below = {}  # obstructed vector -> its series, right below the obstruction
-        # mu_g = {eta^k}, eta = zeta^((q-1)/g) for the generator zeta of the
-        # digits 0, 1, zeta, zeta^2, ... of W(F_q); the inverse of eta^k
-        # as a scalar matrix, to find where a vector sits in its orbit
-        q1 = desc.q - 1
-        g = math.gcd(d, q1) if d else 1
-        digits = teichmuller_digits(group.desc, group.desc.f)
-        self._mu = [digits[1 + k * q1 // g].coeffs for k in range(g)]
+        # mu_g = {eta^k}, eta the Teichmuller lift of gen^((q-1)/g) for the
+        # least generator gen of F_q^*; the inverse of eta^k as a scalar
+        # matrix, to find where a vector sits in its orbit
+        g = math.gcd(d, desc.q - 1) if d else 1
+        eta = teichmuller_lift(group.desc, multiplicative_generator(desc) ** ((desc.q - 1) // g))
+        self._mu = [(eta**k).coeffs for k in range(g)]
         self._mu_inv = [scalar_matrix(self._mu[-k], desc, m) for k in range(g)]
         self._orbits = {}  # orbit key -> (k, series, obstruction) of eta^k key
 
@@ -596,10 +595,7 @@ class ModuleStructure:
         Scalars equal at the working precision share one record.  Only the
         first scalar seen of each mu_g-orbit is solved; every other one is
         eta^k times its record, within the batch and across calls.  Chunks
-        keep the E table under _BATCH_BYTES.  Under --jobs > 1 two
-        threads may solve the same scalar, or two scalars of one orbit; the
-        records and orbit entries they store serve equally, and each dict
-        store is atomic, so the race costs time only.
+        keep the E table under _BATCH_BYTES.
         """
         vecs = [self._coerce_scalar(a) for a in scalars]
         orbit = {v: self._orbit(v) for v in vecs if v not in self._cache}

@@ -487,8 +487,7 @@ def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> tuple[Unra
     Requires d | f so that F_{p^d} sits inside the residue field. Digits are
     returned in a deterministic order: zero, then powers of the canonical
     generator of mu_{p^d-1}, so digits[1 + i] = zeta^i.  The elements are
-    immutable, so one tuple per (desc, d) serves every caller; under --jobs
-    threads two calls may build the equal digits of one key.
+    immutable, so one tuple per (desc, d) serves every caller.
     """
     if d is None:
         d = desc.f

@@ -10,7 +10,6 @@ exception) is recorded and the remaining checks proceed.
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,13 +67,9 @@ class Check:
         return record
 
 
-def run_checks(checks, jobs: int = 1):
-    """Run checks on a bounded pool; records come back in submission order."""
-    if jobs <= 1:
-        return [c.run() for c in checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(c.run) for c in checks]
-        return [f.result() for f in futures]
+def run_checks(checks):
+    """Run the checks in order, one record each, in the calling process."""
+    return [c.run() for c in checks]
 
 
 def build_report(config: dict, records, total_s: float) -> dict:

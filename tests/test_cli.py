@@ -61,6 +61,29 @@ class TestExitCodes:
 
     def test_bad_prime_exit_two(self, capsys):
         assert main(["torsion", "--p", "9"]) == 2
+        assert "p must be an odd prime" in capsys.readouterr().err
+
+    def test_huge_prime_fails_the_windows_before_primality(self, capsys, monkeypatch):
+        # trial division of p ~ 10^18 takes minutes; q = p fails every window first
+        def is_prime(n):
+            raise AssertionError("primality was tested")
+
+        monkeypatch.setattr(cli, "is_prime", is_prime)
+        assert main(["verify", "--p", "1000000000000000003"]) == 2
+        err = capsys.readouterr().err
+        assert "law window min(N, 4)*(q-1) + 2 = 4000000000000000010 exceeds the cap 800" in err
+        assert "endo window max(4q, 24) = 4000000000000000012 exceeds the cap 800" in err
+
+    def test_jobs_other_than_one_exit_two(self, capsys):
+        for jobs in ("2", "0"):
+            assert main(["torsion", "--p", "3", "--jobs", jobs]) == 2
+            assert "config error: jobs must be 1" in capsys.readouterr().err
+
+    def test_config_file_with_one_job_runs(self, tmp_path):
+        path, out = tmp_path / "run.cfg", tmp_path / "r.json"
+        path.write_text("p = 3\nN = 4\nnmax = 1\njobs = 1\n")
+        assert main(["torsion", "--config", str(path), "--out", str(out)]) == 0
+        assert read_json(out)["config"]["jobs"] == 1
 
     def test_bad_group_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "series.txt"
@@ -279,23 +302,6 @@ class TestDeterminism:
         second = strip_timings(read_json(out))
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_worker_pool_keeps_order(self, tmp_path):
-        # at level 2 the 4 threads share the run plan's one module structure
-        out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
-        base = ["torsion", "--p", "3", "--group", "lubin-tate", "--nmax", "2", "--N", "4"]
-        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
-        a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))
-        assert a["checks"] == b["checks"]
-
-    def test_worker_pool_shares_certificates(self, tmp_path):
-        out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
-        base = ["endo", "--p", "3", "--N", "6", "--nmax", "1"]
-        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
-        a, b = strip_timings(read_json(out1)), strip_timings(read_json(out4))
-        assert a["checks"] == b["checks"]
-
 
 # the configs of the benchmark workloads torsion-deep and verify-h1
 TORSION_DEEP = {
@@ -415,7 +421,7 @@ class TestReportPlumbing:
             Check("demo.fails", {}, "always fails", boom),
             Check("demo.passes", {}, "always passes", lambda: (True, {"v": 1})),
         ]
-        records = run_checks(checks, jobs=1)
+        records = run_checks(checks)
         assert [r["pass"] for r in records] == [False, True]
         assert "RuntimeError: witness" in records[0]["error"]
         report = build_report({}, records, 0.0)

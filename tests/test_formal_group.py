@@ -557,61 +557,24 @@ def test_certificate_guard_survives_optimize_flag():
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
-# ------------------------------------------- one cache route, and its races
+# --------------------------------------------------------- one cache route
 
-class _StoresWhenCompared(int):
-    """A cached window that stores one more cache entry whenever it is
-    compared: what another --jobs thread may do between two steps of a
-    scan of the cache."""
-
-    def __new__(cls, value, cache):
-        out = super().__new__(cls, value)
-        out.cache = cache
-        return out
-
-    def __ge__(self, other):
-        self.cache[(1, len(self.cache))] = None
-        return int(self) >= other
-
-
-@pytest.mark.parametrize("method,cache", [("pi_series", "_pi_cache"), ("group_law2", "_f2_cache")])
-def test_cache_scan_survives_a_concurrent_store(method, cache):
+@pytest.mark.parametrize("method", ["pi_series", "group_law2"])
+def test_narrower_keys_do_not_serve_a_wider_window(method):
     g, fresh = lt_h1(3), lt_h1(3)
-    narrow = getattr(g, method)(6, 5)
-    store = getattr(g, cache)
-    store.clear()
-    store[(_StoresWhenCompared(6, store), 5)] = narrow
-    # no cached window serves (12, 5); the scan for one must not fail
+    getattr(g, method)(6, 5)
+    # no cached window serves (12, 5): it is built as on a new group
     assert getattr(g, method)(12, 5) == getattr(fresh, method)(12, 5)
 
 
-def test_pi_series_shared_across_threads():
-    # 4 threads ask for windows that none of 396 cached narrow keys serves
-    import threading
+def test_pi_series_after_many_narrow_keys():
+    # windows that none of 396 cached narrow keys serves, asked in four
+    # interleaved runs, so the later runs are served by narrowing
     g = lt_h1(3)
     for D in range(4, 37):
         for N in range(1, 13):
             g.pi_series(D, N)
-    got, errors = [], []
-
-    def work(first):
-        try:
-            got.extend((D, g.pi_series(D, 12)) for D in range(first, 240, 4))
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(first,)) for first in range(40, 44)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    got = [(D, g.pi_series(D, 12)) for first in range(40, 44) for D in range(first, 240, 4)]
     fresh = lt_h1(3)
     assert len(got) == 200 and all(s == fresh.pi_series(D, 12) for D, s in got)
 

@@ -6,15 +6,13 @@ import gc
 import itertools
 import math
 import random
-import sys
-import threading
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fglab import groups, precision
+from fglab import groups, padic, precision
 from fglab.corpus import CORPUS_SPECS, corpus
 from fglab.groups import (
     ModuleStructure,
@@ -456,6 +454,39 @@ def mu_generator(desc):
     return teichmuller_lift(desc, multiplicative_generator(desc))
 
 
+def lt_height(h, f, N=12):
+    # pX + X^(p^h) over W(F_{3^f}): d = 3^h - 1 and g = 3^gcd(h, f) - 1
+    coeffs = [0] * (3**h + 1)
+    coeffs[1], coeffs[-1] = 3, 1
+    return lubin_tate_group(RingDescriptor(3, f, N), coeffs)
+
+
+@pytest.mark.parametrize("h,f", [(1, 1), (1, 2), (1, 5), (2, 2), (2, 3), (2, 4),
+                                 (2, 6), (3, 3), (3, 6)])
+def test_mu_equals_the_digit_table(h, f):
+    # eta = [gen^((q-1)/g)] and its powers are the digits zeta^(k(q-1)/g)
+    g = lt_height(h, f)
+    module = ModuleStructure(g, 3**h + 2, 4)
+    q1 = g.desc.q - 1
+    n = math.gcd(module.step, q1)
+    digits = teichmuller_digits(g.desc, f)
+    assert n == 3**math.gcd(h, f) - 1
+    assert module._mu == [digits[1 + k * q1 // n].coeffs for k in range(n)]
+
+
+def test_mu_skips_the_digit_table(monkeypatch):
+    # at f = 12 the digit table holds 3^12 elements; mu_2 = {1, -1} needs none
+    def digit_table(desc, d=None):
+        raise AssertionError(f"the digit table of W(F_{desc.p}^{d}) was built")
+
+    for mod in (groups, padic):
+        monkeypatch.setattr(mod, "teichmuller_digits", digit_table, raising=False)
+    g = lt_height(1, 12, N=8)
+    module = ModuleStructure(g, 5, 4)
+    one = g.desc.one()
+    assert module._mu == [one.coeffs, (-one).coeffs]
+
+
 def test_assumption_check_solves_one_scalar_per_orbit(monkeypatch):
     # d = 8 = q - 1: mu_8 acts, and the 80 nonzero digit sums make 10 orbits
     g = dict(corpus(N=4, nmax=2))["lt-h2-p3"]
@@ -502,35 +533,16 @@ def test_orbit_served_across_calls(monkeypatch):
     assert recs == oracle_dense_records(g, module, turned)
 
 
-def test_orbits_shared_across_threads():
-    # 4 threads ask for the zeta-multiples of the same scalars, each from a
-    # different first member: every record must equal the oracle's
+def test_orbits_served_in_any_request_order():
+    # the zeta-multiples of the same scalars, asked from a different first
+    # member each time: every record must equal the oracle's
     module = lt_h2().module(40, 6)
     desc, zeta = module.desc_w, mu_generator(module.desc_w)
     base = [desc.from_coeffs(module._coerce_scalar(a)) for a in scalars_for(module, 4, seed=7)]
     asked = [[zeta**((3 * t + j) % 8) * b for j in range(8) for b in base] for t in range(4)]
     want = dict(zip(asked[0], oracle_dense_records(lt_h2(), lt_h2().module(40, 6), asked[0])))
-    got, errors = [], []
-
-    def work(scalars):
-        try:
-            got.extend(zip(scalars, module.solve_batch(scalars)))
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(scalars,)) for scalars in asked]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(got) == 128 and all(rec == want[a] for a, rec in got)
+    for scalars in asked:
+        assert module.solve_batch(scalars) == [want[a] for a in scalars]
 
 
 # ------------------------------------------------------------- narrowing
@@ -630,38 +642,16 @@ def test_narrowed_structure_solves_new_scalars_in_its_source(monkeypatch):
             solve()
 
 
-def test_narrowed_structures_shared_across_threads():
-    # 4 threads narrow the records of one wide structure, at different
-    # windows and in different orders, while it solves: every record must
-    # equal a fresh solve's
+def test_narrowed_records_in_any_request_order():
+    # the records of one wide structure narrowed at four windows, scalars
+    # and windows in four rotations: every record must equal a fresh solve's
     g = lt_h2()
-    g.module(80, 6)
     scalars = scalars_for(g.module(80, 6), 12, seed=11)
     windows = [(40, 5), (20, 4), (60, 6), (30, 4)]
     want = {w: fresh_records(lt_h2, *w, scalars) for w in windows}
-    got, errors = [], []
-
-    def work(t):
-        try:
-            for w in windows[t:] + windows[:t]:
-                got.append((w, t, g.multiplications(scalars[t:] + scalars[:t], *w)))
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(got) == 16
-    assert all(recs == want[w][t:] + want[w][:t] for w, t, recs in got)
+    for t in range(4):
+        for w in windows[t:] + windows[:t]:
+            assert g.multiplications(scalars[t:] + scalars[:t], *w) == want[w][t:] + want[w][:t]
 
 
 def test_narrowed_structure_keeps_no_cycle():

@@ -144,6 +144,26 @@ def test_no_valuation_loop_outside_the_kernel():
     assert found == []
 
 
+def test_no_module_imports_a_concurrency_library():
+    # the checks run one at a time in one process, so no cache is written
+    # for another thread or process
+    banned = ("threading", "concurrent", "multiprocessing")
+
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    src = Path(fglab.__file__).parent
+    found = [f"{path.name}:{node.lineno}: {name}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in imported(node) if name.split(".")[0] in banned]
+    assert found == []
+
+
 # ---------------------------------------------------------------- run plan
 
 def corpus_config(name, N, nmax, dcap=None):
