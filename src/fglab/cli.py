@@ -163,13 +163,14 @@ class RunConfig:
             return [f"the group could not be constructed: {exc}"]
         if h == math.inf and command != "construct":
             return ["group has no finite height; the suites need finite torsion"]
-        # the windows depend on p only through q = p^h, so a huge p fails
-        # them before the trial division of is_prime
         problems = [f"{what} {D} exceeds the cap {v['dcap']}; {fix}"
                     for what, D, fix in RunPlan(self, command, h).windows() if D > v["dcap"]]
-        if not problems and not is_prime(v["p"]):
-            problems.append("p must be an odd prime")
-        return problems
+        if problems:
+            return problems
+        try:
+            return [] if is_prime(v["p"]) else ["p must be an odd prime"]
+        except ValueError as exc:
+            return [str(exc)]
 
 
 def build_group(cfg: RunConfig):

@@ -22,11 +22,10 @@ q - 1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .padic import INF, UnramifiedRingElem, teichmuller_digits
+from .padic import INF, UnramifiedRingElem, components, residues, root_of_unity
 from .precision import endo_window, multiplier_precision
 from .series import TruncSeries1, substitute2_into2
 
@@ -36,20 +35,6 @@ def c_map(g: TruncSeries1) -> UnramifiedRingElem:
     if any(v != 0 for v in g.data[0]):
         raise ValueError("series has a constant term")
     return g.coefficient(1)
-
-
-def _coerce_multiplier(desc, a):
-    """Returns (scalar for exact series arithmetic, ring element echo).
-
-    Plain integers stay exact rationals: reducing them mod p^N first would
-    poison every digit past N - v_p(k!) once the exponential's denominators
-    touch them.  Ring elements are taken at face value: their integer
-    coefficient vectors are exact elements of O_K."""
-    if isinstance(a, UnramifiedRingElem):
-        if not a.desc.same_field(desc):
-            raise ValueError("multiplier from a different ring")
-        return a, a
-    return Fraction(int(a)), desc.from_int(int(a))
 
 
 def try_endomorphism(group, a, D: int | None = None) -> dict:
@@ -66,18 +51,22 @@ def try_endomorphism(group, a, D: int | None = None) -> dict:
     p = desc.p
     if D is None:
         D = endo_window(group.q)
-    scalar, a_elem = _coerce_multiplier(desc, a)
-    # every logarithm is exact, so an integer multiplier keeps the pipeline exact
-    exact = isinstance(scalar, Fraction)
+    vec = components(a, desc)
+    a_elem = UnramifiedRingElem(desc, residues(vec, desc))
+    # every logarithm is exact, so a rational multiplier keeps the pipeline
+    # exact: reducing it mod p^N first would poison every digit past
+    # N - v_p(k!) once the exponential's denominators touch it.  A ring
+    # element is a mod-p^N lift, taken at face value.
+    exact = not isinstance(a, UnramifiedRingElem)
     N_eff = multiplier_precision(exact, group.kind, desc.N, D, p, group.q_eff)
     # keyed by the multiplier as given: 3 and 3 + p^N are different exact
     # rationals, and 3 and from_int(3) lose different precision
-    key = (D, int(a)) if exact else (D, "elem", a.desc.N, a.coeffs)
+    key = (D, vec) if exact else (D, "elem", a.desc.N, a.coeffs)
     cached = group._endo_cache.get(key)
     if cached is not None:
         return dict(cached)
     log = group.logarithm(D)
-    g = group.exponential(D).compose(log.scalar_mul(scalar))
+    g = group.exponential(D).compose(log.scalar_mul(a))
     # the first degree whose numerators carry fewer factors p than g.den
     bad = np.flatnonzero(g.row_valuations()[1:] < 0)
     first_bad = int(bad[0]) + 1 if bad.size else None
@@ -127,10 +116,7 @@ def compute_endo_subfield(group, D: int | None = None) -> dict:
     candidates = []
     f_F = 1
     for d in _divisors_desc(math.gcd(desc.f, h)):
-        digits = teichmuller_digits(desc, d)
-        # digits run 0, 1, zeta, zeta^2, ...; index 2 is the generator
-        gen = digits[2] if len(digits) > 2 else digits[1]
-        rec = try_endomorphism(group, gen, D)
+        rec = try_endomorphism(group, root_of_unity(desc, desc.p**d - 1), D)
         rec["candidate"] = f"mu_{desc.p**d - 1}_generator"
         rec["subfield_degree"] = d
         candidates.append(rec)
@@ -157,11 +143,8 @@ def tau_infinity_check(group, D: int | None = None, report: dict | None = None) 
         report = compute_endo_subfield(group, D)
     if not report["full_height"]:
         raise ValueError("full-height multiplier ring required")
-    desc = group.desc
-    h = group.height
     q = group.q
-    digits = teichmuller_digits(desc, h)
-    zeta = digits[2] if len(digits) > 2 else digits[1]
+    zeta = root_of_unity(group.desc, q - 1)
     rec = try_endomorphism(group, zeta, D)
     if not rec["success"]:
         raise ValueError("generator multiplier failed despite full height")
@@ -191,8 +174,7 @@ def multiplier_closure_sample(group, pairs, D: int | None = None) -> dict:
             all_ok = False
             results.append({"pair": "input-failed", "ok": False})
             continue
-        a_e = _coerce_multiplier(group.desc, a)[1]
-        b_e = _coerce_multiplier(group.desc, b)[1]
+        a_e, b_e = (group.desc.from_coeffs(r["multiplier"]) for r in (ra, rb))
         rs = try_endomorphism(group, a_e + b_e, D)
         rp = try_endomorphism(group, a_e * b_e, D)
         ok = rs["success"] and rp["success"]

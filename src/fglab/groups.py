@@ -47,11 +47,12 @@ from .padic import (
     INF,
     RingDescriptor,
     UnramifiedRingElem,
+    components,
     contraction_dtype,
-    multiplicative_generator,
+    residues,
     ring_mul,
+    root_of_unity,
     scalar_matrix,
-    teichmuller_lift,
     valuations,
 )
 from .precision import (
@@ -550,11 +551,10 @@ class ModuleStructure:
         self._coef = coef[:, :, None].astype(self.dtype)
         self._cache = {}
         self._below = {}  # obstructed vector -> its series, right below the obstruction
-        # mu_g = {eta^k}, eta the Teichmuller lift of gen^((q-1)/g) for the
-        # least generator gen of F_q^*; the inverse of eta^k as a scalar
-        # matrix, to find where a vector sits in its orbit
+        # mu_g = {eta^k}, eta its canonical generator; the inverse of eta^k
+        # as a scalar matrix, to find where a vector sits in its orbit
         g = math.gcd(d, desc.q - 1) if d else 1
-        eta = teichmuller_lift(group.desc, multiplicative_generator(desc) ** ((desc.q - 1) // g))
+        eta = root_of_unity(group.desc, g)
         self._mu = [(eta**k).coeffs for k in range(g)]
         self._mu_inv = [scalar_matrix(self._mu[-k], desc, m) for k in range(g)]
         self._orbits = {}  # orbit key -> (k, series, obstruction) of eta^k key
@@ -563,17 +563,10 @@ class ModuleStructure:
         """The vector mod p^N of a scalar read at the working precision, or
         at that of desc: the key its record is filed under."""
         desc = desc or self.desc_w
-        if isinstance(a, UnramifiedRingElem):
-            if not a.desc.same_field(desc):
-                raise ValueError("scalar from a different ring")
-            if a.desc.N < desc.N:
-                raise ValueError("scalar needs at least the working precision")
-            return tuple(int(v) % desc.pN for v in a.coeffs)
-        if isinstance(a, int):
-            return (a % desc.pN,) + (0,) * (desc.f - 1)
-        if isinstance(a, (tuple, list)):
-            return tuple(int(v) % desc.pN for v in a)
-        raise TypeError("unsupported scalar")
+        vec = components(a, desc)
+        if isinstance(a, UnramifiedRingElem) and a.desc.N < desc.N:
+            raise ValueError("scalar needs at least the working precision")
+        return tuple(residues(vec, desc))
 
     def try_multiplication(self, a):
         """Returns (series, None) or (None, obstruction_degree)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -35,16 +36,24 @@ INF = math.inf
 _INT64_BUDGET = 2**62
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the bases _MR_BASES, exact below _MR_BOUND (Sorenson
+    and Webster, Math. Comp. 86, 2017); at or above it raises ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError("p is too large to certify as prime")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = int(valuations(n - 1, 2, n.bit_length()))
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        # a strong probable prime to base b: x = 1, or x^(2^r) = -1 for some r < s
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -212,6 +221,38 @@ class RingDescriptor:
 
     def from_coeffs(self, coeffs) -> "UnramifiedRingElem":
         return UnramifiedRingElem(self, tuple(int(c) % self.pN for c in coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the scalar reader
+
+def components(c, desc: RingDescriptor) -> tuple:
+    """The exact f components of a ring scalar, unreduced: those of an
+    element of desc's field, an integer or rational in component 0, or a
+    sequence of exactly f integers or rationals.  An element of another
+    field or a sequence of another length raises ValueError, anything else
+    TypeError."""
+    if isinstance(c, UnramifiedRingElem):
+        if not c.desc.same_field(desc):
+            raise ValueError("scalar from a different ring")
+        return c.coeffs
+    if isinstance(c, numbers.Rational):
+        return (c,) + (0,) * (desc.f - 1)
+    if isinstance(c, (list, tuple, np.ndarray)):
+        vec = tuple(c)
+        if not all(isinstance(v, numbers.Rational) for v in vec):
+            raise TypeError("unsupported scalar")
+        if len(vec) != desc.f:
+            raise ValueError(f"a scalar of this ring has {desc.f} components, not {len(vec)}")
+        return vec
+    raise TypeError("unsupported scalar")
+
+
+def residues(vec, desc: RingDescriptor):
+    """The rationals of vec mod p^N; p in a denominator raises ValueError."""
+    if any(int(v.denominator) % desc.p == 0 for v in vec):
+        raise ValueError("not p-integral")
+    return [int(v.numerator) * pow(int(v.denominator), -1, desc.pN) % desc.pN for v in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +424,6 @@ class UnramifiedRingElem:
     def is_unit(self) -> bool:
         return any(c % self.desc.p for c in self.coeffs)
 
-    def valuation(self):
-        """Largest v <= N with p^v | a, or INF when a = 0 mod p^N."""
-        if self.is_zero():
-            return INF
-        return int(valuations(np.array(self.coeffs, dtype=object), self.desc.p, self.desc.N).min())
-
     def __add__(self, other):
         self._check(other)
         return UnramifiedRingElem(self.desc, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -463,21 +498,25 @@ class UnramifiedRingElem:
 def teichmuller_lift(desc: RingDescriptor, r) -> UnramifiedRingElem:
     """Teichmuller representative: the unique lift fixed by x -> x^{p^f}.
 
-    Accepts a residue (an element at N = 1; any element is read mod p), an
-    int, or any coefficient vector; iterates the q-power map to its fixed
-    point mod p^N.
+    Accepts any scalar that components reads (a residue, an element read
+    mod p, an integer, a p-integral rational or a vector); iterates the
+    q-power map to its fixed point mod p^N.
     """
-    if isinstance(r, UnramifiedRingElem):
-        r = r.coeffs
-    elif isinstance(r, int):
-        r = (r,) + (0,) * (desc.f - 1)
-    x = UnramifiedRingElem(desc, [int(c) % desc.p for c in r])
+    x = UnramifiedRingElem(desc, residues(components(r, desc), desc.at_precision(1)))
     for _ in range(desc.N + 4):
         nxt = x**desc.q
         if nxt == x:
             return x
         x = nxt
     raise AssertionError("Teichmuller iteration did not stabilize")
+
+
+def root_of_unity(desc: RingDescriptor, m: int) -> UnramifiedRingElem:
+    """The canonical generator of mu_m, m | p^f - 1: the Teichmuller lift of
+    g^((q - 1) / m) for the generator g of multiplicative_generator."""
+    if (desc.q - 1) % m:
+        raise ValueError("m must divide p^f - 1")
+    return teichmuller_lift(desc, multiplicative_generator(desc) ** ((desc.q - 1) // m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -494,8 +533,7 @@ def teichmuller_digits(desc: RingDescriptor, d: int | None = None) -> tuple[Unra
     if desc.f % d != 0:
         raise ValueError("d must divide f")
     m = desc.p**d - 1
-    g = multiplicative_generator(desc)
-    zeta = teichmuller_lift(desc, g ** ((desc.q - 1) // m))
+    zeta = root_of_unity(desc, m)
     out = [desc.zero()]
     cur = desc.one()
     for _ in range(m):

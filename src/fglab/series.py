@@ -19,8 +19,9 @@ supported:
   edges: as input to from_coeffs, from_triples and scalar_mul, and as the
   output of coeff_vec, coeff_triples and repr.
 
-An integral series keeps den = 1, and takes a p-integral rational at those
-edges to its residue mod p^N.  A two-variable series is stored by total
+Every scalar at those edges is read by padic.components.  An integral
+series keeps den = 1, and takes a p-integral rational there to its residue
+mod p^N by padic.residues.  A two-variable series is stored by total
 degree: data[t, i] holds X^i Y^(t - i), so row t is the homogeneous part of
 degree t, and entries with i > t stay zero; grid() and from_grid convert
 to and from the matrix indexed [i, j].  A product convolves the nonzero
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +48,9 @@ import numpy as np
 from .padic import (
     RingDescriptor,
     UnramifiedRingElem,
+    components,
     contraction_dtype,
+    residues,
     ring_mul,
     ring_scale,
     scalar_matrix,
@@ -67,24 +69,6 @@ def _zeros(desc, D, domain):
 def _mul_data(A, B, desc: RingDescriptor, D: int, modulo):
     """Product of series data, truncated at degree D."""
     return ring_mul(A, B, desc, modulo, lambda x, y: np.convolve(x, y)[:D])
-
-
-def _vector(c, f: int):
-    """The coefficient vector of a ring element, a vector or a rational."""
-    if isinstance(c, UnramifiedRingElem):
-        return c.coeffs
-    if isinstance(c, (list, tuple)):
-        return c
-    if isinstance(c, numbers.Rational):
-        return (c,) + (0,) * (f - 1)
-    raise TypeError("unsupported scalar")
-
-
-def _residues(vec, desc: RingDescriptor):
-    """The rationals of vec mod p^N; p in a denominator raises ValueError."""
-    if any(int(v.denominator) % desc.p == 0 for v in vec):
-        raise ValueError("not p-integral")
-    return [int(v.numerator) * pow(int(v.denominator), -1, desc.pN) % desc.pN for v in vec]
 
 
 def _num_den(values):
@@ -131,7 +115,7 @@ class _Series:
         s = cls.zero(desc, D, domain)
         if domain == "integral":
             for idx, vec in entries:
-                s.data[idx] = _residues(vec, desc)
+                s.data[idx] = residues(vec, desc)
             return s
         f = desc.f
         nums, den = _num_den([v for _, vec in entries for v in vec] or [0])
@@ -180,10 +164,10 @@ class _Series:
         return self if n == 1 else self._new(self.data, self.den * n)
 
     def scalar_mul(self, c):
-        """Multiply by a ring scalar (elem, int, Fraction, or vector)."""
-        vec = _vector(c, self.desc.f)
+        """Multiply by a ring scalar, any that padic.components reads."""
+        vec = components(c, self.desc)
         if self.domain == "integral":
-            return self._new(ring_scale(self.data, _residues(vec, self.desc), self.desc, self.desc.pN))
+            return self._new(ring_scale(self.data, residues(vec, self.desc), self.desc, self.desc.pN))
         nums, den = _num_den(vec)
         return self._new(ring_scale(self.data, nums, self.desc, None), self.den * den)
 
@@ -220,17 +204,17 @@ class TruncSeries1(_Series):
 
     @classmethod
     def from_coeffs(cls, desc, coeffs, D=None, domain="integral"):
-        """coeffs: list whose entries are ints, Fractions, coefficient vectors
-        or UnramifiedRingElem, ascending degree."""
+        """coeffs: ring scalars, any that padic.components reads, ascending
+        degree."""
         if D is None:
             D = len(coeffs)
         return cls._from_entries(desc, D, domain,
-                                 [(k, _vector(c, desc.f)) for k, c in enumerate(coeffs[:D])])
+                                 [(k, components(c, desc)) for k, c in enumerate(coeffs[:D])])
 
     def _monomial(self, k: int, vec, den: int = 1):
         """(vec / den) X^k on this series' ring, domain and window."""
         data = _zeros(self.desc, self.D, self.domain)
-        data[k] = _vector(vec, self.desc.f)
+        data[k] = components(vec, self.desc)
         return self._new(data, den)
 
     # ------------------------------------------------------------ accessors
@@ -460,7 +444,7 @@ class TruncSeries2(_Series):
     def from_triples(cls, desc, triples, D, domain="integral"):
         """triples: iterable of (i, j, value or vector)."""
         return cls._from_entries(desc, D, domain,
-                                 [((i + j, i), _vector(v, desc.f)) for i, j, v in triples if i + j < D])
+                                 [((i + j, i), components(v, desc)) for i, j, v in triples if i + j < D])
 
     @classmethod
     def from_grid(cls, desc, D, domain, grid, den=1):

@@ -39,8 +39,10 @@ from .groups import series_of
 from .padic import (
     INF,
     UnramifiedRingElem,
+    components,
     contraction_dtype,
     residue_power_test,
+    residues,
     ring_mul,
     ring_scale,
     teichmuller_digits,
@@ -181,12 +183,9 @@ class TorsionFieldModel:
         return self._w_powers(2)[1].astype(self.dtype)
 
     def from_ok(self, c):
-        """Embed an O_K scalar (int or ring element) as a constant."""
+        """Embed an O_K scalar, any that padic.components reads, as a constant."""
         x = self.zero()
-        if isinstance(c, UnramifiedRingElem):
-            x[0] = np.array([v % self.desc.pN for v in c.coeffs], dtype=self.dtype)
-        else:
-            x[0, 0] = int(c) % self.desc.pN
+        x[0] = residues(components(c, self.desc), self.desc)
         return x
 
     def add(self, a, b):
@@ -208,14 +207,8 @@ class TorsionFieldModel:
         return low
 
     def scal(self, a, c):
-        """Multiply by an O_K scalar (vector of length f or ring element)."""
-        if isinstance(c, UnramifiedRingElem):
-            vec = np.array([v % self.desc.pN for v in c.coeffs], dtype=self.dtype)
-        elif isinstance(c, int):
-            return (a * (c % self.desc.pN)) % self.desc.pN
-        else:
-            vec = np.asarray(c, dtype=self.dtype)
-        return ring_scale(a, vec, self.desc, self.desc.pN)
+        """Multiply by an O_K scalar, any that padic.components reads."""
+        return ring_scale(a, residues(components(c, self.desc), self.desc), self.desc, self.desc.pN)
 
     def pow_int(self, a, k: int):
         out = None

@@ -1,6 +1,7 @@
 """CLI driver: config handling, exit codes, report format, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -64,7 +65,7 @@ class TestExitCodes:
         assert "p must be an odd prime" in capsys.readouterr().err
 
     def test_huge_prime_fails_the_windows_before_primality(self, capsys, monkeypatch):
-        # trial division of p ~ 10^18 takes minutes; q = p fails every window first
+        # q = p fails every window, and validate reports those before primality
         def is_prime(n):
             raise AssertionError("primality was tested")
 
@@ -73,6 +74,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "law window min(N, 4)*(q-1) + 2 = 4000000000000000010 exceeds the cap 800" in err
         assert "endo window max(4q, 24) = 4000000000000000012 exceeds the cap 800" in err
+
+    def test_huge_prime_constructs_in_seconds(self, capsys):
+        # Miller-Rabin certifies p ~ 10^18, where trial division took minutes
+        t0 = time.perf_counter()
+        assert main(["construct", "--group", "honda", "--u", "0", "--p", "1000000000000000003"]) == 0
+        assert time.perf_counter() - t0 < 10
+        assert '"p": 1000000000000000003' in capsys.readouterr().out
+
+    def test_prime_past_the_certified_bound_exit_two(self, capsys):
+        assert main(["construct", "--group", "honda", "--u", "0",
+                     "--p", "318665857834031151167483"]) == 2
+        assert "p is too large to certify as prime" in capsys.readouterr().err
 
     def test_jobs_other_than_one_exit_two(self, capsys):
         for jobs in ("2", "0"):

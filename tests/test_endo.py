@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,21 @@ class TestTryEndomorphism:
     def test_precision_guard(self):
         with pytest.raises(ValueError, match="higher precision"):
             try_endomorphism(gm(N=4), 2)
+
+    def test_rational_multiplier_is_exact_not_truncated(self):
+        g = multiplicative_group(RingDescriptor(3, 1, 12))
+        # 0 first: 1/2 must not be served its certificate
+        assert try_endomorphism(g, 0)["multiplier"] == (0,)
+        rec = try_endomorphism(g, Fraction(1, 2))
+        assert rec["multiplier"] == (pow(2, -1, 3**12),)
+        assert rec["success"] and rec["commutes"] and rec["linear_coefficient_matches"]
+        assert c_map(rec["series"]).coeffs == (pow(2, -1, 3 ** rec["precision"]),)
+
+    def test_float_multiplier_is_refused(self):
+        g = multiplicative_group(RingDescriptor(3, 1, 12))
+        with pytest.raises(TypeError, match="unsupported scalar"):
+            try_endomorphism(g, 2.7)
+        assert not g._endo_cache
 
 
 class TestEndoSubfield:

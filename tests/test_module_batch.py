@@ -315,6 +315,19 @@ def test_duplicate_scalars_share_one_record():
     assert module.try_multiplication(b) is recs[0]
 
 
+def test_numpy_and_rational_scalars_read_as_their_residues():
+    g = lt_h1(3)
+    D, N = 14, 6
+    two = g.multiplication_by(2, D, N)
+    assert g.multiplication_by(np.int64(2), D, N) == two
+    half = g.multiplication_by(Fraction(1, 2), D, N)
+    assert half == g.multiplication_by(pow(2, -1, 3**40), D, N)
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        g.multiplication_by(2.0, D, N)
+    with pytest.raises(ValueError, match="not p-integral"):
+        g.multiplication_by(Fraction(1, 3), D, N)
+
+
 def test_mixed_batch_obstruction():
     # only Z_3 acts on gm over W(F_9): the mu_8 generator obstructs and the
     # integers around it solve

@@ -1,21 +1,26 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fglab import padic
 from fglab.padic import (
-    INF,
     _fp_polmul,
     RingDescriptor,
     UnramifiedRingElem,
+    components,
+    is_prime,
     minimal_modulus,
     multiplicative_generator,
     multiplicative_order,
     residue_power_test,
+    residues,
+    root_of_unity,
     teichmuller_digits,
     teichmuller_lift,
+    valuations,
 )
 
 
@@ -102,6 +107,65 @@ def test_teichmuller_values():
     assert (t**4) == d5.one()
 
 
+def test_teichmuller_lift_reads_every_scalar():
+    d = RingDescriptor(3, 2, 5)
+    two = teichmuller_lift(d, 2)
+    for r in (np.int64(2), Fraction(2), 2 + 3 * 7, (2, 0), np.array([2, 0]), d.from_int(5)):
+        assert teichmuller_lift(d, r) == two
+    assert teichmuller_lift(d, Fraction(1, 2)) == two  # 1/2 = 2 mod 3
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        teichmuller_lift(d, 2.0)
+    with pytest.raises(ValueError, match="not p-integral"):
+        teichmuller_lift(d, Fraction(1, 3))
+
+
+def test_components_reads_each_kind_of_scalar():
+    d, d1 = RingDescriptor(3, 2, 4), RingDescriptor(3, 1, 4)
+    half = Fraction(1, 2)
+    assert components(7, d) == (7, 0)
+    assert components(half, d) == (half, 0)
+    assert components([half, np.int64(-4)], d) == (half, -4)
+    assert components(d.from_coeffs([1, 5]), d) == (1, 5)
+    assert components(d.at_precision(9).from_int(-1), d) == (3**9 - 1, 0)
+    assert residues(components(d.at_precision(9).from_int(-1), d), d) == [80, 0]
+    for bad, err in (((1,), ValueError), ((1, 2, 3), ValueError), (d1.one(), ValueError),
+                     (2.5, TypeError), ((1, 0.5), TypeError), ("ab", TypeError), (None, TypeError)):
+        with pytest.raises(err):
+            components(bad, d)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 3)])
+def test_root_of_unity_is_the_digit_generator(p, f):
+    d = RingDescriptor(p, f, 6)
+    for m in (n for n in range(1, d.q) if (d.q - 1) % n == 0):
+        zeta = root_of_unity(d, m)
+        assert zeta**m == d.one() and multiplicative_order(zeta.residue()) == m
+    for k in (k for k in range(1, f + 1) if f % k == 0):
+        assert root_of_unity(d, p**k - 1) == teichmuller_digits(d, k)[2]
+    with pytest.raises(ValueError, match="divide"):
+        root_of_unity(d, d.q)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if _trial_division(n)]
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, and a Mersenne prime
+    assert not is_prime(3215031751) and not _trial_division(3215031751)
+    assert is_prime(2**61 - 1)
+    assert is_prime(1000000000000000003) and not is_prime(1000000000000000001)
+
+
+def test_is_prime_refuses_past_the_certified_bound():
+    bound = 318665857834031151167461
+    assert not is_prime(bound - 1)  # even
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large to certify"):
+            is_prime(n)
+
+
 def test_teichmuller_is_qth_power_fixed_point():
     rng = random.Random(11)
     for p, f, N in [(3, 2, 6), (5, 1, 8)]:
@@ -114,13 +178,17 @@ def test_teichmuller_is_qth_power_fixed_point():
 
 
 def test_valuation():
+    # an element's valuation is the least over its components, N for 0
+    def v(a):
+        return int(valuations(np.array(a.coeffs, dtype=object), a.desc.p, a.desc.N).min())
+
     d = RingDescriptor(3, 1, 4)
-    assert d.from_int(6).valuation() == 1
-    assert d.from_int(9).valuation() == 2
-    assert d.from_int(5).valuation() == 0
-    assert d.zero().valuation() == INF
+    assert v(d.from_int(6)) == 1
+    assert v(d.from_int(9)) == 2
+    assert v(d.from_int(5)) == 0
+    assert v(d.zero()) == d.N
     d2 = RingDescriptor(3, 2, 3)
-    assert d2.from_coeffs([9, 3]).valuation() == 1
+    assert v(d2.from_coeffs([9, 3])) == 1
 
 
 def test_ring_is_commutative_and_distributive_sampled():

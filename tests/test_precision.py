@@ -144,6 +144,35 @@ def test_no_valuation_loop_outside_the_kernel():
     assert found == []
 
 
+def test_scalars_are_read_only_by_padic():
+    # padic.components reads every ring scalar and padic.residues reduces
+    # it; an isinstance ladder of its own in another module reads scalars
+    # its own way (reports.py serialises plain values, not scalars)
+    banned = {"int", "float", "Fraction", "list", "tuple"}
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "numbers":
+                yield f"numbers.{n.attr}"
+
+    src = Path(fglab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("padic.py", "reports.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        from_numbers = {a.asname or a.name for n in ast.walk(tree)
+                        if isinstance(n, ast.ImportFrom) and n.module == "numbers" for a in n.names}
+        found += [f"{path.name}:{node.lineno}: {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  for arg in node.args[1:] for name in names(arg)
+                  if name in banned or name in from_numbers or name.startswith("numbers.")]
+    assert found == []
+
+
 def test_no_module_imports_a_concurrency_library():
     # the checks run one at a time in one process, so no cache is written
     # for another thread or process

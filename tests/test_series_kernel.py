@@ -299,6 +299,17 @@ def test_integral_edges_take_rationals_to_residues():
             build()
 
 
+def test_scalars_of_another_length_or_field_are_refused():
+    # a numpy broadcast once read both as [1, 1]
+    d2 = RingDescriptor(3, 2, 6)
+    with pytest.raises(ValueError, match="2 components, not 1"):
+        TruncSeries1.from_coeffs(d2, [0, (1,)], 4)
+    with pytest.raises(ValueError, match="different ring"):
+        TruncSeries1.from_coeffs(d2, [0, RingDescriptor(3, 1, 6).one()], 4)
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        TruncSeries1.x(d2, 4).scalar_mul(2.5)
+
+
 def test_coefficient_refuses_degrees_outside_the_window():
     d = desc(N=4)
     s = TruncSeries1.from_coeffs(d, [0, 1, 2, 3])

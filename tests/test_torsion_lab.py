@@ -203,6 +203,14 @@ class TestModel:
         a = m.desc.from_int(5)
         assert m.residue(m.from_ok(a)).code() == a.residue().code()
 
+    def test_from_ok_takes_a_rational_to_its_residue(self):
+        m = TorsionFieldModel(gm(), 1, 4)
+        half = m.from_ok(Fraction(1, 2))
+        assert m.equal(half, m.from_ok(pow(2, -1, m.desc.pN)))
+        assert m.equal(m.scal(half, 2), m.one())
+        with pytest.raises(ValueError, match="not p-integral"):
+            m.from_ok(Fraction(1, 3))
+
 
 class TestCertify:
     @pytest.mark.parametrize("mk,n,e", [

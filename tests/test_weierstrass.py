@@ -12,6 +12,7 @@ from fglab import (
     multiplicative_group,
 )
 from fglab.corpus import corpus
+from fglab.padic import valuations
 from fglab.torsion import torsion_count
 from fglab.weier import (
     WeierstrassData,
@@ -451,7 +452,7 @@ class TestDivisionPolynomial:
         dp = division_polynomial(g, 1)
         assert dp.e == 8
         c0 = dp.P.coefficient(0)
-        assert c0.valuation() == 1
+        assert valuations(np.array(c0.coeffs, dtype=object), 3, c0.desc.N).min() == 1
 
     def test_honda_level_one(self):
         g = honda_group(RingDescriptor(3, 1, 6), (0, 1))
