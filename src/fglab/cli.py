@@ -30,9 +30,9 @@ from .endo import (compute_endo_subfield, multiplier_closure_sample, tau_infinit
                    try_endomorphism)
 from .matrices import build_phi_zeta, check_relations, commutant_dimension, unit_quotient_order
 from .padic import INF, RingDescriptor, is_prime
-from .precision import (count_window, crosscheck_precision, crosscheck_window, cushion,
-                        division_window, endo_window, law_precision, level_degree,
-                        model_window, multiplier_precision, ramification_precision)
+from .precision import (count_window, crosscheck_precision, crosscheck_window, division_window,
+                        endo_window, law_precision, level_degree, model_window,
+                        multiplier_precision, ramification_precision, solve_precision)
 from .reports import Check, build_report, exit_code, render_summary, run_checks
 from .series import TruncSeries1
 from .torsion import (
@@ -47,22 +47,27 @@ from .torsion import (
     torsion_count,
 )
 
-DEFAULTS = {
-    "p": 3,
-    "f": 1,
-    "N": 6,
-    "group": "lubin-tate",
-    "d": 1,
-    "u": "",
-    "group_file": "",
-    "nmax": 2,
-    "dcap": 800,
-    "jobs": 1,
-    "seed": 0,
-    "out": "",
-}
-
 GROUP_SOURCES = ("multiplicative", "lubin-tate", "honda")
+
+# (key, default, type, help) of every config key, in flag order: the flag
+# --key (underscores as dashes), the file key and the default in one place.
+# A key of type None is kept as text.
+KEYS = (
+    ("p", 3, int, "residue characteristic (odd prime)"),
+    ("f", 1, int, "residue degree of the base ring"),
+    ("N", 6, int, "working precision (digits of p)"),
+    ("group", "lubin-tate", None, "group source"),
+    ("d", 1, int, "height of the lubin-tate source"),
+    ("u", "", None, "comma-separated u list for the honda source"),
+    ("group_file", "", None, "file of integer series coefficients for a custom lubin-tate source"),
+    ("nmax", 2, int, "largest torsion level"),
+    ("dcap", 800, int, "hard cap on evaluation windows"),
+    ("jobs", 1, int, "accepts only 1: the checks run in order"),
+    ("seed", 0, int, "seed for the property suites"),
+    ("out", "", None, "write the JSON report here"),
+)
+
+DEFAULTS = {key: default for key, default, _, _ in KEYS}
 
 
 def parse_u(text):
@@ -91,13 +96,12 @@ def load_config_file(path: str) -> dict:
 class RunConfig:
     """Validated run parameters; construction happens only after validate."""
 
-    INT_KEYS = ("p", "f", "N", "d", "nmax", "dcap", "jobs", "seed")
-
     def __init__(self, values: dict):
         merged = dict(DEFAULTS)
         merged.update({k: v for k, v in values.items() if v is not None})
-        for key in self.INT_KEYS:
-            merged[key] = int(merged[key])
+        for key, _, kind, _ in KEYS:
+            if kind is not None:
+                merged[key] = kind(merged[key])
         merged["u"] = parse_u(merged["u"])
         self.values = merged
 
@@ -258,7 +262,7 @@ class RunPlan:
         D, N = self.level(self.levels[-1])["model"]
         if self.capable:
             D_m, N_m = self.module()
-            N_w = N_m + cushion(D_m, self.q)  # the [p]-series the structure solves over
+            N_w = solve_precision(N_m, D_m, self.q)  # the [p]-series the structure solves over
             if N_w <= group.desc.N:
                 D, N = max(D, D_m), max(N, N_w)
         return D, N
@@ -385,6 +389,16 @@ def _subfield_once(group):
     return functools.cache(lambda: compute_endo_subfield(group))
 
 
+def _matches_construction(rec, construction) -> bool:
+    """Whether a certificate's series equals construction(window, M), the
+    series the group builds, at M = min(4, the certificate's precision);
+    False for a failed certificate."""
+    if not rec["success"]:
+        return False
+    M = min(4, rec["precision"])
+    return rec["series"].reduce_precision(M) == construction(rec["window"], M)
+
+
 def endo_checks(group, plan: RunPlan, subfield_report=None):
     p = group.desc.p
     checks = []
@@ -392,9 +406,7 @@ def endo_checks(group, plan: RunPlan, subfield_report=None):
 
     def negation_thunk():
         rec = try_endomorphism(group, -1)
-        M = min(4, rec["precision"])
-        same = (rec["series"].reduce_precision(M)
-                == group.negation_series(rec["window"], M)) if rec["success"] else False
+        same = _matches_construction(rec, group.negation_series)
         return rec["success"] and same, {
             "success": rec["success"],
             "matches_group_inverse": same,
@@ -409,9 +421,7 @@ def endo_checks(group, plan: RunPlan, subfield_report=None):
 
     def mult_p_thunk():
         rec = try_endomorphism(group, p)
-        M = min(4, rec["precision"])
-        same = (rec["series"].reduce_precision(M)
-                == group.pi_series(rec["window"], M)) if rec["success"] else False
+        same = _matches_construction(rec, group.pi_series)
         return rec["success"] and same, {"success": rec["success"], "matches_pi": same}
 
     checks.append(Check(
@@ -672,19 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--p", type=int, help="residue characteristic (odd prime)")
-        sp.add_argument("--f", type=int, help="residue degree of the base ring")
-        sp.add_argument("--N", type=int, help="working precision (digits of p)")
-        sp.add_argument("--group", choices=GROUP_SOURCES, help="group source")
-        sp.add_argument("--d", type=int, help="height of the lubin-tate source")
-        sp.add_argument("--u", help="comma-separated u list for the honda source")
-        sp.add_argument("--group-file", dest="group_file",
-                        help="file of integer series coefficients for a custom lubin-tate source")
-        sp.add_argument("--nmax", type=int, help="largest torsion level")
-        sp.add_argument("--dcap", type=int, help="hard cap on evaluation windows")
-        sp.add_argument("--jobs", type=int, help="accepts only 1: the checks run in order")
-        sp.add_argument("--seed", type=int, help="seed for the property suites")
-        sp.add_argument("--out", help="write the JSON report here")
+        for key, _, kind, help_text in KEYS:
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text,
+                            choices=GROUP_SOURCES if key == "group" else None)
     return parser
 
 

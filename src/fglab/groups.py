@@ -2,9 +2,10 @@
 
 Three kinds of group, each with its multiplication-by-p series [p]:
 
-* multiplicative_group: F = X + Y + XY with everything in closed form;
 * lubin_tate_group: [p] is a distinguished polynomial f = pX + ...
   with integer coefficients, congruent to X^q mod p;
+* multiplicative_group: the Lubin-Tate group of f = (1 + X)^p - 1, whose
+  law F = X + Y + XY and logarithm log(1 + X) are in closed form;
 * honda_group: logarithm built from the functional equation
   lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
   lam([p]) = p lam by a Newton iteration carried out mod p^(N + jmax)
@@ -56,12 +57,12 @@ from .padic import (
     valuations,
 )
 from .precision import (
-    cushion,
     default_precision,
     height_index,
     honda_precision,
     law_window,
     level_degree,
+    solve_precision,
 )
 from .series import (
     TruncSeries1,
@@ -96,7 +97,7 @@ class FrobeniusSeries:
         p = desc.p
         if any(coeffs[:1]):
             raise ValueError("constant term must vanish")
-        if coeffs[1:2] != [p]:
+        if coeffs[1:2] != [p % desc.pN]:
             raise ValueError("linear coefficient must be exactly p")
         units = [k for k, c in enumerate(coeffs) if c % p]
         if len(units) != 1:
@@ -256,7 +257,7 @@ def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSe
 class FormalGroupLaw:
     """A one-dimensional formal group law with its coefficient-ring action.
 
-    kind is one of "gm", "lubin_tate", "honda"; each kind is one object over
+    kind is gm, lubin_tate or honda; each kind is one object over
     any W(F_{p^f}), and base_change returns the same kind over the larger
     ring.  Heavy artifacts (the [p]-series at a degree window, the
     two-variable law, division factors, module structures) are built on
@@ -271,11 +272,10 @@ class FormalGroupLaw:
         self.label = label
         self.frobenius = frobenius
         self.u = u
-        self._height = frobenius.h if frobenius is not None else None
-        if kind == "honda":
+        if frobenius is not None:
+            self._height = frobenius.h
+        else:
             self._height = next((i for i, ui in enumerate(u, start=1) if ui % desc.p), INF)
-        if kind == "gm":
-            self._height = 1
         self._pi_cache = {}
         self._f2_cache = {}
         self._log_cache = {}
@@ -298,14 +298,11 @@ class FormalGroupLaw:
 
     @property
     def grading(self) -> int:
-        """d with [p] = X u(X^d), from the defining Z_p data: 1 for gm,
-        gcd{j - 1} over the support of the Frobenius series, gcd{p^i - 1 :
-        u_i != 0} for honda (0 for u = ()).  The [p]-series on a window
-        may look more coarsely graded: ModuleStructure.step is the gcd of
-        its own window."""
-        if self.kind == "gm":
-            return 1
-        if self.kind == "lubin_tate":
+        """d with [p] = X u(X^d), from the defining Z_p data: gcd{j - 1}
+        over the support of the Frobenius series, gcd{p^i - 1 : u_i != 0}
+        for honda (0 for u = ()).  The [p]-series on a window may look more
+        coarsely graded: ModuleStructure.step is the gcd of its own window."""
+        if self.frobenius is not None:
             return math.gcd(*(j - 1 for j, c in enumerate(self.frobenius.coeffs) if c))
         return math.gcd(*(self.desc.p**i - 1 for i, ui in enumerate(self.u, start=1) if ui))
 
@@ -326,13 +323,7 @@ class FormalGroupLaw:
         return _serve(self._pi_cache, D, N, lambda: self._build_pi_series(D, N))
 
     def _build_pi_series(self, D: int, N: int) -> TruncSeries1:
-        p = self.desc.p
-        if self.kind == "gm":
-            desc = self.desc.at_precision(N)
-            out = TruncSeries1.zero(desc, D)
-            for k in range(1, min(p, D - 1) + 1):
-                out.data[k, 0] = math.comb(p, k) % desc.pN
-        elif self.kind == "lubin_tate":
+        if self.frobenius is not None:
             out = self.frobenius.at(self.desc.at_precision(N), D)
         else:
             out = _honda_pi_series(self.desc.at_precision(N), self.u, D)
@@ -352,10 +343,10 @@ class FormalGroupLaw:
             desc = self.desc.at_precision(N)
             return TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], D2)
         W = law_window(D2, self.q)
-        N_work = N + cushion(W, self.q_eff)
+        N_work = solve_precision(N, W, self.q_eff)
         # [p] has Z_p coefficients, so F is fixed by Frobenius: solve over Z_p
         zp = RingDescriptor(self.desc.p, 1, N_work)
-        if self.kind == "honda":
+        if self.frobenius is None:
             # the honda [p]-series is exact data at any precision
             f_work = _honda_pi_series(zp, self.u, W)
         elif N_work > self.desc.N:
@@ -373,7 +364,7 @@ class FormalGroupLaw:
         if self.kind == "gm":
             coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
             out = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
-        elif self.kind == "lubin_tate":
+        elif self.frobenius is not None:
             out = _frobenius_log(self.frobenius, self.desc, D)
         else:
             lam = honda_log_coeffs(self.desc.p, self.u, D)
@@ -415,11 +406,11 @@ class FormalGroupLaw:
         unique, so a wider, more precise record narrows to it, and a record
         obstructed at k >= D to the series solved below k, as a solve on
         this window finds no obstruction.  A ring element below the
-        structure's working precision is read at this window's, N +
-        cushion(D, q), as a structure built here reads it."""
+        structure's working precision is read at this window's solve
+        precision, as a structure built here reads it."""
         N = default_precision(self.desc.N, D, self.q_eff) if N is None else N
         module = self.module(D, N)
-        desc = self.desc.at_precision(N + cushion(D, self.q_eff))
+        desc = self.desc.at_precision(solve_precision(N, D, self.q_eff))
         asked = [module._coerce_scalar(a, desc)
                  if isinstance(a, UnramifiedRingElem) and a.desc.N < module.desc_w.N else a
                  for a in scalars]
@@ -454,7 +445,10 @@ class FormalGroupLaw:
 
 
 def multiplicative_group(desc: RingDescriptor, label: str | None = None) -> FormalGroupLaw:
-    return FormalGroupLaw(desc, "gm", label or f"gm(p={desc.p},f={desc.f})")
+    """G_m, the Lubin-Tate group of [p] = (1 + X)^p - 1."""
+    p = desc.p
+    frob = FrobeniusSeries(desc, [0] + [math.comb(p, k) for k in range(1, p + 1)])
+    return FormalGroupLaw(desc, "gm", label or f"gm(p={p},f={desc.f})", frobenius=frob)
 
 
 def lubin_tate_group(desc: RingDescriptor, coeffs, label: str | None = None) -> FormalGroupLaw:
@@ -517,7 +511,7 @@ class ModuleStructure:
         self.D = D
         self.N_out = N_out
         self.q = group.q_eff
-        N_work = N_out + cushion(D, self.q)
+        N_work = solve_precision(N_out, D, self.q)
         if N_work > group.desc.N:
             raise ValueError("construct the group at higher precision first")
         self.desc_w = desc = group.desc.at_precision(N_work)

@@ -424,13 +424,22 @@ class UnramifiedRingElem:
     def is_unit(self) -> bool:
         return any(c % self.desc.p for c in self.coeffs)
 
+    def _operand(self, other):
+        """The components of an operand: those of an element of this ring,
+        or of any other scalar that components reads, reduced mod p^N."""
+        if isinstance(other, UnramifiedRingElem):
+            if self.desc != other.desc:
+                raise ValueError("descriptor mismatch")
+            return other.coeffs
+        return residues(components(other, self.desc), self.desc)
+
     def __add__(self, other):
-        self._check(other)
-        return UnramifiedRingElem(self.desc, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        vec = self._operand(other)
+        return UnramifiedRingElem(self.desc, [a + b for a, b in zip(self.coeffs, vec)])
 
     def __sub__(self, other):
-        self._check(other)
-        return UnramifiedRingElem(self.desc, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        vec = self._operand(other)
+        return UnramifiedRingElem(self.desc, [a - b for a, b in zip(self.coeffs, vec)])
 
     def __neg__(self):
         return UnramifiedRingElem(self.desc, [-a for a in self.coeffs])
@@ -438,10 +447,8 @@ class UnramifiedRingElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return UnramifiedRingElem(self.desc, [a * other for a in self.coeffs])
-        self._check(other)
-        return UnramifiedRingElem(
-            self.desc, _vec_mulmod(self.coeffs, other.coeffs, self.desc, self.desc.pN)
-        )
+        vec = self._operand(other)
+        return UnramifiedRingElem(self.desc, _vec_mulmod(self.coeffs, vec, self.desc, self.desc.pN))
 
     __rmul__ = __mul__
 
@@ -474,10 +481,6 @@ class UnramifiedRingElem:
         if not desc.same_field(self.desc):
             raise ValueError("descriptor mismatch")
         return UnramifiedRingElem(desc, self.coeffs)
-
-    def _check(self, other):
-        if self.desc != other.desc:
-            raise ValueError("descriptor mismatch")
 
     def __eq__(self, other):
         return (

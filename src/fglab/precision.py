@@ -87,6 +87,12 @@ def cushion(D: int, q: int) -> int:
     return 2 + floor_log(max(D, 2), q)
 
 
+def solve_precision(N: int, D: int, q: int) -> int:
+    """Precision a solve on window D works at for a result mod p^N: N plus
+    the cushion of its divisions by p^k - p."""
+    return N + cushion(D, q)
+
+
 def default_precision(N_c: int, D: int, q: int) -> int:
     """Precision of the law and of [a]-series on window D when none is
     asked: the construction precision N_c less the cushion."""
@@ -151,4 +157,4 @@ def construction_precision(p: int, h, N: int, nmax: int) -> int:
     q = p**h
     D_endo = endo_window(q)
     D_max = max(model_window(q, nmax, N) if nmax >= 1 else N, D_endo, 2)
-    return N + cushion(D_max, q) + 2 * floor_log(D_endo, p)
+    return solve_precision(N, D_max, q) + 2 * floor_log(D_endo, p)

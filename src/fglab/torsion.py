@@ -310,29 +310,21 @@ class TorsionFieldModel:
 
     def _eval_poly(self, c, x):
         """sum_k c[k] x^k at a stack x, c an array of O_K coefficients
-        shaped (n, f): a chain of powers over at most 8 nonzero terms,
-        Horner's rule over more."""
+        shaped (n, f): Horner's rule over the nonzero terms, a gap of g
+        degrees stepped by x^g.  The first step is the top coefficient
+        times x^g, a product by a scalar."""
         nz = np.flatnonzero((c != 0).any(axis=-1)).tolist()
         out = self.zero(x.shape[:-2])
         if not nz:
             return out
         m = self.desc.pN
-        if len(nz) <= 8:
-            # x^k for the nonzero degrees in turn, each from the one before
-            power, deg = None, 0
-            for k in nz:
-                if not k:
-                    out[..., 0, :] = c[0] % m
-                    continue
-                step = self.pow_int(x, k - deg)
-                power = step if power is None else self.mul(power, step)
-                deg = k
-                out = self.add(out, self.scal(power, c[k]))
-            return out
-        out[..., 0, :] = c[nz[-1]] % m
-        for k in range(nz[-1] - 1, -1, -1):
-            out = self.mul(out, x)
+        top = deg = nz[-1]
+        out[..., 0, :] = c[top] % m
+        for k in nz[-2::-1] + ([0] if nz[0] else []):
+            step = self.pow_int(x, deg - k)
+            out = self.scal(step, c[top]) if deg == top else self.mul(out, step)
             out[..., 0, :] = (out[..., 0, :] + c[k]) % m
+            deg = k
         return out
 
     def eval2(self, F2, x, y):

@@ -1,7 +1,10 @@
 """CLI driver: config handling, exit codes, report format, determinism."""
 
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,15 @@ from fglab.reports import Check, build_report, exit_code, run_checks, strip_timi
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def subcommand_flags():
+    """{subcommand: its long options}, without --help."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"]
+            for name, sp in sub.choices.items()}
 
 
 class TestConfig:
@@ -45,6 +57,26 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\np = 5\nnmax = 1\n")
         assert load_config_file(str(path)) == {"p": "5", "nmax": "1"}
+
+    def test_each_config_key_has_one_home(self, tmp_path):
+        # the defaults, the flags and the file keys are all read from cli.KEYS
+        keys = [key for key, _, _, _ in cli.KEYS]
+        assert len(set(keys)) == len(keys)
+        assert set(cli.DEFAULTS) == set(keys)
+        for flags in subcommand_flags().values():
+            assert flags[0] == "--config"
+            assert flags[1:] == ["--" + key.replace("_", "-") for key in keys]
+        parsed = vars(cli.build_parser().parse_args(["verify"]))
+        assert set(parsed) - {"command", "config"} == set(keys)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = 1\n" for key in keys))
+        assert set(load_config_file(str(path))) == set(keys)
+
+    def test_readme_lists_the_parser_flags(self):
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        listed = re.search(r"Flags: `([^`]*)`", readme).group(1).split()
+        for flags in subcommand_flags().values():
+            assert sorted(listed) == sorted(flags)
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

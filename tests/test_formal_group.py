@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -87,6 +88,28 @@ def test_multiplicative_group_closed_form():
     assert sorted(F.coeff_triples()) == [(0, 1, (1,)), (1, 0, (1,)), (1, 1, (1,))]
     pi = g.pi_series(6, 8)
     assert [int(v[0]) for v in pi.data] == [0, 3, 3, 1, 0, 0]
+
+
+def oracle_gm_pi_series(group, D, N):
+    """[p] of G_m written term by term: (1 + X)^p - 1, the binomials C(p, k)
+    in component 0 mod p^N."""
+    desc = group.desc.at_precision(N)
+    out = TruncSeries1.zero(desc, D)
+    for k in range(1, min(desc.p, D - 1) + 1):
+        out.data[k, 0] = math.comb(desc.p, k) % desc.pN
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_gm_pi_series_is_the_binomial_series(p, f):
+    # G_m takes the Frobenius-series route of the Lubin-Tate groups
+    g = multiplicative_group(RingDescriptor(p, f, 10))
+    assert (g.height, g.grading, g.kind) == (1, 1, "gm")
+    for D, N in ((p + 1, 10), (p + 2, 3), (2 * p + 5, 7), (40, 1), (12 * p, 10)):
+        assert g.pi_series(D, N) == oracle_gm_pi_series(g, D, N)
+    # at N = 1 the linear coefficient p reads as 0, and the group still builds
+    g1 = multiplicative_group(RingDescriptor(p, f, 1))
+    assert g1.pi_series(p + 3) == oracle_gm_pi_series(g1, p + 3, 1)
 
 
 def test_heights():

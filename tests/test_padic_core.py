@@ -79,6 +79,28 @@ def test_add_wraps_mod_p_to_the_N():
     assert (five + five).coeffs == (1,)  # 10 = 9 + 1
 
 
+def test_element_arithmetic_reads_every_scalar():
+    # a non-element operand goes through components and residues, as the
+    # series and the torsion model read scalars
+    d = RingDescriptor(3, 1, 4)
+    one = d.one()
+    assert one * np.int64(2) == d.from_int(2)
+    assert one * Fraction(1, 2) == d.from_int(41)  # 2^-1 mod 81
+    assert one + 1 == d.from_int(2)
+    assert one - Fraction(1, 2) == d.from_int(1 - 41)
+    assert d.from_int(5) * 2 == d.from_int(10)  # the int fast path
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        one * 2.5
+    with pytest.raises(ValueError, match="not p-integral"):
+        one * Fraction(1, 3)
+    with pytest.raises(ValueError, match="descriptor mismatch"):
+        one + d.at_precision(5).one()
+    d2 = RingDescriptor(3, 2, 4)
+    assert d2.one() * (1, 2) == d2.from_coeffs([1, 2])
+    with pytest.raises(ValueError, match="2 components"):
+        d2.one() + (1,)
+
+
 def test_invert_small():
     d = RingDescriptor(3, 1, 2)
     assert d.from_int(2).invert() == d.from_int(5)

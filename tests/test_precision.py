@@ -90,7 +90,7 @@ def test_precisions_pinned_on_the_corpus(name, N, nmax):
 # matrices is kept apart on purpose, as an independent count that the
 # certified torsion degree is checked against.
 RULES = ("floor_log(", "math.log(", "math.log2(", "q ** (n - 1)", "q ** (level - 1)",
-         "(q - 1) * q **", "max(4 * q")
+         "(q - 1) * q **", "max(4 * q", "cushion(")
 
 
 # Windows that cli.py opens through its run plan alone, so that the windows

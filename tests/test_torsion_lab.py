@@ -426,6 +426,33 @@ def oracle_eval_series(model, s, x):
     return acc % m
 
 
+def oracle_eval_poly(model, c, x):
+    """The model's polynomial evaluation before it kept one loop: a chain
+    of powers over at most 8 nonzero terms, Horner's rule over every degree
+    for more."""
+    nz = np.flatnonzero((c != 0).any(axis=-1)).tolist()
+    out = model.zero(x.shape[:-2])
+    if not nz:
+        return out
+    m = model.desc.pN
+    if len(nz) <= 8:
+        power, deg = None, 0
+        for k in nz:
+            if not k:
+                out[..., 0, :] = c[0] % m
+                continue
+            step = model.pow_int(x, k - deg)
+            power = step if power is None else model.mul(power, step)
+            deg = k
+            out = model.add(out, model.scal(power, c[k]))
+        return out
+    out[..., 0, :] = c[nz[-1]] % m
+    for k in range(nz[-1] - 1, -1, -1):
+        out = model.mul(out, x)
+        out[..., 0, :] = (out[..., 0, :] + c[k]) % m
+    return out
+
+
 def oracle_apply_pi(model, x, times=1):
     q, K = model.q, model.N * model.e
     val = oracle_valuation(model, x)
@@ -933,3 +960,53 @@ def test_eval_at_z_stacks_the_graded_rows_only():
         tracemalloc.stop()
     assert points.shape == (624, model.k, 2)
     assert peak < full / 4
+
+
+def counting_muls(model, evaluate, c, x):
+    """evaluate(model, c, x) and the TorsionFieldModel.mul calls it made."""
+    calls = []
+    mul = model.mul
+    model.mul = lambda a, b: calls.append(1) or mul(a, b)
+    try:
+        return evaluate(model, c, x), len(calls)
+    finally:
+        del model.mul
+
+
+def poly_coeffs(model, degrees, seed):
+    """Random nonzero coefficients at the given degrees, shaped (n, f)."""
+    rng = random.Random(seed)
+    c = np.zeros((max(degrees, default=0) + 1, model.desc.f), dtype=model.dtype)
+    for k in degrees:
+        c[k] = [1 + rng.randrange(model.desc.pN - 1) for _ in range(model.desc.f)]
+    return c
+
+
+def assert_loop_matches_the_chain(model, c, seed):
+    # one point and a stack of points; the loop takes no more products
+    stack = random_stack(model, 5, seed)
+    for x in (stack[3], stack):
+        got, loop_muls = counting_muls(model, TorsionFieldModel._eval_poly, c, x)
+        want, chain_muls = counting_muls(model, oracle_eval_poly, c, x)
+        assert got.shape == want.shape == x.shape
+        assert np.array_equal(got % model.desc.pN, want % model.desc.pN)
+        assert loop_muls <= chain_muls
+
+
+@pytest.mark.parametrize("name,n", [("mult-p3", 2), ("lt-h2-p3", 2)])
+@pytest.mark.parametrize("degrees", [
+    range(12),             # dense
+    [1, 13], [0, 5, 40],   # gapped
+    [0], [7], [],          # a constant, a monomial, zero
+])
+def test_eval_poly_loop_matches_the_chain(name, n, degrees):
+    model = TorsionFieldModel(make_group(N=4, nmax=n, **dict(CORPUS_SPECS)[name]), n, 4)
+    assert_loop_matches_the_chain(model, poly_coeffs(model, degrees, len(degrees)), n)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS_SPECS])
+def test_eval_poly_loop_matches_the_chain_on_the_pi_series(name):
+    # the graded [p]-series apply_pi evaluates, at every corpus group
+    model = TorsionFieldModel(make_group(N=4, nmax=1, **dict(CORPUS_SPECS)[name]), 1, 4)
+    pi = model.group.pi_series(model.window + 1, model.N)
+    assert_loop_matches_the_chain(model, torsion._graded(pi.data, model.d, 1), 5)
