@@ -16,6 +16,7 @@ from .series import TruncSeries1, TruncSeries2
 from .groups import (
     FormalGroupLaw,
     FrobeniusSeries,
+    HondaSeries,
     ModuleStructure,
     ObstructionError,
     honda_group,

@@ -16,7 +16,7 @@ computable.
 
 import math
 
-from .groups import FormalGroupLaw, honda_group, lubin_tate_group, multiplicative_group
+from .groups import FormalGroupLaw, HondaSeries, honda_group, lubin_tate_group, multiplicative_group
 from .padic import RingDescriptor
 from .precision import construction_precision, height_index
 
@@ -40,7 +40,7 @@ def source_height(p: int, source: str, d: int = 1, u=(), coeffs=None):
             return height_index(unit[0], p) if unit else math.inf
         return d
     if source == "honda":
-        return next((i for i, ui in enumerate(u, start=1) if ui % p), math.inf)
+        return HondaSeries(p, u).h
     raise ValueError(f"unknown group source: {source}")
 
 

@@ -1,29 +1,30 @@
 """Formal group laws over unramified p-adic coefficient rings.
 
-Three kinds of group, each with its multiplication-by-p series [p]:
+Each group reads one source object, its Z_p data, which states the rules
+of its kind once: the height, the grading, [p] on a window, the logarithm.
 
-* lubin_tate_group: [p] is a distinguished polynomial f = pX + ...
-  with integer coefficients, congruent to X^q mod p;
+* FrobeniusSeries, the source of lubin_tate_group: [p] = f = pX + ... with
+  integer coefficients, f = X^q mod p, held mod the p^N it was read at;
 * multiplicative_group: the Lubin-Tate group of f = (1 + X)^p - 1, whose
   law F = X + Y + XY and logarithm log(1 + X) are in closed form;
-* honda_group: logarithm built from the functional equation
-  lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p, with [p] recovered from
-  lam([p]) = p lam by a Newton iteration carried out mod p^(N + jmax)
-  (lam and [p] have Z_p coefficients by Hazewinkel's functional-equation
-  lemma).
+* HondaSeries, the source of honda_group: the logarithm from the
+  functional equation lam(X) = X + sum_i u_i lam(X^{p^i}) / p over Z_p,
+  with [p] recovered from lam([p]) = p lam by a Newton iteration carried
+  out mod p^(N + jmax) (lam and [p] have Z_p coefficients by Hazewinkel's
+  functional-equation lemma).  It is exact, so it serves any precision.
 
-Every kind is defined by Z_p data, kept in component 0 over any
-W(F_{p^f}), so base change reuses it over the larger ring.  Lubin-Tate
-sources need no more: when h | f, any Frobenius series with W(F_{p^f})
-coefficients gives a group isomorphic over that ring to the one of
-pX + X^q (Lubin-Tate 1965).
+A source is kept in component 0 over any W(F_{p^f}), so base change
+reuses it.  Lubin-Tate sources need no more: when h | f, any Frobenius
+series with W(F_{p^f}) coefficients gives a group isomorphic over that
+ring to the one of pX + X^q (Lubin-Tate 1965).
 
-Both non-closed kinds get their two-variable law from one solver over Z_p:
-F is the unique series X + Y + ... commuting with [p], F(f(X), f(Y)) =
-f(F(X, Y)) (Lubin-Tate 1965), so it has Z_p coefficients too.  It follows
-the grading of f = X u(X^d): only total degrees k = 1 mod d are solved,
-each from the degree-k part of the defect f(F) - F(f(X), f(Y)), formed by
-compose and substitute2_into2, divided by p^k - p.
+Both non-closed kinds get their two-variable law from one solver over Z_p,
+fed by the group's own pi_series: F is the unique series X + Y + ...
+commuting with [p], F(f(X), f(Y)) = f(F(X, Y)) (Lubin-Tate 1965), so it has
+Z_p coefficients too.  It follows the grading of f = X u(X^d): only total
+degrees k = 1 mod d are solved, each from the degree-k part of the defect
+f(F) - F(f(X), f(Y)), formed by compose and substitute2_into2, divided by
+p^k - p.
 
 Module structure ([a]-series for ring scalars a) is computed by the
 commutation recursion: g with linear term a and g(f(X)) = f(g(X)) is solved
@@ -83,7 +84,8 @@ class ObstructionError(ValueError):
 
 
 class FrobeniusSeries:
-    """Distinguished polynomial f = pX + ... with f = X^q mod p, q = p^h.
+    """The source of a Lubin-Tate group: a distinguished polynomial f =
+    pX + ... with f = X^q mod p, q = p^h.
 
     Its coefficients are integers, checked and kept mod p^N of desc: Z_p
     data, so the same series serves over every W(F_{p^f}) in component 0.
@@ -106,13 +108,32 @@ class FrobeniusSeries:
         h = height_index(q, p)
         if coeffs[q] % p != 1:
             raise ValueError("reduction mod p must equal X^q")
-        self.coeffs = coeffs
-        self.q = q
-        self.h = h
+        self.coeffs, self.N, self.q, self.h = coeffs, desc.N, q, h
+        self.grading = TruncSeries1.from_coeffs(desc, coeffs).grading()
 
     def at(self, desc: RingDescriptor, D: int) -> TruncSeries1:
-        """f on the window D over desc, its integers in component 0."""
+        """f on the window D over desc, in component 0, mod at most p^N."""
+        if desc.N > self.N:
+            raise ValueError("construct the group at higher precision first")
         return TruncSeries1.from_coeffs(desc, self.coeffs, D)
+
+    def log(self, desc: RingDescriptor, D: int) -> TruncSeries1:
+        """The logarithm, exact.  The integer coefficients define the group
+        exactly, so log(f(X)) = p log(X) determines the coefficients by an
+        exact rational recursion: b_n = [X^n](sum_{k<n} b_k f^k) / (p - p^n)."""
+        p = desc.p
+        fx = TruncSeries1.from_coeffs(desc, self.coeffs, D, "scaled")
+        b = [0, 1]
+        comp = fx  # running sum_{k<n} b_k f^k, here b_1 f
+        fpow = fx
+        for n in range(2, D):
+            div = p - p**n
+            b.append(tuple(c / div for c in comp.coeff_vec(n)))
+            if n < D - 1:
+                fpow = fpow * fx
+                if any(b[n]):
+                    comp = comp + fpow.scalar_mul(b[n])
+        return TruncSeries1.from_coeffs(desc, b[:D], D, "scaled")
 
 
 def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
@@ -128,7 +149,7 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSe
     desc = f_ser.desc
     p, m = desc.p, desc.pN
     f2 = f_ser.lift(D2) if f_ser.D < D2 else f_ser.truncate(D2)
-    d = math.gcd(*(j - 1 for j in f2.nonzero_degrees()))
+    d = f2.grading()
     F = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1)], D2)
 
     def defect():
@@ -231,25 +252,22 @@ def _honda_pi_series(out_desc: RingDescriptor, u, D: int) -> TruncSeries1:
     return out
 
 
-def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSeries1:
-    """Logarithm of a Lubin-Tate group, exact.
+class HondaSeries:
+    """The functional equation lam = X + sum_i u_i lam(X^{p^i}) / p: the
+    source of a honda group, exact Z_p data, so it serves any precision."""
 
-    The stored integer coefficients define the group exactly, so
-    log(f(X)) = p log(X) determines the coefficients by an exact rational
-    recursion: b_n = [X^n](sum_{k<n} b_k f^k) / (p - p^n)."""
-    p = desc.p
-    fx = TruncSeries1.from_coeffs(desc, fs.coeffs, D, "scaled")
-    b = [0, 1]
-    comp = fx  # running sum_{k<n} b_k f^k, here b_1 f
-    fpow = fx
-    for n in range(2, D):
-        div = p - p**n
-        b.append(tuple(c / div for c in comp.coeff_vec(n)))
-        if n < D - 1:
-            fpow = fpow * fx
-            if any(b[n]):
-                comp = comp + fpow.scalar_mul(b[n])
-    return TruncSeries1.from_coeffs(desc, b[:D], D, "scaled")
+    def __init__(self, p: int, u):
+        self.p = p
+        self.u = u = tuple(int(x) for x in u)
+        self.h = next((i for i, ui in enumerate(u, start=1) if ui % p), INF)
+        self.grading = math.gcd(*(p**i - 1 for i, ui in enumerate(u, start=1) if ui))
+
+    def at(self, desc: RingDescriptor, D: int) -> TruncSeries1:
+        """[p] on the window D over desc, in component 0, mod p^N of desc."""
+        return _honda_pi_series(desc, self.u, D)
+
+    def log(self, desc: RingDescriptor, D: int) -> TruncSeries1:
+        return TruncSeries1.from_coeffs(desc, honda_log_coeffs(self.p, self.u, D), D, "scaled")
 
 
 # --------------------------------------------------------------- the group
@@ -257,25 +275,21 @@ def _frobenius_log(fs: FrobeniusSeries, desc: RingDescriptor, D: int) -> TruncSe
 class FormalGroupLaw:
     """A one-dimensional formal group law with its coefficient-ring action.
 
-    kind is gm, lubin_tate or honda; each kind is one object over
-    any W(F_{p^f}), and base_change returns the same kind over the larger
-    ring.  Heavy artifacts (the [p]-series at a degree window, the
-    two-variable law, division factors, module structures) are built on
-    demand and cached at their (window, precision); each serves every
-    narrower, less precise request by truncation and reduction, so a
-    caller that opens the widest first builds each one once.
+    kind is gm, lubin_tate or honda; source, its Z_p data, answers the
+    height, grading, [p]-series and logarithm, and only gm's closed-form law
+    and logarithm read the kind.  base_change keeps both over a larger ring.
+    Heavy artifacts (the [p]-series at a degree window, the two-variable
+    law, division factors, module structures) are built on demand and
+    cached at their (window, precision); each serves every narrower, less
+    precise request by truncation and reduction, so a caller that opens the
+    widest first builds each one once.
     """
 
-    def __init__(self, desc, kind, label, frobenius=None, u=None):
+    def __init__(self, desc, kind, label, source):
         self.desc = desc
         self.kind = kind
         self.label = label
-        self.frobenius = frobenius
-        self.u = u
-        if frobenius is not None:
-            self._height = frobenius.h
-        else:
-            self._height = next((i for i, ui in enumerate(u, start=1) if ui % desc.p), INF)
+        self.source = source
         self._pi_cache = {}
         self._f2_cache = {}
         self._log_cache = {}
@@ -287,24 +301,20 @@ class FormalGroupLaw:
     # ------------------------------------------------------------- basics
     @property
     def height(self):
-        return self._height
+        return self.source.h
 
     @property
     def q(self):
         """p^height, or None for infinite height."""
-        if self._height == INF:
-            return None
-        return self.desc.p**self._height
+        return None if self.height == INF else self.desc.p**self.height
 
     @property
     def grading(self) -> int:
-        """d with [p] = X u(X^d), from the defining Z_p data: gcd{j - 1}
-        over the support of the Frobenius series, gcd{p^i - 1 : u_i != 0}
-        for honda (0 for u = ()).  The [p]-series on a window may look more
-        coarsely graded: ModuleStructure.step is the gcd of its own window."""
-        if self.frobenius is not None:
-            return math.gcd(*(j - 1 for j, c in enumerate(self.frobenius.coeffs) if c))
-        return math.gcd(*(self.desc.p**i - 1 for i, ui in enumerate(self.u, start=1) if ui))
+        """d with [p] = X u(X^d), from the source: gcd{j - 1} over the
+        support of the Frobenius series, gcd{p^i - 1 : u_i != 0} for honda
+        (0 for u = ()).  The [p]-series on a window may look more coarsely
+        graded: ModuleStructure.step is the grading of its own window."""
+        return self.source.grading
 
     @property
     def q_eff(self) -> int:
@@ -316,17 +326,12 @@ class FormalGroupLaw:
     # ---------------------------------------------------------- [p]-series
     def pi_series(self, D: int, N: int | None = None) -> TruncSeries1:
         N = self.desc.N if N is None else N
-        if N > self.desc.N:
-            raise ValueError("requested precision above construction precision")
         if self.q is not None and D <= self.q:
             raise ValueError("window must exceed the height index")
         return _serve(self._pi_cache, D, N, lambda: self._build_pi_series(D, N))
 
     def _build_pi_series(self, D: int, N: int) -> TruncSeries1:
-        if self.frobenius is not None:
-            out = self.frobenius.at(self.desc.at_precision(N), D)
-        else:
-            out = _honda_pi_series(self.desc.at_precision(N), self.u, D)
+        out = self.source.at(self.desc.at_precision(N), D)
         if out.first_unit_index() != (self.q if self.q else None):
             raise AssertionError("multiplication-by-p series has wrong unit index")
         return out
@@ -346,31 +351,21 @@ class FormalGroupLaw:
         N_work = solve_precision(N, W, self.q_eff)
         # [p] has Z_p coefficients, so F is fixed by Frobenius: solve over Z_p
         zp = RingDescriptor(self.desc.p, 1, N_work)
-        if self.frobenius is None:
-            # the honda [p]-series is exact data at any precision
-            f_work = _honda_pi_series(zp, self.u, W)
-        elif N_work > self.desc.N:
-            raise ValueError("construct the group at higher precision first")
-        else:
-            f_work = self.frobenius.at(zp, W)
+        pi = self.pi_series(W, N_work).data[:, :1]
+        f_work = TruncSeries1(zp, W, "integral", pi.astype(_dtype_for(zp, W, "integral")))
         out = TruncSeries2.zero(self.desc.at_precision(N), D2)
         out.data[..., 0] = _narrow(solve_equivariant_group_law(f_work, W, N), D2, N).data[..., 0]
         return out
 
     # ------------------------------------------------------------ logarithm
     def logarithm(self, D: int) -> TruncSeries1:
-        if D in self._log_cache:
-            return self._log_cache[D]
-        if self.kind == "gm":
-            coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
-            out = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
-        elif self.frobenius is not None:
-            out = _frobenius_log(self.frobenius, self.desc, D)
-        else:
-            lam = honda_log_coeffs(self.desc.p, self.u, D)
-            out = TruncSeries1.from_coeffs(self.desc, lam, D, "scaled")
-        self._log_cache[D] = out
-        return out
+        if D not in self._log_cache:
+            if self.kind == "gm":
+                coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
+                self._log_cache[D] = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
+            else:
+                self._log_cache[D] = self.source.log(self.desc, D)
+        return self._log_cache[D]
 
     def exponential(self, D: int) -> TruncSeries1:
         if D not in self._exp_cache:
@@ -433,34 +428,33 @@ class FormalGroupLaw:
     # --------------------------------------------------------- base change
     def base_change(self, f_new: int) -> "FormalGroupLaw":
         """The same group over the unramified extension with residue degree
-        f_new (a multiple of the current one).  Every kind keeps its Z_p
-        data, so the defining series are reused over the larger ring."""
+        f_new (a multiple of the current one).  Its source is Z_p data, so
+        it is reused over the larger ring."""
         if f_new % self.desc.f:
             raise ValueError("target residue degree must be a multiple of the current one")
         if f_new == self.desc.f:
             return self
         dst = RingDescriptor(self.desc.p, f_new, self.desc.N)
         label = f"{self.label}@f={f_new}"
-        return FormalGroupLaw(dst, self.kind, label, self.frobenius, self.u)
+        return FormalGroupLaw(dst, self.kind, label, self.source)
 
 
 def multiplicative_group(desc: RingDescriptor, label: str | None = None) -> FormalGroupLaw:
     """G_m, the Lubin-Tate group of [p] = (1 + X)^p - 1."""
     p = desc.p
     frob = FrobeniusSeries(desc, [0] + [math.comb(p, k) for k in range(1, p + 1)])
-    return FormalGroupLaw(desc, "gm", label or f"gm(p={p},f={desc.f})", frobenius=frob)
+    return FormalGroupLaw(desc, "gm", label or f"gm(p={p},f={desc.f})", frob)
 
 
 def lubin_tate_group(desc: RingDescriptor, coeffs, label: str | None = None) -> FormalGroupLaw:
     frob = FrobeniusSeries(desc, coeffs)
     return FormalGroupLaw(desc, "lubin_tate",
-                          label or f"lt(p={desc.p},f={desc.f},q={frob.q})",
-                          frobenius=frob)
+                          label or f"lt(p={desc.p},f={desc.f},q={frob.q})", frob)
 
 
 def honda_group(desc: RingDescriptor, u, label: str | None = None) -> FormalGroupLaw:
-    u = tuple(int(x) for x in u)
-    return FormalGroupLaw(desc, "honda", label or f"honda(p={desc.p},u={u})", u=u)
+    source = HondaSeries(desc.p, u)
+    return FormalGroupLaw(desc, "honda", label or f"honda(p={desc.p},u={source.u})", source)
 
 
 # -------------------------------------------------------- module structure
@@ -521,7 +515,7 @@ class ModuleStructure:
         self.dtype = contraction_dtype(D, desc)
         self.f_nz = fs.nonzero_degrees()
         self.mdeg = self.f_nz[-1]
-        self.step = d = math.gcd(*(j - 1 for j in self.f_nz))  # 0 when f = pX
+        self.step = d = fs.grading()  # 0 when f = pX
         # u on the windows t, degrees 1 + d t < D (t = 0 only when d = 0),
         # and fpow[j] = y^j u^(1+dj) = u (y u^d)^j
         rows = fs.data[1::d or D].copy()

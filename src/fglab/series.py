@@ -244,6 +244,10 @@ class TruncSeries1(_Series):
     def nonzero_degrees(self):
         return np.flatnonzero((self.data != 0).any(axis=-1)).tolist()
 
+    def grading(self) -> int:
+        """d = gcd{j - 1 : f_j != 0} on this window, so f = X u(X^d); 0 for f = aX."""
+        return math.gcd(*(j - 1 for j in self.nonzero_degrees()))
+
     # ------------------------------------------------------------ arithmetic
     def __mul__(self, other):
         self._compat(other)

@@ -415,25 +415,27 @@ class TestRunPlan:
 
     def test_one_honda_pi_series_solve(self, monkeypatch, tmp_path):
         # _build_pi_series runs _honda_pi_series once for a honda group;
-        # the law's solve calls it directly and is not counted
+        # torsion solves no law, whose [p]-series would come through it too
         from fglab import groups
         builds = counted(monkeypatch, groups.FormalGroupLaw, "_build_pi_series")
         assert main([*TORSION_DEEP["honda-h1-p3"], "--out", str(tmp_path / "r.json")]) == 0
         assert [args[1:] for args in builds] == [(216, 12)]
 
-    @pytest.mark.parametrize("argv, build", [
+    @pytest.mark.parametrize("argv, want", [
         (("torsion", "--group", "honda", "--u", "0,1", "--f", "2", "--N", "6", "--nmax", "2"),
-         (432, 9)),
-        (("verify", "--group", "honda", "--u", "1", "--N", "6", "--nmax", "2"), (36, 10)),
+         [(432, 9)]),
+        (("verify", "--group", "honda", "--u", "1", "--N", "6", "--nmax", "2"),
+         [(36, 10), (24, 19)]),
     ], ids=["honda-h2-f2-torsion", "honda-h1-verify"])
-    def test_one_pi_series_where_the_module_works_deeper(self, argv, build, monkeypatch, tmp_path):
+    def test_one_pi_series_where_the_module_works_deeper(self, argv, want, monkeypatch, tmp_path):
         # the module structure solves over more digits than the config's N:
         # the plan opens the [p]-series at both keys' maximum, which serves
-        # the division factors and the structure alike
+        # the division factors and the structure alike; verify's law solve
+        # reads the exact honda [p]-series at its own, deeper key
         from fglab import groups
         builds = counted(monkeypatch, groups.FormalGroupLaw, "_build_pi_series")
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
-        assert [args[1:] for args in builds] == [build]
+        assert [args[1:] for args in builds] == want
 
     @pytest.mark.parametrize("name", sorted(TORSION_DEEP))
     def test_one_solve_batch_per_check(self, name, monkeypatch, tmp_path):

@@ -1,9 +1,11 @@
+import ast
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,7 +505,7 @@ def test_base_change_preserves_data():
         g = base
         for f in chain:
             g = g.base_change(f)
-            assert (g.desc.f, g.kind, g.u, g.height) == (f, base.kind, base.u, base.height)
+            assert (g.desc.f, g.kind, g.source, g.height) == (f, base.kind, base.source, base.height)
             _in_component_zero(g.pi_series(D, N), base.pi_series(D, N))
             _in_component_zero(g.group_law2(D, N), base.group_law2(D, N))
             _in_component_zero(g.logarithm(D), base.logarithm(D))
@@ -511,7 +513,7 @@ def test_base_change_preserves_data():
     for u in ((0, 1), (1,)):
         direct = honda_group(RingDescriptor(3, 2, 14), u)
         changed = honda_group(RingDescriptor(3, 1, 14), u).base_change(2)
-        assert (direct.kind, direct.u, direct.height) == (changed.kind, changed.u, changed.height)
+        assert (direct.kind, direct.source.u, direct.height) == (changed.kind, changed.source.u, changed.height)
         assert direct.pi_series(D, N) == changed.pi_series(D, N)
         assert direct.group_law2(D, N) == changed.group_law2(D, N)
         assert direct.logarithm(D) == changed.logarithm(D)
@@ -520,7 +522,7 @@ def test_base_change_preserves_data():
         g = base
         for f in chain:
             g = g.base_change(f)
-            direct = lubin_tate_group(RingDescriptor(3, f, base.desc.N), base.frobenius.coeffs)
+            direct = lubin_tate_group(RingDescriptor(3, f, base.desc.N), base.source.coeffs)
             assert (direct.kind, direct.height) == (g.kind, g.height)
             assert direct.pi_series(D, N) == g.pi_series(D, N)
             assert direct.group_law2(D, N) == g.group_law2(D, N)
@@ -588,6 +590,43 @@ def test_narrower_keys_do_not_serve_a_wider_window(method):
     getattr(g, method)(6, 5)
     # no cached window serves (12, 5): it is built as on a new group
     assert getattr(g, method)(12, 5) == getattr(fresh, method)(12, 5)
+
+
+def test_honda_pi_series_serves_any_precision():
+    # a honda source is exact, so pi_series serves N above the group's own;
+    # a Frobenius series holds only the digits it was read at
+    from fglab import groups
+    g = honda_group(RingDescriptor(3, 2, 8), (0, 1))
+    for D, N in ((30, 12), (25, 11), (20, 20), (40, 9)):
+        assert g.pi_series(D, N) == groups._honda_pi_series(RingDescriptor(3, 2, N), (0, 1), D)
+    for group in (lt_h1(3, N=8), lt_h2(8), gm(3, 8), gm(5, 8)):
+        group.pi_series(30, 8)
+        with pytest.raises(ValueError, match="higher precision"):
+            group.pi_series(30, 9)
+
+
+def _calls(tree, name):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_formal_group_law_reads_its_source_only():
+    # the group reads no field of one kind of source; the honda Newton solve
+    # has one caller, HondaSeries.at; the windowed grading rule is written
+    # once, in series.py
+    src = Path(fglab.__file__).parent
+    classes = {node.name: node for node in ast.parse((src / "groups.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    reads = [f"groups.py:{node.lineno}: .{node.attr}" for node in ast.walk(classes["FormalGroupLaw"])
+             if isinstance(node, ast.Attribute) and node.attr in ("frobenius", "u")]
+    assert reads == []
+    calls = [(path.name, line) for path in sorted(src.glob("*.py"))
+             for line in _calls(ast.parse(path.read_text()), "_honda_pi_series")]
+    inside = _calls(classes["HondaSeries"], "_honda_pi_series") if "HondaSeries" in classes else []
+    assert calls == [("groups.py", line) for line in inside] and len(calls) == 1
+    rule = [path.name for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines() if "gcd(*(j - 1" in line]
+    assert rule == ["series.py"]
 
 
 def test_pi_series_after_many_narrow_keys():

@@ -26,6 +26,7 @@ from fglab.padic import (
     contraction_dtype,
     multiplicative_generator,
     ring_mul,
+    root_of_unity,
     ring_scale,
     teichmuller_digits,
     teichmuller_lift,
@@ -601,20 +602,39 @@ def lt_h1_f2():
     return lubin_tate_group(RingDescriptor(3, 2, 14), [0, 3, 0, 1])
 
 
-@pytest.mark.parametrize("make", [gm_f2, lt_h1_f2])
-def test_narrowed_obstructions_equal_fresh_solve(make):
-    # the mixed batches of the obstruction tests, with 1 + 3 zeta and
-    # 2 + 9 zeta, which obstruct at 9 and 27: a window ending at or below
-    # the obstruction degree finds none, one past it finds it there
+def honda_f2():
+    return honda_group(RingDescriptor(3, 2, 14), (0, 1, 1))
+
+
+def mixed_batch(desc):
+    # the mixed batch of the obstruction tests, with 1 + 3 zeta and 2 + 9 zeta
+    zeta, one = mu_generator(desc), desc.one()
+    return [2, zeta, -1, (1, 1), 4, zeta * zeta, 3, one + zeta * 3, one + one + zeta * 9]
+
+
+def zeta8_batch(desc):
+    zeta = root_of_unity(desc, 8)
+    return [zeta, zeta + 1, 2]
+
+
+MIXED_DEGREES = [None, 3, None, 3, None, 3, None, 9, 27]
+
+
+@pytest.mark.parametrize("make, key, batch, degrees, windows", [
+    (gm_f2, (40, 6), mixed_batch, MIXED_DEGREES, (4, 8, 9, 10, 20, 27, 28)),
+    (lt_h1_f2, (40, 6), mixed_batch, MIXED_DEGREES, (4, 8, 9, 10, 20, 27, 28)),
+    (honda_f2, (60, 6), zeta8_batch, [27, 27, None], (12, 20, 27, 28)),
+], ids=["gm_f2", "lt_h1_f2", "honda_f2"])
+def test_narrowed_obstructions_equal_fresh_solve(make, key, batch, degrees, windows):
+    # a window ending at or below the obstruction degree finds none, one
+    # past it finds it there; the dense honda series of u = (0, 1, 1)
+    # obstructs zeta_8 and zeta_8 + 1 at 27
     g = make()
-    wide = g.module(40, 6)
-    zeta = mu_generator(wide.desc_w)
-    one = wide.desc_w.one()
-    scalars = [2, zeta, -1, (1, 1), 4, zeta * zeta, 3, one + zeta * 3, one + one + zeta * 9]
-    degrees = [obs for _, obs in wide.solve_batch(scalars)]
-    assert degrees == [None, 3, None, 3, None, 3, None, 9, 27]
+    wide = g.module(*key)
+    scalars = batch(wide.desc_w)
+    assert [obs for _, obs in wide.solve_batch(scalars)] == degrees
     cases = set()
-    for D in (4, 8, 9, 10, 20, 27, 28):
+    for D in windows:
         for N in (4, 6):
             got = g.multiplications(scalars, D, N)
             want = fresh_records(make, D, N, scalars)
