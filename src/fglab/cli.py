@@ -672,6 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fglab",
         description="exact-arithmetic laboratory for one-dimensional formal groups",
     )
+    # the flags every subcommand shares, declared once on a parent parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    for key, _, kind, help_text in KEYS:
+        common.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text,
+                            choices=GROUP_SOURCES if key == "group" else None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("construct", "build the configured group and echo its law"),
@@ -680,11 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrices", "block-model linear algebra"),
         ("verify", "every suite plus seeded series properties"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="flat key = value config file")
-        for key, _, kind, help_text in KEYS:
-            sp.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text,
-                            choices=GROUP_SOURCES if key == "group" else None)
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

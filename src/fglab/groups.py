@@ -142,9 +142,11 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSe
     With F known below degree k, the degree-k part of the defect
     f(F) - F(f(X), f(Y)) is (p^k - p) F_k.  With d = gcd{j - 1 : f_j != 0}
     the defect lives on total degrees = 1 mod d, so only those degrees are
-    solved; d = 0 (f = pX) leaves F = X + Y.  Works mod the precision of
-    f_ser, which carries a cushion of digits above N for the divisions by
-    p^k - p; equivariance is checked mod p^N.
+    solved; d = 0 (f = pX) leaves F = X + Y.  Degree k needs only row k of
+    the defect, so step k evaluates it on the window k + 1.  Works mod the
+    precision of f_ser, which carries a cushion of digits above N for the
+    divisions by p^k - p; equivariance is checked mod p^N on the full
+    window.
     """
     desc = f_ser.desc
     p, m = desc.p, desc.pN
@@ -152,15 +154,16 @@ def solve_equivariant_group_law(f_ser: TruncSeries1, D2: int, N: int) -> TruncSe
     d = f2.grading()
     F = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1)], D2)
 
-    def defect():
-        return (f2.compose(F) - substitute2_into2(F, f2, f2)).data
+    def defect(f, G):
+        return (f.compose(G) - substitute2_into2(G, f, f)).data
 
     for k in range(1 + d, D2, d) if d else ():
-        part = defect()[k]  # the degree-k part: row k of the series data
+        # the degree-k part: row k of the series data
+        part = defect(f2.truncate(k + 1), _narrow(F, k + 1, desc.N))[k]
         if (part % p).any():
             raise ObstructionError(k, f"group law solve obstructed at degree {k}")
-        F.data[k] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
-    if (defect() % p**N).any():
+        F.data[k, :k + 1] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
+    if (defect(f2, F) % p**N).any():
         raise ArithmeticError("equivariance failed")
     return F
 
@@ -258,7 +261,10 @@ class HondaSeries:
 
     def __init__(self, p: int, u):
         self.p = p
-        self.u = u = tuple(int(x) for x in u)
+        try:
+            self.u = u = tuple(operator.index(x) for x in u)
+        except TypeError:
+            raise ValueError("honda coefficients u_i must be integers") from None
         self.h = next((i for i, ui in enumerate(u, start=1) if ui % p), INF)
         self.grading = math.gcd(*(p**i - 1 for i, ui in enumerate(u, start=1) if ui))
 

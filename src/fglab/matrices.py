@@ -71,26 +71,24 @@ def check_relations(Y):
 def _rank_unit_pivots(M, mod: int) -> int:
     """Row reduce over Z/mod using unit pivots only; returns pivot count.
 
-    For prime mod this is plain Gaussian elimination."""
-    M = np.array(M, dtype=np.int64) % mod
-    rows, cols = M.shape
+    For prime mod this is plain Gaussian elimination.  The rows are Python
+    int lists, which these small matrices eliminate faster than numpy
+    scalar indexing does."""
+    M = (np.array(M, dtype=np.int64) % mod).tolist()
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if math.gcd(int(M[i, c]), mod) == 1:
-                piv = i
-                break
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if math.gcd(M[i][c], mod) == 1), None)
         if piv is None:
             continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, mod)) % mod
-        for i in range(rows):
-            if i != r and M[i, c]:
-                M[i] = (M[i] - M[i, c] * M[r]) % mod
+        M[r], M[piv] = M[piv], M[r]
+        inv = pow(M[r][c], -1, mod)
+        top = M[r] = [v * inv % mod for v in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[c]:
+                k = row[c]
+                M[i] = [(v - k * t) % mod for v, t in zip(row, top)]
         r += 1
-        if r == rows:
+        if r == len(M):
             break
     return r
 

@@ -318,12 +318,16 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     gathered by the power X^(a+b) they carry, reduced mod m, and folded back
     with the structure table.  m = None is the exact product of integer
     numerators (the scaled series domain keeps their one denominator
-    beside them): the partial products are folded without reduction.
+    beside them): the partial products are folded without reduction.  At
+    f = 1 there is nothing to gather or fold: the product is one prod call
+    on the single slices, reduced once.
     """
     f = desc.f
-    # zero slices are skipped, but at f = 1 the scan costs more than it saves
-    xs = [(a, A[..., a]) for a in range(f) if f == 1 or A[..., a].any()]
-    ys = [(b, B[..., b]) for b in range(f) if f == 1 or B[..., b].any()]
+    if f == 1:
+        c = prod(A[..., 0], B[..., 0])
+        return (c if m is None else c % m)[..., None]
+    xs = [(a, A[..., a]) for a in range(f) if A[..., a].any()]
+    ys = [(b, B[..., b]) for b in range(f) if B[..., b].any()]
     cross = [None] * (2 * f - 1)
     for a, x in xs:
         for b, y in ys:
@@ -333,17 +337,14 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
             cross[a + b] = c if m is None else c % m
     if not (xs and ys):
         cross[0] = prod(A[..., 0], B[..., 0])  # a factor is zero
-    if f == 1:
-        out = cross[0][..., None]
-    else:
-        zero = np.zeros_like(next(c for c in cross if c is not None))
-        C = np.stack([zero if c is None else c for c in cross], axis=-1)
-        T = desc.structure_table()
-        R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
-        if m is not None:
-            R = [[v % m for v in row] for row in R]
-        out = C @ np.array(R, dtype=C.dtype)
-    return out if m is None or f == 1 else out % m
+    zero = np.zeros_like(next(c for c in cross if c is not None))
+    C = np.stack([zero if c is None else c for c in cross], axis=-1)
+    T = desc.structure_table()
+    R = [T[0][k] if k < f else T[f - 1][k - f + 1] for k in range(2 * f - 1)]
+    if m is not None:
+        R = [[v % m for v in row] for row in R]
+    out = C @ np.array(R, dtype=C.dtype)
+    return out if m is None else out % m
 
 
 def contraction_dtype(terms: int, desc: RingDescriptor):

@@ -31,15 +31,15 @@ term for an integral one-variable g of at most 6 terms, by products
 otherwise.  Composition has one route, TruncSeries1.compose, for an inner
 series of either kind: an outer series with at most 10 nonzero terms sums
 addition-chain powers in one contraction, any other goes baby-step/giant-
-step with its block sums in one contraction.  substitute2_into2 forms
-F(g(X), h(Y)) as P^T F Q from the power tables of g and h.  Reversion is a
-Newton iteration of one composition a step, r <- r - (f(r) - X) r'
-(Brent-Kung 1978), in either domain.
+step with its block sums in one contraction; each contraction is one
+np.matmul on the power stack flattened to (powers, entries, f).
+substitute2_into2 forms F(g(X), h(Y)) as P^T F Q from the power tables of
+g and h.  Reversion is a Newton iteration of one composition a step,
+r <- r - (f(r) - X) r' (Brent-Kung 1978), in either domain.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -286,8 +286,10 @@ class TruncSeries1(_Series):
         one, and the giant step g^s from one _powers table, forms every
         block sum sum_r c_{bs+r} g^r in one contraction, and runs Horner
         in g^s over the blocks (Paterson-Stockmeyer): about
-        2 sqrt(n) products of g's kind.  Both contract self's numerators
-        and divide by self.den once at the end.
+        2 sqrt(n) products of g's kind.  Each contraction is one np.matmul
+        on the power stack flattened to (r, entries, f), reshaped back to
+        g's shape.  Both contract self's numerators and divide by self.den
+        once at the end.
         """
         self._compat(g)
         if g.data[(0,) * (g.data.ndim - 1)].any():
@@ -299,10 +301,10 @@ class TruncSeries1(_Series):
 
         def sums(rows, stack, den):
             """sum_r rows[..., r] stack[r] / den, one series per leading index
-            of rows."""
-            out = ring_mul(rows, stack, desc, self._modulo(),
-                           functools.partial(np.tensordot, axes=1))
-            return [kind(desc, D, domain, part, den) for part in out]
+            of rows: one matmul on the stack flattened to (r, entries, f)."""
+            flat = stack.reshape(len(stack), -1, desc.f)
+            out = ring_mul(rows, flat, desc, self._modulo(), np.matmul)
+            return [kind(desc, D, domain, part.reshape(g.data.shape), den) for part in out]
 
         if len(nz) <= 10:
             # g^k by the addition chain k -> k - 1 (odd k), k -> k/2 (even k),

@@ -17,6 +17,7 @@ from fglab.precision import cushion, floor_log, law_precision
 from fglab.series import TruncSeries1, TruncSeries2, substitute2_into2
 from fglab.groups import (
     FrobeniusSeries,
+    HondaSeries,
     ObstructionError,
     honda_group,
     lubin_tate_group,
@@ -71,6 +72,17 @@ def test_lubin_tate_coefficients_are_integers():
             FrobeniusSeries(d, coeffs)
         with pytest.raises(ValueError, match="integers"):
             lubin_tate_group(d, coeffs)
+
+
+def test_honda_coefficients_are_integers():
+    # a non-integer u_i is refused, not truncated to the group of int(u_i)
+    d = RingDescriptor(3, 1, 8)
+    assert honda_group(d, (0, np.int64(1))).label == honda_group(d, (0, 1)).label
+    for bad in (1.7, Fraction(1, 2), Fraction(1), "1"):
+        with pytest.raises(ValueError, match="integers"):
+            honda_group(d, (0, bad))
+        with pytest.raises(ValueError, match="integers"):
+            HondaSeries(3, (0, bad))
 
 
 def test_lubin_tate_first_coefficients():

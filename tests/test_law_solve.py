@@ -94,6 +94,28 @@ def rank_one_law_solve(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
     return F
 
 
+def full_window_law_solve(f_ser: TruncSeries1, D2: int, N: int) -> TruncSeries2:
+    """The graded solve with every defect evaluated on the full window D2,
+    of which each degree reads one row."""
+    desc = f_ser.desc
+    p, m = desc.p, desc.pN
+    f2 = f_ser.lift(D2) if f_ser.D < D2 else f_ser.truncate(D2)
+    d = f2.grading()
+    F = TruncSeries2.from_triples(desc, [(1, 0, 1), (0, 1, 1)], D2)
+
+    def defect():
+        return (f2.compose(F) - substitute2_into2(F, f2, f2)).data
+
+    for k in range(1 + d, D2, d) if d else ():
+        part = defect()[k]
+        if (part % p).any():
+            raise ObstructionError(k, f"group law solve obstructed at degree {k}")
+        F.data[k] = part // p * pow((pow(p, k - 1, m) - 1) % m, -1, m) % m
+    if (defect() % p**N).any():
+        raise ArithmeticError("equivariance failed")
+    return F
+
+
 # ------------------------------------------------ the new solve against it
 
 LAW_GROUPS = {
@@ -154,6 +176,18 @@ def test_gm_pi_series_law_equals_oracle(name):
     assert got == group.group_law2(D2, f_ser.desc.N)  # X + Y + XY
 
 
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS_SPECS])
+def test_growing_window_solve_equals_full_window_solve(name):
+    # each degree k is solved from the defect on the window k + 1; the
+    # full-window loop it replaced must give the same law
+    group = make_group(N=6, nmax=1, label=name, **dict(CORPUS_SPECS)[name])
+    D2, N = 4 * group.q + 2, 4
+    f_ser = group.pi_series(D2, N + cushion(D2, group.q_eff))
+    got = solve_equivariant_group_law(f_ser, D2, N)
+    assert got.data.dtype == full_window_law_solve(f_ser, D2, N).data.dtype
+    assert got == full_window_law_solve(f_ser, D2, N)
+
+
 @pytest.mark.parametrize("name", list(LAW_GROUPS))
 def test_law_groups_equal_oracle(name, solves):
     D2 = 22 if name == "honda-1" else 14
@@ -196,7 +230,8 @@ def test_law_of_px_is_x_plus_y():
     assert got == TruncSeries2.from_triples(d, [(1, 0, 1), (0, 1, 1)], 10)
 
 
-@pytest.mark.parametrize("solve", [solve_equivariant_group_law, rank_one_law_solve])
+@pytest.mark.parametrize("solve", [solve_equivariant_group_law, rank_one_law_solve,
+                                   full_window_law_solve])
 def test_law_solve_obstruction(solve):
     # 3X + X^2 + X^3: the degree-2 defect 2XY is not divisible by 3
     f_ser = TruncSeries1.from_coeffs(RingDescriptor(3, 1, 8), [0, 3, 1, 1], D=10)
@@ -242,12 +277,15 @@ def test_law_solve_evaluates_the_defect_once_per_degree(name, monkeypatch):
     substitutions, compositions = [], []
     substitute, compose = groups.substitute2_into2, TruncSeries1.compose
     monkeypatch.setattr(groups, "substitute2_into2",
-                        lambda *args: substitutions.append(1) or substitute(*args))
+                        lambda *args: substitutions.append(args[0].D) or substitute(*args))
     monkeypatch.setattr(TruncSeries1, "compose", lambda self, g: (
-        compositions.append(1) if isinstance(g, TruncSeries2) else None) or compose(self, g))
+        compositions.append(g.D) if isinstance(g, TruncSeries2) else None) or compose(self, g))
     solve_equivariant_group_law(f_ser, D2, 5)
     evaluations = len(solved_degrees(f_ser, D2)) + 1
     assert len(substitutions) == len(compositions) == evaluations
+    # degree k is solved on the window k + 1; the final check on the full one
+    windows = [k + 1 for k in solved_degrees(f_ser, D2)] + [D2]
+    assert substitutions == compositions == windows
 
 
 # ------------------------------------------------ the total-degree layout
