@@ -570,25 +570,38 @@ def _random_series(desc, D, rng, unit_linear=False):
     rows[0] = [0] * desc.f
     if unit_linear:
         rows[1] = [1 + desc.p * rng.randrange(desc.p ** (desc.N - 1))] + [0] * (desc.f - 1)
-    return TruncSeries1.from_coeffs(desc, rows, D)
+    s = TruncSeries1.zero(desc, D)
+    s.data[:] = rows  # residues mod p^N already
+    return s
+
+
+def _cases_verdict(ok):
+    """The verdict of a suite from its per-case boolean array: the first
+    failing case, as the case-by-case loop would report it."""
+    bad = np.flatnonzero(~ok)
+    return (False, {"case": int(bad[0])}) if bad.size else (True, {"cases": ok.size})
 
 
 def roundtrip_checks(group, seed: int):
     """Seeded property suites on 10 random series at window 12, precision 6:
-    reversion round-trip, the logarithm pair as inverses, associativity."""
+    reversion round-trip, the logarithm pair as inverses, associativity.
+    Each suite draws its cases in order, one at a time, and runs them as one
+    TruncSeries1 stack: one reversion and one or two compositions."""
     cases, D, N = 10, 12, 6
     desc = RingDescriptor(group.desc.p, group.desc.f, N)
     x = TruncSeries1.x(desc, D)
     checks = []
 
+    def draws(rng, per_case, **kwargs):
+        """per_case stacks of `cases` seeded series, drawn case by case."""
+        drawn = [[_random_series(desc, D, rng, **kwargs) for _ in range(per_case)]
+                 for _ in range(cases)]
+        return [TruncSeries1.stack(column) for column in zip(*drawn)]
+
     def reversion_thunk():
-        rng = random.Random(seed)
-        for i in range(cases):
-            s = _random_series(desc, D, rng, unit_linear=True)
-            r = s.reversion()
-            if s.compose(r) != x or r.compose(s) != x:
-                return False, {"case": i}
-        return True, {"cases": cases}
+        [s] = draws(random.Random(seed), 1, unit_linear=True)
+        r = s.reversion()
+        return _cases_verdict(s.compose(r).equal_cases(x) & r.compose(s).equal_cases(x))
 
     checks.append(Check(
         "series.reversion-roundtrip", {"seed": seed, "cases": cases},
@@ -600,12 +613,12 @@ def roundtrip_checks(group, seed: int):
         exp = group.exponential(D)
         xs = TruncSeries1.x(group.desc, D, domain="scaled")
         group_ok = exp.compose(log) == xs and log.compose(exp) == xs
-        rng = random.Random(seed + 1)
-        for i in range(cases):
-            s = _random_series(desc, D, rng, unit_linear=True).to_scaled()
-            r = s.reversion()
-            if s.compose(r) != r.compose(s):
-                return False, {"case": i}
+        [s] = draws(random.Random(seed + 1), 1, unit_linear=True)
+        s = s.to_scaled()
+        r = s.reversion()
+        ok, observed = _cases_verdict(s.compose(r).equal_cases(r.compose(s)))
+        if not ok:
+            return ok, observed
         return group_ok, {"group_pair_exact": group_ok, "cases": cases}
 
     checks.append(Check(
@@ -614,14 +627,8 @@ def roundtrip_checks(group, seed: int):
         logexp_thunk, {"D": D, "N": N}))
 
     def assoc_thunk():
-        rng = random.Random(seed + 2)
-        for i in range(cases):
-            a = _random_series(desc, D, rng)
-            b = _random_series(desc, D, rng)
-            c = _random_series(desc, D, rng)
-            if a.compose(b).compose(c) != a.compose(b.compose(c)):
-                return False, {"case": i}
-        return True, {"cases": cases}
+        a, b, c = draws(random.Random(seed + 2), 3)
+        return _cases_verdict(a.compose(b).compose(c).equal_cases(a.compose(b.compose(c))))
 
     checks.append(Check(
         "series.compose-associativity", {"seed": seed + 2, "cases": cases},

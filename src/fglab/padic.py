@@ -14,6 +14,10 @@ for arrays of elements under any bilinear product of component slices
 (truncated convolution, contraction), and ring_scale, its
 one-matrix form, for multiplying by a single element.  Reduction is mod an
 explicit m, or none at all for the integer numerators of exact series.
+Every polynomial product of the lab takes its slices through one
+convolution, convolve, whose leading axes broadcast, so a stack of series
+or of torsion-field points multiplies in one call; unit_inverse inverts a
+whole stack of units by one Newton iteration on ring_mul.
 
 Every p-adic valuation of the lab goes through one kernel, valuations: the
 capped v_p of each entry of an integer array.
@@ -26,6 +30,7 @@ import math
 import numbers
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .precision import newton_steps
 
@@ -347,6 +352,54 @@ def ring_mul(A, B, desc: RingDescriptor, m, prod):
     return out if m is None else out % m
 
 
+def convolve(x, y, n=None):
+    """The first n terms (all len(x) + len(y) - 1 by default) of the
+    convolution of x and y along the last axis, the leading axes broadcast:
+    np.convolve for two vectors, else one np.matmul of the windows of y,
+    padded by len(x) - 1 zeros in front and viewed in place by as_strided,
+    with x reversed.  The one convolution kernel: series and torsion-field
+    products take their slices through it."""
+    if x.ndim == 1 and y.ndim == 1:
+        out = np.convolve(x, y)
+        return out if n is None else out[:n]
+    a, b = x.shape[-1], y.shape[-1]
+    n = a + b - 1 if n is None else n
+    padded = np.zeros(y.shape[:-1] + (a - 1 + n,), dtype=y.dtype)
+    padded[..., a - 1:a - 1 + min(b, n)] = y[..., :n]
+    step = padded.strides[-1]
+    # win[..., t, i] = padded[..., t + i]: the a terms that meet x reversed at t
+    win = as_strided(padded, padded.shape[:-1] + (n, a), padded.strides[:-1] + (step, step),
+                     writeable=False)
+    return np.matmul(win, x[..., ::-1, None])[..., 0]
+
+
+def unit_inverse(A, desc: RingDescriptor):
+    """The inverses mod p^N of a (..., f) stack of units, each over the
+    whole stack at once: the residue inverses a^(q-2) mod p by square and
+    multiply, then the Newton iteration x <- x (2 - a x), each step doubling
+    the digits that are right.  Entries are int64 where the products fit
+    (contraction_dtype), Python ints otherwise; a non-unit raises
+    ZeroDivisionError."""
+    p, m = desc.p, desc.pN
+    shape = np.shape(A)
+    A = (A if isinstance(A, np.ndarray) else np.array(A, dtype=object)) % m
+    A = A.astype(contraction_dtype(1, desc)).reshape(-1, desc.f)
+    if not (A % p).any(axis=-1).all():
+        raise ZeroDivisionError("not a unit")
+    one = np.zeros_like(A)
+    one[..., 0] = 1
+    x, base, e = one, A % p, desc.q - 2
+    while e:
+        if e & 1:
+            x = ring_mul(x, base, desc, p, np.multiply)
+        e >>= 1
+        if e:
+            base = ring_mul(base, base, desc, p, np.multiply)
+    for _ in range(newton_steps(desc.N)):
+        x = ring_mul(x, 2 * one - ring_mul(A, x, desc, m, np.multiply), desc, m, np.multiply)
+    return x.reshape(shape)
+
+
 def contraction_dtype(terms: int, desc: RingDescriptor):
     """int64 when ring_mul on residues mod p^N stays under _INT64_BUDGET
     with prod summing `terms` products (the fold sums 2f - 1 more),
@@ -466,17 +519,8 @@ class UnramifiedRingElem:
         return result
 
     def invert(self) -> "UnramifiedRingElem":
-        """Inverse of a unit: in the residue field (N = 1) the (q-2)-th
-        power, above it that inverse refined by Newton steps."""
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit")
-        if self.desc.N == 1:
-            return self ** (self.desc.q - 2)
-        x = UnramifiedRingElem(self.desc, self.residue().invert().coeffs)
-        two = self.desc.from_int(2)
-        for _ in range(newton_steps(self.desc.N)):
-            x = x * (two - self * x)
-        return x
+        """Inverse of a unit, by unit_inverse on a stack of one."""
+        return UnramifiedRingElem(self.desc, unit_inverse(self.coeffs, self.desc).tolist())
 
     def reduce_to(self, desc: RingDescriptor) -> "UnramifiedRingElem":
         if not desc.same_field(self.desc):

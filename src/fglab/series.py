@@ -3,8 +3,8 @@
 A series is a coefficient array of shape (D, f), or (D, D, f) in two
 variables: D tracked degrees, f ring components per coefficient.  Products
 of series and by ring scalars all go through the coefficient-ring kernel of
-padic (ring_mul with a truncated convolution, ring_scale).  Two domains are
-supported:
+padic (ring_mul with the truncated convolution padic.convolve, ring_scale).
+Two domains are supported:
 
 * "integral": entries are ints reduced mod p^N (int64 arrays when the
   bound max(D, 2f) * p^{2N} on the kernel's sums fits in a machine word,
@@ -18,6 +18,23 @@ supported:
   sums align the denominators by their lcm.  Fractions appear only at the
   edges: as input to from_coeffs, from_triples and scalar_mul, and as the
   output of coeff_vec, coeff_triples and repr.
+
+A one-variable series may also be a stack of series: data shaped
+(..., D, f), one case per index of the leading stack axes, the layout of
+TorsionFieldModel's points.  A single series is a stack with no leading
+axes.  The arithmetic, shift, truncate, lift, derivative, compose,
+reversion, invert_unit and to_scaled act case by case and broadcast the
+stack axes of their operands, so ten cases cost one product, one
+composition or one reversion: a product is one broadcasting convolution,
+a composition contracts with the union of the cases' nonzero degrees, and
+a reversion runs all cases on one Newton schedule.  An integral stack
+keeps den = 1.  A scaled stack keeps one denominator per case, an object
+array of the stack's leading shape, each case in lowest terms: a
+denominator shared by the stack would be the lcm of unrelated
+denominators and inflate every numerator.  A single series keeps an int
+den.  stack builds a stack from single series, case takes one back out,
+and equal_cases compares case by case.  The edges below, the valuations
+and to_integral read single series, and two-variable series do not stack.
 
 Every scalar at those edges is read by padic.components.  An integral
 series keeps den = 1, and takes a p-integral rational there to its residue
@@ -40,6 +57,7 @@ r <- r - (f(r) - X) r' (Brent-Kung 1978), in either domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -50,10 +68,12 @@ from .padic import (
     UnramifiedRingElem,
     components,
     contraction_dtype,
+    convolve,
     residues,
     ring_mul,
     ring_scale,
     scalar_matrix,
+    unit_inverse,
     valuations,
 )
 
@@ -62,13 +82,16 @@ def _dtype_for(desc: RingDescriptor, D: int, domain: str):
     return object if domain == "scaled" else contraction_dtype(D, desc)
 
 
-def _zeros(desc, D, domain):
-    return np.zeros((D, desc.f), dtype=_dtype_for(desc, D, domain))
-
-
 def _mul_data(A, B, desc: RingDescriptor, D: int, modulo):
-    """Product of series data, truncated at degree D."""
-    return ring_mul(A, B, desc, modulo, lambda x, y: np.convolve(x, y)[:D])
+    """Product of series data, truncated at degree D, the stack axes
+    broadcast."""
+    return ring_mul(A, B, desc, modulo, lambda x, y: convolve(x, y, D))
+
+
+def _per_case(den, axes: int):
+    """A stack's denominators, one per case, shaped to broadcast against its
+    data: one more axis per series axis and one for the components."""
+    return den.reshape(den.shape + (1,) * (axes + 1))
 
 
 def _num_den(values):
@@ -79,9 +102,14 @@ def _num_den(values):
 
 
 def _common(series):
-    """The numerator arrays of several series stacked over the lcm of their
-    denominators, and that lcm."""
-    den = math.lcm(*(s.den for s in series))
+    """The numerator arrays of several series stacked on a new first axis
+    over the lcm of their denominators (case by case for stacks), and that
+    lcm."""
+    dens = [s.den for s in series]
+    if any(isinstance(d, np.ndarray) for d in dens):
+        den = functools.reduce(np.lcm, dens)
+        return np.stack([s.data * _per_case(den // s.den, s._axes) for s in series]), den
+    den = math.lcm(*dens)
     return np.stack([s.data if s.den == den else s.data * (den // s.den) for s in series]), den
 
 
@@ -91,10 +119,21 @@ class _Series:
 
     __slots__ = ("desc", "D", "domain", "data", "den")
 
-    def __init__(self, desc: RingDescriptor, D: int, domain: str, data, den: int = 1):
+    def __init__(self, desc: RingDescriptor, D: int, domain: str, data, den=1):
         if domain not in ("integral", "scaled"):
             raise ValueError("unknown domain")
-        if den != 1:
+        lead = data.shape[:data.ndim - self._axes - 1]
+        if lead and self._axes != 1:
+            raise ValueError("only one-variable series stack")
+        if lead and domain == "scaled":
+            # a stack: each case over its own denominator, in lowest terms
+            dens = np.broadcast_to(np.asarray(den, dtype=object), lead).ravel().tolist()
+            gs = [math.gcd(d, *row) if d != 1 else 1
+                  for d, row in zip(dens, data.reshape(len(dens), -1).tolist())]
+            den = np.array([d // g for d, g in zip(dens, gs)], dtype=object).reshape(lead)
+            if any(g != 1 for g in gs):
+                data = data // _per_case(np.array(gs, dtype=object).reshape(lead), self._axes)
+        elif den != 1:
             g = math.gcd(den, *data.ravel().tolist())
             if g != 1:
                 data, den = data // g, den // g
@@ -141,12 +180,18 @@ class _Series:
         return self._new(data if m is None else data % m, den)
 
     def _aligned(self, other):
-        """Both numerator arrays over the lcm of the two denominators, and it."""
+        """Both numerator arrays over the lcm of the two denominators (case
+        by case for stacks), and it."""
         self._compat(other)
-        if self.den == other.den:
-            return self.data, other.data, self.den
-        den = math.lcm(self.den, other.den)
-        return self.data * (den // self.den), other.data * (den // other.den), den
+        a, b = self.den, other.den
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            den = np.lcm(a, b)
+            return (self.data * _per_case(den // a, self._axes),
+                    other.data * _per_case(den // b, self._axes), den)
+        if a == b:
+            return self.data, other.data, a
+        den = math.lcm(a, b)
+        return self.data * (den // a), other.data * (den // b), den
 
     def __add__(self, other):
         a, b, den = self._aligned(other)
@@ -159,9 +204,10 @@ class _Series:
     def __neg__(self):
         return self._reduced(-self.data, self.den)
 
-    def _divided(self, n: int):
-        """This series divided by the positive integer n."""
-        return self if n == 1 else self._new(self.data, self.den * n)
+    def _divided(self, n):
+        """This series divided by the positive integer n (one per case for
+        a stack's array)."""
+        return self if not isinstance(n, np.ndarray) and n == 1 else self._new(self.data, self.den * n)
 
     def scalar_mul(self, c):
         """Multiply by a ring scalar, any that padic.components reads."""
@@ -186,9 +232,17 @@ class _Series:
             and self.desc == other.desc
             and self.domain == other.domain
             and self.D == other.D
-            and self.den == other.den
+            and bool(np.array_equal(self.den, other.den))
             and bool(np.array_equal(self.data, other.data))
         )
+
+    def equal_cases(self, other):
+        """Exact equality case by case: a boolean array over the stack axes
+        of the two series, broadcast (a 0-d array for two single series)."""
+        self._compat(other)
+        series_axes = tuple(range(-self._axes - 1, 0))
+        return (self.data == other.data).all(axis=series_axes) & (
+            np.asarray(self.den) == np.asarray(other.den))
 
 
 class TruncSeries1(_Series):
@@ -203,6 +257,21 @@ class TruncSeries1(_Series):
         return cls.from_coeffs(desc, [0, 1], D, domain)
 
     @classmethod
+    def stack(cls, cases):
+        """One series holding the cases, single series on one ring, domain
+        and window, on a new first axis."""
+        first = cases[0]
+        for s in cases[1:]:
+            first._compat(s)
+        den = 1 if first.domain == "integral" else np.array([s.den for s in cases], dtype=object)
+        return cls(first.desc, first.D, first.domain, np.stack([s.data for s in cases]), den)
+
+    def case(self, i):
+        """Case i of a stack, as a series of its own."""
+        den = self.den[i] if isinstance(self.den, np.ndarray) else self.den
+        return TruncSeries1(self.desc, self.D, self.domain, self.data[i], den)
+
+    @classmethod
     def from_coeffs(cls, desc, coeffs, D=None, domain="integral"):
         """coeffs: ring scalars, any that padic.components reads, ascending
         degree."""
@@ -210,12 +279,6 @@ class TruncSeries1(_Series):
             D = len(coeffs)
         return cls._from_entries(desc, D, domain,
                                  [(k, components(c, desc)) for k, c in enumerate(coeffs[:D])])
-
-    def _monomial(self, k: int, vec, den: int = 1):
-        """(vec / den) X^k on this series' ring, domain and window."""
-        data = _zeros(self.desc, self.D, self.domain)
-        data[k] = components(vec, self.desc)
-        return self._new(data, den)
 
     # ------------------------------------------------------------ accessors
     def coefficient(self, k: int) -> UnramifiedRingElem:
@@ -242,7 +305,9 @@ class TruncSeries1(_Series):
         return int(units[0]) if units.size else None
 
     def nonzero_degrees(self):
-        return np.flatnonzero((self.data != 0).any(axis=-1)).tolist()
+        """The degrees with a nonzero coefficient in some case."""
+        axes = tuple(range(self.data.ndim - 2)) + (-1,)
+        return np.flatnonzero((self.data != 0).any(axis=axes)).tolist()
 
     def grading(self) -> int:
         """d = gcd{j - 1 : f_j != 0} on this window, so f = X u(X^d); 0 for f = aX."""
@@ -256,22 +321,23 @@ class TruncSeries1(_Series):
 
     def shift(self, k: int):
         """Multiply by X^k."""
-        data = _zeros(self.desc, self.D, self.domain)
+        data = np.zeros_like(self.data)
         if k < self.D:
-            data[k:] = self.data[: self.D - k]
+            data[..., k:, :] = self.data[..., : self.D - k, :]
         return self._new(data, self.den)
 
     def truncate(self, Dnew: int):
         if Dnew > self.D:
             raise ValueError("use lift to extend")
-        return TruncSeries1(self.desc, Dnew, self.domain, self.data[:Dnew].copy(), self.den)
+        return TruncSeries1(self.desc, Dnew, self.domain, self.data[..., :Dnew, :].copy(), self.den)
 
     def lift(self, Dnew: int):
         """Extend the window, declaring the new coefficients zero."""
         if Dnew < self.D:
             return self.truncate(Dnew)
-        data = _zeros(self.desc, Dnew, self.domain)
-        data[: self.D] = self.data
+        data = np.zeros(self.data.shape[:-2] + (Dnew, self.desc.f),
+                        dtype=_dtype_for(self.desc, Dnew, self.domain))
+        data[..., : self.D, :] = self.data
         return TruncSeries1(self.desc, Dnew, self.domain, data, self.den)
 
     def compose(self, g):
@@ -289,22 +355,30 @@ class TruncSeries1(_Series):
         2 sqrt(n) products of g's kind.  Each contraction is one np.matmul
         on the power stack flattened to (r, entries, f), reshaped back to
         g's shape.  Both contract self's numerators and divide by self.den
-        once at the end.
+        once at the end.  Stack axes of self and g broadcast; the route and
+        the powers follow the union of the nonzero degrees of self's cases,
+        and the power axis moves behind the stack axes for the matmul.
         """
         self._compat(g)
-        if g.data[(0,) * (g.data.ndim - 1)].any():
+        if g.data[(Ellipsis,) + (0,) * g._axes + (slice(None),)].any():
             raise ValueError("inner series must have zero constant term")
         kind, desc, D, domain = type(g), self.desc, self.D, self.domain
+        shape = g.data.shape[g.data.ndim - g._axes - 1:]  # one case of g
+        lead = np.broadcast_shapes(self.data.shape[:-2], g.data.shape[:-len(shape)])
         nz = self.nonzero_degrees()
         if not nz:
-            return kind.zero(desc, D, domain)
+            return kind(desc, D, domain, np.zeros(lead + shape, dtype=_dtype_for(desc, D, domain)))
 
         def sums(rows, stack, den):
-            """sum_r rows[..., r] stack[r] / den, one series per leading index
-            of rows: one matmul on the stack flattened to (r, entries, f)."""
-            flat = stack.reshape(len(stack), -1, desc.f)
+            """sum_r rows[..., j, r] stack[r] / den, one series per block j of
+            rows: one matmul on the stack with its power axis moved behind
+            the stack axes and each power flattened to (entries, f)."""
+            if stack.ndim > len(shape) + 1:
+                stack = np.moveaxis(stack, 0, -len(shape) - 1)
+            flat = stack.reshape(stack.shape[:-len(shape)] + (-1, desc.f))
             out = ring_mul(rows, flat, desc, self._modulo(), np.matmul)
-            return [kind(desc, D, domain, part.reshape(g.data.shape), den) for part in out]
+            return [kind(desc, D, domain, out[..., j, :, :].reshape(lead + shape), den)
+                    for j in range(out.shape[-3])]
 
         if len(nz) <= 10:
             # g^k by the addition chain k -> k - 1 (odd k), k -> k/2 (even k),
@@ -318,14 +392,15 @@ class TruncSeries1(_Series):
                     k = k - 1 if k % 2 else k // 2
                 for e in reversed(chain):
                     powers[e] = powers[e - 1] * g if e % 2 else powers[e // 2] * powers[e // 2]
-            return sums(self.data[nz][None], *_common([powers[k] for k in nz]))[0]._divided(self.den)
+            rows = self.data[..., nz, :][..., None, :, :]
+            return sums(rows, *_common([powers[k] for k in nz]))[0]._divided(self.den)
         n = nz[-1] + 1
         s = math.isqrt(n - 1) + 1
         blocks = -(-n // s)
         baby, den = _powers(g, s + 1)
-        coeffs = np.zeros((blocks * s, desc.f), dtype=self.data.dtype)
-        coeffs[:n] = self.data[:n]
-        parts = sums(coeffs.reshape(blocks, s, desc.f), baby[:s], den)
+        coeffs = np.zeros(self.data.shape[:-2] + (blocks * s, desc.f), dtype=self.data.dtype)
+        coeffs[..., :n, :] = self.data[..., :n, :]
+        parts = sums(coeffs.reshape(coeffs.shape[:-2] + (blocks, s, desc.f)), baby[:s], den)
         giant = g._new(baby[s], den)
         acc = parts[-1]
         for part in parts[-2::-1]:
@@ -333,19 +408,31 @@ class TruncSeries1(_Series):
         return acc._divided(self.den)
 
     def derivative(self):
-        data = _zeros(self.desc, self.D, self.domain)
-        for k in range(1, self.D):
-            data[k - 1] = self.data[k] * k
+        data = np.zeros_like(self.data)
+        data[..., :-1, :] = self.data[..., 1:, :] * np.arange(1, self.D, dtype=self.data.dtype)[:, None]
         return self._reduced(data, self.den)
+
+    def _inverse_monomial(self, k: int):
+        """X^k over the coefficient of X^k, case by case: integral by one
+        padic.unit_inverse over the stack, scaled by the exact inverse of
+        each case's coefficient.  Raises ZeroDivisionError on a non-unit
+        (integral) or a zero (scaled) coefficient."""
+        data = np.zeros_like(self.data)
+        if self.domain == "integral":
+            data[..., k, :] = unit_inverse(self.data[..., k, :], self.desc)
+            return self._new(data)
+        lead = self.data.shape[:-2]
+        dens = np.broadcast_to(np.asarray(self.den, dtype=object), lead)
+        out = np.empty(lead, dtype=object)
+        for idx in np.ndindex(*lead):
+            data[idx + (k,)], out[idx] = _exact_vec_invert(self.data[idx + (k,)], dens[idx], self.desc)
+        return self._new(data, out if lead else out[()])
 
     def invert_unit(self):
         """Multiplicative inverse; the constant coefficient must be invertible
         (integral: a unit; scaled: any nonzero constant)."""
-        if self.domain == "integral":
-            x = self._monomial(0, self.coefficient(0).invert().coeffs)
-        else:
-            x = self._monomial(0, *_exact_vec_invert(self.data[0], self.den, self.desc))
-        two = self._monomial(0, 2)
+        x = self._inverse_monomial(0)
+        two = TruncSeries1.from_coeffs(self.desc, [2], self.D, self.domain)
         d = 1
         while d < self.D:
             d = min(2 * d, self.D)
@@ -365,13 +452,11 @@ class TruncSeries1(_Series):
         takes r good mod X^d to r good mod X^(2d-1).  With r = r* + delta,
         delta = O(X^d), f(r) - X = O(X^d) and r' = 1/f'(r*) + O(X^(d-1)),
         so the new error is O(X^(2d-1)).  The inverse mod X^D is unique, so
-        the result does not depend on the route."""
-        if any(v != 0 for v in self.data[0]):
+        the result does not depend on the route.  A stack runs every case
+        on the one schedule, its linear coefficients inverted together."""
+        if self.data[..., 0, :].any():
             raise ValueError("series must have zero constant term")
-        if self.domain == "integral":
-            r = self._monomial(1, self.coefficient(1).invert().coeffs)
-        else:
-            r = self._monomial(1, *_exact_vec_invert(self.data[1], self.den, self.desc))
+        r = self._inverse_monomial(1)
         x = TruncSeries1.x(self.desc, self.D, self.domain)
         d = 2
         while d < self.D:
@@ -408,6 +493,8 @@ class TruncSeries1(_Series):
 
     # --------------------------------------------------------------- misc
     def __repr__(self):
+        if self.data.ndim > 2:
+            return f"TruncSeries1(stack of {self.data.shape[:-2]}; D={self.D}, {self.domain})"
         terms, nz = [], self.nonzero_degrees()
         for k in nz[:6]:
             vec = self.coeff_vec(k)
@@ -481,7 +568,7 @@ class TruncSeries2(_Series):
             for t1 in np.flatnonzero(x.any(axis=1)).tolist():
                 for t2 in ys[: np.searchsorted(ys, D - t1)].tolist():
                     t = t1 + t2
-                    c = out[t, : t + 1] + np.convolve(x[t1, : t1 + 1], y[t2, : t2 + 1])
+                    c = out[t, : t + 1] + convolve(x[t1, : t1 + 1], y[t2, : t2 + 1])
                     out[t, : t + 1] = c if m is None else c % m
             return out
 
@@ -505,10 +592,10 @@ class TruncSeries2(_Series):
 
 
 def _one(g):
-    """The series 1 of g's kind, ring, domain and window."""
-    one = type(g).zero(g.desc, g.D, g.domain)
-    one.data[(0,) * one.data.ndim] = 1
-    return one
+    """The series 1 of g's kind, ring, domain, window and stack axes."""
+    data = np.zeros_like(g.data)
+    data[(Ellipsis,) + (0,) * (g._axes + 1)] = 1
+    return g._new(data)
 
 
 def _powers(g, count, first=None):
@@ -517,9 +604,10 @@ def _powers(g, count, first=None):
     (numerators, den).  The one builder of power tables.  An integral
     one-variable g with at most 6 nonzero terms fills each row in place
     from the one before, one shifted product by each term's scalar matrix,
-    built once per table; any other g takes a product per row (row 1 is g
-    itself when first is 1)."""
-    terms = (g.nonzero_degrees() if isinstance(g, TruncSeries1) and g.domain == "integral"
+    built once per table; any other g, a stack among them, takes a product
+    per row (row 1 is g itself when first is 1)."""
+    terms = (g.nonzero_degrees()
+             if isinstance(g, TruncSeries1) and g.domain == "integral" and g.data.ndim == 2
              else None)
     if terms is None or len(terms) > 6:
         out = [_one(g), g] if first is None else [first]

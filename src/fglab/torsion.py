@@ -33,7 +33,6 @@ import functools
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .groups import series_of
 from .padic import (
@@ -41,6 +40,7 @@ from .padic import (
     UnramifiedRingElem,
     components,
     contraction_dtype,
+    convolve,
     residue_power_test,
     residues,
     ring_mul,
@@ -199,7 +199,7 @@ class TorsionFieldModel:
 
     def mul(self, a, b):
         k, m = self.k, self.desc.pN
-        full = ring_mul(a, b, self.desc, m, _conv)
+        full = ring_mul(a, b, self.desc, m, convolve)
         low, high = full[..., :k, :], full[..., k:, :]
         if high.any():
             # sum_j high[j] * (w^(k+j) mod Phi_n), a ring product contracted over j
@@ -382,19 +382,6 @@ def _graded(data, d: int, r: int):
     if data[..., off, :].any():
         raise ValueError(f"series has a nonzero coefficient at a degree other than {r} mod {d}")
     return data[..., r::d, :]
-
-
-def _conv(x, y):
-    """Full convolution along the last axis, the leading axes broadcast:
-    np.convolve for two vectors, else one contraction of x reversed with
-    the windows of y padded by len(x) - 1 zeros on each side."""
-    if x.ndim == 1 and y.ndim == 1:
-        return np.convolve(x, y)
-    n, k = x.shape[-1], y.shape[-1]
-    padded = np.zeros(y.shape[:-1] + (2 * n + k - 2,), dtype=y.dtype)
-    padded[..., n - 1:n - 1 + k] = y
-    win = sliding_window_view(padded, n + k - 1, axis=-1)
-    return np.einsum("...i,...it->...t", x[..., ::-1], win)
 
 
 # ------------------------------------------------------------ measurements

@@ -3,9 +3,12 @@
 padic.ring_mul at f = 1 is one prod call on the single slices;
 TruncSeries1.compose contracts the power stack with one np.matmul;
 cli.build_parser declares the shared flags once on a parent parser;
-matrices._rank_unit_pivots eliminates on Python int rows.  Each replaced
-route is kept here as an oracle the new one must equal, and each saving is
-guarded by a count, not a timing.
+matrices._rank_unit_pivots eliminates on Python int rows; padic.convolve
+is the one convolution, broadcasting over stacks; padic.unit_inverse
+inverts a stack of units in one Newton iteration; TruncSeries1.derivative
+is one multiply by the degrees.  Each replaced route is kept here as an
+oracle the new one must equal, and each saving is guarded by a count, not
+a timing.
 """
 
 import argparse
@@ -21,8 +24,10 @@ import pytest
 import fglab
 from fglab import cli
 from fglab.matrices import _rank_unit_pivots, build_phi_zeta
-from fglab.padic import RingDescriptor, ring_mul
+from fglab.padic import RingDescriptor, UnramifiedRingElem, convolve, ring_mul, unit_inverse
+from fglab.precision import newton_steps
 from fglab.series import TruncSeries1, TruncSeries2, _common, _one, _powers
+from numpy.lib.stride_tricks import sliding_window_view
 from test_series_kernel import COMPOSE_DOMAINS, random_pointed
 
 
@@ -246,3 +251,110 @@ def test_int_row_rank_equals_numpy_rank_on_the_commutant_grid(p):
             M = np.kron(Phi.T, eye) - np.kron(eye, Phi)
             for mod in (p, p * p):
                 assert _rank_unit_pivots(M, mod) == numpy_rank_unit_pivots(M, mod)
+
+
+# ---------------------------------------------------------------- convolve
+
+def window_convolve(x, y):
+    """The full convolution along the last axis, the leading axes
+    broadcast, as one contraction of x reversed with the windows of y
+    padded by len(x) - 1 zeros on each side."""
+    n, k = x.shape[-1], y.shape[-1]
+    padded = np.zeros(y.shape[:-1] + (2 * n + k - 2,), dtype=y.dtype)
+    padded[..., n - 1:n - 1 + k] = y
+    win = sliding_window_view(padded, n + k - 1, axis=-1)
+    return np.einsum("...i,...it->...t", x[..., ::-1], win)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("shapes", [((12,), (12,)), ((10, 12), (10, 12)), ((10, 12), (12,)),
+                                    ((5,), (3, 7)), ((3, 1, 5), (1, 4, 7)), ((2, 40), (2, 9))])
+def test_convolve_equals_the_windowed_contraction(dtype, shapes):
+    rng = np.random.default_rng(len(shapes[0]) * 100 + shapes[1][-1])
+    x, y = (rng.integers(-3**12, 3**12, size=s).astype(dtype) for s in shapes)
+    full = window_convolve(x, y)
+    for n in (None, 1, min(x.shape[-1], y.shape[-1]), x.shape[-1] + y.shape[-1] - 1):
+        got = convolve(x, y, n)
+        assert got.dtype == full.dtype
+        assert (got == full[..., :n]).all() and got.shape == full[..., :n].shape
+
+
+def test_convolve_and_windows_stay_in_the_one_kernel():
+    # every polynomial product of src/ takes its slices through
+    # padic.convolve: np.convolve and the window views appear nowhere else
+    # (padic imports as_strided for the kernel)
+    windows = {"sliding_window_view", "as_strided"}
+    src = Path(fglab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        kernel = {id(n) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "convolve" and path.name == "padic.py"
+                  for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if id(node) not in kernel and (
+            (isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "np"
+             and node.attr in windows | {"convolve"})
+            or (isinstance(node, ast.Name) and node.id in windows)
+            or (isinstance(node, ast.alias) and node.name in windows
+                and not (path.name == "padic.py" and node.name == "as_strided")))]
+    assert found == []
+
+
+# ------------------------------------------------------------ unit inverse
+
+def element_invert(a):
+    """The inverse of a unit element: in the residue field the (q-2)-th
+    power by element products, above it refined by Newton steps of element
+    products."""
+    desc = a.desc
+    res = a.residue()
+    x = res.desc.one()
+    for _ in range(desc.q - 2):
+        x = x * res
+    x = UnramifiedRingElem(desc, x.coeffs)
+    two = desc.from_int(2)
+    for _ in range(newton_steps(desc.N)):
+        x = x * (two - a * x)
+    return x
+
+
+@pytest.mark.parametrize("p,f,N", [(3, 1, 1), (3, 1, 6), (5, 1, 6), (3, 2, 8), (5, 3, 4),
+                                   (7, 2, 1), (31, 1, 14), (3, 2, 40)])
+def test_unit_inverse_equals_the_element_newton_route(p, f, N):
+    rng = random.Random(f"inverse-{p}-{f}-{N}")
+    desc = RingDescriptor(p, f, N)
+    units = []
+    while len(units) < 12:
+        a = UnramifiedRingElem(desc, [rng.randrange(desc.pN) for _ in range(f)])
+        if a.is_unit():
+            units.append(a)
+    want = [element_invert(a) for a in units]
+    assert [a.invert() for a in units] == want
+    stacked = unit_inverse(np.array([a.coeffs for a in units], dtype=object).reshape(3, 4, f), desc)
+    assert stacked.shape == (3, 4, f)
+    assert [UnramifiedRingElem(desc, row) for row in stacked.reshape(-1, f).tolist()] == want
+    with pytest.raises(ZeroDivisionError):
+        unit_inverse([[1] + [0] * (f - 1), [p] * f], desc)
+
+
+# -------------------------------------------------------------- derivative
+
+def loop_derivative(s):
+    """The derivative of one series by a loop over its degrees."""
+    data = np.zeros_like(s.data)
+    for k in range(1, s.D):
+        data[k - 1] = s.data[k] * k
+    return s._reduced(data, s.den)
+
+
+@pytest.mark.parametrize("p,N,domain,dtype", COMPOSE_DOMAINS)
+@pytest.mark.parametrize("f", [1, 2])
+def test_derivative_equals_the_degree_loop(p, N, domain, dtype, f):
+    rng = random.Random(f"derivative-{p}-{N}-{domain}-{f}")
+    d = RingDescriptor(p, f, N)
+    for D in (1, 2, 12, 20):
+        for _ in range(5):
+            s = random_pointed(TruncSeries1, d, D, domain, rng)
+            got = s.derivative()
+            assert got.data.dtype == dtype or D < 12
+            assert got == loop_derivative(s)
