@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .padic import INF, UnramifiedRingElem, components, residues, root_of_unity
+from .padic import INF, UnramifiedRingElem, components, residues, teichmuller_digits
 from .precision import endo_window, multiplier_precision
 from .series import TruncSeries1, substitute2_into2
 
@@ -102,7 +102,9 @@ def compute_endo_subfield(group, D: int | None = None) -> dict:
     Tests p, -1, and one Teichmuller generator per divisor d of gcd(f, h),
     largest first; testing a single generator per subfield suffices because
     the succeeding multipliers form a ring closed under the Teichmuller
-    section.
+    section.  The generator of mu_{p^d-1} is digit 2 of the cached table
+    teichmuller_digits(desc, d), and every certificate comes from the
+    group's cache, so a repeated call rebuilds nothing.
     """
     h = group.height
     if h is INF:
@@ -116,7 +118,7 @@ def compute_endo_subfield(group, D: int | None = None) -> dict:
     candidates = []
     f_F = 1
     for d in _divisors_desc(math.gcd(desc.f, h)):
-        rec = try_endomorphism(group, root_of_unity(desc, desc.p**d - 1), D)
+        rec = try_endomorphism(group, teichmuller_digits(desc, d)[2], D)
         rec["candidate"] = f"mu_{desc.p**d - 1}_generator"
         rec["subfield_degree"] = d
         candidates.append(rec)
@@ -135,16 +137,14 @@ def compute_endo_subfield(group, D: int | None = None) -> dict:
     }
 
 
-def tau_infinity_check(group, D: int | None = None, report: dict | None = None) -> dict:
+def tau_infinity_check(group, D: int | None = None) -> dict:
     """The distinguished order-(q-1) endomorphism of a full-height group:
     g = [zeta] with zeta generating mu_{q-1}, and g composed with itself
     q-1 times is the identity."""
-    if report is None:
-        report = compute_endo_subfield(group, D)
-    if not report["full_height"]:
+    if not compute_endo_subfield(group, D)["full_height"]:
         raise ValueError("full-height multiplier ring required")
     q = group.q
-    zeta = root_of_unity(group.desc, q - 1)
+    zeta = teichmuller_digits(group.desc, group.height)[2]
     rec = try_endomorphism(group, zeta, D)
     if not rec["success"]:
         raise ValueError("generator multiplier failed despite full height")

@@ -185,11 +185,15 @@ def series_of(records) -> list:
     return [ser for ser, _ in records]
 
 
+def _truncate(s, D: int, N: int):  # an exact series narrows by truncation alone
+    return s.truncate(D)
+
+
 def _serve(cache: dict, D: int, N: int, build, narrow=_narrow):
     """cache[(D, N)]: built on a miss, unless some cached (D0 >= D, N0 >= N)
-    serves it by narrow(artifact, D, N), truncation and reduction; the
-    module structures pass the identity, as a structure serves every window
-    it covers as it is."""
+    serves it by narrow(artifact, D, N), truncation and reduction; exact
+    series pass _truncate, and the module structures the identity, as a
+    structure serves every window it covers as it is."""
     out = cache.get((D, N))
     if out is None:
         wider = [k for k in cache if k[0] >= D and k[1] >= N]
@@ -285,10 +289,11 @@ class FormalGroupLaw:
     height, grading, [p]-series and logarithm, and only gm's closed-form law
     and logarithm read the kind.  base_change keeps both over a larger ring.
     Heavy artifacts (the [p]-series at a degree window, the two-variable
-    law, division factors, module structures) are built on demand and
-    cached at their (window, precision); each serves every narrower, less
-    precise request by truncation and reduction, so a caller that opens the
-    widest first builds each one once.
+    law, the logarithm and exponential, division factors, module
+    structures) are built on demand and cached at their (window,
+    precision); each serves every narrower, less precise request by
+    truncation and reduction, so a caller that opens the widest first
+    builds each one once.
     """
 
     def __init__(self, desc, kind, label, source):
@@ -365,18 +370,20 @@ class FormalGroupLaw:
 
     # ------------------------------------------------------------ logarithm
     def logarithm(self, D: int) -> TruncSeries1:
-        if D not in self._log_cache:
-            if self.kind == "gm":
-                coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
-                self._log_cache[D] = TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
-            else:
-                self._log_cache[D] = self.source.log(self.desc, D)
-        return self._log_cache[D]
+        """The logarithm on the window D, exact: one cached at a wider
+        window serves by truncation."""
+        return _serve(self._log_cache, D, self.desc.N, lambda: self._build_logarithm(D), _truncate)
+
+    def _build_logarithm(self, D: int) -> TruncSeries1:
+        if self.kind == "gm":
+            coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D)]
+            return TruncSeries1.from_coeffs(self.desc, coeffs, D, "scaled")
+        return self.source.log(self.desc, D)
 
     def exponential(self, D: int) -> TruncSeries1:
-        if D not in self._exp_cache:
-            self._exp_cache[D] = self.logarithm(D).reversion()
-        return self._exp_cache[D]
+        """The reversion of the logarithm, exact, so served like it."""
+        return _serve(self._exp_cache, D, self.desc.N, lambda: self.logarithm(D).reversion(),
+                      _truncate)
 
     # ----------------------------------------------------- division factor
     def division_factor(self, n: int, N: int) -> TruncSeries1:

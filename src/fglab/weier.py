@@ -6,16 +6,18 @@ on the short factor: a digit E of f - P * U is rho * ubar + X^d * mu mod p, as
 P = X^d mod p, so each product has a factor of at most d + 1 terms: O(N * D * d).
 
 digit_split_step writes f = sum a_i X^i + [p](X) * g + p * f1 with a_i the
-Teichmuller lifts of the first q residue coefficients; the division is fixed
-canonically by dividing the remainder by the prepared distinguished factor of
-the [p]-series, so outputs are reproducible.
+Teichmuller lifts of the first q residue coefficients, q the Weierstrass
+degree of the [p]-series; the division is fixed canonically by dividing the
+remainder by the distinguished factor of the [p]-series, so outputs are
+reproducible.
 
 phi_basis_decompose iterates the step in the [p]-direction: components
 a_0(X)..a_{q-1}(X) with f = sum_i a_i([p](X)) X^i + [p]^{D'} * remainder,
-exact mod (p^N, X^D) when the remainder is kept.  Dropping the remainder
-leaves a graded guarantee: the degree-t coefficient of the reconstruction
-matches f mod p^{ceil((D-t)/(q-1))} (capped at N), because [p]^j carries
-valuation at least (qj-t)/(q-1) at degree t.
+D' = D // q, exact mod (p^N, X^D) when the remainder is kept.  Dropping the
+remainder leaves a graded guarantee: the degree-t coefficient of the
+reconstruction matches f mod p^{ceil((D-t)/(q-1))} (capped at N), because
+[p]^j carries valuation at least (qj-t)/(q-1) at degree t.  Each call of
+either prepares the [p]-series once and inverts its unit factor once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class WeierstrassData:
     top d degrees, which weierstrass_prep leaves at their starting lift.
     """
 
-    __slots__ = ("desc", "d", "P", "U", "stable_digits", "_u_inv")
+    __slots__ = ("desc", "d", "P", "U", "stable_digits")
 
     def __init__(self, desc, d, P: TruncSeries1, U: TruncSeries1):
         self.desc = desc
@@ -47,12 +49,6 @@ class WeierstrassData:
         self.P = P  # window d+1 polynomial
         self.U = U  # window of the input series
         self.stable_digits = min(desc.N, -(-(U.D - d + 1) // d)) if d > 0 else desc.N
-        self._u_inv = None
-
-    def u_inverse(self) -> TruncSeries1:
-        if self._u_inv is None:
-            self._u_inv = self.U.invert_unit()
-        return self._u_inv
 
     def product(self) -> TruncSeries1:
         U = self.U
@@ -62,14 +58,14 @@ class WeierstrassData:
         return f"WeierstrassData(d={self.d}, D={self.U.D})"
 
 
-def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> WeierstrassData:
+def weierstrass_prep(f: TruncSeries1) -> WeierstrassData:
     """Digit-by-digit preparation on the short factor.  With f = P U mod p^s,
     the digit E = (f - P U) / p^s mod (p, X^D) is rho ubar + X^d mu, ubar the
     residue of U, as P = X^d mod p: rho = E ubar^-1 mod X^d, with ubar
     inverted at window d, and mu = (E - rho ubar) / X^d.  Every product of
-    a digit has a factor of at most d + 1 terms, O(N D d) in all.
-    `perturb` (a series multiplied by p and added to the initial unit lift)
-    must not change P beyond its stable digits — uniqueness."""
+    a digit has a factor of at most d + 1 terms, O(N D d) in all.  The
+    result does not depend on the starting lift of U beyond P's stable
+    digits: the factorisation is unique."""
     desc, D = f.desc, f.D
     p, N, m = desc.p, desc.N, desc.pN
     d = f.first_unit_index()
@@ -81,8 +77,6 @@ def weierstrass_prep(f: TruncSeries1, perturb: TruncSeries1 | None = None) -> We
     # initial unit: lift of the residue of f / X^d
     U = TruncSeries1.zero(desc, D)
     U.data[: D - d] = f.data[d:] % p
-    if perturb is not None:
-        U = U + perturb.scalar_mul(p)
     P = TruncSeries1.zero(desc, d + 1)
     P.data[d, 0] = 1
     desc1 = desc.at_precision(1)
@@ -141,29 +135,24 @@ class DigitSplit:
         self.f1 = f1
 
 
-def digit_split_step(f: TruncSeries1, pi_ser: TruncSeries1, q: int | None = None,
-                     prep: WeierstrassData | None = None) -> DigitSplit:
-    """f = sum_{i<q} a_i X^i + pi_ser * g + p * f1, canonical choice.
+def digit_split_step(f: TruncSeries1, pi_ser: TruncSeries1) -> DigitSplit:
+    """f = sum_{i<q} a_i X^i + pi_ser * g + p * f1, canonical choice, q the
+    Weierstrass degree of pi_ser.
 
     a_i are the Teichmuller lifts of the first q residue coefficients and the
-    division of the remainder is by the prepared distinguished factor of
-    pi_ser.  f1 (degree < q) is exact after multiplying back by p; on its own
-    it is a representative mod p^(N-1)."""
+    division of the remainder is by the distinguished factor of pi_ser,
+    prepared here.  f1 (degree < q) is exact after multiplying back by p; on
+    its own it is a representative mod p^(N-1)."""
     desc = f.desc
     p = desc.p
-    wdeg = pi_ser.first_unit_index()
-    if q is None:
-        q = wdeg
-    if wdeg != q:
-        raise ValueError("pi-series must have Weierstrass degree q")
-    if prep is None:
-        prep = weierstrass_prep(pi_ser)
+    prep = weierstrass_prep(pi_ser)
+    q = prep.d
     a = [teichmuller_lift(desc, f.data[i]) for i in range(q)]
     rem = TruncSeries1(desc, f.D, "integral", f.data.copy())
     for i, ai in enumerate(a):
         rem.data[i] = (rem.data[i] - np.array(ai.coeffs, dtype=rem.data.dtype)) % desc.pN
     Q, R = weierstrass_divide(rem, prep)
-    g = Q * prep.u_inverse()
+    g = Q * prep.U.invert_unit()
     if (R.data % p).any():
         raise ArithmeticError("low-order remainder not divisible by p")
     f1 = TruncSeries1(desc, q, "integral", R.data // p)
@@ -184,24 +173,18 @@ class PhiDecomposition:
         self.D = D
 
 
-def phi_basis_decompose(f: TruncSeries1, pi_ser: TruncSeries1, q: int | None = None,
-                        prep: WeierstrassData | None = None,
-                        D_prime: int | None = None) -> PhiDecomposition:
+def phi_basis_decompose(f: TruncSeries1, pi_ser: TruncSeries1) -> PhiDecomposition:
+    """The components of f in the phi-basis of pi_ser on D' = D // q of its
+    [p]-digits, q the Weierstrass degree of pi_ser."""
     desc, D = f.desc, f.D
-    wdeg = pi_ser.first_unit_index()
-    if q is None:
-        q = wdeg
-    if wdeg != q:
-        raise ValueError("pi-series must have Weierstrass degree q")
+    q = pi_ser.first_unit_index()
     if q < 2:
         raise ValueError("phi-basis needs q >= 2")
-    if D_prime is None:
-        D_prime = D // q
+    D_prime = D // q
     if D_prime < 1:
         raise ValueError("insufficient truncation")
-    if prep is None:
-        prep = weierstrass_prep(pi_ser)
-    u_inv = prep.u_inverse()
+    prep = weierstrass_prep(pi_ser)
+    u_inv = prep.U.invert_unit()
     alphas = [TruncSeries1.zero(desc, D_prime) for _ in range(q)]
     cur = f
     for j in range(D_prime):

@@ -122,11 +122,11 @@ def test_criterion_5_predicate_agreement(groups):
         rep = subfield(g)
         full = rep["full_height"]
         if full:
-            tau = tau_infinity_check(g, report=rep)
+            tau = tau_infinity_check(g)
             tau_ok = tau["is_identity"]
         else:
             try:
-                tau_infinity_check(g, report=rep)
+                tau_infinity_check(g)
                 tau_ok = True
             except ValueError:
                 tau_ok = False

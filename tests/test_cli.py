@@ -1,6 +1,7 @@
 """CLI driver: config handling, exit codes, report format, determinism."""
 
 import argparse
+import ast
 import json
 import re
 import time
@@ -377,6 +378,21 @@ def counted(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+MEMOS = {"cache", "lru_cache", "cached_property"}
+
+
+def test_no_memo_in_cli():
+    # each artifact is cached once, by the layer that builds it: the driver
+    # keeps no copy of a report, a certificate or a series
+    found = [node.lineno for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in MEMOS
+                 and isinstance(node.value, ast.Name) and node.value.id == "functools")
+             or (isinstance(node, ast.Name) and node.id in MEMOS - {"cache"})
+             or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(alias.name in MEMOS for alias in node.names))]
+    assert found == []
 
 
 class TestRunPlan:

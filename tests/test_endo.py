@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fglab import cli
+from fglab import cli, endo, padic
 from fglab.cli import RunConfig, RunPlan, build_group, collect_checks, endo_checks, matrix_checks
 from fglab.padic import RingDescriptor, teichmuller_digits
 from fglab.groups import honda_group, lubin_tate_group, multiplicative_group
 from fglab.reports import run_checks
-from fglab.series import TruncSeries2
+from fglab.series import TruncSeries1, TruncSeries2
 from fglab.endo import (
     c_map,
     compute_endo_subfield,
@@ -193,23 +193,54 @@ class TestCertificateCache:
         assert all(r["pass"] for r in records)
         # p, -1, the mu_2 generator, and the closure's sum p - 1 and product -p
         assert len(g._endo_cache) == 5
-        assert list(g._exp_cache) == [24]
+        assert list(g._exp_cache) == [(24, g.desc.N)]
 
-    def test_verify_builds_one_subfield_report(self, monkeypatch):
+    def test_verify_builds_each_artifact_once(self, monkeypatch):
+        # every thunk asks for the subfield report; the certificates, the
+        # mu generators and the exponential are each built once, by the
+        # layer that caches them
         cfg = RunConfig({"group": "multiplicative", "p": 3, "N": 6, "nmax": 1})
         g = build_group(cfg)
-        built = []
+        stored = []
 
-        def counted(group):
-            built.append(group)
-            return compute_endo_subfield(group)
+        class Counted(dict):
+            def __setitem__(self, key, value):
+                stored.append(key)
+                super().__setitem__(key, value)
 
-        monkeypatch.setattr(cli, "compute_endo_subfield", counted)
-        checks = [c for c in collect_checks("verify", g, cfg)
-                  if c.check_id.startswith(("endo.", "matrices."))]
-        assert any(c.check_id == "matrices.block-shape" for c in checks)
-        assert all(r["pass"] for r in run_checks(checks))
-        assert built == [g]
+        g._endo_cache = Counted()
+        lifts, reversions = [], []
+        root, reversion = padic.root_of_unity, TruncSeries1.reversion
+
+        def counted_root(desc, m):
+            lifts.append((desc, m))
+            return root(desc, m)
+
+        def counted_reversion(s):
+            if s.data.ndim == 2:  # a single series: not a seeded suite's stack
+                reversions.append(s.D)
+            return reversion(s)
+
+        monkeypatch.setattr(padic, "root_of_unity", counted_root)
+        monkeypatch.setattr(TruncSeries1, "reversion", counted_reversion)
+        teichmuller_digits.cache_clear()
+        reports = []
+
+        def counted_report(group, D=None):
+            reports.append(group)
+            return compute_endo_subfield(group, D)
+
+        for module in (cli, endo):  # the thunks' calls and tau_infinity_check's
+            monkeypatch.setattr(module, "compute_endo_subfield", counted_report)
+        assert all(r["pass"] for r in run_checks(collect_checks("verify", g, cfg)))
+        assert len(reports) == 6 and len(stored) == len(set(stored)) == len(g._endo_cache) == 5
+        assert lifts and len(lifts) == len(set(lifts))
+        # the seeded log-exp suite's window-12 pair is the truncation of the
+        # endo window's: one reversion, at 24
+        N = g.desc.N
+        assert reversions == [24] and list(g._exp_cache) == [(24, N), (12, N)]
+        for cache in (g._log_cache, g._exp_cache):
+            assert cache[(12, N)] == cache[(24, N)].truncate(12)
 
 
 @pytest.mark.parametrize("D", [24, 36])
