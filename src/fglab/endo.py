@@ -140,7 +140,10 @@ def compute_endo_subfield(group, D: int | None = None) -> dict:
 def tau_infinity_check(group, D: int | None = None) -> dict:
     """The distinguished order-(q-1) endomorphism of a full-height group:
     g = [zeta] with zeta generating mu_{q-1}, and g composed with itself
-    q-1 times is the identity."""
+    q-1 times is the identity.
+
+    The cycle runs once per certificate window: its record is cached on the
+    group beside the certificates, and each call returns a fresh copy."""
     if not compute_endo_subfield(group, D)["full_height"]:
         raise ValueError("full-height multiplier ring required")
     q = group.q
@@ -148,12 +151,15 @@ def tau_infinity_check(group, D: int | None = None) -> dict:
     rec = try_endomorphism(group, zeta, D)
     if not rec["success"]:
         raise ValueError("generator multiplier failed despite full height")
+    cached = group._tau_cache.get(rec["window"])
+    if cached is not None:
+        return dict(cached)
     g = rec["series"]
     cur = g
     for _ in range(q - 2):
         cur = g.compose(cur)
     ident = TruncSeries1.x(g.desc, g.D)
-    return {
+    record = group._tau_cache[rec["window"]] = {
         "zeta": tuple(int(v) for v in zeta.reduce_to(g.desc).coeffs),
         "order": q - 1,
         "linear_coefficient": tuple(int(v) for v in c_map(g).coeffs),
@@ -161,6 +167,7 @@ def tau_infinity_check(group, D: int | None = None) -> dict:
         "window": rec["window"],
         "precision": rec["precision"],
     }
+    return dict(record)
 
 
 def multiplier_closure_sample(group, pairs, D: int | None = None) -> dict:

@@ -306,6 +306,7 @@ class FormalGroupLaw:
         self._log_cache = {}
         self._exp_cache = {}
         self._endo_cache = {}   # endo.try_endomorphism records
+        self._tau_cache = {}    # endo.tau_infinity_check records
         self._module_cache = {}
         self._division_cache = {}
 
@@ -534,8 +535,15 @@ class ModuleStructure:
         rows = fs.data[1::d or D].copy()
         self.Tn = Tn = len(rows)
         u = TruncSeries1(desc, Tn, "integral", rows)
+        ud, base, e = None, u, max(d, 1)
+        while e:  # u^d by square-and-multiply
+            if e & 1:
+                ud = base if ud is None else ud * base
+            e >>= 1
+            if e:
+                base = base * base
         yud = np.zeros_like(rows)
-        yud[1:] = functools.reduce(operator.mul, [u] * max(d, 1)).data[:-1]
+        yud[1:] = ud.data[:-1]
         self.fpow = _powers(TruncSeries1(desc, Tn, "integral", yud), Tn, first=u)[0]
         # E_l at the windows t - s < Tn - 1 vanishes for l > t - s: rows E_0
         # .. E_L, and E_1 = S - a always

@@ -24,7 +24,8 @@ makes the discarded tail vanish at the working precision.
 Model arithmetic takes stacks: arrays shaped (..., e/d, f) whose leading
 axes broadcast, so one product, power or series evaluation serves many points.
 The scalar-action check builds all q^n points in one contraction and
-applies [p^n] once per valuation class of points.
+applies [p] once per valuation class of points; the level-1 cross-check
+evaluates the law once at the stack of its unit points.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ class TorsionFieldModel:
         return self.one(a.shape[:-2]) if out is None else out % self.desc.pN
 
     def powers(self, x, count: int):
-        """x^0 .. x^(count-1) of an element, stacked on a new first axis:
-        each doubling step is one product by x and one stacked product."""
-        P = self.one()[None]
+        """x^0 .. x^(count-1) of an element or a stack, on a new first
+        axis: each doubling step is one product by x and one stacked product."""
+        P = self.one(x.shape[:-2])[None]
         while len(P) < count:
             P = np.concatenate([P, self.mul(P, self.mul(P[-1], x))])
         return P[:count]
@@ -328,12 +329,13 @@ class TorsionFieldModel:
         return out
 
     def eval2(self, F2, x, y):
-        """F2(z^r x(w), z^r y(w)) = z^r G(w) at two points, as G; the
-        total-degree window D2 needs D2 >= N e for the tail to vanish.  F2
-        has only degrees i + j = r mod d, where z^(r(i+j)) = z^r w^(a_i+b_j),
-        a_i = floor(ri/d), b_j = ceil(r(j-1)/d): with x^i and y^j weighted
-        by those powers of w, inner[i] = sum_j F2[i, j] y^j w^(b_j) is one
-        contraction, then sum_i inner[i] x^i w^(a_i) is one stacked
+        """F2(z^r x(w), z^r y(w)) = z^r G(w) at a point y and a point or a
+        stack of points x, as G; the total-degree window D2 needs D2 >= N e
+        for the tail to vanish.  F2 has only degrees i + j = r mod d, where
+        z^(r(i+j)) = z^r w^(a_i+b_j), a_i = floor(ri/d), b_j =
+        ceil(r(j-1)/d): with x^i and y^j weighted by those powers of w,
+        inner[i] = sum_j F2[i, j] y^j w^(b_j) is one contraction, built once
+        for the whole stack, then sum_i inner[i] x^i w^(a_i) is one stacked
         product.  Raises ValueError for a term at another degree."""
         self._require_window(F2.D)
         D2, m, d, r = F2.D, self.desc.pN, self.d, self.r
@@ -342,12 +344,13 @@ class TorsionFieldModel:
         if F[(i[:, None] + i) % d != r].any():
             raise ValueError(f"law has a nonzero term at a total degree other than {r} mod {d}")
         X, Y = self.powers(x, D2), self.powers(y, D2)
+        lead = (D2,) + (1,) * (x.ndim - 2) + (self.k, self.desc.f)  # broadcast over x's stack
         if r:
             W = self._w_powers(D2 // d + 2).astype(self.dtype)
-            X, Y = self.mul(X, W[i // d]), self.mul(Y, W[(i + d - 2) // d])
+            X, Y = self.mul(X, W[i // d].reshape(lead)), self.mul(Y, W[(i + d - 2) // d])
         dtype = contraction_dtype(D2, self.desc)  # the contraction sums D2 products
         inner = ring_mul(F.astype(dtype), Y.astype(dtype), self.desc, m, np.matmul).astype(self.dtype)
-        return self.mul(inner, X).sum(axis=0) % m
+        return self.mul(inner.reshape(lead), X).sum(axis=0) % m
 
     # ------------------------------------------------------------ points
     def point_z(self):
@@ -431,14 +434,24 @@ def torsion_count(group, n: int, N: int | None = None) -> dict:
 # ------------------------------------------------ the scalars of the checks
 
 def digit_sums(group, n: int) -> list:
-    """The q^n sums sum_{i<n} w_i p^i over Teichmuller digits w_i of O_F,
-    0 among them: the scalar-action check's scalars at level n.  0 is a
-    digit, so the sums at level n hold those of every lower level."""
-    digits = teichmuller_digits(group.desc, group.height)
-    sums = [group.desc.zero()]
-    for _ in range(n):  # w_0 + p (sum at one level less), w_0 the slowest
-        sums = [w + s * group.desc.p for w in digits for s in sums]
-    return sums
+    """The q^n sums a = sum_{j<n} w_j p^j over Teichmuller digits w_j of
+    O_F, 0 among them: the scalar-action check's scalars at level n.
+
+    a sits at the index i whose base-q digits, most significant first, are
+    the indices of w_0 .. w_(n-1) in teichmuller_digits.  0 is digits[0], so
+    the sums at level n hold those of every lower level, and p a mod p^n,
+    the sum of the digits (0, w_0, .., w_(n-2)), sits at index i // q.  As
+    [p] o [a] = [pa] and [a] on F[p^n] depends only on a mod p^n (Lubin and
+    Tate, 1965), [p] takes the point [a](z) to the point at i // q.
+
+    One array step per level: (digits + p sums) mod p^N over the component
+    vectors, w_0 the slowest axis."""
+    desc = group.desc
+    digits = np.array([w.coeffs for w in teichmuller_digits(desc, group.height)], dtype=object)
+    sums = np.zeros((1, desc.f), dtype=object)
+    for _ in range(n):
+        sums = ((digits[:, None] + desc.p * sums[None]) % desc.pN).reshape(-1, desc.f)
+    return [UnramifiedRingElem(desc, row) for row in sums.tolist()]
 
 
 def _units(group) -> list:
@@ -471,6 +484,13 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
     pairwise distinct.  Distinctness at the working precision is conclusive:
     a difference of torsion points is a torsion point of valuation at most
     q^{n-1} < N*e.
+
+    Torsion is checked by a chain, one [p] step per point: the point P_i of
+    the digit sum at index i must go to P_(i // q) exactly, as [p] o [a] =
+    [pa] and p a mod p^n is the sum at i // q (digit_sums; Lubin and Tate,
+    1965).  The chain i -> i // q reaches 0 in n steps, so then [p^n] P_i =
+    P_0 = 0 for every i: each point is p^n-torsion, and a -> P_a commutes
+    with multiplication by p.  One step runs per valuation class of points.
     """
     h = group.height
     if h is INF:
@@ -503,11 +523,11 @@ def assumption_check(group, n: int, N: int = 4) -> dict:
         histogram[str(val)] = histogram.get(str(val), 0) + 1
         if val != INF:
             classes.setdefault(val, []).append(i)
-    # [p^n] once per valuation class, the largest window first; each
-    # nonzero point must go to 0
+    # one [p] step per valuation class, the largest window first; each
+    # nonzero point P_i must go to P_(i // q)
     annihilated = all(
-        not model.apply_pi(points[classes[v]], times=n, val=v).any()
-        for v in sorted(classes))
+        model.equal(model.apply_pi(points[rows], times=1, val=v), points[np.array(rows) // group.q])
+        for v, rows in sorted(classes.items()))
     distinct = len(seen) == group.q**n
     return {
         "level": n,
@@ -560,16 +580,10 @@ def _direct_break_check(group, N: int) -> list:
     units = _units(group)
     pts = model.eval_at_z(series_of(records))
     iz, ux = pts[0], pts[1:len(units) + 1]
-    out = []
-    for w, x, linear in zip(units, ux, model.valuations(pts[len(units) + 1:], model.r)):
-        direct = model.valuation(model.eval2(F2, x, iz), model.r)
-        out.append({
-            "digit": w.residue().code(),
-            "direct": str(direct),
-            "module_route": str(linear),
-            "match": bool(direct == linear),
-        })
-    return out
+    direct = model.valuations(model.eval2(F2, ux, iz), model.r)  # one evaluation for every unit
+    linear = model.valuations(pts[len(units) + 1:], model.r)
+    return [{"digit": w.residue().code(), "direct": str(a), "module_route": str(b), "match": bool(a == b)}
+            for w, a, b in zip(units, direct, linear)]
 
 
 class ResidueRootError(ArithmeticError):

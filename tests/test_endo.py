@@ -141,6 +141,28 @@ class TestTauInfinity:
         with pytest.raises(ValueError, match="full-height"):
             tau_infinity_check(honda1())
 
+    def test_cycle_runs_once_per_window(self, monkeypatch):
+        # q - 2 = 7 compositions of [zeta] per window, however often asked;
+        # each call returns a fresh copy of the record
+        g = h2lt()
+        compute_endo_subfield(g)
+        compute_endo_subfield(g, D=48)
+        composed = []
+        compose = TruncSeries1.compose
+
+        def counted(self, other):
+            composed.append(self.D)
+            return compose(self, other)
+
+        monkeypatch.setattr(TruncSeries1, "compose", counted)
+        first = tau_infinity_check(g)
+        first["is_identity"] = None
+        again = tau_infinity_check(g)
+        assert again["is_identity"] and again == tau_infinity_check(g)
+        assert composed == [first["window"]] * 7
+        assert tau_infinity_check(g, D=48)["is_identity"]
+        assert composed == [first["window"]] * 7 + [48] * 7
+
 
 class TestClosure:
     def test_sampled_pairs_on_height_two(self):

@@ -645,6 +645,60 @@ class TestStackedModel:
                           .astype(model.dtype)) for _ in range(2))
         assert np.array_equal(model.eval2(F2, x, y), oracle_eval2(model, F2, x, y))
 
+    def test_powers_of_a_stack_match_per_element(self, model, full):
+        for m in (model, full):
+            S = random_stack(m, 4, 10)
+            P = m.powers(S, 6)
+            assert P.shape == (6,) + S.shape
+            for i in range(len(S)):
+                assert np.array_equal(P[:, i], m.powers(S[i], 6))
+                for j in range(6):
+                    assert np.array_equal(P[j, i], oracle_pow(m, S[i], j))
+
+    @pytest.mark.parametrize("mk", [gm, lt5, h2lt, honda1])
+    def test_eval2_at_a_stack_matches_per_point(self, mk):
+        # x a stack, y one point: the law at each x, and the product route
+        # on the full model
+        g = mk()
+        model = TorsionFieldModel(g, 1, 4)
+        full = full_model(model)
+        F2 = g.group_law2(model.N * model.e + 2, model.N)
+        X = model.mul(model.point_z(), random_stack(model, 4, 11))
+        y = model.mul(model.point_z(), random_stack(model, 2, 12)[1])
+        got = model.eval2(F2, X, y)
+        assert got.shape == X.shape
+        for x, g_x in zip(X, got):
+            assert np.array_equal(g_x, model.eval2(F2, x, y))
+            assert np.array_equal(scatter(model, g_x),
+                                  oracle_eval2(full, F2, scatter(model, x), scatter(model, y)))
+
+
+# the deep configs: lt p = 5 at level 3, lt-h2-p3 at level 2, gm p = 3 at level 4
+DEEP_ASSUMPTION = [
+    (dict(p=5, f=1, source="lubin-tate", d=1), 3),
+    (dict(p=3, f=2, source="lubin-tate", d=2), 2),
+    (dict(p=3, f=1, source="multiplicative"), 4),
+]
+
+
+def corrupt_one_series(monkeypatch, g, n):
+    """Add X to the [a]-series of one nonzero digit sum a of level n, on
+    every route that asks the group for it: its point becomes [a](z) + z,
+    of the same grading, and no longer p^n-torsion."""
+    target = digit_sums(g, n)[-1].coeffs
+    solve = g.multiplications
+
+    def corrupted(scalars, D, N=None):
+        records = solve(scalars, D, N)
+        out = []
+        for a, (ser, obs) in zip(scalars, records):
+            if ser is not None and getattr(a, "coeffs", None) == target:
+                ser = ser + TruncSeries1.x(ser.desc, ser.D)
+            out.append((ser, obs))
+        return out
+
+    monkeypatch.setattr(g, "multiplications", corrupted)
+
 
 class TestStackedAssumption:
     @pytest.mark.parametrize("n", [1, 2])
@@ -654,13 +708,66 @@ class TestStackedAssumption:
         for _name, g in groups:
             assert assumption_check(g, n) == oracle_assumption_check(g, n)
 
-    @pytest.mark.parametrize("spec,n", [
-        (dict(p=5, f=1, source="lubin-tate", d=1), 3),
-        (dict(p=3, f=2, source="lubin-tate", d=2), 2),
-        (dict(p=3, f=1, source="multiplicative"), 4),
-    ])
+    @pytest.mark.parametrize("spec,n", DEEP_ASSUMPTION)
+    def test_deep_records_match_per_point_loop(self, spec, n):
+        g = make_group(N=4, nmax=n, **spec)
+        rec = assumption_check(g, n, N=4)
+        assert rec["holds"] and rec == oracle_assumption_check(g, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_p_times_a_digit_sum_is_the_sum_at_index_over_q(self, n):
+        # p a mod p^n is the digit sum at i // q: the chain the check follows
+        for _name, g in corpus(N=4, nmax=n):
+            if g.desc.f % g.height:
+                continue
+            sums, q, m = digit_sums(g, n), g.q, g.desc.p**n
+            assert len(sums) == q**n and sums[0].is_zero()
+            for i, a in enumerate(sums):
+                assert [c % m for c in (a * g.desc.p).coeffs] == [c % m for c in sums[i // q].coeffs]
+
+    @pytest.mark.parametrize("name,n", [("mult-p3", 2), ("lt-p5", 1), ("lt-h2-p3", 1)])
+    def test_a_corrupted_point_is_caught(self, monkeypatch, name, n):
+        g = make_group(N=4, nmax=n, **dict(CORPUS_SPECS)[name])
+        corrupt_one_series(monkeypatch, g, n)
+        for rec in (assumption_check(g, n), oracle_assumption_check(g, n)):
+            assert not rec["all_torsion"] and not rec["holds"]
+
+    @pytest.mark.parametrize("name,n", [("mult-p3", 2), ("lt-h2-p3", 1)])
+    def test_a_corrupted_model_point_is_caught(self, monkeypatch, name, n):
+        # the first nonzero point P moved to P + z after evaluation: its [p]
+        # image, and the image of every point whose chain passes through
+        # it, no longer match (at level 1 of lt-h2-p3, P = z and 2z is not
+        # a torsion point; some other P + z is 0 there)
+        g = make_group(N=4, nmax=n, **dict(CORPUS_SPECS)[name])
+        assert assumption_check(g, n)["holds"]
+        evaluate = TorsionFieldModel.eval_at_z
+
+        def moved(self, s):
+            out = evaluate(self, s)
+            out[0] = self.add(out[0], self.point_z())
+            return out
+
+        monkeypatch.setattr(TorsionFieldModel, "eval_at_z", moved)
+        rec = assumption_check(g, n)
+        assert not rec["all_torsion"] and not rec["holds"]
+
+    @pytest.mark.parametrize("spec,n", DEEP_ASSUMPTION)
+    def test_one_pi_step_per_valuation_class(self, monkeypatch, spec, n):
+        steps = []
+        apply_pi = TorsionFieldModel.apply_pi
+
+        def recorded(self, G, times=1, val=None):
+            steps.append((times, val))
+            return apply_pi(self, G, times, val)
+
+        monkeypatch.setattr(TorsionFieldModel, "apply_pi", recorded)
+        rec = assumption_check(make_group(N=4, nmax=n, **spec), n, N=4)
+        classes = sorted(int(k) for k in rec["valuations"] if k != "inf")
+        assert rec["holds"] and steps == [(1, v) for v in classes]
+
+    @pytest.mark.parametrize("spec,n", DEEP_ASSUMPTION)
     def test_model_products_bounded_per_valuation_class(self, monkeypatch, spec, n):
-        # [p^n] runs once per valuation class, not once per point
+        # [p] runs once per valuation class, not once per point
         calls = []
         mul = TorsionFieldModel.mul
 
@@ -838,7 +945,7 @@ class TestGradedPoints:
         monkeypatch.setattr(TorsionFieldModel, "mul", counted)
         assert main(["torsion", "--group", "multiplicative", "--p", "3", "--N", "12", "--nmax", "4",
                      "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 163
+        assert len(calls) == 123
 
     def test_scalar_action_multiplies_in_the_w_ring(self, monkeypatch):
         # lt-h2-p3 at level 2: e = 72, d = 8, so every product is of 9 rows
